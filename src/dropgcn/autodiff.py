@@ -4,11 +4,13 @@ Define-by-run: each op computes its output eagerly and, when gradients are
 wanted, records (output, inputs, vjp) on the active tape. backward() replays
 the tape once in reverse, accumulating into .grad of every tensor that
 requires gradients, then discards the tape. Ops cover exactly what the
-propagation layers need; sparse matrices enter only as constants through
-spmm.
+propagation layers need; sparse matrices enter only as constants: a
+propagation matrix through spmm, sparse input features (a scipy CSR
+matrix) through dropout and sparse_matmul.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 _grad_enabled = True
 
@@ -159,6 +161,21 @@ def spmm(a_sparse, h):
     return _make(m @ h.data, (h,), build)
 
 
+def sparse_matmul(x_sparse, w):
+    """X @ W for a gradient-free scipy CSR matrix X (sparse input features);
+    W's gradient is X^T @ g."""
+    if x_sparse.shape[1] != w.shape[0]:
+        raise ValueError(f"sparse_matmul shape mismatch: {x_sparse.shape} @ {w.shape}")
+
+    def build():
+        def vjp(g):
+            return (x_sparse.T @ g,)
+
+        return vjp
+
+    return _make(x_sparse @ w.data, (w,), build)
+
+
 def add(a, b):
     """Elementwise sum of same-shape tensors (residual connections)."""
     if a.shape != b.shape:
@@ -204,13 +221,24 @@ def relu(x):
 def dropout(x, rate, rng, training):
     """Inverted dropout: zero each element with probability `rate`, scale
     survivors by 1/(1-rate) so expectations match. Identity when rate is 0 or
-    training is off (returns x itself, consuming no randomness)."""
+    training is off (returns x itself, consuming no randomness).
+
+    A sparse constant x (scipy CSR) draws one uniform per stored entry, in
+    CSR order, and returns the scaled survivors as a new CSR constant.
+    Dropping a zero changes nothing, so the output has the distribution of
+    the dense draw from nnz(x) uniforms instead of one per element.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    mask = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
+    if sp.issparse(x):
+        keep = rng.random(x.nnz) >= rate
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        return sp.csr_matrix((x.data[keep] * scale, x.indices[keep], kept_before[x.indptr]),
+                             shape=x.shape)
+    mask = rng.random(x.shape) >= rate
 
     def build():
         def vjp(g):

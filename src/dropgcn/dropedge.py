@@ -68,19 +68,22 @@ def sample_layerwise(a, p, n_layers, rng):
     return [sample(a, p, rng) for _ in range(n_layers)]
 
 
-def propagation_matrices(a, config, n_layers, rng, training):
+def propagation_matrices(a, config, n_layers, rng, training, full=None):
     """Per-layer propagation matrices for one forward pass.
 
     Outside training, or at p=0, every layer gets the same object: the plain
     normalization of the full adjacency, untouched by the sampler (and `rng`
-    is not consumed). During training with p > 0, a one-shot draw is dropped
-    once, re-normalized once, and shared; the layer-wise variant drops and
+    is not consumed). `full`, when given, is that normalization already built,
+    normalize(a, config.scheme), and is returned instead of a fresh one.
+    During training with p > 0, a one-shot draw is dropped once,
+    re-normalized once, and shared; the layer-wise variant drops and
     re-normalizes per layer.
     """
     if n_layers < 1:
         raise ValueError("need at least one layer")
     if not training or config.p == 0.0:
-        full = normalize(a, config.scheme)
+        if full is None:
+            full = normalize(a, config.scheme)
         return [full] * n_layers
     if config.layer_wise:
         return [normalize(m, config.scheme) for m in sample_layerwise(a, config.p, n_layers, rng)]

@@ -49,10 +49,15 @@ class SparseMatrix:
         if len(col_indices) and (col_indices.min() < 0 or col_indices.max() >= n_cols):
             raise ValueError("column index out of range")
         # Strictly increasing columns within each row: sorted and duplicate-free.
-        for r in range(n_rows):
-            lo, hi = row_offsets[r], row_offsets[r + 1]
-            if hi - lo > 1 and np.any(np.diff(col_indices[lo:hi]) <= 0):
-                raise ValueError(f"row {r}: column indices not strictly increasing")
+        # bad[k] compares entries k and k+1, which is no check at all when k+1
+        # starts a row (starts at 0 or nnz have no comparison to mask).
+        bad = np.diff(col_indices) <= 0
+        starts = row_offsets[1:-1]
+        bad[starts[(starts > 0) & (starts < len(col_indices))] - 1] = False
+        if bad.any():
+            first = int(np.argmax(bad)) + 1
+            r = int(np.searchsorted(row_offsets, first, side="right")) - 1
+            raise ValueError(f"row {r}: column indices not strictly increasing")
         if np.any(values == 0.0):
             raise ValueError("explicit zeros are not stored; prune before construction")
         self.n_rows = n_rows

@@ -21,7 +21,7 @@ from .autodiff import backward, clear_grads, no_grad, softmax_cross_entropy
 from .dropedge import propagation_matrices
 from .graph import load_graph_dir
 from .models import (ModelConfig, accuracy, build_model, copy_model, forward,
-                     save_model, sup_singular_value)
+                     model_input, save_model, sup_singular_value)
 from .optim import AdamState, adam_step
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
@@ -109,6 +109,13 @@ def _config_dict(config):
     return d
 
 
+def _check_finite(which, loss, epoch):
+    if not math.isfinite(loss):
+        raise TrainingDiverged(
+            f"{which} loss became {loss} at epoch {epoch}; "
+            "lower the learning rate or check the input data")
+
+
 def _run(config, graph, keep_best):
     """The epoch loop. Returns (report, final_model, best_model_or_None)."""
     mcfg = config.model
@@ -120,10 +127,14 @@ def _run(config, graph, keep_best):
     val_idx = graph.splits["val"]
     test_idx = graph.splits["test"]
     labels = graph.labels
-    features = graph.features
+    features = model_input(graph.features)
 
-    # The evaluation path is fixed for the whole run: full graph, no sampling.
-    eval_mats = [normalize(graph.adjacency, mcfg.scheme)] * model.n_gcls
+    # The full-graph normalizations are fixed for the whole run: evaluation
+    # uses the model's scheme, training at p=0 the sampler's.
+    full = normalize(graph.adjacency, mcfg.scheme)
+    eval_mats = [full] * model.n_gcls
+    train_full = (full if mcfg.dropedge.scheme == mcfg.scheme
+                  else normalize(graph.adjacency, mcfg.dropedge.scheme))
 
     rows = []
     best = (-1.0, -1, -1.0)  # (val_acc, epoch, test_acc); ties keep the earliest
@@ -131,14 +142,11 @@ def _run(config, graph, keep_best):
     t0 = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         mats = propagation_matrices(graph.adjacency, mcfg.dropedge, model.n_gcls,
-                                    rng, training=True)
+                                    rng, training=True, full=train_full)
         logits, _ = forward(model, mats, features, training=True, rng=rng)
         loss = softmax_cross_entropy(logits, labels, train_idx)
         loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise TrainingDiverged(
-                f"training loss became {loss_val} at epoch {epoch}; "
-                "lower the learning rate or check the input data")
+        _check_finite("training", loss_val, epoch)
         train_acc = accuracy(logits, labels, train_idx)
         backward(loss)
         adam_step(opt)
@@ -147,6 +155,7 @@ def _run(config, graph, keep_best):
         with no_grad():
             eval_logits, _ = forward(model, eval_mats, features, training=False)
             val_loss = softmax_cross_entropy(eval_logits, labels, val_idx).item()
+        _check_finite("validation", val_loss, epoch)
         val_acc = accuracy(eval_logits, labels, val_idx)
         test_acc = accuracy(eval_logits, labels, test_idx)
         rows.append({"epoch": epoch, "train_loss": loss_val, "train_acc": train_acc,
@@ -251,12 +260,13 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
     spec_report = spectral.analyze(normalize(graph.adjacency, mcfg.scheme))
+    features = model_input(graph.features)
 
     def measured(model):
         mats = propagation_matrices(graph.adjacency, mcfg.dropedge, model.n_gcls,
                                     rng, training=True)
         with no_grad():
-            _, hidden = forward(model, mats, graph.features, training=False)
+            _, hidden = forward(model, mats, features, training=False)
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}
         probe = spectral.smoothing_probe(hidden, spec_report,

@@ -30,6 +30,13 @@ def random_connected_adjacency(rng, n, p):
             return a
 
 
+def bag_of_words(rng, n, c, density=0.06):
+    """Row-normalized binary features at about `density`, every row nonempty."""
+    words = rng.random((n, c)) < density
+    words[np.arange(n), rng.integers(0, c, size=n)] = True
+    return words / words.sum(axis=1, keepdims=True)
+
+
 def finite_difference_grad(f, arr, eps=1e-6):
     """Central finite differences of scalar f() with respect to arr in place."""
     grad = np.zeros_like(arr)

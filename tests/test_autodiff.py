@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dropgcn import (BatchNormState, Tensor, add, add_bias, backward,
                      batch_norm, clear_grads, concat_cols, dropout, matmul,
-                     no_grad, relu, softmax_cross_entropy, spmm, sum_all)
+                     no_grad, relu, softmax_cross_entropy,
+                     sparse_matmul, spmm, sum_all)
 from dropgcn.optim import AdamState, adam_step, glorot_init
-from conftest import finite_difference_grad, random_adjacency, relative_error
+from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
+                      relative_error)
 
 TOL = 1e-6  # central differences with eps=1e-6 land far below this
 
@@ -126,6 +129,25 @@ class TestOpGradients:
         np.testing.assert_allclose(spmm(m, h).data, m.to_dense() @ h.data,
                                    atol=1e-12)
 
+    def test_sparse_matmul_weights(self, rng_factory):
+        # The first layer's two uses of a sparse input: X @ W into the
+        # propagation and X @ W_self on the self-loop path.
+        rng = rng_factory(22)
+        x = sp.csr_matrix(bag_of_words(rng, 9, 6))
+        m = random_adjacency(rng, 9, 0.4)
+        w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w_self = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        check_against_fd(
+            lambda: sum_all(relu(add(spmm(m, sparse_matmul(x, w)), sparse_matmul(x, w_self)))),
+            {"w": w, "w_self": w_self})
+
+    def test_sparse_matmul_value_matches_dense(self, rng_factory):
+        rng = rng_factory(23)
+        dense = bag_of_words(rng, 9, 6)
+        w = Tensor(rng.normal(size=(6, 4)))
+        np.testing.assert_allclose(sparse_matmul(sp.csr_matrix(dense), w).data, dense @ w.data,
+                                   atol=1e-12)
+
     def test_add_and_bias(self, rng_factory):
         rng = rng_factory(3)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
@@ -214,6 +236,45 @@ class TestOpSemantics:
         np.testing.assert_allclose(out.data[kept], 2.0 / 0.7)
         assert abs(kept.mean() - 0.7) < 0.03
         assert abs(out.data.mean() - 2.0) < 0.1
+
+    def test_sparse_dropout_keeps_zeros_and_keep_rate(self, rng_factory):
+        rng = rng_factory(13)
+        dense = bag_of_words(rng, 200, 150)
+        x = sp.csr_matrix(dense)
+        rate, trials = 0.3, 20
+        kept = np.zeros(x.nnz)
+        for _ in range(trials):
+            out = dropout(x, rate, rng, training=True)
+            got = out.toarray()
+            assert np.all(got[dense == 0] == 0)
+            survived = got[dense != 0] != 0
+            np.testing.assert_allclose(got[dense != 0][survived],
+                                       dense[dense != 0][survived] / (1 - rate))
+            kept += survived
+        # Row-major order of dense nonzeros is CSR order, so kept lines up
+        # with x's stored entries; the keep frequency is Binomial(n, 1 - rate).
+        n = trials * x.nnz
+        sigma = np.sqrt(n * rate * (1 - rate))
+        assert abs(kept.sum() - n * (1 - rate)) < 3 * sigma
+
+    def test_sparse_dropout_draws_one_uniform_per_stored_entry(self, rng_factory):
+        x = sp.csr_matrix(bag_of_words(rng_factory(14), 30, 40))
+        rng = rng_factory(15)
+        out = dropout(x, 0.5, rng, training=True)
+        keep = rng_factory(15).random(x.nnz) >= 0.5
+        np.testing.assert_array_equal(out.data, x.data[keep] * 2.0)
+        # The stream moved past exactly nnz draws.
+        ref = rng_factory(15)
+        ref.random(x.nnz)
+        assert rng.random() == ref.random()
+
+    def test_sparse_dropout_eval_and_zero_rate_consume_nothing(self, rng_factory):
+        x = sp.csr_matrix(bag_of_words(rng_factory(16), 10, 12))
+        rng = rng_factory(0)
+        state = rng.bit_generator.state
+        assert dropout(x, 0.5, rng, training=False) is x
+        assert dropout(x, 0.0, rng, training=True) is x
+        assert rng.bit_generator.state == state
 
     def test_batch_norm_constant_column_goes_to_shift(self):
         state = BatchNormState(2)

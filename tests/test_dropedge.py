@@ -141,6 +141,19 @@ class TestPropagationMatrices:
         assert all(m is mats[0] for m in mats)
         assert mats[0] == normalize(a, "AugNormAdj")
 
+    def test_given_full_normalization_is_reused(self, rng_factory):
+        a = triangle()
+        full = normalize(a, "AugNormAdj")
+        for cfg, training in ((DropEdgeConfig(p=0.0), True), (DropEdgeConfig(p=0.5), False)):
+            rng = rng_factory(0)
+            mats = propagation_matrices(a, cfg, 3, rng, training=training, full=full)
+            assert all(m is full for m in mats)
+            assert rng.integers(1 << 30) == rng_factory(0).integers(1 << 30)
+        # With p > 0 during training the draw ignores it.
+        mats = propagation_matrices(a, DropEdgeConfig(p=0.5), 2, rng_factory(0),
+                                    training=True, full=full)
+        assert mats[0] is not full
+
     def test_one_shot_shares_one_draw(self, rng_factory):
         a = random_adjacency(np.random.default_rng(6), 16, 0.4)
         cfg = DropEdgeConfig(p=0.5)

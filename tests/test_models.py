@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dropgcn import (DropEdgeConfig, GCLParams, ModelConfig, SparseMatrix,
                      Tensor, accuracy, backward, build_model, clear_grads,
                      forward, gcl_forward, normalize, predictions,
                      softmax_cross_entropy, sup_singular_value)
-from dropgcn.models import copy_model, load_model, save_model
-from conftest import (finite_difference_grad, random_adjacency, relative_error)
+from dropgcn.models import (SPARSE_INPUT_DENSITY, copy_model, load_model, model_input,
+                            save_model)
+from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
+                      relative_error)
 
 
 def prop_for(model, a, scheme="AugNormAdj"):
@@ -43,6 +46,44 @@ class TestGCL:
         out = gcl_forward(a_hat, h, layer, training=False)
         want = a_hat.to_dense() @ h.data @ w.data + h.data @ w_self.data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n_in,n_out", [(12, 3), (3, 12), (5, 5)])
+    def test_product_order_matches_propagate_then_filter(self, n_in, n_out, rng_factory):
+        # Narrow-first order A(HW) when W narrows, (AH)W otherwise; both must
+        # match the explicit (A H) W reference.
+        rng = rng_factory(20)
+        a_hat = normalize(random_adjacency(rng, 10, 0.4), "FirstOrderGCN")
+        h = Tensor(rng.normal(size=(10, n_in)))
+        w = Tensor(rng.normal(size=(n_in, n_out)))
+        w_self = Tensor(rng.normal(size=(n_in, n_out)))
+        b = Tensor(rng.normal(size=(1, n_out)))
+        layer = GCLParams(w, bias=b, self_weight=w_self, activation=True)
+        out = gcl_forward(a_hat, h, layer, training=False)
+        want = np.maximum((a_hat.to_dense() @ h.data) @ w.data + h.data @ w_self.data
+                          + b.data, 0.0)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+    def test_sparse_input_gradients(self, rng_factory):
+        # A sparse first-layer input: W and W_self get X^T g through the tape.
+        rng = rng_factory(21)
+        a_hat = normalize(random_adjacency(rng, 9, 0.4), "AugNormAdj")
+        x = model_input(bag_of_words(rng, 9, 40, density=0.03))
+        assert sp.issparse(x)
+        w = Tensor(rng.normal(size=(40, 3)), requires_grad=True)
+        w_self = Tensor(rng.normal(size=(40, 3)), requires_grad=True)
+        layer = GCLParams(w, self_weight=w_self, activation=True)
+        labels = rng.integers(0, 3, size=9)
+
+        def build_loss():
+            return softmax_cross_entropy(gcl_forward(a_hat, x, layer, training=True),
+                                         labels, np.arange(9))
+
+        backward(build_loss())
+        got = {"w": w.grad.copy(), "w_self": w_self.grad.copy()}
+        clear_grads([w, w_self])
+        for name, p in (("w", w), ("w_self", w_self)):
+            fd = finite_difference_grad(lambda: build_loss().item(), p.data)
+            assert relative_error(got[name], fd) < 1e-6, name
 
     def test_linearity_without_activation(self, rng_factory):
         # Bias-free, activation-free GCLs are linear in H.
@@ -224,6 +265,37 @@ class TestForward:
         np.testing.assert_array_equal(out1.data, out2.data)
         out3, _ = forward(m, prop_for(m, a), x, training=True, rng=r1)
         assert not np.array_equal(out1.data, out3.data)
+
+    @pytest.mark.parametrize("withloop", [False, True])
+    @pytest.mark.parametrize("backbone,n_layers", [
+        ("gcn", 3), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4)])
+    def test_sparse_input_matches_dense(self, backbone, n_layers, withloop, rng_factory):
+        rng = rng_factory(14)
+        a = random_adjacency(rng, 12, 0.4)
+        cfg = ModelConfig(backbone=backbone, n_layers=n_layers, hidden_dim=5,
+                          withloop=withloop, withbn=True)
+        m = build_model(cfg, 30, 3, rng)
+        dense = bag_of_words(rng, 12, 30)
+        x = model_input(dense)
+        assert sp.issparse(x)
+        want, want_hidden = forward(m, prop_for(m, a), dense, training=False)
+        got, got_hidden = forward(m, prop_for(m, a), x, training=False)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+        for g, w in zip(got_hidden, want_hidden):
+            np.testing.assert_allclose(g.data, w.data, rtol=0, atol=1e-12)
+
+    def test_model_input_density_threshold(self, rng_factory):
+        rng = rng_factory(15)
+        sparse_in = model_input(bag_of_words(rng, 40, 50, density=0.05))
+        assert sp.issparse(sparse_in) and sparse_in.format == "csr"
+        dense = rng.normal(size=(40, 50))
+        assert model_input(dense) is dense
+        # At the threshold exactly: sparse; one entry above it: dense.
+        edge = np.zeros((10, 10))
+        edge.flat[:int(SPARSE_INPUT_DENSITY * 100)] = 1.0
+        assert sp.issparse(model_input(edge))
+        edge.flat[int(SPARSE_INPUT_DENSITY * 100)] = 1.0
+        assert not sp.issparse(model_input(edge))
 
     def test_permutation_equivariance(self, rng_factory):
         rng = rng_factory(11)

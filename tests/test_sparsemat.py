@@ -59,6 +59,73 @@ class TestStorage:
         with pytest.raises(ValueError):
             SparseMatrix(1, 3, [0, 2], [2, 0], [1.0, 1.0])
 
+    # 5x4 with row 2 empty: rows hold cols [0,2], [1,3], [], [0,1,3], [2].
+    ROWS = [[0, 2], [1, 3], [], [0, 1, 3], [2]]
+
+    @staticmethod
+    def _csr(rows):
+        offsets = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+        cols = [c for r in rows for c in r]
+        return 5, 4, offsets, cols, np.ones(len(cols))
+
+    def test_rows_with_empty_rows_pass(self):
+        m = SparseMatrix(*self._csr(self.ROWS))
+        assert m.nnz == 8
+        assert SparseMatrix(*self._csr([[], [0, 3], [], [], []])).nnz == 2
+        assert SparseMatrix(*self._csr([[1, 2], [], [], [], []])).nnz == 2
+        assert SparseMatrix(*self._csr([[], [], [], [], [0]])).nnz == 1
+        assert SparseMatrix(*self._csr([[]] * 5)).nnz == 0
+        # Decreasing across a row boundary is fine: [0,2] then [1,3].
+        assert SparseMatrix(*self._csr([[3], [0], [], [3], [0]])).nnz == 4
+
+    @pytest.mark.parametrize("row,cols", [
+        (1, [3, 1]),      # middle row, unsorted
+        (1, [1, 1]),      # middle row, duplicate
+        (3, [1, 0, 3]),   # the row after an empty row, unsorted at its start
+        (3, [0, 3, 3]),   # the row after an empty row, duplicate at its end
+        (4, [2, 2]),      # last row, duplicate
+        (4, [3, 2]),      # last row, unsorted
+        (0, [2, 0]),      # first row
+    ])
+    def test_bad_row_named(self, row, cols):
+        rows = [list(r) for r in self.ROWS]
+        rows[row] = cols
+        with pytest.raises(ValueError, match=rf"^row {row}: column indices not strictly"):
+            SparseMatrix(*self._csr(rows))
+
+    def test_column_check_matches_per_row_loop(self):
+        # The per-row loop the vectorized check replaced, as the reference.
+        def loop_verdict(n_rows, offsets, cols):
+            for r in range(n_rows):
+                lo, hi = offsets[r], offsets[r + 1]
+                if hi - lo > 1 and np.any(np.diff(cols[lo:hi]) <= 0):
+                    return f"row {r}: column indices not strictly increasing"
+            return None
+
+        rng = np.random.default_rng(17)
+        verdicts = set()
+        for _ in range(3000):
+            n_rows = int(rng.integers(0, 6))
+            offsets = np.concatenate(([0], np.cumsum(rng.integers(0, 4, size=n_rows))))
+            cols = rng.integers(0, 5, size=offsets[-1])
+            for r in range(n_rows):  # sort most rows, so failures name varied rows
+                if rng.random() < 0.7:
+                    cols[offsets[r]:offsets[r + 1]].sort()
+            want = loop_verdict(n_rows, offsets, cols)
+            try:
+                SparseMatrix(n_rows, 5, offsets, cols, np.ones(len(cols)))
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (offsets, cols)
+            verdicts.add(want)
+        assert None in verdicts and len(verdicts) == 6
+
+    def test_first_bad_row_named(self):
+        rows = [[0, 2], [1, 3], [], [3, 0], [2, 2]]
+        with pytest.raises(ValueError, match="^row 3:"):
+            SparseMatrix(*self._csr(rows))
+
     def test_column_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             SparseMatrix(1, 2, [0, 1], [2], [1.0])

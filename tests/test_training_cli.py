@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dropgcn import (DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      TrainingDiverged, accuracy, forward, load_model,
                      normalize, oversmoothing_probe, synthetic_sbm, train)
-from dropgcn import cli, dropedge
+from dropgcn import cli, dropedge, training
 from dropgcn.graph import save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
                               write_report)
@@ -25,6 +26,18 @@ def small_config(seed=0, epochs=20, p=0.0, **model_kw):
     model_kw.setdefault("hidden_dim", 16)
     mcfg = ModelConfig(dropedge=DropEdgeConfig(p=p), **model_kw)
     return TrainConfig(model=mcfg, lr=0.01, epochs=epochs, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def bow(sbm):
+    """The sbm graph with bag-of-words features: 2-3 words of 60 per node."""
+    rng = np.random.default_rng(9)
+    words = np.zeros((sbm.n_nodes, 60))
+    for i, block in enumerate(sbm.labels):
+        words[i, rng.choice(20, size=2, replace=False) + 20 * block] = 1.0
+        words[i, rng.integers(60)] = 1.0
+    features = words / words.sum(axis=1, keepdims=True)
+    return Graph(sbm.n_nodes, sbm.adjacency, features, sbm.labels, sbm.splits)
 
 
 class TestTrain:
@@ -75,6 +88,44 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(small_config(epochs=5), graph=poisoned)
 
+    def test_validation_divergence_reports_epoch(self, sbm, monkeypatch):
+        # Training stays finite; only the third epoch's validation loss is not.
+        real = training.softmax_cross_entropy
+        val_calls = []
+
+        def poisoned(logits, labels, mask):
+            loss = real(logits, labels, mask)
+            if mask is sbm.splits["val"]:
+                val_calls.append(mask)
+                if len(val_calls) == 3:
+                    loss.data[...] = np.inf
+            return loss
+
+        monkeypatch.setattr(training, "softmax_cross_entropy", poisoned)
+        with pytest.raises(TrainingDiverged, match="validation loss became inf at epoch 3"):
+            train(small_config(epochs=5), graph=sbm)
+
+    def test_sparse_input_path_matches_dense(self, bow, monkeypatch):
+        # Without dropout both paths consume the same random stream, so the
+        # runs agree up to rounding; the dense one is forced by skipping the
+        # conversion.
+        assert sp.issparse(training.model_input(bow.features))
+        cfg = small_config(epochs=15, p=0.3, withloop=True)
+        sparse_rows = train(cfg, graph=bow).rows
+        monkeypatch.setattr(training, "model_input", lambda features: features)
+        dense_rows = train(cfg, graph=bow).rows
+        for got, want in zip(sparse_rows, dense_rows):
+            for key in ("train_loss", "val_loss"):
+                assert got[key] == pytest.approx(want[key], rel=1e-9)
+            for key in ("train_acc", "val_acc", "test_acc"):
+                assert got[key] == want[key]
+
+    def test_sparse_input_with_dropout_learns(self, bow):
+        a = train(small_config(epochs=60, p=0.3, dropout=0.5), graph=bow)
+        assert a.test_acc >= 0.7
+        assert a.to_csv() == train(small_config(epochs=60, p=0.3, dropout=0.5),
+                                   graph=bow).to_csv()
+
     def test_no_graph_no_data_dir(self):
         with pytest.raises(ValueError, match="data_dir"):
             train(small_config())
@@ -101,6 +152,54 @@ class TestTrain:
         calls.clear()
         train(small_config(epochs=7, p=0.0), graph=sbm)
         assert calls == []
+
+    def test_p_zero_normalizes_once_per_run(self, sbm, monkeypatch):
+        calls = []
+
+        def spy(module):
+            orig = module.normalize
+
+            def counted(a, scheme):
+                calls.append(module.__name__)
+                return orig(a, scheme)
+
+            monkeypatch.setattr(module, "normalize", counted)
+
+        spy(dropedge)
+        spy(training)
+        before = train(small_config(epochs=7, p=0.0), graph=sbm).to_csv()
+        assert calls == ["dropgcn.training"]
+        monkeypatch.undo()
+        # Bit-identical to re-normalizing every epoch: same function, same input.
+        real = dropedge.propagation_matrices
+        monkeypatch.setattr(training, "propagation_matrices",
+                            lambda *args, full=None, **kw: real(*args, **kw))
+        assert before == train(small_config(epochs=7, p=0.0), graph=sbm).to_csv()
+
+    def test_p_zero_other_sampler_scheme_normalizes_once_each(self, sbm, monkeypatch):
+        # The sampler's scheme differs from the model's: one normalization
+        # per scheme per run, none per epoch.
+        def config():
+            cfg = small_config(epochs=5, p=0.0)
+            cfg.model.dropedge = DropEdgeConfig(p=0.0, scheme="BingGeNormAdj")
+            return cfg
+
+        calls = []
+        orig = training.normalize
+
+        def counted(a, scheme):
+            calls.append(scheme)
+            return orig(a, scheme)
+
+        monkeypatch.setattr(training, "normalize", counted)
+        monkeypatch.setattr(dropedge, "normalize", counted)
+        before = train(config(), graph=sbm).to_csv()
+        assert calls == ["AugNormAdj", "BingGeNormAdj"]
+        monkeypatch.undo()
+        real = dropedge.propagation_matrices
+        monkeypatch.setattr(training, "propagation_matrices",
+                            lambda *args, full=None, **kw: real(*args, **kw))
+        assert before == train(config(), graph=sbm).to_csv()
 
     def test_write_report_files(self, sbm, tmp_path):
         report = train(small_config(epochs=6), graph=sbm)
@@ -133,6 +232,11 @@ class TestProbe:
         a = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3), probe_epochs=8)
         b = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3), probe_epochs=8)
         assert json.dumps(a.summary()) == json.dumps(b.summary())
+
+    def test_probe_on_sparse_features(self, bow):
+        cfg = small_config(p=0.5, n_layers=4, dropout=0.5)
+        report = oversmoothing_probe(cfg, graph=bow, layer_range=(2, 3), probe_epochs=5)
+        assert all(math.isfinite(v) for v in report.after["layer_distance"].values())
 
     def test_probe_rejects_bad_settings(self, sbm):
         cfg = small_config(n_layers=4, scheme="AugRWalk")
