@@ -28,8 +28,7 @@ from .spectral import (SmoothingProbe, SpectralReport, analyze,
                        verify_resistance_bound)
 from .training import (ProbeReport, RunReport, TrainConfig, TrainingDiverged,
                        ablate_dropout_dropedge, ablate_layerwise,
-                       measure_layer_distances, oversmoothing_probe, train,
-                       write_report)
+                       oversmoothing_probe, train, write_report)
 
 __version__ = "0.1.0"
 

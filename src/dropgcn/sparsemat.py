@@ -244,9 +244,10 @@ def connected_components(a):
     if a.n_rows != a.n_cols:
         raise ValueError("component labeling needs a square matrix")
     n = a.n_rows
-    labels = np.full(n, -1, dtype=np.int64)
+    # Python lists: indexing them is much cheaper than indexing numpy scalars.
+    labels = [-1] * n
     count = 0
-    offsets, cols = a.row_offsets, a.col_indices
+    offsets, cols = a.row_offsets.tolist(), a.col_indices.tolist()
     for root in range(n):
         if labels[root] >= 0:
             continue
@@ -259,4 +260,4 @@ def connected_components(a):
                     labels[v] = count
                     stack.append(v)
         count += 1
-    return labels, count
+    return np.array(labels, dtype=np.int64), count

@@ -9,7 +9,13 @@ smoothing layer inverts that bound into a depth estimate. Edge removal is
 studied directly: effective resistances, the lambda lower bound they imply,
 and full random-removal trajectories.
 
-Everything is dense linear algebra (eigh, svd, pinv), capped at 5000 nodes.
+Everything is dense linear algebra, capped at 5000 nodes. The eigenvalue
+route reduces the matrix once to tridiagonal form and takes every eigenvalue
+from the tridiagonal; eigenvectors are computed only for the top cluster and
+mapped back through the stored reflectors. Removal trajectories read only
+eigenvalues, so their steps compute no eigenvectors at all. scipy.linalg is
+imported inside the functions that use it, so importing the package (and
+training) does not load it.
 """
 
 import math
@@ -40,17 +46,21 @@ class SpectralReport:
     component_count: int
 
 
-def analyze(a_hat, tol=1e-8):
-    """Eigendecompose a symmetric propagation matrix and split off the top
-    cluster: every eigenvalue within `tol` of the maximum counts as top.
+def _spectrum(a_hat, tol):
+    """Eigenvalues of a symmetric propagation matrix, split at the top cluster.
 
-    For the augmented symmetric normalization of a graph, the cluster
-    multiplicity equals the number of connected components; that is checked
-    by tests, not enforced here, so the function stays usable on arbitrary
-    symmetric matrices.
+    The dense matrix is reduced once to tridiagonal form (LAPACK dsytrd,
+    lower storage), and all eigenvalues come from the tridiagonal. Returns
+    (eigenvalues ascending, multiplicity, second_largest, factors), where
+    factors = (c, d, e, tau) lets _cluster_basis compute eigenvectors
+    without a second reduction.
     """
+    from scipy.linalg import eigh_tridiagonal, lapack
+
     if a_hat.n_rows != a_hat.n_cols:
         raise ValueError("spectral analysis needs a square matrix")
+    if a_hat.n_rows == 0:
+        raise ValueError("spectral analysis needs a nonempty matrix")
     if a_hat.n_rows > MAX_DENSE_NODES:
         raise ValueError(f"dense eigendecomposition capped at {MAX_DENSE_NODES} nodes; "
                          "analyze a subgraph instead")
@@ -58,22 +68,61 @@ def analyze(a_hat, tol=1e-8):
         raise ValueError("matrix is not symmetric; only symmetric schemes are analyzable")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    dense = a_hat.to_dense()
-    eigenvalues, vectors = np.linalg.eigh(dense)
-    n = len(eigenvalues)
+    n = a_hat.n_rows
+    # The matrix is exactly symmetric, so its transpose is the same matrix in
+    # Fortran order, which dsytrd can overwrite without a copy.
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    c, d, e, tau, info = lapack.dsytrd(a_hat.to_dense().T, lower=1, lwork=int(lwork),
+                                       overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
+    eigenvalues = eigh_tridiagonal(d, e, eigvals_only=True)
     top = eigenvalues[-1]
     multiplicity = int(np.sum(eigenvalues >= top - tol))
     if multiplicity < n:
         second = float(np.max(np.abs(eigenvalues[: n - multiplicity])))
     else:
         second = 0.0
-    basis = vectors[:, n - multiplicity:]
+    return eigenvalues, multiplicity, second, (c, d, e, tau)
+
+
+def _cluster_basis(factors, m):
+    """Orthonormal eigenvectors of the top m eigenvalues, from the factors
+    _spectrum returns: eigenvectors of the tridiagonal, mapped back through
+    the stored reflectors (what LAPACK dormtr does for lower storage)."""
+    from scipy.linalg import eigh_tridiagonal, lapack
+
+    c, d, e, tau = factors
+    n = len(d)
+    _, z = eigh_tridiagonal(d, e, select="i", select_range=(n - m, n - 1))
+    if n > 1:
+        # Q = H(1)...H(n-1) leaves row 0 alone; its reflectors sit below the
+        # subdiagonal of c, i.e. in QR layout in c[1:, :n-1].
+        reflectors = c[1:, : n - 1]
+        query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
+        z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+    return z
+
+
+def analyze(a_hat, tol=1e-8):
+    """Eigendecompose a symmetric propagation matrix and split off the top
+    cluster: every eigenvalue within `tol` of the maximum counts as top.
+
+    All eigenvalues are computed, but eigenvectors only for the cluster.
+    For the augmented symmetric normalization of a graph, the cluster
+    multiplicity equals the number of connected components; that is checked
+    by tests, not enforced here, so the function stays usable on arbitrary
+    symmetric matrices.
+    """
+    eigenvalues, multiplicity, second, factors = _spectrum(a_hat, tol)
     _, n_components = connected_components(a_hat)
     return SpectralReport(
         eigenvalues=eigenvalues,
         top_multiplicity=multiplicity,
         second_largest=second,
-        basis=basis,
+        basis=_cluster_basis(factors, multiplicity),
         component_count=n_components,
     )
 
@@ -160,10 +209,10 @@ def smoothing_probe(hidden_states, report, s, epsilon, d0=None):
 # -- effective resistance ----------------------------------------------
 
 
-def _component_resistance(a, nodes):
-    """Pairwise resistance block for one component via the Laplacian
-    pseudoinverse: R(s, t) = Lp[s, s] + Lp[t, t] - 2 Lp[s, t]."""
-    sub = a.to_dense()[np.ix_(nodes, nodes)]
+def _component_resistance(dense, nodes):
+    """Pairwise resistance block for one component of a dense adjacency via
+    the Laplacian pseudoinverse: R(s, t) = Lp[s, s] + Lp[t, t] - 2 Lp[s, t]."""
+    sub = dense[np.ix_(nodes, nodes)]
     lap = np.diag(sub.sum(axis=1)) - sub
     lp = np.linalg.pinv(lap)
     diag = np.diag(lp)
@@ -186,7 +235,7 @@ def effective_resistance(a, s, t):
     if labels[s] != labels[t]:
         return math.inf
     nodes = np.flatnonzero(labels == labels[s])
-    block = _component_resistance(a, nodes)
+    block = _component_resistance(a.to_dense(), nodes)
     pos = {int(v): i for i, v in enumerate(nodes)}
     return float(block[pos[s], pos[t]])
 
@@ -195,10 +244,11 @@ def resistance_matrix(a):
     """All-pairs effective resistance, math.inf across components."""
     n = a.n_rows
     labels, count = connected_components(a)
+    dense = a.to_dense()
     out = np.full((n, n), math.inf)
     for c in range(count):
         nodes = np.flatnonzero(labels == c)
-        out[np.ix_(nodes, nodes)] = _component_resistance(a, nodes)
+        out[np.ix_(nodes, nodes)] = _component_resistance(dense, nodes)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -228,6 +278,7 @@ def verify_resistance_bound(a, tol=1e-8):
     report = analyze(normalize(a, "AugNormAdj"))
     lam = report.second_largest
     d = degrees(a)
+    dense = a.to_dense()
     labels, count = connected_components(a)
     worst_margin, worst_pair = math.inf, None
     n_pairs = 0
@@ -236,17 +287,19 @@ def verify_resistance_bound(a, tol=1e-8):
         nodes = np.flatnonzero(labels == c)
         if len(nodes) < 2:
             continue
-        block = _component_resistance(a, nodes)
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                s, t = int(nodes[i]), int(nodes[j])
-                bound = 1.0 - (1.0 / block[i, j]) * (1.0 / d[s] + 1.0 / d[t])
-                margin = lam - bound
-                n_pairs += 1
-                if margin < worst_margin:
-                    worst_margin, worst_pair = margin, (s, t)
-                if margin < -tol:
-                    violations.append((s, t, margin))
+        block = _component_resistance(dense, nodes)
+        # Pairs (i, j), i < j, in row-major order, as a double loop visits them.
+        i, j = np.triu_indices(len(nodes), 1)
+        s, t = nodes[i], nodes[j]
+        bound = 1.0 - (1.0 / block[i, j]) * (1.0 / d[s] + 1.0 / d[t])
+        margins = lam - bound
+        n_pairs += len(margins)
+        first_min = int(np.argmin(margins))
+        if margins[first_min] < worst_margin:
+            worst_margin = float(margins[first_min])
+            worst_pair = (int(s[first_min]), int(t[first_min]))
+        violations += [(int(s[k]), int(t[k]), float(margins[k]))
+                       for k in np.flatnonzero(margins < -tol)]
     return ResistanceBoundReport(second_largest=lam, n_pairs=n_pairs,
                                  worst_margin=worst_margin, worst_pair=worst_pair,
                                  violations=violations)
@@ -286,9 +339,22 @@ class TrajectoryReport:
     disjunction_holds: bool
 
 
+def _without_edge(a, u, v):
+    """`a` with its stored entries (u, v) and (v, u) removed."""
+    offsets, cols = a.row_offsets, a.col_indices
+    keep = np.ones(a.nnz, dtype=bool)
+    for r, col in ((u, v), (v, u)):
+        keep[offsets[r] + np.searchsorted(cols[offsets[r]:offsets[r + 1]], col)] = False
+    counts = np.diff(offsets)
+    counts[[u, v]] -= 1
+    return SparseMatrix(a.n_rows, a.n_cols, np.concatenate(([0], np.cumsum(counts))),
+                        cols[keep], a.values[keep])
+
+
 def theorem1_trajectory(a, seed, epsilon=1e-3, d0=1.0, tol=1e-8):
     """Remove uniformly random edges one at a time until none remain,
-    re-normalizing (AugNormAdj) and re-analyzing after each removal.
+    re-normalizing (AugNormAdj) and recomputing the eigenvalues and the
+    component count after each removal.
 
     Requires a connected starting graph so the initial subspace dimension is
     1 and every later disconnection is visible as a +1.
@@ -299,12 +365,13 @@ def theorem1_trajectory(a, seed, epsilon=1e-3, d0=1.0, tol=1e-8):
     rng = np.random.default_rng(seed)
 
     def snapshot(mat, step, edge):
-        rep = analyze(normalize(mat, "AugNormAdj"), tol=tol)
-        l_hat = relaxed_smoothing_layer(epsilon, d0, 1.0, rep.second_largest)
-        return TrajectoryStep(step=step, removed_edge=edge,
-                              n_components=rep.component_count,
-                              top_multiplicity=rep.top_multiplicity,
-                              second_largest=rep.second_largest, l_hat=l_hat)
+        # A step reads only the eigenvalues, so it computes no eigenvectors.
+        _, multiplicity, second, _ = _spectrum(normalize(mat, "AugNormAdj"), tol)
+        _, n_components = connected_components(mat)
+        l_hat = relaxed_smoothing_layer(epsilon, d0, 1.0, second)
+        return TrajectoryStep(step=step, removed_edge=edge, n_components=n_components,
+                              top_multiplicity=multiplicity, second_largest=second,
+                              l_hat=l_hat)
 
     steps = [snapshot(a, 0, None)]
     current = a
@@ -315,11 +382,7 @@ def theorem1_trajectory(a, seed, epsilon=1e-3, d0=1.0, tol=1e-8):
             break
         pick = int(rng.integers(len(u)))
         edge = (int(u[pick]), int(v[pick]))
-        rows, cols, vals = current.coo_arrays()
-        keep = ~(((rows == edge[0]) & (cols == edge[1]))
-                 | ((rows == edge[1]) & (cols == edge[0])))
-        current = SparseMatrix.from_coo(current.n_rows, current.n_cols,
-                                        rows[keep], cols[keep], vals[keep])
+        current = _without_edge(current, *edge)
         step += 1
         steps.append(snapshot(current, step, edge))
 

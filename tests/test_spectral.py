@@ -1,18 +1,23 @@
 """Spectral quantities against independent oracles, and the theory checks."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import dropgcn
 from dropgcn import (ModelConfig, SparseMatrix, Tensor, analyze, build_model,
-                     effective_resistance, empirical_smoothing_layer, forward,
-                     normalize, relaxed_smoothing_layer, resistance_matrix,
+                     connected_components, degrees, effective_resistance,
+                     empirical_smoothing_layer, forward, normalize,
+                     relaxed_smoothing_layer, resistance_matrix,
                      subspace_distance, sup_singular_value,
                      theorem1_trajectory, verify_resistance_bound)
 from dropgcn.models import rescale_filters
-from dropgcn.spectral import smoothing_probe
+from dropgcn.spectral import _without_edge, smoothing_probe
 from conftest import random_adjacency, random_connected_adjacency
 
 
@@ -73,10 +78,10 @@ class TestAnalyze:
         assert rep.top_multiplicity == 3
         assert rep.second_largest == 0.0
         assert rep.component_count == 3
+        np.testing.assert_allclose(rep.basis @ rep.basis.T, np.eye(3), rtol=0, atol=1e-12)
 
     def test_multiplicity_equals_components_on_random_graphs(self, rng_factory):
         rng = rng_factory(40)
-        from dropgcn import connected_components
         for _ in range(30):
             a = random_adjacency(rng, 12, 0.15)
             rep = analyze(normalize(a, "AugNormAdj"))
@@ -103,12 +108,53 @@ class TestAnalyze:
         # The cluster eigenspace is (near-)fixed by the matrix.
         np.testing.assert_allclose(a_hat.to_dense() @ e, e, atol=1e-9)
 
+    def test_many_components_match_symmetric_eigensolver(self, rng_factory):
+        # A sparse random graph: many components, isolated nodes among them,
+        # so the top cluster is large and degenerate.
+        rng = rng_factory(43)
+        a = random_adjacency(rng, 300, 0.004)
+        labels, count = connected_components(a)
+        assert count >= 20
+        assert np.any(degrees(a) == 0)
+        a_hat = normalize(a, "AugNormAdj")
+        rep = analyze(a_hat)
+        w, v = np.linalg.eigh(a_hat.to_dense())
+        np.testing.assert_allclose(rep.eigenvalues, w, rtol=0, atol=1e-12)
+        mult = int(np.sum(w >= w[-1] - 1e-8))
+        assert rep.top_multiplicity == mult == count == rep.component_count
+        assert rep.second_largest == pytest.approx(
+            float(np.max(np.abs(w[:-mult]))), abs=1e-12)
+        e, oracle = rep.basis, v[:, -mult:]
+        assert e.shape == (300, mult)
+        np.testing.assert_allclose(e.T @ e, np.eye(mult), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(e @ e.T, oracle @ oracle.T, rtol=0, atol=1e-10)
+
+    def test_one_by_one(self):
+        rep = analyze(SparseMatrix.from_dense([[0.5]]))
+        assert rep.eigenvalues.tolist() == [0.5]
+        assert rep.top_multiplicity == 1
+        assert rep.second_largest == 0.0
+        np.testing.assert_allclose(np.abs(rep.basis), [[1.0]], rtol=0, atol=1e-15)
+        assert rep.component_count == 1
+
+    def test_import_does_not_load_scipy_linalg(self):
+        # scipy.linalg costs about 8 MB of resident memory, which every
+        # training run would carry without calling it.
+        src = Path(dropgcn.__file__).resolve().parents[1]
+        code = ("import sys, dropgcn, dropgcn.training; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
     def test_rejects_asymmetric_and_oversize(self):
         # Row normalization of a non-regular graph is not symmetric.
         with pytest.raises(ValueError, match="symmetric"):
             analyze(normalize(path3(), "AugRWalk"))
         with pytest.raises(ValueError, match="capped"):
             analyze(SparseMatrix.identity(5001))
+        with pytest.raises(ValueError, match="nonempty"):
+            analyze(SparseMatrix(0, 0, [0], [], []))
 
 
 class TestSubspaceDistance:
@@ -279,6 +325,57 @@ class TestResistanceBound:
         assert rep.n_pairs == 1
 
 
+def resistance_bound_reference(a, tol):
+    """The pair-by-pair double loop verify_resistance_bound vectorizes."""
+    lam = analyze(normalize(a, "AugNormAdj")).second_largest
+    d = degrees(a)
+    r = resistance_matrix(a)
+    labels, count = connected_components(a)
+    worst_margin, worst_pair, n_pairs, violations = math.inf, None, 0, []
+    for c in range(count):
+        nodes = np.flatnonzero(labels == c)
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                s, t = int(nodes[i]), int(nodes[j])
+                margin = lam - (1.0 - (1.0 / r[s, t]) * (1.0 / d[s] + 1.0 / d[t]))
+                n_pairs += 1
+                if margin < worst_margin:
+                    worst_margin, worst_pair = margin, (s, t)
+                if margin < -tol:
+                    violations.append((s, t, margin))
+    return n_pairs, worst_margin, worst_pair, violations
+
+
+class TestResistanceBoundVectorized:
+    def test_matches_double_loop(self, rng_factory):
+        rng = rng_factory(53)
+        a = random_adjacency(rng, 40, 0.05)
+        assert connected_components(a)[1] > 1
+        # A negative tol turns the lower half of the margins into violations,
+        # so their content and order are compared too.
+        _, _, _, all_pairs = resistance_bound_reference(a, -math.inf)
+        tol = -float(np.median([m for _, _, m in all_pairs]))
+        n_pairs, worst_margin, worst_pair, violations = resistance_bound_reference(a, tol)
+        assert 0 < len(violations) < n_pairs
+        rep = verify_resistance_bound(a, tol=tol)
+        assert rep.n_pairs == n_pairs
+        assert rep.worst_pair == worst_pair
+        assert rep.worst_margin == worst_margin
+        assert rep.violations == violations
+
+    def test_worst_pair_is_first_minimum(self):
+        # The 4-cycle's two opposite pairs, (0, 2) and (1, 3), tie for the
+        # worst margin; the tie goes to the first in (i, j) order, as with
+        # the loop's strict <.
+        cycle = SparseMatrix.from_dense(
+            [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+        n_pairs, worst_margin, worst_pair, _ = resistance_bound_reference(cycle, 1e-8)
+        rep = verify_resistance_bound(cycle)
+        assert worst_pair == (0, 2)
+        assert (rep.n_pairs, rep.worst_margin, rep.worst_pair) == (
+            n_pairs, worst_margin, worst_pair)
+
+
 class TestContraction:
     def _check_instance(self, rng, relu_model, n=8, depth=4):
         a = random_connected_adjacency(rng, n, 0.45)
@@ -414,6 +511,25 @@ class TestTrajectory:
             nxt = resistance_matrix(current)
             assert np.all(nxt >= prev - 1e-9)
             prev = nxt
+
+    def test_steps_match_analyze_on_replayed_matrices(self, rng_factory):
+        rng = rng_factory(61)
+        a = random_connected_adjacency(rng, 14, 0.35)
+        rep = theorem1_trajectory(a, seed=4)
+        current = a
+        for step in rep.steps:
+            if step.removed_edge is not None:
+                u, v = step.removed_edge
+                rows, cols, vals = current.coo_arrays()
+                keep = ~(((rows == u) & (cols == v)) | ((rows == v) & (cols == u)))
+                replayed = SparseMatrix.from_coo(14, 14, rows[keep], cols[keep], vals[keep])
+                assert _without_edge(current, u, v) == replayed
+                current = replayed
+            full = analyze(normalize(current, "AugNormAdj"))
+            assert step.top_multiplicity == full.top_multiplicity
+            assert step.n_components == full.component_count
+            assert step.second_largest == pytest.approx(full.second_largest, abs=1e-12)
+        assert current.nnz == 0
 
     def test_requires_connected_start(self):
         a = SparseMatrix.from_dense(

@@ -11,6 +11,7 @@ from dropgcn import (DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      TrainingDiverged, accuracy, forward, load_model,
                      normalize, oversmoothing_probe, synthetic_sbm, train)
 from dropgcn import cli, dropedge, training
+from dropgcn.autodiff import active_tape
 from dropgcn.graph import save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
                               write_report)
@@ -87,6 +88,9 @@ class TestTrain:
         poisoned = Graph(sbm.n_nodes, sbm.adjacency, bad, sbm.labels, sbm.splits)
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(small_config(epochs=5), graph=poisoned)
+        # The run raised between its forward pass and backward(); it must
+        # not leave that pass's records on the tape for the next run.
+        assert active_tape().entries == []
 
     def test_validation_divergence_reports_epoch(self, sbm, monkeypatch):
         # Training stays finite; only the third epoch's validation loss is not.
