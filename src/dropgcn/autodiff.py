@@ -1,13 +1,22 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 Define-by-run: each op computes its output eagerly and, when gradients are
-wanted, records (output, inputs, vjp) on the active tape. backward() replays
-the tape once in reverse, accumulating into .grad of every tensor that
-requires gradients, then discards the tape. Ops cover exactly what the
-propagation layers need; sparse matrices enter only as constants: a
-propagation matrix through spmm, sparse input features (a scipy CSR
-matrix) through dropout and sparse_matmul.
+wanted, records it on the active tape as one node: a weak reference to the
+output, its inputs, and a vjp closure holding only the arrays that the
+input gradients need (a relu keeps its mask, a matmul the factor the other
+side's gradient is multiplied by). A recorded input is named by its node
+index, so the tape keeps neither outputs nor intermediate inputs alive: an
+intermediate the caller drops is freed during the forward pass. backward()
+replays the tape once in reverse, freeing each node's saved arrays and
+gradient as soon as it has been propagated. Leaves accumulate into .grad;
+an intermediate gets .grad only if it is still alive when its node is
+reached. Ops cover exactly what the propagation layers need; sparse
+matrices enter only as constants: a propagation matrix through spmm,
+sparse input features (a scipy CSR matrix) through dropout and
+sparse_matmul.
 """
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,9 +43,11 @@ class Tensor:
     """2-D float64 array with an optional accumulated gradient.
 
     Scalars live as shape (1, 1); 1-D input is promoted to a single row.
+    An op output also carries its node index on the tape that recorded it
+    (an index only, so a tensor never keeps a tape alive).
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -49,6 +60,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._node = None
 
     @property
     def shape(self):
@@ -67,10 +79,27 @@ class Tensor:
 
 
 class Tape:
-    """Ordered op record for one forward pass; consumed by backward()."""
+    """Ordered op record for one forward pass; consumed by backward().
+
+    entries[i] is node i, (out_ref, inputs, vjp) in execution order:
+    out_ref a weak reference to the output, inputs one item per op input
+    (the node index of an input recorded here, the tensor itself for any
+    other input that takes gradients, None for one that takes none), vjp
+    the function from the output's gradient to per-input gradients.
+    """
 
     def __init__(self):
-        self.entries = []  # (out, inputs, vjp), execution order
+        self.entries = []
+
+    def ref(self, t):
+        """How a node names its input t: t's node index when t was recorded
+        here, t itself for any other tensor that takes gradients, else None."""
+        if not t.requires_grad:
+            return None
+        i = t._node
+        if i is not None and i < len(self.entries) and self.entries[i][0]() is t:
+            return i
+        return t
 
 
 _active = Tape()
@@ -89,7 +118,9 @@ def _make(data, inputs, vjp_builder):
     rg = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=rg)
     if rg:
-        _active.entries.append((out, tuple(inputs), vjp_builder()))
+        refs = tuple(_active.ref(t) for t in inputs)
+        out._node = len(_active.entries)
+        _active.entries.append((weakref.ref(out), refs, vjp_builder()))
     return out
 
 
@@ -97,26 +128,42 @@ def backward(loss):
     """Accumulate d(loss)/d(tensor) into .grad along the recorded tape.
 
     The loss must be a recorded scalar. The tape is consumed: a second
-    backward needs a fresh forward pass. Grads add onto whatever .grad
-    already holds for leaves; clear them between steps.
+    backward needs a fresh forward pass. Nodes are popped last to first;
+    a node's gradient lives in a slot of this pass until it has been
+    propagated, then the slot and the node's saved arrays are dropped.
+    Grads add onto whatever .grad already holds for leaves (tensors not
+    recorded on this tape); clear them between steps. A recorded tensor
+    still alive when its node is reached gets .grad set to its gradient;
+    one the caller has dropped gets nothing.
     """
     global _active
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss has no recorded history (built under no_grad, or no parameters)")
-    entries = _active.entries
-    _active = Tape()
+    tape, _active = _active, Tape()
+    entries = tape.entries
+    slots = [None] * len(entries)
     loss.grad = np.ones((1, 1))
-    for out, inputs, vjp in reversed(entries):
-        g = out.grad
+    node = tape.ref(loss)
+    if not isinstance(node, Tensor):
+        slots[node] = loss.grad
+    while entries:
+        out_ref, inputs, vjp = entries.pop()
+        node = len(entries)
+        g, slots[node] = slots[node], None
         if g is None:
             continue
-        grads = vjp(g)
-        for t, gt in zip(inputs, grads):
-            if gt is None or not t.requires_grad:
+        out = out_ref()
+        if out is not None:
+            out.grad = g
+        for src, gt in zip(inputs, vjp(g)):
+            if gt is None or src is None:
                 continue
-            t.grad = gt if t.grad is None else t.grad + gt
+            if isinstance(src, Tensor):
+                src.grad = gt if src.grad is None else src.grad + gt
+            else:
+                slots[src] = gt if slots[src] is None else slots[src] + gt
 
 
 def clear_grads(tensors):
@@ -133,11 +180,13 @@ def matmul(a, b):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def build():
-        da, db = a.data, b.data
+        # Each side's gradient needs only the other side's data.
+        da = a.data if b.requires_grad else None
+        db = b.data if a.requires_grad else None
 
         def vjp(g):
-            return (g @ db.T if a.requires_grad else None,
-                    da.T @ g if b.requires_grad else None)
+            return (None if db is None else g @ db.T,
+                    None if da is None else da.T @ g)
 
         return vjp
 
@@ -320,9 +369,11 @@ def batch_norm(x, state, training):
         state.running_var = m * state.running_var + (1.0 - m) * var
 
         def build():
+            need_x = x.requires_grad  # the vjp must not hold x itself
+
             def vjp(g):
                 gx = None
-                if x.requires_grad:
+                if need_x:
                     gxh = g * scale.data
                     gx = inv_std * (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0))
                 return (
@@ -339,9 +390,11 @@ def batch_norm(x, state, training):
     xhat = (x.data - state.running_mean) * inv_std
 
     def build():
+        need_x = x.requires_grad  # the vjp must not hold x itself
+
         def vjp(g):
             return (
-                g * scale.data * inv_std if x.requires_grad else None,
+                g * scale.data * inv_std if need_x else None,
                 (g * xhat).sum(axis=0, keepdims=True) if scale.requires_grad else None,
                 g.sum(axis=0, keepdims=True) if shift.requires_grad else None,
             )
@@ -376,11 +429,12 @@ def softmax_cross_entropy(logits, labels, mask):
 
     def build():
         probs = np.exp(log_probs)
+        shape = logits.shape
 
         def vjp(g):
             delta = probs.copy()
             delta[np.arange(k), picked] -= 1.0
-            full = np.zeros_like(logits.data)
+            full = np.zeros(shape)
             np.add.at(full, mask, delta * (float(g.reshape(())) / k))
             return (full,)
 

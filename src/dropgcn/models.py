@@ -20,7 +20,8 @@ only in how GCLs are wired:
 
 Output layers produce raw logits, no activation. forward() returns the
 logits plus the list of every GCL output in execution order, which is what
-the layer-distance probes consume.
+the layer-distance probes consume; training asks for the logits only, so
+no layer output outlives the tape's need for it.
 """
 
 import json
@@ -231,7 +232,7 @@ def build_model(config, n_features, n_classes, rng):
     return Model(cfg, n_features, n_classes, gcls, head=head, branch_sizes=branch_sizes)
 
 
-def forward(model, prop_mats, x, training=False, rng=None):
+def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True):
     """Run the backbone.
 
     prop_mats is the per-GCL propagation matrix list (length >= n_gcls; the
@@ -240,7 +241,10 @@ def forward(model, prop_mats, x, training=False, rng=None):
     branch in order of increasing depth, then the output layer. `x` is an
     array, a tensor, or the sparse constant model_input makes. Returns
     (logits, hidden_states) where hidden_states holds every GCL output, in
-    that same order, post-residual where a skip applies.
+    that same order, post-residual where a skip applies. With
+    keep_hidden=False it is None instead, and each GCL output is freed as
+    soon as the next layer (and, when recording, the tape) no longer needs
+    it; training passes only need the logits.
     """
     cfg = model.config
     if len(prop_mats) < model.n_gcls:
@@ -255,34 +259,37 @@ def forward(model, prop_mats, x, training=False, rng=None):
             z = gcl_forward(prop_mats[i], h, layer, training, rng, rate)
             residual = cfg.backbone == "resgcn" and 0 < i < model.n_gcls - 1
             h = add(z, h) if residual else z
-            hidden.append(h)
-        return h, hidden
-    if cfg.backbone == "jknet":
+            if keep_hidden:
+                hidden.append(h)
+    elif cfg.backbone == "jknet":
+        # The head reads every GCL output, so they are all held regardless.
         h = x
         for i, layer in enumerate(model.gcls):
             h = gcl_forward(prop_mats[i], h, layer, training, rng, rate)
             hidden.append(h)
         cat = dropout(concat_cols(hidden), rate, rng, training)
-        logits = matmul(cat, model.head.weight)
+        h = matmul(cat, model.head.weight)
         if model.head.bias is not None:
-            logits = add_bias(logits, model.head.bias)
-        return logits, hidden
-    # incepgcn
-    stem = gcl_forward(prop_mats[0], x, model.gcls[0], training, rng, rate)
-    hidden.append(stem)
-    idx = 1
-    branch_out = []
-    for size in model.branch_sizes:
-        h = stem
-        for _ in range(size):
-            h = gcl_forward(prop_mats[idx], h, model.gcls[idx], training, rng, rate)
+            h = add_bias(h, model.head.bias)
+    else:  # incepgcn
+        stem = gcl_forward(prop_mats[0], x, model.gcls[0], training, rng, rate)
+        if keep_hidden:
+            hidden.append(stem)
+        idx = 1
+        branch_out = []
+        for size in model.branch_sizes:
+            h = stem
+            for _ in range(size):
+                h = gcl_forward(prop_mats[idx], h, model.gcls[idx], training, rng, rate)
+                if keep_hidden:
+                    hidden.append(h)
+                idx += 1
+            branch_out.append(h)
+        cat = concat_cols(branch_out)
+        h = gcl_forward(prop_mats[idx], cat, model.gcls[idx], training, rng, rate)
+        if keep_hidden:
             hidden.append(h)
-            idx += 1
-        branch_out.append(h)
-    cat = concat_cols(branch_out)
-    logits = gcl_forward(prop_mats[idx], cat, model.gcls[idx], training, rng, rate)
-    hidden.append(logits)
-    return logits, hidden
+    return h, (hidden if keep_hidden else None)
 
 
 def predictions(logits):

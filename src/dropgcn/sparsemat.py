@@ -122,13 +122,21 @@ class SparseMatrix:
         lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
         return self.col_indices[lo:hi], self.values[lo:hi]
 
+    def row_ids(self):
+        """Row index of each stored entry, in CSR order."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
+
     def coo_arrays(self):
         """Stored entries as (rows, cols, values) arrays in CSR order."""
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        return rows, self.col_indices.copy(), self.values.copy()
+        return self.row_ids(), self.col_indices.copy(), self.values.copy()
 
     def diagonal(self):
-        return self.to_scipy().diagonal()
+        """Main diagonal, length min(n_rows, n_cols), zeros where unstored."""
+        rows = self.row_ids()
+        on = rows == self.col_indices
+        d = np.zeros(min(self.n_rows, self.n_cols))
+        d[rows[on]] = self.values[on]
+        return d
 
     def undirected_edges(self):
         """(u, v) arrays with u < v, one entry per stored undirected edge.
@@ -141,11 +149,21 @@ class SparseMatrix:
         return rows[keep], cols[keep]
 
     def is_symmetric(self, tol=0.0):
-        """True when the matrix equals its transpose within tol (values too)."""
-        d = self.to_scipy() - self.to_scipy().T
-        if d.nnz == 0:
-            return True
-        return float(np.max(np.abs(d.data))) <= tol
+        """True when the matrix is square and every entry of A - A^T is at
+        most tol in absolute value (an entry stored on one side only counts
+        in full)."""
+        if self.n_rows != self.n_cols:
+            return False
+        rows, cols, vals = self.coo_arrays()
+        t = np.lexsort((rows, cols))  # the transpose's entries, in its CSR order
+        if np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols):
+            diff = vals - vals[t]
+        else:  # patterns differ: sum a_ij and -a_ji per coordinate of the union
+            keys = np.concatenate((rows * self.n_rows + cols, cols * self.n_rows + rows))
+            order = np.argsort(keys, kind="stable")
+            _, starts = np.unique(keys[order], return_index=True)
+            diff = np.add.reduceat(np.concatenate((vals, -vals))[order], starts)
+        return len(diff) == 0 or float(np.max(np.abs(diff))) <= tol
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -166,11 +184,10 @@ class SparseMatrix:
 def degrees(a):
     """Weighted row sums as a dense float vector.
 
-    Zero rows (isolated nodes) yield 0. Exact per-row left-to-right summation
-    order, so results are reproducible bit for bit.
+    Zero rows (isolated nodes) yield 0. Each row is summed on its own, left
+    to right in column order, so results are reproducible bit for bit.
     """
-    c = np.concatenate(([0.0], np.cumsum(a.values)))
-    return c[a.row_offsets[1:]] - c[a.row_offsets[:-1]]
+    return np.bincount(a.row_ids(), weights=a.values, minlength=a.n_rows)
 
 
 def _check_adjacency(a):
@@ -182,6 +199,32 @@ def _check_adjacency(a):
         raise ValueError("adjacency must have a zero diagonal (self-loops are added by the scheme)")
     if not a.is_symmetric():
         raise ValueError("adjacency must be symmetric")
+
+
+def _with_diagonal(a, off_diagonal, diagonal):
+    """a's pattern carrying the values `off_diagonal` (in CSR order), plus
+    `diagonal` on the main diagonal, which a leaves empty. Built directly in
+    CSR: each diagonal entry goes into its sorted row. Entries that are
+    exactly zero (underflow) are pruned."""
+    n = a.n_rows
+    rows = a.row_ids()
+    # Every earlier row gains one diagonal entry; an entry right of its own
+    # row's diagonal moves one further.
+    pos = np.arange(a.nnz) + rows + (a.col_indices > rows)
+    on_diagonal = np.ones(a.nnz + n, dtype=bool)
+    on_diagonal[pos] = False
+    cols = np.empty(a.nnz + n, dtype=np.int64)
+    vals = np.empty(a.nnz + n)
+    cols[pos] = a.col_indices
+    vals[pos] = off_diagonal
+    cols[on_diagonal] = np.arange(n)
+    vals[on_diagonal] = diagonal
+    offsets = a.row_offsets + np.arange(n + 1)
+    keep = vals != 0.0
+    if not keep.all():
+        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
+        cols, vals = cols[keep], vals[keep]
+    return SparseMatrix(n, n, offsets, cols, vals)
 
 
 def normalize(a, scheme):
@@ -202,34 +245,23 @@ def normalize(a, scheme):
     if scheme not in SCHEMES:
         raise ValueError(f"unknown normalization scheme {scheme!r}; expected one of {SCHEMES}")
     d = degrees(a)
-    n = a.n_rows
     rows, cols, vals = a.coo_arrays()
-    diag = np.arange(n)
-    ones = np.ones(n)
     # Symmetric schemes scale each entry by the single product dis[i] * dis[j],
     # which transposes to the identical float, so outputs are exactly symmetric.
     if scheme == "FirstOrderGCN":
         with np.errstate(divide="ignore"):
             dis = np.power(d, -0.5)
         dis[np.isinf(dis)] = 0.0
-        sym_rows = np.concatenate([rows, diag])
-        sym_cols = np.concatenate([cols, diag])
-        sym_vals = np.concatenate([vals * (dis[rows] * dis[cols]), ones])
-    elif scheme in ("AugNormAdj", "BingGeNormAdj"):
+        return _with_diagonal(a, vals * (dis[rows] * dis[cols]), np.ones(a.n_rows))
+    if scheme in ("AugNormAdj", "BingGeNormAdj"):
         dis = np.power(d + 1.0, -0.5)
-        sym_rows = np.concatenate([rows, diag])
-        sym_cols = np.concatenate([cols, diag])
-        sym_vals = np.concatenate([vals * (dis[rows] * dis[cols]), 1.0 / (d + 1.0)])
+        diagonal = 1.0 / (d + 1.0)
         if scheme == "BingGeNormAdj":
-            sym_rows = np.concatenate([sym_rows, diag])
-            sym_cols = np.concatenate([sym_cols, diag])
-            sym_vals = np.concatenate([sym_vals, ones])
-    else:  # AugRWalk: row scaling of A + I, asymmetric by design
-        dinv = np.power(d + 1.0, -1.0)
-        sym_rows = np.concatenate([rows, diag])
-        sym_cols = np.concatenate([cols, diag])
-        sym_vals = np.concatenate([vals * dinv[rows], dinv])
-    return SparseMatrix.from_coo(n, n, sym_rows, sym_cols, sym_vals)
+            diagonal = diagonal + 1.0
+        return _with_diagonal(a, vals * (dis[rows] * dis[cols]), diagonal)
+    # AugRWalk: row scaling of A + I, asymmetric by design
+    dinv = np.power(d + 1.0, -1.0)
+    return _with_diagonal(a, vals * dinv[rows], dinv)
 
 
 def connected_components(a):

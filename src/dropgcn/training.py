@@ -144,7 +144,11 @@ def _run(config, graph, keep_best):
         for epoch in range(1, config.epochs + 1):
             mats = propagation_matrices(graph.adjacency, mcfg.dropedge, model.n_gcls,
                                         rng, training=True, full=train_full)
-            logits, _ = forward(model, mats, features, training=True, rng=rng)
+            # Without the hidden-state list, each layer's output is freed
+            # once the next layer has read it; the tape keeps what backward()
+            # needs.
+            logits, _ = forward(model, mats, features, training=True, rng=rng,
+                                keep_hidden=False)
             loss = softmax_cross_entropy(logits, labels, train_idx)
             loss_val = loss.item()
             _check_finite("training", loss_val, epoch)
@@ -154,7 +158,8 @@ def _run(config, graph, keep_best):
             clear_grads(model.parameters())
 
             with no_grad():
-                eval_logits, _ = forward(model, eval_mats, features, training=False)
+                eval_logits, _ = forward(model, eval_mats, features, training=False,
+                                         keep_hidden=False)
                 val_loss = softmax_cross_entropy(eval_logits, labels, val_idx).item()
             _check_finite("validation", val_loss, epoch)
             val_acc = accuracy(eval_logits, labels, val_idx)

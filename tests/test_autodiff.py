@@ -1,5 +1,7 @@
 """Every op against central finite differences, plus tape semantics."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -106,6 +108,104 @@ class TestTapeSemantics:
         out1 = relu(matmul(a, a)).data.copy()
         out2 = relu(matmul(a, a)).data.copy()
         np.testing.assert_array_equal(out1, out2)
+
+
+class TestTapeLifetime:
+    """The tape holds no op outputs and no intermediate inputs: only what
+    each gradient needs, by node index, freed as backward() consumes it."""
+
+    def test_dropped_intermediate_freed_before_backward(self, rng_factory):
+        rng = rng_factory(40)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        h = matmul(Tensor(rng.normal(size=(5, 4))), w)
+        gone = weakref.ref(h)
+        z = relu(add_bias(h, Tensor(np.zeros((1, 3)), requires_grad=True)))
+        del h
+        assert gone() is None  # freed during the forward pass
+        backward(sum_all(z))
+        assert w.grad is not None
+
+    @pytest.mark.parametrize("op", [
+        "matmul_left", "matmul_right", "spmm", "add", "add_bias", "relu", "dropout",
+        "concat_cols", "sum_all", "batch_norm_train", "batch_norm_eval", "cross_entropy"])
+    def test_no_op_keeps_its_input_tensor(self, op, rng_factory):
+        rng = rng_factory(45)
+        w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        h = matmul(Tensor(rng.normal(size=(6, 6))), w)  # an intermediate
+        other = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        make = {
+            "matmul_left": lambda: matmul(h, other),
+            "matmul_right": lambda: matmul(other, h),
+            "spmm": lambda: spmm(random_adjacency(rng, 6, 0.5), h),
+            "add": lambda: add(h, other),
+            "add_bias": lambda: add_bias(h, Tensor(np.ones((1, 6)), requires_grad=True)),
+            "relu": lambda: relu(h),
+            "dropout": lambda: dropout(h, 0.5, rng, training=True),
+            "concat_cols": lambda: concat_cols([h, other]),
+            "sum_all": lambda: sum_all(h),
+            "batch_norm_train": lambda: batch_norm(h, BatchNormState(6), training=True),
+            "batch_norm_eval": lambda: batch_norm(h, BatchNormState(6), training=False),
+            "cross_entropy": lambda: softmax_cross_entropy(h, np.arange(6) % 3, np.arange(6)),
+        }[op]
+        out = make()
+        gone = weakref.ref(h)
+        del h, make
+        assert gone() is None
+        backward(sum_all(out) if out.shape != (1, 1) else out)
+        assert w.grad is not None
+
+    def test_saved_array_lives_until_its_node_is_consumed(self, rng_factory):
+        rng = rng_factory(44)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        h = relu(matmul(Tensor(rng.normal(size=(5, 4))), w))
+        saved = weakref.ref(h.data)  # v's gradient is h^T @ g
+        y = matmul(h, v)
+        del h
+        assert saved() is not None
+        backward(sum_all(y))
+        assert saved() is None
+
+    def test_held_intermediate_gets_grad(self, rng_factory):
+        rng = rng_factory(41)
+        x = Tensor(rng.normal(size=(5, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        y = matmul(x, w)
+        z = relu(y)
+        loss = sum_all(add(z, z))
+        backward(loss)
+        np.testing.assert_array_equal(z.grad, np.full((5, 3), 2.0))
+        np.testing.assert_array_equal(y.grad, 2.0 * (y.data > 0))
+        np.testing.assert_array_equal(loss.grad, [[1.0]])
+        np.testing.assert_array_equal(w.grad, x.data.T @ (2.0 * (y.data > 0)))
+
+    def test_surviving_tensors_do_not_reach_consumed_tape(self, rng_factory):
+        from dropgcn.autodiff import active_tape
+        rng = rng_factory(42)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        y = relu(matmul(Tensor(rng.normal(size=(5, 4))), w))
+        loss = sum_all(y)
+        tape = weakref.ref(active_tape())
+        assert len(tape().entries) == 3
+        backward(loss)
+        # y, loss and w are all alive; none of them holds the tape.
+        assert tape() is None
+        assert active_tape().entries == []
+
+    def test_stale_node_after_cleared_tape_acts_as_leaf(self, rng_factory):
+        # An aborted pass whose records were cleared (as a failed run does)
+        # leaves tensors naming node indices that new records then reuse.
+        from dropgcn.autodiff import active_tape
+        rng = rng_factory(43)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        stale = relu(matmul(Tensor(rng.normal(size=(2, 3))), w))
+        active_tape().entries.clear()
+        v = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        fresh = matmul(Tensor(np.ones((2, 3))), v)  # takes node 0 again
+        backward(sum_all(add(fresh, stale)))
+        np.testing.assert_array_equal(stale.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(v.grad, np.full((3, 3), 2.0))
+        assert w.grad is None  # its records were cleared before backward
 
 
 class TestOpGradients:

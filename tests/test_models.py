@@ -1,4 +1,7 @@
-"""Backbone wiring, GCL semantics, equivariance, end-to-end gradients."""
+"""Backbone wiring, GCL semantics, equivariance, end-to-end gradients,
+activation memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import scipy.sparse as sp
 from dropgcn import (DropEdgeConfig, GCLParams, ModelConfig, SparseMatrix,
                      Tensor, accuracy, backward, build_model, clear_grads,
                      forward, gcl_forward, normalize, predictions,
-                     softmax_cross_entropy, sup_singular_value)
+                     softmax_cross_entropy, sup_singular_value, synthetic_sbm)
 from dropgcn.models import (SPARSE_INPUT_DENSITY, copy_model, load_model, model_input,
                             save_model)
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
@@ -312,6 +315,62 @@ class TestForward:
         a_perm = SparseMatrix.from_dense(p_mat @ a.to_dense() @ p_mat.T)
         logits_perm, _ = forward(m, prop_for(m, a_perm), x[perm], training=False)
         np.testing.assert_allclose(logits_perm.data, logits.data[perm], atol=1e-10)
+
+
+class TestKeepHidden:
+    @pytest.mark.parametrize("backbone,n_layers", [
+        ("gcn", 4), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4)])
+    def test_same_logits_and_grads_without_hidden(self, backbone, n_layers, rng_factory):
+        rng = rng_factory(50)
+        a = random_adjacency(rng, 12, 0.4)
+        cfg = ModelConfig(backbone=backbone, n_layers=n_layers, hidden_dim=6, dropout=0.3,
+                          withbn=True, withloop=True)
+        m = build_model(cfg, 5, 3, rng)
+        x = rng.normal(size=(12, 5))
+        labels = rng.integers(0, 3, size=12)
+        results = []
+        for keep in (True, False):
+            logits, hidden = forward(m, prop_for(m, a), x, training=True,
+                                     rng=rng_factory(51), keep_hidden=keep)
+            assert (hidden is None) == (not keep)
+            backward(softmax_cross_entropy(logits, labels, np.arange(12)))
+            results.append((logits.data, [p.grad for p in m.parameters()]))
+            clear_grads(m.parameters())
+        (want, want_grads), (got, got_grads) = results
+        np.testing.assert_array_equal(got, want)
+        for g_got, g_want in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g_got, g_want)
+
+
+class TestActivationMemory:
+    def test_training_step_peak_in_activation_sizes(self):
+        # One forward+backward of an 8-layer gcn as training runs it. The
+        # tape keeps per hidden layer the propagated input (for dW) and the
+        # relu mask, about 1.1 activations, so about 8 at the end of the
+        # forward pass plus a few in flight: 12 measured. Keeping every op
+        # output, input and gradient until backward() ends measured 52.
+        g = synthetic_sbm(n_nodes=400, n_blocks=4, p_intra=0.05, p_inter=0.005,
+                          n_features=32, seed=3)
+        cfg = ModelConfig(backbone="gcn", n_layers=8, hidden_dim=64)
+        rng = np.random.default_rng(0)
+        m = build_model(cfg, g.n_features, g.n_classes, rng)
+        mats = prop_for(m, g.adjacency)
+        activation = g.n_nodes * cfg.hidden_dim * 8
+
+        def step():
+            logits, _ = forward(m, mats, g.features, training=True, rng=rng,
+                                keep_hidden=False)
+            backward(softmax_cross_entropy(logits, g.labels, g.splits["train"]))
+            clear_grads(m.parameters())
+
+        step()  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / activation < 16
 
 
 class TestEndToEndGradients:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dropgcn import (SCHEMES, SparseMatrix, connected_components, degrees,
                      normalize)
@@ -14,6 +15,42 @@ def triangle():
 
 def two_nodes():
     return SparseMatrix.from_dense([[0, 1], [1, 0]])
+
+
+def weighted_adjacency(rng, n, p, n_isolated):
+    """Symmetric adjacency with weights spread over ten orders of magnitude;
+    the last n_isolated nodes have no edges."""
+    iu, iv = np.triu_indices(n - n_isolated, k=1)
+    keep = rng.random(len(iu)) < p
+    u, v = iu[keep], iv[keep]
+    w = 10.0 ** rng.uniform(-5, 5, size=len(u))
+    return SparseMatrix.from_coo(n, n, np.concatenate([u, v]), np.concatenate([v, u]),
+                                 np.concatenate([w, w]))
+
+
+def normalize_via_coo(a, scheme):
+    """The scipy route normalize took before building CSR directly: COO
+    triplets with the diagonal appended (twice for BingGeNormAdj), summed
+    and canonicalized by from_coo."""
+    d = degrees(a)
+    n = a.n_rows
+    rows, cols, vals = a.coo_arrays()
+    diag = np.arange(n)
+    if scheme == "FirstOrderGCN":
+        with np.errstate(divide="ignore"):
+            dis = np.power(d, -0.5)
+        dis[np.isinf(dis)] = 0.0
+        parts = [(rows, cols, vals * (dis[rows] * dis[cols])), (diag, diag, np.ones(n))]
+    elif scheme in ("AugNormAdj", "BingGeNormAdj"):
+        dis = np.power(d + 1.0, -0.5)
+        parts = [(rows, cols, vals * (dis[rows] * dis[cols])), (diag, diag, 1.0 / (d + 1.0))]
+        if scheme == "BingGeNormAdj":
+            parts.append((diag, diag, np.ones(n)))
+    else:
+        dinv = np.power(d + 1.0, -1.0)
+        parts = [(rows, cols, vals * dinv[rows]), (diag, diag, dinv)]
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    return SparseMatrix.from_coo(n, n, r, c, v)
 
 
 class TestStorage:
@@ -134,9 +171,46 @@ class TestStorage:
         u, v = triangle().undirected_edges()
         assert sorted(zip(u, v)) == [(0, 1), (0, 2), (1, 2)]
 
+    def test_diagonal_matches_scipy(self):
+        rng = np.random.default_rng(47)
+        for shape in ((6, 6), (4, 7), (7, 4), (0, 3)):
+            dense = np.where(rng.random(shape) < 0.4, rng.normal(size=shape), 0.0)
+            m = SparseMatrix.from_dense(dense)
+            np.testing.assert_array_equal(m.diagonal(), sp.csr_matrix(dense).diagonal())
+
     def test_equality(self):
         assert triangle() == triangle()
         assert not (triangle() == two_nodes())
+
+
+class TestIsSymmetric:
+    @staticmethod
+    def scipy_verdict(m, tol):
+        d = m.to_scipy() - m.to_scipy().T
+        return d.nnz == 0 or float(np.max(np.abs(d.data))) <= tol
+
+    def test_matches_scipy_difference(self):
+        rng = np.random.default_rng(43)
+        for trial in range(40):
+            a = weighted_adjacency(rng, 12, 0.3, n_isolated=2)
+            rows, cols, vals = a.coo_arrays()
+            if trial % 4 == 1:  # perturb one value: same pattern, asymmetric values
+                vals[rng.integers(len(vals))] *= 1.0 + 1e-3
+            elif trial % 4 == 2:  # drop one stored direction: asymmetric pattern
+                keep = np.arange(len(vals)) != rng.integers(len(vals))
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+            elif trial % 4 == 3:  # add a one-sided entry next to perturbed values
+                rows, cols = np.append(rows, 0), np.append(cols, 11)
+                vals = np.append(vals * (1.0 + 1e-3 * rng.random(len(vals))), 1e-3)
+            m = SparseMatrix.from_coo(12, 12, rows, cols, vals)
+            for tol in (0.0, 1e-6, 1e-2, 10.0, 1e6):
+                assert m.is_symmetric(tol) == self.scipy_verdict(m, tol), (trial, tol)
+
+    def test_edge_cases(self):
+        assert SparseMatrix(2, 2, [0, 0, 0], [], []).is_symmetric()
+        assert not SparseMatrix.from_dense([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]).is_symmetric()
+        assert not SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]]).is_symmetric(tol=0.5)
+        assert SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]]).is_symmetric(tol=1.0)
 
 
 class TestDegrees:
@@ -156,6 +230,14 @@ class TestDegrees:
         for _ in range(25):
             a = random_adjacency(rng, 10, 0.5)
             np.testing.assert_allclose(degrees(a), a.to_dense().sum(axis=1), atol=0)
+
+    def test_no_cancellation_across_rows(self):
+        # A prefix-sum difference loses the 0.3 edge behind the 1e17 one:
+        # 2e17 + 0.3 rounds to 2e17, so rows 2 and 3 would read degree 0.
+        m = SparseMatrix.from_coo(4, 4, [0, 1, 2, 3], [1, 0, 3, 2], [1e17, 1e17, 0.3, 0.3])
+        np.testing.assert_array_equal(degrees(m), m.to_dense().sum(axis=1))
+        np.testing.assert_array_equal(degrees(m), [1e17, 1e17, 0.3, 0.3])
+        assert normalize(m, "AugNormAdj").to_dense()[2, 2] == 1.0 / 1.3
 
 
 class TestNormalize:
@@ -254,6 +336,22 @@ class TestNormalize:
             normalize(SparseMatrix.from_dense([[0, 1], [0, 0]]), "AugNormAdj")
         with pytest.raises(ValueError):
             normalize(two_nodes(), "RandomWalk")
+
+    def test_bit_identical_to_coo_route(self):
+        rng = np.random.default_rng(41)
+        graphs = [weighted_adjacency(rng, 30, 0.15, n_isolated=4) for _ in range(10)]
+        graphs += [random_adjacency(rng, 25, 0.2) for _ in range(5)]
+        graphs.append(SparseMatrix(3, 3, [0, 0, 0, 0], [], []))
+        # The smallest subnormal weight underflows to 0 once scaled by
+        # 1/(d+1) = 1/4 (or 1/3 without augmentation), so both routes must
+        # prune the same entries.
+        graphs.append(SparseMatrix.from_coo(
+            4, 4, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], [5e-324, 5e-324, 3, 3, 3, 3]))
+        for a in graphs:
+            for scheme in SCHEMES:
+                got, want = normalize(a, scheme), normalize_via_coo(a, scheme)
+                assert got == want, (scheme, a)
+        assert normalize(graphs[-1], "AugNormAdj").nnz == 4 + 4
 
     def test_preserves_input(self):
         a = triangle()
