@@ -8,7 +8,8 @@ Three observations on a small random graph:
 
 import numpy as np
 
-from dropgcn import DropEdgeConfig, propagation_matrices, sample, synthetic_sbm
+from dropgcn import (DropEdgeConfig, ModelConfig, propagation_matrices, sample,
+                     synthetic_sbm)
 
 g = synthetic_sbm(n_nodes=30, n_blocks=2, p_intra=0.35, p_inter=0.05,
                   n_features=4, seed=2)
@@ -41,13 +42,14 @@ print(f"  expected {expected:.3f}, observed "
       f"max {removal_freq.max():.3f}")
 
 # One-shot vs layer-wise. propagation_matrices returns one matrix per
-# layer; identical objects mean a shared draw.
-cfg = DropEdgeConfig(p=0.4)
+# layer; identical objects mean a shared draw. The model's scheme
+# normalizes every matrix.
+cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.4))
 mats = propagation_matrices(a, cfg, 4, rng, training=True)
 print(f"\none-shot: all four layers share one draw -> "
       f"{all(m is mats[0] for m in mats)}")
 
-cfg = DropEdgeConfig(p=0.4, layer_wise=True)
+cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.4, layer_wise=True))
 mats = propagation_matrices(a, cfg, 4, rng, training=True)
 edge_sets = [frozenset(zip(*map(tuple, m.undirected_edges()))) for m in mats]
 print(f"layer-wise: every layer keeps {len(edge_sets[0])} edges, but "

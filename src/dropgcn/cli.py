@@ -55,8 +55,7 @@ def _train_config(args, parser):
     if not 0.0 <= keep <= 1.0:
         parser.error(f"--sampling-percent must lie in [0, 1], got {keep}")
     try:
-        dropedge = DropEdgeConfig(p=1.0 - keep, layer_wise=args.layerwise_dropedge,
-                                  scheme=args.normalization, seed=args.seed)
+        dropedge = DropEdgeConfig(p=1.0 - keep, layer_wise=args.layerwise_dropedge)
         model = ModelConfig(backbone=args.backbone, n_layers=args.nlayers,
                             hidden_dim=args.hidden, dropout=args.dropout,
                             withloop=args.withloop, withbn=args.withbn,

@@ -4,7 +4,9 @@ Each training epoch draws a random sub-adjacency: floor(V * p) of the V
 undirected edges are removed uniformly without replacement (both stored
 directions go together), and the survivor is re-normalized from scratch so
 degrees reflect the dropped graph. Evaluation always sees the full, fixed
-normalization.
+normalization. One scheme, the model's (ModelConfig.scheme), normalizes
+every draw, p=0 training and evaluation; DropEdgeConfig holds only the
+drop rate and the granularity.
 
 Two granularities: one draw shared by every layer (the default; the returned
 list repeats one matrix object), or an independent draw per layer.
@@ -14,26 +16,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparsemat import SparseMatrix, normalize
+from .sparsemat import SparseMatrix, keep_entries, normalize
 
 
 @dataclass
 class DropEdgeConfig:
-    """Sampler settings: drop rate p in [0, 1], granularity, scheme, seed.
+    """Edge-dropping settings: drop rate p in [0, 1] and granularity.
 
-    `seed` seeds the sampler stream owned by whoever drives training; the
-    functions below take an explicit Generator so one stream can cover
-    initialization and per-epoch draws.
+    The normalization scheme is the model's, ModelConfig.scheme. `scheme`
+    here is an optional echo of it, so configs that name it still construct;
+    nothing normalizes with it, and ModelConfig rejects an echo that differs
+    from its own scheme.
     """
 
     p: float = 0.0
     layer_wise: bool = False
-    scheme: str = "AugNormAdj"
-    seed: int = 0
+    scheme: str = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"drop rate p must lie in [0, 1], got {self.p}")
+
+
+def _edge_ids(a):
+    """Id of each stored entry's undirected edge, in undirected_edges()
+    order, and the number of undirected edges.
+
+    Sorting the entries by column, stably, lists them in CSC order; for a
+    structurally symmetric matrix that is the CSR order of the transpose,
+    so position k of the sort holds the twin (j, i) of CSR entry k = (i, j).
+    """
+    rows, cols = a.row_ids(), a.col_indices
+    if np.any(rows == cols):
+        raise ValueError("edge dropping needs an adjacency without stored diagonal entries")
+    twin = np.argsort(cols, kind="stable")
+    if not (np.array_equal(cols[twin], rows) and np.array_equal(rows[twin], cols)):
+        raise ValueError("edge dropping needs a structurally symmetric adjacency")
+    upper = rows < cols
+    rank = np.cumsum(upper) - 1
+    return np.where(upper, rank, rank[twin]), int(upper.sum())
 
 
 def sample(a, p, rng):
@@ -41,24 +62,20 @@ def sample(a, p, rng):
 
     The draw is uniform over edge subsets of that exact size, so
     nnz(result) == nnz(a) - 2 * floor(V * p) always holds. p=0 returns an
-    equal matrix; p=1 an edgeless one. `a` itself is never modified.
+    equal matrix; p=1 an edgeless one. `a` itself is never modified; it must
+    be structurally symmetric with no stored diagonal entry.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"drop rate p must lie in [0, 1], got {p}")
-    u, v = a.undirected_edges()
-    n_edges = len(u)
+    edge_id, n_edges = _edge_ids(a)
     n_drop = int(np.floor(n_edges * p))
     if n_drop == 0:
         return SparseMatrix(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values)
-    chosen = rng.choice(n_edges, size=n_drop, replace=False)
     dropped = np.zeros(n_edges, dtype=bool)
-    dropped[chosen] = True
-    # Mark stored entries whose undirected edge was chosen, in both directions.
-    key_drop = u[dropped] * a.n_cols + v[dropped]
-    rows, cols, vals = a.coo_arrays()
-    keys = np.minimum(rows, cols) * a.n_cols + np.maximum(rows, cols)
-    keep = ~np.isin(keys, key_drop)
-    return SparseMatrix.from_coo(a.n_rows, a.n_cols, rows[keep], cols[keep], vals[keep])
+    dropped[rng.choice(n_edges, size=n_drop, replace=False)] = True
+    # Masking keeps the stored entries in CSR order, so nothing is re-sorted.
+    return keep_entries(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values,
+                        ~dropped[edge_id])
 
 
 def sample_layerwise(a, p, n_layers, rng):
@@ -71,6 +88,9 @@ def sample_layerwise(a, p, n_layers, rng):
 def propagation_matrices(a, config, n_layers, rng, training, full=None):
     """Per-layer propagation matrices for one forward pass.
 
+    `config` is the ModelConfig: its `scheme` normalizes and its `dropedge`
+    gives the drop rate and granularity.
+
     Outside training, or at p=0, every layer gets the same object: the plain
     normalization of the full adjacency, untouched by the sampler (and `rng`
     is not consumed). `full`, when given, is that normalization already built,
@@ -79,13 +99,14 @@ def propagation_matrices(a, config, n_layers, rng, training, full=None):
     re-normalized once, and shared; the layer-wise variant drops and
     re-normalizes per layer.
     """
+    scheme, drop = config.scheme, config.dropedge
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    if not training or config.p == 0.0:
+    if not training or drop.p == 0.0:
         if full is None:
-            full = normalize(a, config.scheme)
+            full = normalize(a, scheme)
         return [full] * n_layers
-    if config.layer_wise:
-        return [normalize(m, config.scheme) for m in sample_layerwise(a, config.p, n_layers, rng)]
-    one = normalize(sample(a, config.p, rng), config.scheme)
+    if drop.layer_wise:
+        return [normalize(m, scheme) for m in sample_layerwise(a, drop.p, n_layers, rng)]
+    one = normalize(sample(a, drop.p, rng), scheme)
     return [one] * n_layers

@@ -152,6 +152,9 @@ def load_graph(edge_path, feature_path, label_path, split_path):
         raise DatasetError(
             f"{label_path}: expected {n_nodes} labels (one per feature row), got {labels.shape}"
         )
+    # Graph rejects these too, but its errors are reported below against the split file.
+    if np.any(labels < 0):
+        raise DatasetError(f"{label_path}: labels must be nonnegative class ids")
 
     u, v = _parse_edges(edge_path, n_nodes)
     adjacency = _adjacency_from_pairs(n_nodes, u, v)

@@ -55,6 +55,11 @@ class ModelConfig:
     GCLs; resgcn needs >= 3 (input + at least one residual body + output);
     jknet and incepgcn reinterpret the body count as chain length and branch
     count respectively and also need >= 3.
+
+    `scheme` is the one propagation normalization of the model: it
+    normalizes every edge-dropping draw, the full graph for p=0 training,
+    and the full graph for evaluation. `dropedge` holds the drop rate and
+    the granularity; an echo of the scheme in it must equal `scheme`.
     """
 
     backbone: str = "gcn"
@@ -73,6 +78,7 @@ class ModelConfig:
             raise ValueError(f"unknown backbone {self.backbone!r}; expected one of {BACKBONES}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown normalization scheme {self.scheme!r}")
+        _check_scheme_echo(self)
         floor = 2 if self.backbone == "gcn" else 3
         if self.n_layers < floor:
             raise ValueError(f"{self.backbone} needs n_layers >= {floor}, got {self.n_layers}")
@@ -80,6 +86,15 @@ class ModelConfig:
             raise ValueError("hidden_dim must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
+
+def _check_scheme_echo(config):
+    """Reject a DropEdgeConfig.scheme echo that differs from the model's."""
+    echo = config.dropedge.scheme
+    if echo not in (None, config.scheme):
+        raise ValueError(f"DropEdgeConfig.scheme {echo!r} differs from "
+                         f"ModelConfig.scheme {config.scheme!r}; the model's scheme "
+                         "normalizes every draw, so leave the sampler's unset")
 
 
 class GCLParams:
@@ -203,6 +218,8 @@ def build_model(config, n_features, n_classes, rng):
     every initial value."""
     if n_features < 1 or n_classes < 1:
         raise ValueError("need at least one feature column and one class")
+    # The dropedge field may have been reassigned since construction.
+    _check_scheme_echo(config)
     cfg = config
     h = cfg.hidden_dim
     gcls, head, branch_sizes = [], None, None
@@ -338,7 +355,9 @@ def config_to_dict(config):
 
 def config_from_dict(d):
     d = dict(d)
-    d["dropedge"] = DropEdgeConfig(**d["dropedge"])
+    # Older checkpoints store a sampler seed that nothing read.
+    dropedge = {k: v for k, v in d["dropedge"].items() if k != "seed"}
+    d["dropedge"] = DropEdgeConfig(**dropedge)
     return ModelConfig(**d)
 
 

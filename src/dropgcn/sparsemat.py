@@ -201,6 +201,18 @@ def _check_adjacency(a):
         raise ValueError("adjacency must be symmetric")
 
 
+def keep_entries(n_rows, n_cols, row_offsets, col_indices, values, keep):
+    """The matrix of the stored entries where the mask `keep` holds.
+
+    `row_offsets`, `col_indices` and `values` are CSR arrays with columns
+    strictly increasing within each row; `keep` is a boolean mask over the
+    entries. Entries keep their order, so the result needs no re-sort, and
+    each row's new offset counts the entries kept before it.
+    """
+    offsets = np.concatenate(([0], np.cumsum(keep)))[row_offsets]
+    return SparseMatrix(n_rows, n_cols, offsets, col_indices[keep], values[keep])
+
+
 def _with_diagonal(a, off_diagonal, diagonal):
     """a's pattern carrying the values `off_diagonal` (in CSR order), plus
     `diagonal` on the main diagonal, which a leaves empty. Built directly in
@@ -222,8 +234,7 @@ def _with_diagonal(a, off_diagonal, diagonal):
     offsets = a.row_offsets + np.arange(n + 1)
     keep = vals != 0.0
     if not keep.all():
-        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
-        cols, vals = cols[keep], vals[keep]
+        return keep_entries(n, n, offsets, cols, vals, keep)
     return SparseMatrix(n, n, offsets, cols, vals)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .sparsemat import SparseMatrix, connected_components, degrees, normalize
+from .sparsemat import connected_components, degrees, keep_entries, normalize
 
 MAX_DENSE_NODES = 5000
 
@@ -345,10 +345,7 @@ def _without_edge(a, u, v):
     keep = np.ones(a.nnz, dtype=bool)
     for r, col in ((u, v), (v, u)):
         keep[offsets[r] + np.searchsorted(cols[offsets[r]:offsets[r + 1]], col)] = False
-    counts = np.diff(offsets)
-    counts[[u, v]] -= 1
-    return SparseMatrix(a.n_rows, a.n_cols, np.concatenate(([0], np.cumsum(counts))),
-                        cols[keep], a.values[keep])
+    return keep_entries(a.n_rows, a.n_cols, offsets, cols, a.values, keep)
 
 
 def theorem1_trajectory(a, seed, epsilon=1e-3, d0=1.0, tol=1e-8):

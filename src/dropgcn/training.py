@@ -129,12 +129,10 @@ def _run(config, graph, keep_best):
     labels = graph.labels
     features = model_input(graph.features)
 
-    # The full-graph normalizations are fixed for the whole run: evaluation
-    # uses the model's scheme, training at p=0 the sampler's.
+    # The full-graph normalization is fixed for the whole run; evaluation
+    # and p=0 training share it.
     full = normalize(graph.adjacency, mcfg.scheme)
     eval_mats = [full] * model.n_gcls
-    train_full = (full if mcfg.dropedge.scheme == mcfg.scheme
-                  else normalize(graph.adjacency, mcfg.dropedge.scheme))
 
     rows = []
     best = (-1.0, -1, -1.0)  # (val_acc, epoch, test_acc); ties keep the earliest
@@ -142,8 +140,8 @@ def _run(config, graph, keep_best):
     t0 = time.perf_counter()
     try:
         for epoch in range(1, config.epochs + 1):
-            mats = propagation_matrices(graph.adjacency, mcfg.dropedge, model.n_gcls,
-                                        rng, training=True, full=train_full)
+            mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
+                                        rng, training=True, full=full)
             # Without the hidden-state list, each layer's output is freed
             # once the next layer has read it; the tape keeps what backward()
             # needs.
@@ -253,12 +251,13 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
         if widths[l - 1] != widths[l - 2]:
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
-    spec_report = spectral.analyze(normalize(graph.adjacency, mcfg.scheme))
+    a_hat = normalize(graph.adjacency, mcfg.scheme)
+    spec_report = spectral.analyze(a_hat)
     features = model_input(graph.features)
 
     def measured(model):
-        mats = propagation_matrices(graph.adjacency, mcfg.dropedge, model.n_gcls,
-                                    rng, training=True)
+        mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
+                                    rng, training=True, full=a_hat)
         with no_grad():
             _, hidden = forward(model, mats, features, training=False)
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))

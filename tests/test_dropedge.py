@@ -3,13 +3,56 @@
 import numpy as np
 import pytest
 
-from dropgcn import (DropEdgeConfig, SparseMatrix, normalize,
+from dropgcn import (DropEdgeConfig, ModelConfig, SparseMatrix, normalize,
                      propagation_matrices, sample, sample_layerwise)
 from conftest import random_adjacency
 
 
 def triangle():
     return SparseMatrix.from_dense([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+def reference_sample(a, p, rng):
+    """The sampler before it masked the CSR arrays: encode each entry as an
+    undirected (min, max) key, find the dropped keys with np.isin, and
+    rebuild through from_coo."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"drop rate p must lie in [0, 1], got {p}")
+    u, v = a.undirected_edges()
+    n_edges = len(u)
+    n_drop = int(np.floor(n_edges * p))
+    if n_drop == 0:
+        return SparseMatrix(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values)
+    chosen = rng.choice(n_edges, size=n_drop, replace=False)
+    dropped = np.zeros(n_edges, dtype=bool)
+    dropped[chosen] = True
+    key_drop = u[dropped] * a.n_cols + v[dropped]
+    rows, cols, vals = a.coo_arrays()
+    keys = np.minimum(rows, cols) * a.n_cols + np.maximum(rows, cols)
+    keep = ~np.isin(keys, key_drop)
+    return SparseMatrix.from_coo(a.n_rows, a.n_cols, rows[keep], cols[keep], vals[keep])
+
+
+def weighted_with_isolated(rng, n, p, n_isolated):
+    """Symmetric adjacency with non-unit weights; the last n_isolated nodes
+    have no edges."""
+    iu, iv = np.triu_indices(n - n_isolated, k=1)
+    keep = rng.random(len(iu)) < p
+    u, v = iu[keep], iv[keep]
+    w = rng.uniform(0.1, 5.0, size=len(u))
+    return SparseMatrix.from_coo(n, n, np.concatenate([u, v]), np.concatenate([v, u]),
+                                 np.concatenate([w, w]))
+
+
+# Graphs for the reference comparisons: unit weights with isolated nodes
+# (sparse Erdos-Renyi), non-unit weights with isolated nodes, and an edgeless one.
+REFERENCE_GRAPHS = {
+    "sparse-unit": lambda: random_adjacency(np.random.default_rng(31), 40, 0.04),
+    "weighted": lambda: weighted_with_isolated(np.random.default_rng(32), 30, 0.3, 4),
+    "edgeless": lambda: SparseMatrix(5, 5, np.zeros(6, dtype=np.int64),
+                                     np.empty(0, dtype=np.int64), np.empty(0)),
+}
+REFERENCE_RATES = (0.0, 0.17, 0.5, 1.0)
 
 
 class TestSample:
@@ -106,6 +149,61 @@ class TestSample:
         assert np.all(np.abs(dropped / draws - p_eff) < 4 * sigma)
 
 
+class TestAgainstReference:
+    """The masked sampler gives the reference sampler's matrices and leaves
+    the generator in the same state."""
+
+    @pytest.mark.parametrize("graph", sorted(REFERENCE_GRAPHS))
+    @pytest.mark.parametrize("p", REFERENCE_RATES)
+    def test_sample(self, graph, p):
+        a = REFERENCE_GRAPHS[graph]()
+        if graph == "sparse-unit":
+            assert np.any(np.diff(a.row_offsets) == 0)  # has isolated nodes
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(4):
+            assert sample(a, p, got_rng) == reference_sample(a, p, want_rng)
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+    @pytest.mark.parametrize("p", REFERENCE_RATES)
+    def test_sample_layerwise(self, p):
+        a = REFERENCE_GRAPHS["weighted"]()
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = sample_layerwise(a, p, 5, got_rng)
+        want = [reference_sample(a, p, want_rng) for _ in range(5)]
+        assert got == want
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+    @pytest.mark.parametrize("layer_wise", [False, True])
+    @pytest.mark.parametrize("p", REFERENCE_RATES)
+    def test_propagation_matrices(self, p, layer_wise):
+        a = REFERENCE_GRAPHS["sparse-unit"]()
+        cfg = ModelConfig(scheme="AugNormAdj",
+                          dropedge=DropEdgeConfig(p=p, layer_wise=layer_wise))
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = propagation_matrices(a, cfg, 3, got_rng, training=True)
+        if p == 0.0:
+            want = [normalize(a, "AugNormAdj")] * 3
+        elif layer_wise:
+            want = [normalize(reference_sample(a, p, want_rng), "AugNormAdj")
+                    for _ in range(3)]
+        else:
+            want = [normalize(reference_sample(a, p, want_rng), "AugNormAdj")] * 3
+        assert got == want
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+    def test_rejects_structurally_asymmetric(self, rng_factory):
+        a = SparseMatrix.from_dense([[0, 1, 1], [1, 0, 0], [0, 1, 0]])
+        for p in (0.0, 0.5):
+            with pytest.raises(ValueError, match="symmetric"):
+                sample(a, p, rng_factory(0))
+
+    def test_rejects_stored_diagonal(self, rng_factory):
+        a = SparseMatrix.from_dense([[0, 1, 0], [1, 2, 1], [0, 1, 0]])
+        for p in (0.0, 0.5):
+            with pytest.raises(ValueError, match="diagonal"):
+                sample(a, p, rng_factory(0))
+
+
 class TestLayerwise:
     def test_independent_draws(self, rng_factory):
         a = random_adjacency(np.random.default_rng(3), 14, 0.5)
@@ -125,7 +223,7 @@ class TestLayerwise:
 class TestPropagationMatrices:
     def test_eval_mode_shares_plain_normalization(self, rng_factory):
         a = triangle()
-        cfg = DropEdgeConfig(p=0.9, scheme="AugNormAdj")
+        cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.9))
         rng = rng_factory(0)
         mats = propagation_matrices(a, cfg, 4, rng, training=False)
         assert len(mats) == 4
@@ -136,7 +234,7 @@ class TestPropagationMatrices:
 
     def test_p_zero_training_same_as_eval(self, rng_factory):
         a = triangle()
-        cfg = DropEdgeConfig(p=0.0)
+        cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.0))
         mats = propagation_matrices(a, cfg, 3, rng_factory(0), training=True)
         assert all(m is mats[0] for m in mats)
         assert mats[0] == normalize(a, "AugNormAdj")
@@ -144,19 +242,20 @@ class TestPropagationMatrices:
     def test_given_full_normalization_is_reused(self, rng_factory):
         a = triangle()
         full = normalize(a, "AugNormAdj")
-        for cfg, training in ((DropEdgeConfig(p=0.0), True), (DropEdgeConfig(p=0.5), False)):
+        for p, training in ((0.0, True), (0.5, False)):
+            cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=p))
             rng = rng_factory(0)
             mats = propagation_matrices(a, cfg, 3, rng, training=training, full=full)
             assert all(m is full for m in mats)
             assert rng.integers(1 << 30) == rng_factory(0).integers(1 << 30)
         # With p > 0 during training the draw ignores it.
-        mats = propagation_matrices(a, DropEdgeConfig(p=0.5), 2, rng_factory(0),
-                                    training=True, full=full)
+        cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5))
+        mats = propagation_matrices(a, cfg, 2, rng_factory(0), training=True, full=full)
         assert mats[0] is not full
 
     def test_one_shot_shares_one_draw(self, rng_factory):
         a = random_adjacency(np.random.default_rng(6), 16, 0.4)
-        cfg = DropEdgeConfig(p=0.5)
+        cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5))
         mats = propagation_matrices(a, cfg, 5, rng_factory(2), training=True)
         assert all(m is mats[0] for m in mats)
         # Matches drop-then-normalize done by hand from the same stream.
@@ -165,7 +264,7 @@ class TestPropagationMatrices:
 
     def test_layerwise_distinct_objects(self, rng_factory):
         a = random_adjacency(np.random.default_rng(6), 16, 0.4)
-        cfg = DropEdgeConfig(p=0.5, layer_wise=True)
+        cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5, layer_wise=True))
         mats = propagation_matrices(a, cfg, 4, rng_factory(2), training=True)
         assert len({id(m) for m in mats}) == 4
 
@@ -173,7 +272,17 @@ class TestPropagationMatrices:
         # The dropped graph's normalization must use the dropped degrees:
         # every row of the AugRWalk form still sums to one.
         a = random_adjacency(np.random.default_rng(9), 12, 0.6)
-        cfg = DropEdgeConfig(p=0.5, scheme="AugRWalk")
+        cfg = ModelConfig(scheme="AugRWalk", dropedge=DropEdgeConfig(p=0.5))
         mats = propagation_matrices(a, cfg, 2, rng_factory(4), training=True)
         np.testing.assert_allclose(mats[0].to_dense().sum(axis=1), np.ones(12),
                                    atol=1e-12)
+
+    def test_model_scheme_normalizes_every_matrix(self, rng_factory):
+        a = random_adjacency(np.random.default_rng(10), 14, 0.5)
+        for p, training in ((0.0, True), (0.5, True), (0.5, False)):
+            cfg = ModelConfig(scheme="BingGeNormAdj",
+                              dropedge=DropEdgeConfig(p=p, layer_wise=True))
+            got = propagation_matrices(a, cfg, 3, rng_factory(5), training=training)
+            rng = rng_factory(5)
+            draws = (sample_layerwise(a, p, 3, rng) if training and p > 0 else [a] * 3)
+            assert got == [normalize(m, "BingGeNormAdj") for m in draws]

@@ -66,6 +66,11 @@ class TestLoad:
         with pytest.raises(DatasetError, match=r"labels\.csv"):
             load_graph_dir(d)
 
+    def test_negative_label_names_labels_file(self, tmp_path):
+        d = write_dataset(tmp_path, labels="0\n-1\n0\n")
+        with pytest.raises(DatasetError, match=r"labels\.csv: labels must be nonnegative"):
+            load_graph_dir(d)
+
     def test_missing_split_key(self, tmp_path):
         d = write_dataset(tmp_path, splits={"train": [0], "val": [1]})
         with pytest.raises(DatasetError, match="test"):

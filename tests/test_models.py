@@ -1,6 +1,7 @@
 """Backbone wiring, GCL semantics, equivariance, end-to-end gradients,
 activation memory."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,14 @@ class TestConfig:
     def test_dropout_range(self):
         with pytest.raises(ValueError):
             ModelConfig(dropout=1.0)
+
+    def test_sampler_scheme_echo_must_match(self):
+        with pytest.raises(ValueError, match="BingGeNormAdj.*AugNormAdj"):
+            ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(scheme="BingGeNormAdj"))
+        cfg = ModelConfig(scheme="FirstOrderGCN",
+                          dropedge=DropEdgeConfig(p=0.3, scheme="FirstOrderGCN"))
+        assert cfg.dropedge.scheme == "FirstOrderGCN"
+        assert ModelConfig().dropedge.scheme is None
 
 
 class TestBuild:
@@ -405,7 +414,7 @@ class TestCheckpoint:
         rng = rng_factory(13)
         cfg = ModelConfig(backbone="jknet", n_layers=4, hidden_dim=6,
                           withloop=True, withbn=True,
-                          dropedge=DropEdgeConfig(p=0.3, layer_wise=True, seed=4))
+                          dropedge=DropEdgeConfig(p=0.3, layer_wise=True))
         m = build_model(cfg, 7, 3, rng)
         # Dirty the running stats so they are not the init values.
         a = random_adjacency(rng, 10, 0.5)
@@ -423,6 +432,43 @@ class TestCheckpoint:
         out1, _ = forward(m, prop_for(m, a), x, training=False)
         out2, _ = forward(m2, prop_for(m2, a), x, training=False)
         np.testing.assert_array_equal(out1.data, out2.data)
+
+    @staticmethod
+    def _rewrite_dropedge(path, dropedge):
+        """Rewrite a checkpoint's stored sampler settings in place, as an
+        older layout stored them."""
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        meta["config"]["dropedge"] = dropedge
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **arrays)
+
+    def test_old_layout_with_seed_loads(self, tmp_path, rng_factory):
+        cfg = ModelConfig(backbone="gcn", n_layers=3, hidden_dim=5, scheme="BingGeNormAdj",
+                          dropedge=DropEdgeConfig(p=0.4))
+        m = build_model(cfg, 4, 3, rng_factory(16))
+        path = tmp_path / "old.npz"
+        save_model(m, path)
+        self._rewrite_dropedge(path, {"p": 0.4, "layer_wise": False,
+                                      "scheme": "BingGeNormAdj", "seed": 7})
+        m2 = load_model(path)
+        assert m2.config.scheme == "BingGeNormAdj"
+        assert m2.config.dropedge == DropEdgeConfig(p=0.4, scheme="BingGeNormAdj")
+        from dropgcn.models import _state_arrays
+        for (n1, a1), (n2, a2) in zip(_state_arrays(m), _state_arrays(m2)):
+            assert n1 == n2
+            np.testing.assert_array_equal(a1, a2)
+
+    def test_old_layout_with_other_sampler_scheme_rejected(self, tmp_path, rng_factory):
+        m = build_model(ModelConfig(scheme="AugNormAdj"), 4, 3, rng_factory(17))
+        path = tmp_path / "old.npz"
+        save_model(m, path)
+        self._rewrite_dropedge(path, {"p": 0.0, "layer_wise": False,
+                                      "scheme": "AugRWalk", "seed": 0})
+        with pytest.raises(ValueError, match="AugRWalk.*AugNormAdj"):
+            load_model(path)
 
     def test_copy_model_is_independent(self, rng_factory):
         rng = rng_factory(14)

@@ -180,30 +180,18 @@ class TestTrain:
                             lambda *args, full=None, **kw: real(*args, **kw))
         assert before == train(small_config(epochs=7, p=0.0), graph=sbm).to_csv()
 
-    def test_p_zero_other_sampler_scheme_normalizes_once_each(self, sbm, monkeypatch):
-        # The sampler's scheme differs from the model's: one normalization
-        # per scheme per run, none per epoch.
-        def config():
-            cfg = small_config(epochs=5, p=0.0)
-            cfg.model.dropedge = DropEdgeConfig(p=0.0, scheme="BingGeNormAdj")
-            return cfg
-
+    def test_reassigned_mismatched_scheme_echo_rejected_before_training(self, sbm, tmp_path,
+                                                                        monkeypatch):
+        cfg = small_config(epochs=2, scheme="AugNormAdj")
+        cfg.out_dir = tmp_path / "run"
+        cfg.model.dropedge = DropEdgeConfig(p=0.0, scheme="BingGeNormAdj")
         calls = []
-        orig = training.normalize
-
-        def counted(a, scheme):
-            calls.append(scheme)
-            return orig(a, scheme)
-
-        monkeypatch.setattr(training, "normalize", counted)
-        monkeypatch.setattr(dropedge, "normalize", counted)
-        before = train(config(), graph=sbm).to_csv()
-        assert calls == ["AugNormAdj", "BingGeNormAdj"]
-        monkeypatch.undo()
-        real = dropedge.propagation_matrices
         monkeypatch.setattr(training, "propagation_matrices",
-                            lambda *args, full=None, **kw: real(*args, **kw))
-        assert before == train(config(), graph=sbm).to_csv()
+                            lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match="BingGeNormAdj.*AugNormAdj"):
+            train(cfg, graph=sbm, keep_best_model=True)
+        assert calls == []
+        assert not (tmp_path / "run" / "model.npz").exists()
 
     def test_write_report_files(self, sbm, tmp_path):
         report = train(small_config(epochs=6), graph=sbm)
@@ -241,6 +229,22 @@ class TestProbe:
         cfg = small_config(p=0.5, n_layers=4, dropout=0.5)
         report = oversmoothing_probe(cfg, graph=bow, layer_range=(2, 3), probe_epochs=5)
         assert all(math.isfinite(v) for v in report.after["layer_distance"].values())
+
+    def test_probe_at_p_zero_normalizes_twice(self, sbm, monkeypatch):
+        # One normalization for the probe's spectrum and both measurements,
+        # one for the training run.
+        calls = []
+        orig = training.normalize
+
+        def counted(a, scheme):
+            calls.append(scheme)
+            return orig(a, scheme)
+
+        monkeypatch.setattr(training, "normalize", counted)
+        monkeypatch.setattr(dropedge, "normalize", counted)
+        oversmoothing_probe(small_config(n_layers=4, scheme="BingGeNormAdj"), graph=sbm,
+                            layer_range=(2, 3), probe_epochs=3)
+        assert calls == ["BingGeNormAdj", "BingGeNormAdj"]
 
     def test_probe_rejects_bad_settings(self, sbm):
         cfg = small_config(n_layers=4, scheme="AugRWalk")
