@@ -11,15 +11,16 @@ replays the tape once in reverse, freeing each node's saved arrays and
 gradient as soon as it has been propagated. Leaves accumulate into .grad;
 an intermediate gets .grad only if it is still alive when its node is
 reached. Ops cover exactly what the propagation layers need; sparse
-matrices enter only as constants: a propagation matrix through spmm,
-sparse input features (a scipy CSR matrix) through dropout and
-sparse_matmul.
+matrices enter only as constants, through spmm: a propagation matrix, or
+sparse input features (a scipy CSR matrix, which dropout also takes).
 """
 
 import weakref
 
 import numpy as np
 import scipy.sparse as sp
+
+from .sparsemat import keep_entries
 
 _grad_enabled = True
 
@@ -70,9 +71,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -194,35 +192,21 @@ def matmul(a, b):
 
 
 def spmm(a_sparse, h):
-    """Sparse-times-dense propagation A @ H; A is a gradient-free constant."""
-    if a_sparse.n_cols != h.shape[0]:
+    """A @ H for a gradient-free sparse constant A: a SparseMatrix (a
+    propagation matrix) or a scipy sparse matrix (the input features that
+    model_input makes). H's gradient is A^T @ g, through scipy's transposed
+    view of A, so no transpose is built."""
+    if a_sparse.shape[1] != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {a_sparse.shape} @ {h.shape}")
-    m = a_sparse.to_scipy()
+    m = a_sparse if sp.issparse(a_sparse) else a_sparse.to_scipy()
 
     def build():
-        mt = m.T.tocsr()
-
         def vjp(g):
-            return (mt @ g,)
+            return (m.T @ g,)
 
         return vjp
 
     return _make(m @ h.data, (h,), build)
-
-
-def sparse_matmul(x_sparse, w):
-    """X @ W for a gradient-free scipy CSR matrix X (sparse input features);
-    W's gradient is X^T @ g."""
-    if x_sparse.shape[1] != w.shape[0]:
-        raise ValueError(f"sparse_matmul shape mismatch: {x_sparse.shape} @ {w.shape}")
-
-    def build():
-        def vjp(g):
-            return (x_sparse.T @ g,)
-
-        return vjp
-
-    return _make(x_sparse @ w.data, (w,), build)
 
 
 def add(a, b):
@@ -272,8 +256,9 @@ def dropout(x, rate, rng, training):
     survivors by 1/(1-rate) so expectations match. Identity when rate is 0 or
     training is off (returns x itself, consuming no randomness).
 
-    A sparse constant x (scipy CSR) draws one uniform per stored entry, in
-    CSR order, and returns the scaled survivors as a new CSR constant.
+    A sparse constant x (scipy CSR with sorted columns and no stored zeros,
+    as model_input makes it) draws one uniform per stored entry, in CSR
+    order, and returns the scaled survivors as a new CSR constant.
     Dropping a zero changes nothing, so the output has the distribution of
     the dense draw from nnz(x) uniforms instead of one per element.
     """
@@ -284,9 +269,7 @@ def dropout(x, rate, rng, training):
     scale = 1.0 / (1.0 - rate)
     if sp.issparse(x):
         keep = rng.random(x.nnz) >= rate
-        kept_before = np.concatenate(([0], np.cumsum(keep)))
-        return sp.csr_matrix((x.data[keep] * scale, x.indices[keep], kept_before[x.indptr]),
-                             shape=x.shape)
+        return keep_entries(*x.shape, x.indptr, x.indices, x.data * scale, keep).to_scipy()
     mask = rng.random(x.shape) >= rate
 
     def build():

@@ -8,10 +8,8 @@ message on stderr.
 """
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .dropedge import DropEdgeConfig
@@ -20,7 +18,8 @@ from .models import ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
 from .spectral import analyze, theorem1_trajectory
 from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
-                       ablate_layerwise, oversmoothing_probe, train, write_report)
+                       ablate_layerwise, oversmoothing_probe, train, write_json,
+                       write_report)
 
 
 def _add_data_flags(p):
@@ -83,10 +82,7 @@ def _cmd_probe(args, parser):
     report = oversmoothing_probe(config, layer_range=(lo, hi),
                                  probe_epochs=args.probe_epochs)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "probe.json", "w") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
+    write_json(out / "probe.json", report.summary())
     for tag, block in (("before", report.before), ("after", report.after)):
         dist = " ".join(f"l={l}:{v:.4g}" for l, v in block["layer_distance"].items())
         print(f"{tag:>6}: {dist}")
@@ -110,10 +106,7 @@ def _cmd_spectral(args, parser):
         "basis_shape": list(report.basis.shape),
     }
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "spectral.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "spectral.json", payload)
     print(f"components={report.component_count} top_multiplicity={report.top_multiplicity} "
           f"second_largest={report.second_largest:.6f}")
     print(f"wrote {out / 'spectral.json'}")
@@ -143,10 +136,7 @@ def _cmd_theorem(args, parser):
         "disjunction_holds": report.disjunction_holds,
     }
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "theorem_check.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "theorem_check.json", payload)
     ok = report.multiplicity_tracks_components and report.disjunction_holds
     print(f"removals={len(report.steps) - 1} disconnections={len(report.disconnect_steps)} "
           f"multiplicity_tracks_components={report.multiplicity_tracks_components} "
@@ -177,9 +167,7 @@ def _cmd_ablate(args, parser):
         combined[name] = rep.summary()
         print(f"{name:>10}: val_acc={rep.val_acc:.4f} test_acc={rep.test_acc:.4f} "
               f"(best epoch {rep.best_epoch})")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(combined, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "summary.json", combined)
     print(f"wrote {out / 'summary.json'}")
     return 0
 

@@ -40,19 +40,16 @@ class DropEdgeConfig:
 
 def _edge_ids(a):
     """Id of each stored entry's undirected edge, in undirected_edges()
-    order, and the number of undirected edges.
-
-    Sorting the entries by column, stably, lists them in CSC order; for a
-    structurally symmetric matrix that is the CSR order of the transpose,
-    so position k of the sort holds the twin (j, i) of CSR entry k = (i, j).
+    order, and the number of undirected edges. An upper entry (i < j) takes
+    its rank among the upper entries; a lower one takes its twin's.
     """
-    rows, cols = a.row_ids(), a.col_indices
-    if np.any(rows == cols):
+    rows = a.row_ids()
+    if np.any(rows == a.col_indices):
         raise ValueError("edge dropping needs an adjacency without stored diagonal entries")
-    twin = np.argsort(cols, kind="stable")
-    if not (np.array_equal(cols[twin], rows) and np.array_equal(rows[twin], cols)):
+    twin = a.twins()
+    if twin is None:
         raise ValueError("edge dropping needs a structurally symmetric adjacency")
-    upper = rows < cols
+    upper = rows < a.col_indices
     rank = np.cumsum(upper) - 1
     return np.where(upper, rank, rank[twin]), int(upper.sum())
 

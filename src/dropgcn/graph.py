@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparsemat import SparseMatrix
+from .sparsemat import SparseMatrix, check_adjacency
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -42,12 +42,7 @@ class Graph:
             adjacency = SparseMatrix.from_scipy(adjacency)
         if adjacency.shape != (n_nodes, n_nodes):
             raise ValueError("adjacency shape does not match n_nodes")
-        if np.any(adjacency.diagonal() != 0):
-            raise ValueError("adjacency must not store self-loops")
-        if not adjacency.is_symmetric():
-            raise ValueError("adjacency must be symmetric")
-        if np.any(adjacency.values < 0):
-            raise ValueError("adjacency must be nonnegative")
+        check_adjacency(adjacency)
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != n_nodes:
             raise ValueError("features must be a 2-D array with one row per node")

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import (BatchNormState, Tensor, add, add_bias, batch_norm,
-                       concat_cols, dropout, matmul, relu, sparse_matmul, spmm)
+                       concat_cols, dropout, matmul, relu, spmm)
 from .dropedge import DropEdgeConfig
 from .optim import glorot_init
 from .sparsemat import SCHEMES, SparseMatrix
@@ -132,7 +132,7 @@ def model_input(features):
 
 def _project(h, w):
     """H @ W, for a tensor or a sparse-constant H."""
-    return sparse_matmul(h, w) if sp.issparse(h) else matmul(h, w)
+    return spmm(h, w) if sp.issparse(h) else matmul(h, w)
 
 
 def gcl_forward(a_hat, h, params, training, rng=None, dropout_rate=0.0):
@@ -348,11 +348,6 @@ def _state_arrays(model):
     return out
 
 
-def config_to_dict(config):
-    d = asdict(config)
-    return d
-
-
 def config_from_dict(d):
     d = dict(d)
     # Older checkpoints store a sampler seed that nothing read.
@@ -368,7 +363,7 @@ def save_model(model, path):
     an equivalent checkpoint.
     """
     meta = {
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "n_features": model.n_features,
         "n_classes": model.n_classes,
     }

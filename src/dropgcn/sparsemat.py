@@ -108,7 +108,10 @@ class SparseMatrix:
         return (self.n_rows, self.n_cols)
 
     def to_scipy(self):
-        """Zero-copy scipy CSR view (kernels only; do not mutate)."""
+        """scipy CSR matrix of the same entries (kernels only; do not mutate).
+
+        It shares the values array; scipy copies the int64 index arrays down
+        to its own index dtype (int32 for matrices of this size)."""
         return sp.csr_matrix(
             (self.values, self.col_indices, self.row_offsets),
             shape=(self.n_rows, self.n_cols),
@@ -148,22 +151,29 @@ class SparseMatrix:
         keep = rows < cols
         return rows[keep], cols[keep]
 
-    def is_symmetric(self, tol=0.0):
-        """True when the matrix is square and every entry of A - A^T is at
-        most tol in absolute value (an entry stored on one side only counts
-        in full)."""
+    def twins(self):
+        """Position of each stored entry's transpose twin: for entry k at
+        (i, j), twins()[k] is the position of the entry at (j, i). None when
+        the matrix is not square or some entry has no twin.
+
+        Sorting the entries by column, stably, lists them in CSC order; for a
+        structurally symmetric matrix that is the CSR order of the transpose,
+        so position k of the sort holds the twin of CSR entry k.
+        """
         if self.n_rows != self.n_cols:
-            return False
-        rows, cols, vals = self.coo_arrays()
-        t = np.lexsort((rows, cols))  # the transpose's entries, in its CSR order
-        if np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols):
-            diff = vals - vals[t]
-        else:  # patterns differ: sum a_ij and -a_ji per coordinate of the union
-            keys = np.concatenate((rows * self.n_rows + cols, cols * self.n_rows + rows))
-            order = np.argsort(keys, kind="stable")
-            _, starts = np.unique(keys[order], return_index=True)
-            diff = np.add.reduceat(np.concatenate((vals, -vals))[order], starts)
-        return len(diff) == 0 or float(np.max(np.abs(diff))) <= tol
+            return None
+        rows, cols = self.row_ids(), self.col_indices
+        twin = np.argsort(cols, kind="stable")
+        if not (np.array_equal(cols[twin], rows) and np.array_equal(rows[twin], cols)):
+            return None
+        return twin
+
+    def is_symmetric(self):
+        """True when the matrix equals its transpose exactly: it is
+        structurally symmetric and every entry's value minus its twin's is 0
+        (so an inf or NaN weight never counts as symmetric)."""
+        twin = self.twins()
+        return twin is not None and bool(np.all(self.values - self.values[twin] == 0))
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -190,7 +200,9 @@ def degrees(a):
     return np.bincount(a.row_ids(), weights=a.values, minlength=a.n_rows)
 
 
-def _check_adjacency(a):
+def check_adjacency(a):
+    """Raise ValueError unless `a` is an adjacency: square, nonnegative,
+    with nothing stored on the diagonal, and exactly symmetric."""
     if a.n_rows != a.n_cols:
         raise ValueError("adjacency must be square")
     if np.any(a.values < 0):
@@ -252,7 +264,7 @@ def normalize(a, scheme):
     unaugmented scaling; augmented schemes never divide by zero. All outputs
     keep the storage invariants (sorted, pruned).
     """
-    _check_adjacency(a)
+    check_adjacency(a)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown normalization scheme {scheme!r}; expected one of {SCHEMES}")
     d = degrees(a)

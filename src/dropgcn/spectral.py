@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .sparsemat import connected_components, degrees, keep_entries, normalize
+from .sparsemat import check_adjacency, connected_components, degrees, keep_entries, normalize
 
 MAX_DENSE_NODES = 5000
 
@@ -64,7 +64,7 @@ def _spectrum(a_hat, tol):
     if a_hat.n_rows > MAX_DENSE_NODES:
         raise ValueError(f"dense eigendecomposition capped at {MAX_DENSE_NODES} nodes; "
                          "analyze a subgraph instead")
-    if not a_hat.is_symmetric(tol=0.0):
+    if not a_hat.is_symmetric():
         raise ValueError("matrix is not symmetric; only symmetric schemes are analyzable")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -220,13 +220,14 @@ def _component_resistance(dense, nodes):
 
 
 def effective_resistance(a, s, t):
-    """Two-terminal effective resistance with unit conductances on edges.
+    """Two-terminal effective resistance, each edge's weight taken as its
+    conductance (a unit-weight graph is a network of unit resistors).
 
-    Infinite across components; 0 between a node and itself.
+    Infinite across components; 0 between a node and itself. `a` must
+    pass check_adjacency.
     """
+    check_adjacency(a)
     n = a.n_rows
-    if a.n_rows != a.n_cols:
-        raise ValueError("resistance needs a square adjacency")
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"node ids must lie in [0, {n}), got ({s}, {t})")
     if s == t:
@@ -241,7 +242,9 @@ def effective_resistance(a, s, t):
 
 
 def resistance_matrix(a):
-    """All-pairs effective resistance, math.inf across components."""
+    """All-pairs effective resistance, math.inf across components. `a` must
+    pass check_adjacency."""
+    check_adjacency(a)
     n = a.n_rows
     labels, count = connected_components(a)
     dense = a.to_dense()

@@ -83,14 +83,22 @@ class RunReport:
         }
 
 
+def write_json(path, payload):
+    """`payload` as indented JSON plus a trailing newline at `path`; the
+    parent directory is created if needed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def write_report(report, out_dir):
     """metrics.csv and summary.json under out_dir (created if needed)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(report.to_csv())
-    with open(out / "summary.json", "w") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
+    write_json(out / "summary.json", report.summary())
     return out
 
 

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 from dropgcn import (BatchNormState, Tensor, add, add_bias, backward,
                      batch_norm, clear_grads, concat_cols, dropout, matmul,
-                     no_grad, relu, softmax_cross_entropy,
-                     sparse_matmul, spmm, sum_all)
+                     model_input, no_grad, normalize, relu,
+                     softmax_cross_entropy, spmm, sum_all)
 from dropgcn.optim import AdamState, adam_step, glorot_init
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
                       relative_error)
@@ -229,7 +229,7 @@ class TestOpGradients:
         np.testing.assert_allclose(spmm(m, h).data, m.to_dense() @ h.data,
                                    atol=1e-12)
 
-    def test_sparse_matmul_weights(self, rng_factory):
+    def test_spmm_sparse_features_weights(self, rng_factory):
         # The first layer's two uses of a sparse input: X @ W into the
         # propagation and X @ W_self on the self-loop path.
         rng = rng_factory(22)
@@ -238,15 +238,34 @@ class TestOpGradients:
         w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         w_self = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         check_against_fd(
-            lambda: sum_all(relu(add(spmm(m, sparse_matmul(x, w)), sparse_matmul(x, w_self)))),
+            lambda: sum_all(relu(add(spmm(m, spmm(x, w)), spmm(x, w_self)))),
             {"w": w, "w_self": w_self})
 
-    def test_sparse_matmul_value_matches_dense(self, rng_factory):
+    def test_spmm_sparse_features_value_matches_dense(self, rng_factory):
         rng = rng_factory(23)
         dense = bag_of_words(rng, 9, 6)
         w = Tensor(rng.normal(size=(6, 4)))
-        np.testing.assert_allclose(sparse_matmul(sp.csr_matrix(dense), w).data, dense @ w.data,
+        np.testing.assert_allclose(spmm(sp.csr_matrix(dense), w).data, dense @ w.data,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("constant", ["AugNormAdj", "AugRWalk", "features"])
+    def test_spmm_backward_equals_explicit_transpose(self, constant, rng_factory):
+        # The vjp multiplies by scipy's transposed view; an explicit CSR
+        # transpose must give the same gradient bit for bit.
+        rng = rng_factory(24)
+        if constant == "features":
+            a = model_input(bag_of_words(rng, 40, 30))
+            assert sp.issparse(a)
+            h = Tensor(rng.normal(size=(30, 5)), requires_grad=True)
+            explicit = a.T.tocsr()
+        else:
+            a = normalize(random_adjacency(rng, 40, 0.15), constant)
+            h = Tensor(rng.normal(size=(40, 5)), requires_grad=True)
+            explicit = a.to_scipy().T.tocsr()
+        out = spmm(a, h)
+        logits = matmul(out, Tensor(rng.normal(size=(5, 3))))
+        backward(softmax_cross_entropy(logits, rng.integers(3, size=40), np.arange(40)))
+        np.testing.assert_array_equal(h.grad, explicit @ out.grad)
 
     def test_add_and_bias(self, rng_factory):
         rng = rng_factory(3)

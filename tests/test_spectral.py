@@ -10,10 +10,10 @@ import pytest
 import scipy.linalg
 
 import dropgcn
-from dropgcn import (ModelConfig, SparseMatrix, Tensor, analyze, build_model,
+from dropgcn import (Graph, ModelConfig, SparseMatrix, Tensor, analyze, build_model,
                      connected_components, degrees, effective_resistance,
                      empirical_smoothing_layer, forward, normalize,
-                     relaxed_smoothing_layer, resistance_matrix,
+                     relaxed_smoothing_layer, resistance_matrix, sample,
                      subspace_distance, sup_singular_value,
                      theorem1_trajectory, verify_resistance_bound)
 from dropgcn.models import rescale_filters
@@ -299,6 +299,38 @@ class TestEffectiveResistance:
     def test_node_out_of_range(self):
         with pytest.raises(ValueError):
             effective_resistance(triangle(), 0, 5)
+
+
+# Adjacencies that normalize rejects; the last field says whether the fault
+# is structural, which the edge sampler must reject as well.
+INVALID_ADJACENCIES = [
+    ("asymmetric values", [[0, 1, 0], [2, 0, 1], [0, 1, 0]], False),
+    ("one-sided entry", [[0, 1, 0], [0, 0, 1], [1, 1, 0]], True),
+    ("stored diagonal entry", [[1, 1, 0], [1, 0, 1], [0, 1, 0]], True),
+    ("negative weight", [[0, -1, 0], [-1, 0, 1], [0, 1, 0]], False),
+]
+
+
+@pytest.mark.parametrize("name, dense, structural", INVALID_ADJACENCIES,
+                         ids=[case[0] for case in INVALID_ADJACENCIES])
+def test_every_adjacency_entry_point_rejects(name, dense, structural):
+    a = SparseMatrix.from_dense(dense)
+    entry_points = {
+        "Graph": lambda: Graph(3, a, np.zeros((3, 2)), [0, 1, 0],
+                               {"train": [0], "val": [1], "test": [2]}),
+        "normalize": lambda: normalize(a, "AugNormAdj"),
+        "effective_resistance": lambda: effective_resistance(a, 0, 2),
+        "resistance_matrix": lambda: resistance_matrix(a),
+        "verify_resistance_bound": lambda: verify_resistance_bound(a),
+    }
+    if structural:
+        entry_points["sample"] = lambda: sample(a, 0.5, np.random.default_rng(0))
+    for entry, call in entry_points.items():
+        try:
+            call()
+        except ValueError:
+            continue
+        pytest.fail(f"{entry} accepted the adjacency with: {name}")
 
 
 class TestResistanceBound:
