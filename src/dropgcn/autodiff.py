@@ -315,29 +315,33 @@ def sum_all(x):
     return _make(x.data.sum().reshape(1, 1), (x,), build)
 
 
+# The fraction of the old running statistics batch norm keeps per training
+# pass, and the guard it adds to the variance under the square root.
+BN_MOMENTUM, BN_EPS = 0.9, 1e-5
+
+
 class BatchNormState:
     """Learnable scale/shift plus running statistics for one normalized layer.
 
-    Running stats are updated in training mode only: kept fraction `momentum`
-    of the old value, (1 - momentum) of the batch statistic. The running (and
-    batch) variance is the biased one; `eps` guards the square root.
+    Running stats are updated in training mode only: kept fraction
+    BN_MOMENTUM of the old value, (1 - BN_MOMENTUM) of the batch statistic.
+    The running (and batch) variance is the biased one; BN_EPS guards the
+    square root.
     """
 
-    def __init__(self, width, momentum=0.9, eps=1e-5):
+    def __init__(self, width):
         self.scale = Tensor(np.ones((1, width)), requires_grad=True)
         self.shift = Tensor(np.zeros((1, width)), requires_grad=True)
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
 
 
 def batch_norm(x, state, training):
     """Column-wise batch normalization, then scale and shift.
 
-    Training normalizes by batch mean/variance (and folds them into the
-    running statistics); evaluation normalizes by the running statistics and
-    touches nothing.
+    The mode picks (mu, var): training the batch mean/variance (folded into
+    the running statistics), evaluation the running statistics, touching
+    nothing. In training the input gradient also flows through mu and var.
     """
     scale, shift = state.scale, state.shift
     if x.shape[1] != scale.shape[1]:
@@ -345,39 +349,26 @@ def batch_norm(x, state, training):
     if training:
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mu) * inv_std
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = m * state.running_mean + (1.0 - m) * mu
         state.running_var = m * state.running_var + (1.0 - m) * var
-
-        def build():
-            need_x = x.requires_grad  # the vjp must not hold x itself
-
-            def vjp(g):
-                gx = None
-                if need_x:
-                    gxh = g * scale.data
-                    gx = inv_std * (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0))
-                return (
-                    gx,
-                    (g * xhat).sum(axis=0, keepdims=True) if scale.requires_grad else None,
-                    g.sum(axis=0, keepdims=True) if shift.requires_grad else None,
-                )
-
-            return vjp
-
-        return _make(xhat * scale.data + shift.data, (x, scale, shift), build)
-
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    xhat = (x.data - state.running_mean) * inv_std
+    else:
+        mu, var = state.running_mean, state.running_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x.data - mu) * inv_std
 
     def build():
         need_x = x.requires_grad  # the vjp must not hold x itself
 
         def vjp(g):
+            gx = None
+            if need_x:
+                gxh = g * scale.data
+                if training:
+                    gxh = gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)
+                gx = inv_std * gxh
             return (
-                g * scale.data * inv_std if need_x else None,
+                gx,
                 (g * xhat).sum(axis=0, keepdims=True) if scale.requires_grad else None,
                 g.sum(axis=0, keepdims=True) if shift.requires_grad else None,
             )

@@ -183,8 +183,12 @@ def save_graph(graph, data_dir):
     """Write the four dataset files; load_graph_dir round-trips bit-identically.
 
     Floats are written with repr (shortest string that parses back to the
-    same double), so features survive the trip exactly.
+    same double), so features survive the trip exactly. graph.edges is
+    unweighted: a weight other than 1 raises ValueError, and nothing is written.
     """
+    if np.any(graph.adjacency.values != 1):
+        raise ValueError("graph.edges stores unweighted `u v` pairs; save_graph "
+                         "cannot write a graph whose edge weights are not all 1")
     d = Path(data_dir)
     d.mkdir(parents=True, exist_ok=True)
     u, v = graph.adjacency.undirected_edges()

@@ -34,7 +34,7 @@ from .autodiff import (BatchNormState, Tensor, add, add_bias, batch_norm,
                        concat_cols, dropout, matmul, relu, spmm)
 from .dropedge import DropEdgeConfig
 from .optim import glorot_init
-from .sparsemat import SCHEMES, SparseMatrix
+from .sparsemat import SCHEMES
 
 BACKBONES = ("gcn", "resgcn", "jknet", "incepgcn")
 
@@ -98,7 +98,8 @@ def _check_scheme_echo(config):
 
 
 class GCLParams:
-    """Parameters of one graph convolution layer."""
+    """Parameters of one graph convolution layer, or of the jknet head: a
+    dense layer (no activation) that forward applies without propagation."""
 
     __slots__ = ("weight", "bias", "self_weight", "bn", "activation")
 
@@ -110,23 +111,13 @@ class GCLParams:
         self.activation = bool(activation)
 
 
-class DenseParams:
-    """Plain dense output layer (the jknet head)."""
-
-    __slots__ = ("weight", "bias")
-
-    def __init__(self, weight, bias=None):
-        self.weight = weight
-        self.bias = bias
-
-
 def model_input(features):
     """The features as the first layer takes them: a scipy CSR constant when
     at most SPARSE_INPUT_DENSITY of the entries are nonzero, else the dense
     array unchanged. Both give the same logits up to rounding."""
     features = np.asarray(features, dtype=np.float64)
     if np.count_nonzero(features) <= SPARSE_INPUT_DENSITY * features.size:
-        return SparseMatrix.from_dense(features).to_scipy()
+        return sp.csr_matrix(features)
     return features
 
 
@@ -176,32 +167,35 @@ class Model:
 
     def parameters(self):
         """All learnable tensors, in the fixed construction order."""
-        return [p for p, _ in self._learnables()]
+        return [value for _, value, decay in _state(self) if decay is not None]
 
     def decay_flags(self):
         """Aligned with parameters(): True where L2 weight decay applies."""
-        return [f for _, f in self._learnables()]
+        return [decay for _, _, decay in _state(self) if decay is not None]
 
     def filter_weights(self):
         """The graph-convolution filter matrices (for spectral norms)."""
         return [layer.weight for layer in self.gcls]
 
-    def _learnables(self):
-        out = []
-        for layer in self.gcls:
-            out.append((layer.weight, True))
-            if layer.self_weight is not None:
-                out.append((layer.self_weight, True))
-            if layer.bias is not None:
-                out.append((layer.bias, False))
-            if layer.bn is not None:
-                out.append((layer.bn.scale, False))
-                out.append((layer.bn.shift, False))
-        if self.head is not None:
-            out.append((self.head.weight, True))
-            if self.head.bias is not None:
-                out.append((self.head.bias, False))
-        return out
+
+def _state(model):
+    """(name, value, decay) for every float, in construction order; decay is
+    True or False for a learnable tensor (L2 decay on weight matrices only),
+    None for a batch-norm running statistic, a plain array."""
+    layers = [(f"gcl{i}", layer) for i, layer in enumerate(model.gcls)]
+    if model.head is not None:
+        layers.append(("head", model.head))
+    for prefix, layer in layers:
+        yield f"{prefix}.weight", layer.weight, True
+        if layer.self_weight is not None:
+            yield f"{prefix}.self_weight", layer.self_weight, True
+        if layer.bias is not None:
+            yield f"{prefix}.bias", layer.bias, False
+        if layer.bn is not None:
+            yield f"{prefix}.bn.scale", layer.bn.scale, False
+            yield f"{prefix}.bn.shift", layer.bn.shift, False
+            yield f"{prefix}.bn.running_mean", layer.bn.running_mean, None
+            yield f"{prefix}.bn.running_var", layer.bn.running_var, None
 
 
 def _make_gcl(cfg, n_in, n_out, rng, activation, with_bn):
@@ -237,7 +231,7 @@ def build_model(config, n_features, n_classes, rng):
                                   activation=True, with_bn=cfg.withbn))
         head_w = glorot_init(n_gcls * h, n_classes, rng)
         head_b = Tensor(np.zeros((1, n_classes)), requires_grad=True) if cfg.bias else None
-        head = DenseParams(head_w, head_b)
+        head = GCLParams(head_w, bias=head_b, activation=False)
     else:  # incepgcn
         branch_sizes = list(range(1, cfg.n_layers - 1))
         gcls.append(_make_gcl(cfg, n_features, h, rng, activation=True, with_bn=cfg.withbn))
@@ -328,24 +322,9 @@ def accuracy(logits, labels, mask):
 
 
 def _state_arrays(model):
-    """Ordered (name, array) pairs covering every float in the model."""
-    out = []
-    for i, layer in enumerate(model.gcls):
-        out.append((f"gcl{i}.weight", layer.weight.data))
-        if layer.self_weight is not None:
-            out.append((f"gcl{i}.self_weight", layer.self_weight.data))
-        if layer.bias is not None:
-            out.append((f"gcl{i}.bias", layer.bias.data))
-        if layer.bn is not None:
-            out.append((f"gcl{i}.bn.scale", layer.bn.scale.data))
-            out.append((f"gcl{i}.bn.shift", layer.bn.shift.data))
-            out.append((f"gcl{i}.bn.running_mean", layer.bn.running_mean))
-            out.append((f"gcl{i}.bn.running_var", layer.bn.running_var))
-    if model.head is not None:
-        out.append(("head.weight", model.head.weight.data))
-        if model.head.bias is not None:
-            out.append(("head.bias", model.head.bias.data))
-    return out
+    """_state's entries as ordered (name, array) pairs."""
+    return [(name, value if decay is None else value.data)
+            for name, value, decay in _state(model)]
 
 
 def config_from_dict(d):
@@ -367,7 +346,7 @@ def save_model(model, path):
         "n_features": model.n_features,
         "n_classes": model.n_classes,
     }
-    arrays = {name: arr for name, arr in _state_arrays(model)}
+    arrays = dict(_state_arrays(model))
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                  **arrays)
@@ -379,8 +358,19 @@ def load_model(path):
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    cfg = config_from_dict(meta["config"])
-    model = build_model(cfg, meta["n_features"], meta["n_classes"], np.random.default_rng(0))
+    return _restore(config_from_dict(meta["config"]), meta["n_features"],
+                    meta["n_classes"], arrays)
+
+
+def copy_model(model):
+    """Deep parameter copy (same config objects), for best-epoch snapshots."""
+    return _restore(model.config, model.n_features, model.n_classes,
+                    dict(_state_arrays(model)))
+
+
+def _restore(config, n_features, n_classes, arrays):
+    """Build a model and fill every float from the name -> array map."""
+    model = build_model(config, n_features, n_classes, np.random.default_rng(0))
     for name, current in _state_arrays(model):
         if name not in arrays:
             raise ValueError(f"checkpoint missing array {name!r}")
@@ -390,15 +380,6 @@ def load_model(path):
                              f"expected {current.shape}")
         current[...] = stored
     return model
-
-
-def copy_model(model):
-    """Deep parameter copy (same config objects), for best-epoch snapshots."""
-    clone = build_model(model.config, model.n_features, model.n_classes,
-                        np.random.default_rng(0))
-    for (_, src), (_, dst) in zip(_state_arrays(model), _state_arrays(clone)):
-        dst[...] = src
-    return clone
 
 
 def sup_singular_value(model):

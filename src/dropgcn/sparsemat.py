@@ -173,7 +173,8 @@ class SparseMatrix:
         structurally symmetric and every entry's value minus its twin's is 0
         (so an inf or NaN weight never counts as symmetric)."""
         twin = self.twins()
-        return twin is not None and bool(np.all(self.values - self.values[twin] == 0))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+            return twin is not None and bool(np.all(self.values - self.values[twin] == 0))
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -201,10 +202,12 @@ def degrees(a):
 
 
 def check_adjacency(a):
-    """Raise ValueError unless `a` is an adjacency: square, nonnegative,
-    with nothing stored on the diagonal, and exactly symmetric."""
+    """Raise ValueError unless `a` is an adjacency: square, finite and
+    nonnegative, with nothing stored on the diagonal, and exactly symmetric."""
     if a.n_rows != a.n_cols:
         raise ValueError("adjacency must be square")
+    if not np.all(np.isfinite(a.values)):
+        raise ValueError("adjacency weights must be finite")
     if np.any(a.values < 0):
         raise ValueError("adjacency must be nonnegative")
     if np.any(a.diagonal() != 0):

@@ -27,6 +27,8 @@ from .autodiff import Tensor
 from .sparsemat import check_adjacency, connected_components, degrees, keep_entries, normalize
 
 MAX_DENSE_NODES = 5000
+# Eigenvalues within this distance of the largest form the top cluster.
+TOP_CLUSTER_TOL = 1e-8
 
 
 @dataclass
@@ -106,7 +108,7 @@ def _cluster_basis(factors, m):
     return z
 
 
-def analyze(a_hat, tol=1e-8):
+def analyze(a_hat, tol=TOP_CLUSTER_TOL):
     """Eigendecompose a symmetric propagation matrix and split off the top
     cluster: every eigenvalue within `tol` of the maximum counts as top.
 
@@ -189,19 +191,18 @@ class SmoothingProbe:
     s: float
 
 
-def smoothing_probe(hidden_states, report, s, epsilon, d0=None):
+def smoothing_probe(hidden_states, report, s, epsilon):
     """Bundle distances, the relaxed bound, and the empirical crossing.
 
-    d0 defaults to the first hidden state's distance, which makes l_hat the
-    bound on additional layers after the first.
+    d0 is the first hidden state's distance, which makes l_hat the bound on
+    additional layers after the first; l_star is read off the distances.
     """
     distances = [subspace_distance(h, report.basis) for h in hidden_states]
-    if d0 is None:
-        d0 = distances[0] if distances else 1.0
+    d0 = distances[0] if distances else 1.0
     if d0 <= 0:
         d0 = 1.0  # already on the subspace; any positive placeholder gives l_hat 0
     l_hat = relaxed_smoothing_layer(epsilon, d0, s, report.second_largest)
-    l_star = empirical_smoothing_layer(hidden_states, report.basis, epsilon)
+    l_star = next((i for i, d in enumerate(distances, 1) if d < epsilon), None)
     return SmoothingProbe(epsilon=float(epsilon), distances=distances,
                           l_hat=l_hat, l_star=l_star, s=float(s))
 
@@ -351,10 +352,13 @@ def _without_edge(a, u, v):
     return keep_entries(a.n_rows, a.n_cols, offsets, cols, a.values, keep)
 
 
-def theorem1_trajectory(a, seed, epsilon=1e-3, d0=1.0, tol=1e-8):
+def theorem1_trajectory(a, seed, epsilon=1e-3):
     """Remove uniformly random edges one at a time until none remain,
     re-normalizing (AugNormAdj) and recomputing the eigenvalues and the
     component count after each removal.
+
+    A step's l_hat takes d0 = s = 1; TOP_CLUSTER_TOL splits off the top
+    cluster and is the drop that counts as a lambda decrease.
 
     Requires a connected starting graph so the initial subspace dimension is
     1 and every later disconnection is visible as a +1.
@@ -366,9 +370,9 @@ def theorem1_trajectory(a, seed, epsilon=1e-3, d0=1.0, tol=1e-8):
 
     def snapshot(mat, step, edge):
         # A step reads only the eigenvalues, so it computes no eigenvectors.
-        _, multiplicity, second, _ = _spectrum(normalize(mat, "AugNormAdj"), tol)
+        _, multiplicity, second, _ = _spectrum(normalize(mat, "AugNormAdj"), TOP_CLUSTER_TOL)
         _, n_components = connected_components(mat)
-        l_hat = relaxed_smoothing_layer(epsilon, d0, 1.0, second)
+        l_hat = relaxed_smoothing_layer(epsilon, 1.0, 1.0, second)
         return TrajectoryStep(step=step, removed_edge=edge, n_components=n_components,
                               top_multiplicity=multiplicity, second_largest=second,
                               l_hat=l_hat)
@@ -389,7 +393,7 @@ def theorem1_trajectory(a, seed, epsilon=1e-3, d0=1.0, tol=1e-8):
     disconnects = [s.step for prev, s in zip(steps, steps[1:])
                    if s.n_components > prev.n_components]
     lam_decreases = [s.step for prev, s in zip(steps, steps[1:])
-                     if s.second_largest < prev.second_largest - tol]
+                     if s.second_largest < prev.second_largest - TOP_CLUSTER_TOL]
     multiplicity_ok = all(s.top_multiplicity == s.n_components for s in steps)
 
     base = steps[0]

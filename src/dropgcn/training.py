@@ -26,6 +26,7 @@ from .optim import AdamState, adam_step
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
 METRIC_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "test_acc")
+PROBE_EPSILON = 1e-3  # oversmoothing_probe's smoothing threshold on d_M
 
 
 class TrainingDiverged(RuntimeError):
@@ -234,8 +235,7 @@ class ProbeReport:
         }
 
 
-def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150,
-                        epsilon=1e-3):
+def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150):
     """Measure layer-to-layer distances on a fresh model, train for
     probe_epochs, and measure the final model again.
 
@@ -271,7 +271,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}
         probe = spectral.smoothing_probe(hidden, spec_report,
-                                         sup_singular_value(model), epsilon)
+                                         sup_singular_value(model), PROBE_EPSILON)
         return {
             "layer_distance": diffs,
             "subspace_distance": probe.distances,

@@ -409,7 +409,7 @@ class TestOpSemantics:
         np.testing.assert_allclose(out.data, std, atol=1e-4)
 
     def test_batch_norm_running_stats_momentum(self):
-        state = BatchNormState(1, momentum=0.9)
+        state = BatchNormState(1)
         x = Tensor(np.array([[1.0], [3.0]]))  # mean 2, biased var 1
         batch_norm(x, state, training=True)
         np.testing.assert_allclose(state.running_mean, [0.9 * 0.0 + 0.1 * 2.0])

@@ -119,6 +119,14 @@ class TestSaveRoundTrip:
         g2 = load_graph_dir(save_graph(g, tmp_path / "ds"))
         np.testing.assert_array_equal(g2.features, feats)
 
+    def test_weighted_graph_rejected_before_writing(self, tmp_path):
+        # graph.edges has no weight column, so a weight of 2.5 cannot survive.
+        g = Graph(2, SparseMatrix.from_dense([[0, 2.5], [2.5, 0]]), np.zeros((2, 1)),
+                  [0, 1], {"train": [0], "val": [1], "test": []})
+        with pytest.raises(ValueError, match="unweighted"):
+            save_graph(g, tmp_path / "ds")
+        assert not (tmp_path / "ds" / "graph.edges").exists()
+
 
 class TestGraphValidation:
     def test_rejects_self_loops(self):

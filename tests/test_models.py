@@ -298,8 +298,12 @@ class TestForward:
 
     def test_model_input_density_threshold(self, rng_factory):
         rng = rng_factory(15)
-        sparse_in = model_input(bag_of_words(rng, 40, 50, density=0.05))
+        words = bag_of_words(rng, 40, 50, density=0.05)
+        sparse_in = model_input(words)
         assert sp.issparse(sparse_in) and sparse_in.format == "csr"
+        via = SparseMatrix.from_dense(words).to_scipy()
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(sparse_in, part), getattr(via, part))
         dense = rng.normal(size=(40, 50))
         assert model_input(dense) is dense
         # At the threshold exactly: sparse; one entry above it: dense.
@@ -407,6 +411,62 @@ class TestEndToEndGradients:
         for p, g in zip(m.parameters(), grads):
             fd = finite_difference_grad(lambda: build_loss().item(), p.data)
             assert relative_error(g, fd) < 1e-5
+
+
+def _gcl_names(i, bn):
+    names = [f"gcl{i}.weight", f"gcl{i}.self_weight", f"gcl{i}.bias"]
+    if bn:
+        names += [f"gcl{i}.bn.{k}" for k in ("scale", "shift", "running_mean", "running_var")]
+    return names
+
+
+# Every float of each backbone at n_layers=4 with withloop, withbn and bias:
+# per GCL whether it has batch norm, and whether a dense head follows.
+STATE_LAYOUTS = {
+    "gcn": ([True, True, True, False], False),
+    "resgcn": ([True, True, True, False], False),
+    "jknet": ([True, True, True], True),
+    "incepgcn": ([True, True, True, True, False], False),
+}
+
+
+class TestStateWalk:
+    @pytest.mark.parametrize("backbone", sorted(STATE_LAYOUTS))
+    def test_names_parameters_and_decay_flags(self, backbone, tmp_path, rng_factory):
+        cfg = ModelConfig(backbone=backbone, n_layers=4, hidden_dim=5,
+                          withloop=True, withbn=True, bias=True)
+        m = build_model(cfg, 3, 2, rng_factory(18))
+        bns, head = STATE_LAYOUTS[backbone]
+        want_names = [n for i, bn in enumerate(bns) for n in _gcl_names(i, bn)]
+        if head:
+            want_names += ["head.weight", "head.bias"]
+        save_model(m, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            assert [k for k in data.files if k != "__meta__"] == want_names
+
+        want = []
+        for layer in m.gcls:
+            want += [(layer.weight, True), (layer.self_weight, True), (layer.bias, False)]
+            if layer.bn is not None:
+                want += [(layer.bn.scale, False), (layer.bn.shift, False)]
+        if head:
+            want += [(m.head.weight, True), (m.head.bias, False)]
+        assert [id(p) for p in m.parameters()] == [id(t) for t, _ in want]
+        assert m.decay_flags() == [flag for _, flag in want]
+
+    def test_copy_fills_every_float(self, rng_factory):
+        rng = rng_factory(19)
+        cfg = ModelConfig(backbone="jknet", n_layers=4, hidden_dim=5,
+                          withloop=True, withbn=True)
+        m = build_model(cfg, 3, 2, rng)
+        forward(m, prop_for(m, random_adjacency(rng, 8, 0.5)), rng.normal(size=(8, 3)),
+                training=True, rng=rng_factory(0))  # moves the running statistics
+        from dropgcn.models import _state_arrays
+        copied = _state_arrays(copy_model(m))
+        assert [n for n, _ in copied] == [n for n, _ in _state_arrays(m)]
+        for (_, a), (_, b) in zip(_state_arrays(m), copied):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
 
 
 class TestCheckpoint:

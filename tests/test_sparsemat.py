@@ -244,7 +244,6 @@ class TestIsSymmetric:
         [[np.nan, 0.0], [0.0, 0.0]],
         [[np.inf, 0.0], [0.0, 1.0]],
     ])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_inf_and_nan_never_symmetric(self, dense):
         # inf - inf and NaN - NaN are NaN, never 0: no such matrix counts as
         # symmetric, even with a symmetric pattern of equal weights.

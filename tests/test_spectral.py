@@ -308,7 +308,16 @@ INVALID_ADJACENCIES = [
     ("one-sided entry", [[0, 1, 0], [0, 0, 1], [1, 1, 0]], True),
     ("stored diagonal entry", [[1, 1, 0], [1, 0, 1], [0, 1, 0]], True),
     ("negative weight", [[0, -1, 0], [-1, 0, 1], [0, 1, 0]], False),
+    ("infinite weight", [[0, np.inf, 0], [np.inf, 0, 1], [0, 1, 0]], False),
+    ("NaN weight", [[0, np.nan, 0], [np.nan, 0, 1], [0, 1, 0]], False),
 ]
+
+
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_non_finite_weight_named_as_such(weight):
+    a = SparseMatrix.from_dense([[0, weight], [weight, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        Graph(2, a, np.zeros((2, 1)), [0, 1], {"train": [0], "val": [1], "test": []})
 
 
 @pytest.mark.parametrize("name, dense, structural", INVALID_ADJACENCIES,
@@ -480,13 +489,17 @@ class TestContraction:
         assert probe.s <= 0.8 + 1e-12
         if probe.l_star is not None:
             assert probe.distances[probe.l_star - 1] < 1e-4
+        # l_star, read off the distances, agrees with the layer-by-layer scan.
+        for eps in (1e-4, probe.distances[3], 2.0 * probe.distances[0]):
+            got = smoothing_probe(hidden, rep, probe.s, eps).l_star
+            assert got == empirical_smoothing_layer(hidden, rep.basis, eps)
 
 
 class TestTrajectory:
     def test_triangle_to_path_gap_jump(self):
         # Removing one triangle edge leaves the 3-path: lambda 0 -> 1/2, and
         # the relaxed layer bound rises accordingly.
-        rep = theorem1_trajectory(triangle(), seed=3, epsilon=1e-3, d0=1.0)
+        rep = theorem1_trajectory(triangle(), seed=3, epsilon=1e-3)
         first = rep.steps[1]
         assert first.n_components == 1
         assert first.second_largest == pytest.approx(0.5, abs=1e-12)
