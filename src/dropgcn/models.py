@@ -9,21 +9,25 @@ activation. The products run in whichever order keeps them narrow:
 A_hat @ (H @ W) when W has fewer columns than H, (A_hat @ H) @ W otherwise
 (the order of Kipf & Welling's reference code). Low-density input features
 (bag-of-words) enter as a sparse constant, see model_input. Backbones differ
-only in how GCLs are wired:
+only in how layers are wired, which build_model records per layer as
+Model.wiring: the earlier outputs a layer reads (column-concatenated when
+several) and whether its input is added back onto its output.
 
 - gcn:      a plain chain, input width -> hidden -> ... -> classes
 - resgcn:   the chain with identity skips around every hidden body layer
 - jknet:    a chain whose every GCL output is column-concatenated and fed
-            to a dense output layer
+            to a head: a dense layer, a GCL applied without propagation
 - incepgcn: one input GCL fanning into parallel chains of depth 1..B whose
             outputs are concatenated into an output GCL
 
-Output layers produce raw logits, no activation. forward() returns the
-logits plus the list of every GCL output in execution order, which is what
-the layer-distance probes consume; training asks for the logits only, so
-no layer output outlives the tape's need for it.
+Output layers produce raw logits, no activation. forward() runs every
+backbone through one loop over that record and returns the logits plus
+the list of every GCL output in execution order, which is what the
+layer-distance probes consume; training asks for the logits only, so no
+layer output outlives its last reader or the tape's need for it.
 """
 
+import copy
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -99,7 +103,7 @@ def _check_scheme_echo(config):
 
 class GCLParams:
     """Parameters of one graph convolution layer, or of the jknet head: a
-    dense layer (no activation) that forward applies without propagation."""
+    dense layer (no activation) that gcl_forward applies with a_hat=None."""
 
     __slots__ = ("weight", "bias", "self_weight", "bn", "activation")
 
@@ -130,11 +134,15 @@ def gcl_forward(a_hat, h, params, training, rng=None, dropout_rate=0.0):
     """One GCL application. Input dropout happens here, before aggregation.
 
     `h` is a tensor, or a sparse constant from model_input; a sparse input is
-    always projected before it is propagated.
+    always projected before it is propagated. With a_hat=None there is no
+    propagation: the layer is the dense H @ W (+ the rest), as the jknet
+    head is.
     """
     h = dropout(h, dropout_rate, rng, training)
     w = params.weight
-    if sp.issparse(h) or w.shape[1] < h.shape[1]:
+    if a_hat is None:
+        z = _project(h, w)
+    elif sp.issparse(h) or w.shape[1] < h.shape[1]:
         z = spmm(a_hat, _project(h, w))
     else:
         z = matmul(spmm(a_hat, h), w)
@@ -150,20 +158,32 @@ def gcl_forward(a_hat, h, params, training, rng=None, dropout_rate=0.0):
 
 
 class Model:
-    """A built backbone: config, layer parameters, and wiring metadata."""
+    """A built backbone: config, layer parameters, and wiring.
 
-    def __init__(self, config, n_features, n_classes, gcls, head=None, branch_sizes=None):
+    `wiring` has one (sources, residual) entry per layer of `layers`, in
+    execution order. In `sources`, 0 is the model input and k the output of
+    GCL k-1 (the head's output is never read); several sources are
+    column-concatenated in the order listed. A residual layer adds its
+    input onto its output.
+    """
+
+    def __init__(self, config, n_features, n_classes, gcls, wiring, head=None):
         self.config = config
         self.n_features = int(n_features)
         self.n_classes = int(n_classes)
         self.gcls = gcls
+        self.wiring = wiring
         self.head = head
-        self.branch_sizes = branch_sizes
 
     @property
     def n_gcls(self):
         """Number of GCLs, which is also the propagation-matrix count needed."""
         return len(self.gcls)
+
+    @property
+    def layers(self):
+        """The GCLs, then the head if there is one: the order of `wiring`."""
+        return self.gcls + ([] if self.head is None else [self.head])
 
     def parameters(self):
         """All learnable tensors, in the fixed construction order."""
@@ -182,10 +202,8 @@ def _state(model):
     """(name, value, decay) for every float, in construction order; decay is
     True or False for a learnable tensor (L2 decay on weight matrices only),
     None for a batch-norm running statistic, a plain array."""
-    layers = [(f"gcl{i}", layer) for i, layer in enumerate(model.gcls)]
-    if model.head is not None:
-        layers.append(("head", model.head))
-    for prefix, layer in layers:
+    prefixes = [f"gcl{i}" for i in range(model.n_gcls)] + ["head"]
+    for prefix, layer in zip(prefixes, model.layers):
         yield f"{prefix}.weight", layer.weight, True
         if layer.self_weight is not None:
             yield f"{prefix}.self_weight", layer.self_weight, True
@@ -198,109 +216,87 @@ def _state(model):
             yield f"{prefix}.bn.running_var", layer.bn.running_var, None
 
 
-def _make_gcl(cfg, n_in, n_out, rng, activation, with_bn):
-    weight = glorot_init(n_in, n_out, rng)
-    self_weight = glorot_init(n_in, n_out, rng) if cfg.withloop else None
-    bias = Tensor(np.zeros((1, n_out)), requires_grad=True) if cfg.bias else None
-    bn = BatchNormState(n_out) if with_bn else None
-    return GCLParams(weight, bias=bias, self_weight=self_weight, bn=bn, activation=activation)
-
-
 def build_model(config, n_features, n_classes, rng):
-    """Initialize a backbone. Parameter draws consume `rng` in a fixed order
-    (layer by layer, weight then self-weight), so a seeded generator pins
-    every initial value."""
+    """Initialize a backbone and record its wiring. Parameter draws consume
+    `rng` in a fixed order (layer by layer, weight then self-weight), so a
+    seeded generator pins every initial value."""
     if n_features < 1 or n_classes < 1:
         raise ValueError("need at least one feature column and one class")
     # The dropedge field may have been reassigned since construction.
     _check_scheme_echo(config)
     cfg = config
     h = cfg.hidden_dim
-    gcls, head, branch_sizes = [], None, None
+    gcls, wiring, head = [], [], None
+
+    def gcl(n_in, n_out, sources, last=False, residual=False):
+        """Append a GCL reading `sources`; return its output's source id."""
+        weight = glorot_init(n_in, n_out, rng)
+        self_weight = glorot_init(n_in, n_out, rng) if cfg.withloop else None
+        bias = Tensor(np.zeros((1, n_out)), requires_grad=True) if cfg.bias else None
+        bn = BatchNormState(n_out) if cfg.withbn and not last else None
+        gcls.append(GCLParams(weight, bias, self_weight, bn, activation=not last))
+        wiring.append((tuple(sources), residual))
+        return len(gcls)
+
     if cfg.backbone in ("gcn", "resgcn"):
-        dims = [n_features] + [h] * (cfg.n_layers - 1) + [n_classes]
-        for i in range(cfg.n_layers):
-            last = i == cfg.n_layers - 1
-            gcls.append(_make_gcl(cfg, dims[i], dims[i + 1], rng,
-                                  activation=not last, with_bn=cfg.withbn and not last))
+        n = cfg.n_layers
+        dims = [n_features] + [h] * (n - 1) + [n_classes]
+        for i in range(n):
+            gcl(dims[i], dims[i + 1], (i,), last=i == n - 1,
+                residual=cfg.backbone == "resgcn" and 0 < i < n - 1)
     elif cfg.backbone == "jknet":
-        n_gcls = cfg.n_layers - 1
-        dims = [n_features] + [h] * n_gcls
-        for i in range(n_gcls):
-            gcls.append(_make_gcl(cfg, dims[i], dims[i + 1], rng,
-                                  activation=True, with_bn=cfg.withbn))
-        head_w = glorot_init(n_gcls * h, n_classes, rng)
+        n = cfg.n_layers - 1
+        dims = [n_features] + [h] * n
+        for i in range(n):
+            gcl(dims[i], dims[i + 1], (i,))
         head_b = Tensor(np.zeros((1, n_classes)), requires_grad=True) if cfg.bias else None
-        head = GCLParams(head_w, bias=head_b, activation=False)
-    else:  # incepgcn
-        branch_sizes = list(range(1, cfg.n_layers - 1))
-        gcls.append(_make_gcl(cfg, n_features, h, rng, activation=True, with_bn=cfg.withbn))
-        for size in branch_sizes:
-            for _ in range(size):
-                gcls.append(_make_gcl(cfg, h, h, rng, activation=True, with_bn=cfg.withbn))
-        gcls.append(_make_gcl(cfg, len(branch_sizes) * h, n_classes, rng,
-                              activation=False, with_bn=False))
-    return Model(cfg, n_features, n_classes, gcls, head=head, branch_sizes=branch_sizes)
+        head = GCLParams(glorot_init(n * h, n_classes, rng), bias=head_b, activation=False)
+        wiring.append((tuple(range(1, n + 1)), False))
+    else:  # incepgcn: stem, branches of depth 1..n_layers-2, output GCL
+        stem = gcl(n_features, h, (0,))
+        ends = []
+        for depth in range(1, cfg.n_layers - 1):
+            out = stem
+            for _ in range(depth):
+                out = gcl(h, h, (out,))
+            ends.append(out)
+        gcl(len(ends) * h, n_classes, ends, last=True)
+    return Model(cfg, n_features, n_classes, gcls, wiring, head=head)
 
 
 def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True):
-    """Run the backbone.
+    """Run the backbone: each layer of model.layers in turn gathers its
+    sources, applies gcl_forward, and adds its input back if residual.
 
     prop_mats is the per-GCL propagation matrix list (length >= n_gcls; the
     one-shot path passes the same object everywhere). Matrices are consumed
     in GCL execution order; for incepgcn that is input layer, then each
-    branch in order of increasing depth, then the output layer. `x` is an
-    array, a tensor, or the sparse constant model_input makes. Returns
-    (logits, hidden_states) where hidden_states holds every GCL output, in
-    that same order, post-residual where a skip applies. With
-    keep_hidden=False it is None instead, and each GCL output is freed as
-    soon as the next layer (and, when recording, the tape) no longer needs
-    it; training passes only need the logits.
+    branch in order of increasing depth, then the output layer. The head
+    takes none. `x` is an array, a tensor, or the sparse constant
+    model_input makes. Returns (logits, hidden_states) where hidden_states
+    holds every GCL output, in that same order, post-residual where a skip
+    applies. With keep_hidden=False it is None instead, and each output is
+    released as soon as its last reader has gathered it, so it lives only
+    as long as the tape needs it; training passes only need the logits.
     """
-    cfg = model.config
-    if len(prop_mats) < model.n_gcls:
-        raise ValueError(f"need {model.n_gcls} propagation matrices, got {len(prop_mats)}")
+    n = model.n_gcls
+    if len(prop_mats) < n:
+        raise ValueError(f"need {n} propagation matrices, got {len(prop_mats)}")
     if not (isinstance(x, Tensor) or sp.issparse(x)):
         x = Tensor(x)
-    rate = cfg.dropout
-    hidden = []
-    if cfg.backbone in ("gcn", "resgcn"):
-        h = x
-        for i, layer in enumerate(model.gcls):
-            z = gcl_forward(prop_mats[i], h, layer, training, rng, rate)
-            residual = cfg.backbone == "resgcn" and 0 < i < model.n_gcls - 1
-            h = add(z, h) if residual else z
-            if keep_hidden:
-                hidden.append(h)
-    elif cfg.backbone == "jknet":
-        # The head reads every GCL output, so they are all held regardless.
-        h = x
-        for i, layer in enumerate(model.gcls):
-            h = gcl_forward(prop_mats[i], h, layer, training, rng, rate)
-            hidden.append(h)
-        cat = dropout(concat_cols(hidden), rate, rng, training)
-        h = matmul(cat, model.head.weight)
-        if model.head.bias is not None:
-            h = add_bias(h, model.head.bias)
-    else:  # incepgcn
-        stem = gcl_forward(prop_mats[0], x, model.gcls[0], training, rng, rate)
-        if keep_hidden:
-            hidden.append(stem)
-        idx = 1
-        branch_out = []
-        for size in model.branch_sizes:
-            h = stem
-            for _ in range(size):
-                h = gcl_forward(prop_mats[idx], h, model.gcls[idx], training, rng, rate)
-                if keep_hidden:
-                    hidden.append(h)
-                idx += 1
-            branch_out.append(h)
-        cat = concat_cols(branch_out)
-        h = gcl_forward(prop_mats[idx], cat, model.gcls[idx], training, rng, rate)
-        if keep_hidden:
-            hidden.append(h)
-    return h, (hidden if keep_hidden else None)
+    last_reader = {s: j for j, (sources, _) in enumerate(model.wiring) for s in sources}
+    outs = [x]
+    for j, (layer, (sources, residual)) in enumerate(zip(model.layers, model.wiring)):
+        h = [outs[s] for s in sources]
+        if not keep_hidden:
+            for s in sources:
+                if last_reader[s] == j:
+                    outs[s] = None
+        h = h[0] if len(h) == 1 else concat_cols(h)
+        z = gcl_forward(prop_mats[j] if j < n else None, h, layer, training, rng,
+                        model.config.dropout)
+        outs.append(add(z, h) if residual else z)
+    return outs[-1], (outs[1:n + 1] if keep_hidden else None)
 
 
 def predictions(logits):
@@ -358,19 +354,8 @@ def load_model(path):
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    return _restore(config_from_dict(meta["config"]), meta["n_features"],
-                    meta["n_classes"], arrays)
-
-
-def copy_model(model):
-    """Deep parameter copy (same config objects), for best-epoch snapshots."""
-    return _restore(model.config, model.n_features, model.n_classes,
-                    dict(_state_arrays(model)))
-
-
-def _restore(config, n_features, n_classes, arrays):
-    """Build a model and fill every float from the name -> array map."""
-    model = build_model(config, n_features, n_classes, np.random.default_rng(0))
+    model = build_model(config_from_dict(meta["config"]), meta["n_features"],
+                        meta["n_classes"], np.random.default_rng(0))
     for name, current in _state_arrays(model):
         if name not in arrays:
             raise ValueError(f"checkpoint missing array {name!r}")
@@ -380,6 +365,12 @@ def _restore(config, n_features, n_classes, arrays):
                              f"expected {current.shape}")
         current[...] = stored
     return model
+
+
+def copy_model(model):
+    """Deep copy for best-epoch snapshots: every array and layer is new,
+    the config object is the same one."""
+    return copy.deepcopy(model, {id(model.config): model.config})
 
 
 def sup_singular_value(model):

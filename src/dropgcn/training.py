@@ -152,8 +152,8 @@ def _run(config, graph, keep_best):
             mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
                                         rng, training=True, full=full)
             # Without the hidden-state list, each layer's output is freed
-            # once the next layer has read it; the tape keeps what backward()
-            # needs.
+            # once its last reader has read it; the tape keeps what
+            # backward() needs.
             logits, _ = forward(model, mats, features, training=True, rng=rng,
                                 keep_hidden=False)
             loss = softmax_cross_entropy(logits, labels, train_idx)
@@ -243,7 +243,8 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
     edge-drop settings (that effect is the thing observed) but keep feature
     dropout off and batch statistics frozen, so a measurement on a frozen
     model is a pure function of the sampler state. Needs a symmetric scheme,
-    since the subspace view wants an orthonormal eigenbasis.
+    since the subspace view wants an orthonormal eigenbasis, and probed
+    layers that form a chain: each layer l in the range reads layer l-1.
     """
     graph = _resolve_graph(config, graph)
     mcfg = config.model
@@ -256,6 +257,9 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
         raise ValueError(f"layer_range {layer_range} must lie within 2..{fresh.n_gcls}")
     widths = [layer.weight.data.shape[1] for layer in fresh.gcls]
     for l in range(lo, hi + 1):
+        if fresh.wiring[l - 1][0] != (l - 1,):
+            raise ValueError(f"layer_range {layer_range}: layer {l} does not read "
+                             f"layer {l - 1}, so their distance says nothing")
         if widths[l - 1] != widths[l - 2]:
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")

@@ -149,8 +149,9 @@ class TestBuild:
     def test_incep_gcl_count_and_output_width(self, rng_factory):
         cfg = ModelConfig(backbone="incepgcn", n_layers=4, hidden_dim=8)
         m = build_model(cfg, 5, 3, rng_factory(0))
-        # stem + branches of depth 1 and 2 + output layer
-        assert m.branch_sizes == [1, 2]
+        # stem + branches of depth 1 and 2 + output layer reading both ends
+        assert m.wiring == [((0,), False), ((1,), False), ((1,), False), ((3,), False),
+                            ((2, 4), False)]
         assert m.n_gcls == 5
         assert m.gcls[-1].weight.shape == (2 * 8, 3)
 
@@ -188,7 +189,8 @@ class TestBuild:
 
 class TestForward:
     @pytest.mark.parametrize("backbone,n_layers", [
-        ("gcn", 2), ("gcn", 4), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4)])
+        ("gcn", 2), ("gcn", 4), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4),
+        ("incepgcn", 3)])
     def test_hidden_states_one_per_gcl(self, backbone, n_layers, rng_factory):
         rng = rng_factory(3)
         a = random_adjacency(rng, 8, 0.5)
@@ -332,7 +334,7 @@ class TestForward:
 
 class TestKeepHidden:
     @pytest.mark.parametrize("backbone,n_layers", [
-        ("gcn", 4), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4)])
+        ("gcn", 4), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4), ("incepgcn", 3)])
     def test_same_logits_and_grads_without_hidden(self, backbone, n_layers, rng_factory):
         rng = rng_factory(50)
         a = random_adjacency(rng, 12, 0.4)
@@ -356,15 +358,20 @@ class TestKeepHidden:
 
 
 class TestActivationMemory:
-    def test_training_step_peak_in_activation_sizes(self):
-        # One forward+backward of an 8-layer gcn as training runs it. The
-        # tape keeps per hidden layer the propagated input (for dW) and the
-        # relu mask, about 1.1 activations, so about 8 at the end of the
-        # forward pass plus a few in flight: 12 measured. Keeping every op
-        # output, input and gradient until backward() ends measured 52.
+    # One forward+backward as training runs it. For the 8-layer gcn the
+    # tape keeps per hidden layer the propagated input (for dW) and the
+    # relu mask, about 1.1 activations, so about 8 at the end of the
+    # forward pass plus a few in flight: 11.1 measured. Keeping every op
+    # output, input and gradient until backward() ends measured 52. Each
+    # bound is 1.3-1.45x the measured peak: resgcn 12.1, jknet 22.1 (the
+    # head reads every GCL output), incepgcn 14.1.
+    @pytest.mark.parametrize("backbone,n_layers,bound", [
+        ("gcn", 8, 16), ("resgcn", 8, 16), ("jknet", 8, 29), ("incepgcn", 5, 20)],
+        ids=["gcn-8", "resgcn-8", "jknet-8", "incepgcn-5"])
+    def test_training_step_peak_in_activation_sizes(self, backbone, n_layers, bound):
         g = synthetic_sbm(n_nodes=400, n_blocks=4, p_intra=0.05, p_inter=0.005,
                           n_features=32, seed=3)
-        cfg = ModelConfig(backbone="gcn", n_layers=8, hidden_dim=64)
+        cfg = ModelConfig(backbone=backbone, n_layers=n_layers, hidden_dim=64)
         rng = np.random.default_rng(0)
         m = build_model(cfg, g.n_features, g.n_classes, rng)
         mats = prop_for(m, g.adjacency)
@@ -383,12 +390,12 @@ class TestActivationMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / activation < 16
+        assert peak / activation < bound
 
 
 class TestEndToEndGradients:
     @pytest.mark.parametrize("backbone,n_layers", [
-        ("gcn", 3), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4)])
+        ("gcn", 3), ("resgcn", 4), ("jknet", 4), ("incepgcn", 4), ("incepgcn", 3)])
     def test_full_model_matches_finite_differences(self, backbone, n_layers, rng_factory):
         rng = rng_factory(12)
         a = random_adjacency(rng, 8, 0.5)

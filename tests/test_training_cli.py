@@ -258,6 +258,18 @@ class TestProbe:
         with pytest.raises(ValueError, match="width"):
             oversmoothing_probe(small_config(n_layers=4), graph=sbm,
                                 layer_range=(2, 4))
+        # incepgcn's layer 3 is branch 2's first layer: it reads the stem,
+        # not branch 1's output, which is layer 2.
+        with pytest.raises(ValueError, match="layer 3 does not read layer 2"):
+            oversmoothing_probe(small_config(n_layers=5, backbone="incepgcn"), graph=sbm)
+
+    def test_probe_within_an_incepgcn_branch(self, sbm):
+        # Layers 5-7 are branch 3 of a 5-layer incepgcn, a chain.
+        cfg = small_config(n_layers=5, backbone="incepgcn")
+        report = oversmoothing_probe(cfg, graph=sbm, layer_range=(6, 7), probe_epochs=3)
+        for block in (report.before, report.after):
+            assert sorted(block["layer_distance"]) == [6, 7]
+            assert all(math.isfinite(v) for v in block["layer_distance"].values())
 
 
 class TestAblations:
