@@ -10,7 +10,7 @@ resistance, removal trajectories), training (runs, probes, ablations), cli.
 
 from .autodiff import (BatchNormState, Tape, Tensor, add, add_bias, backward,
                        batch_norm, clear_grads, concat_cols, dropout, matmul,
-                       no_grad, relu, softmax_cross_entropy, spmm, sum_all)
+                       relu, softmax_cross_entropy, spmm, sum_all)
 from .dropedge import DropEdgeConfig, propagation_matrices, sample, sample_layerwise
 from .graph import DatasetError, Graph, load_graph, load_graph_dir, save_graph, synthetic_sbm
 from .models import (BACKBONES, GCLParams, Model, ModelConfig, accuracy,

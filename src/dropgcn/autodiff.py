@@ -1,18 +1,18 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
-Define-by-run: each op computes its output eagerly and, when gradients are
-wanted, records it on the active tape as one node: a weak reference to the
-output, its inputs, and a vjp closure holding only the arrays that the
-input gradients need (a relu keeps its mask, a matmul the factor the other
-side's gradient is multiplied by). A recorded input is named by its node
+Define-by-run: each op computes its output eagerly and, inside `with
+Tape():`, records it as one node: a weak reference to the output, its
+inputs, and a vjp closure holding only the arrays that the input gradients
+need (a relu keeps its mask, a matmul the other side's factor). Outside a
+tape every output is a constant. A recorded input is named by its node
 index, so the tape keeps neither outputs nor intermediate inputs alive: an
 intermediate the caller drops is freed during the forward pass. backward()
-replays the tape once in reverse, freeing each node's saved arrays and
-gradient as soon as it has been propagated. Leaves accumulate into .grad;
-an intermediate gets .grad only if it is still alive when its node is
-reached. Ops cover exactly what the propagation layers need; sparse
-matrices enter only as constants, through spmm: a propagation matrix, or
-sparse input features (a scipy CSR matrix, which dropout also takes).
+replays the open tape once in reverse, freeing each node's saved arrays
+and gradient once propagated. Leaves accumulate into .grad; an
+intermediate gets .grad only if it is still alive when its node is
+reached. Sparse matrices enter only as constants, through spmm: a
+propagation matrix, or sparse input features (a scipy CSR matrix, which
+dropout also takes).
 """
 
 import weakref
@@ -21,24 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .sparsemat import keep_entries
-
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that suspends tape recording (evaluation passes)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
-
 
 class Tensor:
     """2-D float64 array with an optional accumulated gradient.
@@ -77,7 +59,8 @@ class Tensor:
 
 
 class Tape:
-    """Ordered op record for one forward pass; consumed by backward().
+    """Op record of one training step. Tapes do not nest; closing one
+    clears it on every exit path, so a step that raises leaves nothing.
 
     entries[i] is node i, (out_ref, inputs, vjp) in execution order:
     out_ref a weak reference to the output, inputs one item per op input
@@ -89,9 +72,24 @@ class Tape:
     def __init__(self):
         self.entries = []
 
+    def __enter__(self):
+        global _active
+        if _active is not None:
+            raise RuntimeError("a tape is already open; tapes do not nest")
+        _active = self
+        return self
+
+    def __exit__(self, *exc):
+        global _active
+        _active = None
+        self.entries.clear()
+        return False
+
     def ref(self, t):
         """How a node names its input t: t's node index when t was recorded
-        here, t itself for any other tensor that takes gradients, else None."""
+        here, t itself for any other tensor that takes gradients (a leaf,
+        or an output of a closed tape: the weak reference tells it from the
+        node now at its index), else None."""
         if not t.requires_grad:
             return None
         i = t._node
@@ -100,11 +98,12 @@ class Tape:
         return t
 
 
-_active = Tape()
+_active = None  # the open Tape, if any
 
 
 def active_tape():
-    return _active
+    """The open tape, or a fresh empty one when none is open."""
+    return Tape() if _active is None else _active
 
 
 def _make(data, inputs, vjp_builder):
@@ -113,7 +112,7 @@ def _make(data, inputs, vjp_builder):
     vjp_builder() returns the vector-Jacobian function g -> per-input grads
     (None for inputs that take none). Only called when recording.
     """
-    rg = _grad_enabled and any(t.requires_grad for t in inputs)
+    rg = _active is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=rg)
     if rg:
         refs = tuple(_active.ref(t) for t in inputs)
@@ -123,29 +122,26 @@ def _make(data, inputs, vjp_builder):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(tensor) into .grad along the recorded tape.
+    """Accumulate d(loss)/d(tensor) into .grad along the open tape.
 
-    The loss must be a recorded scalar. The tape is consumed: a second
-    backward needs a fresh forward pass. Nodes are popped last to first;
-    a node's gradient lives in a slot of this pass until it has been
+    The loss must be a scalar recorded on the open tape, which is consumed:
+    a second backward needs a fresh forward pass. Nodes are popped last to
+    first; a node's gradient lives in a slot of this pass until it has been
     propagated, then the slot and the node's saved arrays are dropped.
     Grads add onto whatever .grad already holds for leaves (tensors not
     recorded on this tape); clear them between steps. A recorded tensor
     still alive when its node is reached gets .grad set to its gradient;
     one the caller has dropped gets nothing.
     """
-    global _active
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
-        raise ValueError("loss has no recorded history (built under no_grad, or no parameters)")
-    tape, _active = _active, Tape()
-    entries = tape.entries
+    node = None if _active is None else _active.ref(loss)
+    if not isinstance(node, int):
+        raise ValueError("loss has no recorded history on the open tape")
+    entries = _active.entries
     slots = [None] * len(entries)
     loss.grad = np.ones((1, 1))
-    node = tape.ref(loss)
-    if not isinstance(node, Tensor):
-        slots[node] = loss.grad
+    slots[node] = loss.grad
     while entries:
         out_ref, inputs, vjp = entries.pop()
         node = len(entries)

@@ -16,7 +16,7 @@ from .dropedge import DropEdgeConfig
 from .graph import DatasetError, load_graph_dir
 from .models import ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
-from .spectral import analyze, theorem1_trajectory
+from .spectral import TOP_CLUSTER_TOL, analyze, theorem1_trajectory
 from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
                        ablate_layerwise, oversmoothing_probe, train, write_json,
                        write_report)
@@ -195,7 +195,7 @@ def build_parser():
                             help="eigenstructure of the normalized adjacency")
     _add_data_flags(p_spec)
     p_spec.add_argument("--normalization", default="AugNormAdj", choices=list(SCHEMES))
-    p_spec.add_argument("--tol", type=float, default=1e-8)
+    p_spec.add_argument("--tol", type=float, default=TOP_CLUSTER_TOL)
 
     p_thm = sub.add_parser("theorem-check",
                            help="random edge-removal trajectory of the spectral gap")

@@ -219,7 +219,8 @@ def _state(model):
 def build_model(config, n_features, n_classes, rng):
     """Initialize a backbone and record its wiring. Parameter draws consume
     `rng` in a fixed order (layer by layer, weight then self-weight), so a
-    seeded generator pins every initial value."""
+    seeded generator pins every initial value. With rng=None nothing is
+    drawn and every weight is zero: the structure load_model fills."""
     if n_features < 1 or n_classes < 1:
         raise ValueError("need at least one feature column and one class")
     # The dropedge field may have been reassigned since construction.
@@ -228,13 +229,17 @@ def build_model(config, n_features, n_classes, rng):
     h = cfg.hidden_dim
     gcls, wiring, head = [], [], None
 
+    def weight(n_in, n_out):
+        return (glorot_init(n_in, n_out, rng) if rng is not None
+                else Tensor(np.zeros((n_in, n_out)), requires_grad=True))
+
     def gcl(n_in, n_out, sources, last=False, residual=False):
         """Append a GCL reading `sources`; return its output's source id."""
-        weight = glorot_init(n_in, n_out, rng)
-        self_weight = glorot_init(n_in, n_out, rng) if cfg.withloop else None
+        w = weight(n_in, n_out)
+        self_weight = weight(n_in, n_out) if cfg.withloop else None
         bias = Tensor(np.zeros((1, n_out)), requires_grad=True) if cfg.bias else None
         bn = BatchNormState(n_out) if cfg.withbn and not last else None
-        gcls.append(GCLParams(weight, bias, self_weight, bn, activation=not last))
+        gcls.append(GCLParams(w, bias, self_weight, bn, activation=not last))
         wiring.append((tuple(sources), residual))
         return len(gcls)
 
@@ -250,7 +255,7 @@ def build_model(config, n_features, n_classes, rng):
         for i in range(n):
             gcl(dims[i], dims[i + 1], (i,))
         head_b = Tensor(np.zeros((1, n_classes)), requires_grad=True) if cfg.bias else None
-        head = GCLParams(glorot_init(n * h, n_classes, rng), bias=head_b, activation=False)
+        head = GCLParams(weight(n * h, n_classes), bias=head_b, activation=False)
         wiring.append((tuple(range(1, n + 1)), False))
     else:  # incepgcn: stem, branches of depth 1..n_layers-2, output GCL
         stem = gcl(n_features, h, (0,))
@@ -355,7 +360,7 @@ def load_model(path):
         meta = json.loads(bytes(data["__meta__"]).decode())
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
     model = build_model(config_from_dict(meta["config"]), meta["n_features"],
-                        meta["n_classes"], np.random.default_rng(0))
+                        meta["n_classes"], None)
     for name, current in _state_arrays(model):
         if name not in arrays:
             raise ValueError(f"checkpoint missing array {name!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral
-from .autodiff import active_tape, backward, clear_grads, no_grad, softmax_cross_entropy
+from .autodiff import Tape, backward, clear_grads, softmax_cross_entropy
 from .dropedge import propagation_matrices
 from .graph import load_graph_dir
 from .models import (ModelConfig, accuracy, build_model, copy_model, forward,
@@ -147,10 +147,10 @@ def _run(config, graph, keep_best):
     best = (-1.0, -1, -1.0)  # (val_acc, epoch, test_acc); ties keep the earliest
     best_snapshot = None
     t0 = time.perf_counter()
-    try:
-        for epoch in range(1, config.epochs + 1):
-            mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
-                                        rng, training=True, full=full)
+    for epoch in range(1, config.epochs + 1):
+        mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
+                                    rng, training=True, full=full)
+        with Tape():
             # Without the hidden-state list, each layer's output is freed
             # once its last reader has read it; the tape keeps what
             # backward() needs.
@@ -161,27 +161,21 @@ def _run(config, graph, keep_best):
             _check_finite("training", loss_val, epoch)
             train_acc = accuracy(logits, labels, train_idx)
             backward(loss)
-            adam_step(opt)
-            clear_grads(model.parameters())
+        adam_step(opt)
+        clear_grads(model.parameters())
 
-            with no_grad():
-                eval_logits, _ = forward(model, eval_mats, features, training=False,
-                                         keep_hidden=False)
-                val_loss = softmax_cross_entropy(eval_logits, labels, val_idx).item()
-            _check_finite("validation", val_loss, epoch)
-            val_acc = accuracy(eval_logits, labels, val_idx)
-            test_acc = accuracy(eval_logits, labels, test_idx)
-            rows.append({"epoch": epoch, "train_loss": loss_val, "train_acc": train_acc,
-                         "val_loss": val_loss, "val_acc": val_acc, "test_acc": test_acc})
-            if val_acc > best[0]:
-                best = (val_acc, epoch, test_acc)
-                if keep_best:
-                    best_snapshot = copy_model(model)
-    finally:
-        # A run that raises between a forward pass and backward() leaves
-        # its records, which hold activations, on the tape; the next run
-        # would append to them.
-        active_tape().entries.clear()
+        eval_logits, _ = forward(model, eval_mats, features, training=False,
+                                 keep_hidden=False)
+        val_loss = softmax_cross_entropy(eval_logits, labels, val_idx).item()
+        _check_finite("validation", val_loss, epoch)
+        val_acc = accuracy(eval_logits, labels, val_idx)
+        test_acc = accuracy(eval_logits, labels, test_idx)
+        rows.append({"epoch": epoch, "train_loss": loss_val, "train_acc": train_acc,
+                     "val_loss": val_loss, "val_acc": val_acc, "test_acc": test_acc})
+        if val_acc > best[0]:
+            best = (val_acc, epoch, test_acc)
+            if keep_best:
+                best_snapshot = copy_model(model)
     wall = time.perf_counter() - t0
 
     report = RunReport(rows=rows, best_epoch=best[1], val_acc=best[0],
@@ -270,8 +264,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
     def measured(model):
         mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
                                     rng, training=True, full=a_hat)
-        with no_grad():
-            _, hidden = forward(model, mats, features, training=False)
+        _, hidden = forward(model, mats, features, training=False)
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}
         probe = spectral.smoothing_probe(hidden, spec_report,

@@ -22,7 +22,7 @@ import conftest
 from conftest import (cora_data_dir, finite_difference_grad, random_adjacency,
                       random_connected_adjacency, relative_error)
 from dropgcn import (BatchNormState, DropEdgeConfig, ModelConfig, SparseMatrix,
-                     Tensor, TrainConfig, add, add_bias, analyze, backward,
+                     Tape, Tensor, TrainConfig, add, add_bias, analyze, backward,
                      batch_norm, build_model, clear_grads, concat_cols,
                      dropout, effective_resistance, empirical_smoothing_layer,
                      forward, load_graph_dir, matmul, normalize,
@@ -106,8 +106,8 @@ def test_criterion_01_normalization_closed_forms():
 
 def _fd_check(build_loss, leaves):
     """Max relative error between backward() and central differences."""
-    loss = build_loss()
-    backward(loss)
+    with Tape():
+        backward(build_loss())
     grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
              for t in leaves]
     clear_grads(leaves)

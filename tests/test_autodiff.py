@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dropgcn import (BatchNormState, Tensor, add, add_bias, backward,
+from dropgcn import (BatchNormState, Tape, Tensor, add, add_bias, backward,
                      batch_norm, clear_grads, concat_cols, dropout, matmul,
-                     model_input, no_grad, normalize, relu,
-                     softmax_cross_entropy, spmm, sum_all)
+                     model_input, normalize, relu, softmax_cross_entropy, spmm,
+                     sum_all)
+from dropgcn.autodiff import active_tape
 from dropgcn.optim import AdamState, adam_step, glorot_init
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
                       relative_error)
@@ -23,8 +24,8 @@ def check_against_fd(build_loss, params, tol=TOL):
     build_loss must be a pure function of the param tensors (any randomness
     fixed outside), so repeated evaluation under perturbation is meaningful.
     """
-    loss = build_loss()
-    backward(loss)
+    with Tape():
+        backward(build_loss())
     got = {name: p.grad.copy() for name, p in params.items()}
     clear_grads(params.values())
     for name, p in params.items():
@@ -48,57 +49,93 @@ class TestTensor:
 class TestTapeSemantics:
     def test_backward_needs_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        y = relu(x)
-        with pytest.raises(ValueError, match="scalar"):
-            backward(y)
+        with Tape():
+            y = relu(x)
+            with pytest.raises(ValueError, match="scalar"):
+                backward(y)
 
     def test_backward_needs_history(self):
-        with no_grad():
-            x = Tensor(np.ones((2, 2)), requires_grad=True)
-            s = sum_all(relu(x))
-        with pytest.raises(ValueError, match="history"):
-            backward(s)
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        s = sum_all(relu(x))  # built outside a tape: a constant
+        assert not s.requires_grad
+        with Tape():
+            with pytest.raises(ValueError, match="history"):
+                backward(s)
 
     def test_sum_of_weight_grad_is_ones(self):
         w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        backward(sum_all(w))
+        with Tape():
+            backward(sum_all(w))
         np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
 
     def test_grads_accumulate_across_shared_use(self):
         x = Tensor([[2.0]], requires_grad=True)
-        backward(sum_all(add(x, x)))
+        with Tape():
+            backward(sum_all(add(x, x)))
         np.testing.assert_array_equal(x.grad, [[2.0]])
 
     def test_tape_consumed_once(self):
         x = Tensor([[1.0]], requires_grad=True)
-        backward(sum_all(relu(x)))
-        # The op above is gone from the tape; a fresh forward accumulates
-        # onto the cleared grad exactly once.
-        x.grad = None
-        backward(sum_all(relu(x)))
+        with Tape() as tape:
+            backward(sum_all(relu(x)))
+            assert tape.entries == []
+            # A fresh forward on the same tape accumulates onto the
+            # cleared grad exactly once.
+            x.grad = None
+            backward(sum_all(relu(x)))
         np.testing.assert_array_equal(x.grad, [[1.0]])
 
-    def test_no_grad_records_nothing(self):
-        from dropgcn.autodiff import active_tape
+    def test_ops_outside_a_tape_record_nothing(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        before = len(active_tape().entries)
-        with no_grad():
-            relu(matmul(x, x))
-        assert len(active_tape().entries) == before
+        out = relu(matmul(x, x))
+        assert not out.requires_grad
+        assert active_tape().entries == []
 
     def test_constant_inputs_record_nothing(self):
-        from dropgcn.autodiff import active_tape
         x = Tensor(np.ones((2, 2)))
-        before = len(active_tape().entries)
-        relu(matmul(x, x))
-        assert len(active_tape().entries) == before
+        with Tape() as tape:
+            out = relu(matmul(x, x))
+            assert tape.entries == []
+        assert not out.requires_grad
+
+    def test_tapes_do_not_nest(self):
+        with Tape() as outer:
+            with pytest.raises(RuntimeError, match="nest"):
+                with Tape():
+                    pass
+            assert active_tape() is outer
+        assert active_tape() is not outer
+
+    def test_closing_clears_the_record_on_error(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with Tape() as tape:
+                relu(x)
+                assert len(tape.entries) == 1
+                1 / 0
+        assert tape.entries == []
+        assert active_tape() is not tape
+        with Tape():  # no tape was left open
+            pass
+
+    def test_backward_on_a_closed_tape_raises(self):
+        x = Tensor([[1.0]], requires_grad=True)
+        with Tape():
+            loss = sum_all(relu(x))
+        with pytest.raises(ValueError, match="open tape"):
+            backward(loss)
+        with Tape():
+            with pytest.raises(ValueError, match="open tape"):
+                backward(loss)
+        assert x.grad is None and loss.grad is None
 
     def test_unrelated_branch_untouched(self):
         x = Tensor([[1.0]], requires_grad=True)
         y = Tensor([[1.0]], requires_grad=True)
-        keep = sum_all(x)
-        _side = sum_all(y)  # recorded, but not part of the loss
-        backward(keep)
+        with Tape():
+            keep = sum_all(x)
+            _side = sum_all(y)  # recorded, but not part of the loss
+            backward(keep)
         assert x.grad is not None
         assert y.grad is None
 
@@ -117,12 +154,13 @@ class TestTapeLifetime:
     def test_dropped_intermediate_freed_before_backward(self, rng_factory):
         rng = rng_factory(40)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        h = matmul(Tensor(rng.normal(size=(5, 4))), w)
-        gone = weakref.ref(h)
-        z = relu(add_bias(h, Tensor(np.zeros((1, 3)), requires_grad=True)))
-        del h
-        assert gone() is None  # freed during the forward pass
-        backward(sum_all(z))
+        with Tape():
+            h = matmul(Tensor(rng.normal(size=(5, 4))), w)
+            gone = weakref.ref(h)
+            z = relu(add_bias(h, Tensor(np.zeros((1, 3)), requires_grad=True)))
+            del h
+            assert gone() is None  # freed during the forward pass
+            backward(sum_all(z))
         assert w.grad is not None
 
     @pytest.mark.parametrize("op", [
@@ -131,81 +169,88 @@ class TestTapeLifetime:
     def test_no_op_keeps_its_input_tensor(self, op, rng_factory):
         rng = rng_factory(45)
         w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-        h = matmul(Tensor(rng.normal(size=(6, 6))), w)  # an intermediate
+        x = Tensor(rng.normal(size=(6, 6)))
         other = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-        make = {
-            "matmul_left": lambda: matmul(h, other),
-            "matmul_right": lambda: matmul(other, h),
-            "spmm": lambda: spmm(random_adjacency(rng, 6, 0.5), h),
-            "add": lambda: add(h, other),
-            "add_bias": lambda: add_bias(h, Tensor(np.ones((1, 6)), requires_grad=True)),
-            "relu": lambda: relu(h),
-            "dropout": lambda: dropout(h, 0.5, rng, training=True),
-            "concat_cols": lambda: concat_cols([h, other]),
-            "sum_all": lambda: sum_all(h),
-            "batch_norm_train": lambda: batch_norm(h, BatchNormState(6), training=True),
-            "batch_norm_eval": lambda: batch_norm(h, BatchNormState(6), training=False),
-            "cross_entropy": lambda: softmax_cross_entropy(h, np.arange(6) % 3, np.arange(6)),
-        }[op]
-        out = make()
-        gone = weakref.ref(h)
-        del h, make
-        assert gone() is None
-        backward(sum_all(out) if out.shape != (1, 1) else out)
+        with Tape():
+            h = matmul(x, w)  # an intermediate
+            make = {
+                "matmul_left": lambda: matmul(h, other),
+                "matmul_right": lambda: matmul(other, h),
+                "spmm": lambda: spmm(random_adjacency(rng, 6, 0.5), h),
+                "add": lambda: add(h, other),
+                "add_bias": lambda: add_bias(h, Tensor(np.ones((1, 6)), requires_grad=True)),
+                "relu": lambda: relu(h),
+                "dropout": lambda: dropout(h, 0.5, rng, training=True),
+                "concat_cols": lambda: concat_cols([h, other]),
+                "sum_all": lambda: sum_all(h),
+                "batch_norm_train": lambda: batch_norm(h, BatchNormState(6), training=True),
+                "batch_norm_eval": lambda: batch_norm(h, BatchNormState(6), training=False),
+                "cross_entropy": lambda: softmax_cross_entropy(h, np.arange(6) % 3,
+                                                               np.arange(6)),
+            }[op]
+            out = make()
+            gone = weakref.ref(h)
+            del h, make
+            assert gone() is None
+            backward(sum_all(out) if out.shape != (1, 1) else out)
         assert w.grad is not None
 
     def test_saved_array_lives_until_its_node_is_consumed(self, rng_factory):
         rng = rng_factory(44)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         v = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        h = relu(matmul(Tensor(rng.normal(size=(5, 4))), w))
-        saved = weakref.ref(h.data)  # v's gradient is h^T @ g
-        y = matmul(h, v)
-        del h
-        assert saved() is not None
-        backward(sum_all(y))
-        assert saved() is None
+        with Tape():
+            h = relu(matmul(Tensor(rng.normal(size=(5, 4))), w))
+            saved = weakref.ref(h.data)  # v's gradient is h^T @ g
+            y = matmul(h, v)
+            del h
+            assert saved() is not None
+            backward(sum_all(y))
+            assert saved() is None
 
     def test_held_intermediate_gets_grad(self, rng_factory):
         rng = rng_factory(41)
         x = Tensor(rng.normal(size=(5, 4)))
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        y = matmul(x, w)
-        z = relu(y)
-        loss = sum_all(add(z, z))
-        backward(loss)
+        with Tape():
+            y = matmul(x, w)
+            z = relu(y)
+            loss = sum_all(add(z, z))
+            backward(loss)
         np.testing.assert_array_equal(z.grad, np.full((5, 3), 2.0))
         np.testing.assert_array_equal(y.grad, 2.0 * (y.data > 0))
         np.testing.assert_array_equal(loss.grad, [[1.0]])
         np.testing.assert_array_equal(w.grad, x.data.T @ (2.0 * (y.data > 0)))
 
     def test_surviving_tensors_do_not_reach_consumed_tape(self, rng_factory):
-        from dropgcn.autodiff import active_tape
         rng = rng_factory(42)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        y = relu(matmul(Tensor(rng.normal(size=(5, 4))), w))
-        loss = sum_all(y)
-        tape = weakref.ref(active_tape())
-        assert len(tape().entries) == 3
-        backward(loss)
+        with Tape() as tape:
+            y = relu(matmul(Tensor(rng.normal(size=(5, 4))), w))
+            loss = sum_all(y)
+            assert len(tape.entries) == 3
+            backward(loss)
+            assert tape.entries == []
+        gone = weakref.ref(tape)
+        del tape
         # y, loss and w are all alive; none of them holds the tape.
-        assert tape() is None
+        assert gone() is None
         assert active_tape().entries == []
 
     def test_stale_node_after_cleared_tape_acts_as_leaf(self, rng_factory):
-        # An aborted pass whose records were cleared (as a failed run does)
-        # leaves tensors naming node indices that new records then reuse.
-        from dropgcn.autodiff import active_tape
+        # An aborted pass leaves tensors naming node indices of its closed
+        # tape, which the next tape's records then reuse.
         rng = rng_factory(43)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        stale = relu(matmul(Tensor(rng.normal(size=(2, 3))), w))
-        active_tape().entries.clear()
+        with Tape():
+            stale = relu(matmul(Tensor(rng.normal(size=(2, 3))), w))
         v = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        fresh = matmul(Tensor(np.ones((2, 3))), v)  # takes node 0 again
-        backward(sum_all(add(fresh, stale)))
+        with Tape():
+            fresh = matmul(Tensor(np.ones((2, 3))), v)  # takes node 0 again
+            backward(sum_all(add(fresh, stale)))
         np.testing.assert_array_equal(stale.grad, np.ones((2, 3)))
         np.testing.assert_array_equal(v.grad, np.full((3, 3), 2.0))
-        assert w.grad is None  # its records were cleared before backward
+        assert w.grad is None  # its records closed with their tape
 
 
 class TestOpGradients:
@@ -262,9 +307,10 @@ class TestOpGradients:
             a = normalize(random_adjacency(rng, 40, 0.15), constant)
             h = Tensor(rng.normal(size=(40, 5)), requires_grad=True)
             explicit = a.to_scipy().T.tocsr()
-        out = spmm(a, h)
-        logits = matmul(out, Tensor(rng.normal(size=(5, 3))))
-        backward(softmax_cross_entropy(logits, rng.integers(3, size=40), np.arange(40)))
+        with Tape():
+            out = spmm(a, h)
+            logits = matmul(out, Tensor(rng.normal(size=(5, 3))))
+            backward(softmax_cross_entropy(logits, rng.integers(3, size=40), np.arange(40)))
         np.testing.assert_array_equal(h.grad, explicit @ out.grad)
 
     def test_add_and_bias(self, rng_factory):
@@ -281,12 +327,14 @@ class TestOpGradients:
         rng = rng_factory(31)
         x = Tensor(rng.normal(size=(6, 3)))
         b = Tensor(np.zeros((1, 3)), requires_grad=True)
-        backward(sum_all(add_bias(x, b)))
+        with Tape():
+            backward(sum_all(add_bias(x, b)))
         np.testing.assert_allclose(b.grad, np.full((1, 3), 6.0), atol=0)
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
-        backward(sum_all(relu(x)))
+        with Tape():
+            backward(sum_all(relu(x)))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
     def test_concat_cols(self, rng_factory):
@@ -438,7 +486,8 @@ class TestOpSemantics:
                         requires_grad=True)
         labels = [1, 0, 0]
         mask = np.array([0, 2])
-        backward(softmax_cross_entropy(logits, labels, mask))
+        with Tape():
+            backward(softmax_cross_entropy(logits, labels, mask))
         z = logits.data
         probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         want = np.zeros_like(z)

@@ -9,9 +9,11 @@ import pytest
 import scipy.sparse as sp
 
 from dropgcn import (DropEdgeConfig, GCLParams, ModelConfig, SparseMatrix,
-                     Tensor, accuracy, backward, build_model, clear_grads,
+                     Tape, Tensor, accuracy, backward, build_model, clear_grads,
                      forward, gcl_forward, normalize, predictions,
                      softmax_cross_entropy, sup_singular_value, synthetic_sbm)
+from dropgcn import models
+from dropgcn.autodiff import active_tape
 from dropgcn.models import (SPARSE_INPUT_DENSITY, copy_model, load_model, model_input,
                             save_model)
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
@@ -82,7 +84,8 @@ class TestGCL:
             return softmax_cross_entropy(gcl_forward(a_hat, x, layer, training=True),
                                          labels, np.arange(9))
 
-        backward(build_loss())
+        with Tape():
+            backward(build_loss())
         got = {"w": w.grad.copy(), "w_self": w_self.grad.copy()}
         clear_grads([w, w_self])
         for name, p in (("w", w), ("w_self", w_self)):
@@ -267,6 +270,18 @@ class TestForward:
         out2, _ = forward(m, prop_for(m, a), x, training=False)
         np.testing.assert_array_equal(out1.data, out2.data)
 
+    def test_forward_outside_a_tape_records_nothing(self, rng_factory):
+        # Evaluation needs no switch: outside `with Tape():` every output is
+        # a constant and no record stays behind.
+        rng = rng_factory(19)
+        a = random_adjacency(rng, 8, 0.5)
+        cfg = ModelConfig(backbone="resgcn", n_layers=4, hidden_dim=6, withbn=True)
+        m = build_model(cfg, 4, 3, rng)
+        logits, hidden = forward(m, prop_for(m, a), rng.normal(size=(8, 4)), training=False)
+        assert not logits.requires_grad
+        assert not any(h.requires_grad for h in hidden)
+        assert active_tape().entries == []
+
     def test_training_dropout_consumes_rng(self, rng_factory):
         rng = rng_factory(10)
         a = random_adjacency(rng, 8, 0.5)
@@ -345,10 +360,11 @@ class TestKeepHidden:
         labels = rng.integers(0, 3, size=12)
         results = []
         for keep in (True, False):
-            logits, hidden = forward(m, prop_for(m, a), x, training=True,
-                                     rng=rng_factory(51), keep_hidden=keep)
-            assert (hidden is None) == (not keep)
-            backward(softmax_cross_entropy(logits, labels, np.arange(12)))
+            with Tape():
+                logits, hidden = forward(m, prop_for(m, a), x, training=True,
+                                         rng=rng_factory(51), keep_hidden=keep)
+                assert (hidden is None) == (not keep)
+                backward(softmax_cross_entropy(logits, labels, np.arange(12)))
             results.append((logits.data, [p.grad for p in m.parameters()]))
             clear_grads(m.parameters())
         (want, want_grads), (got, got_grads) = results
@@ -378,9 +394,10 @@ class TestActivationMemory:
         activation = g.n_nodes * cfg.hidden_dim * 8
 
         def step():
-            logits, _ = forward(m, mats, g.features, training=True, rng=rng,
-                                keep_hidden=False)
-            backward(softmax_cross_entropy(logits, g.labels, g.splits["train"]))
+            with Tape():
+                logits, _ = forward(m, mats, g.features, training=True, rng=rng,
+                                    keep_hidden=False)
+                backward(softmax_cross_entropy(logits, g.labels, g.splits["train"]))
             clear_grads(m.parameters())
 
         step()  # first-call allocations stay out of the measurement
@@ -411,8 +428,8 @@ class TestEndToEndGradients:
             logits, _ = forward(m, mats, x, training=True)
             return softmax_cross_entropy(logits, labels, mask)
 
-        loss = build_loss()
-        backward(loss)
+        with Tape():
+            backward(build_loss())
         grads = [p.grad.copy() for p in m.parameters()]
         clear_grads(m.parameters())
         for p, g in zip(m.parameters(), grads):
@@ -536,6 +553,24 @@ class TestCheckpoint:
                                       "scheme": "AugRWalk", "seed": 0})
         with pytest.raises(ValueError, match="AugRWalk.*AugNormAdj"):
             load_model(path)
+
+    @pytest.mark.parametrize("backbone", ["gcn", "resgcn", "jknet", "incepgcn"])
+    def test_load_draws_no_weights(self, backbone, tmp_path, rng_factory, monkeypatch):
+        cfg = ModelConfig(backbone=backbone, n_layers=4, hidden_dim=6,
+                          withloop=True, withbn=True)
+        m = build_model(cfg, 7, 3, rng_factory(18))
+        path = save_model(m, tmp_path / "model.npz")
+
+        def no_draws(*args):
+            raise AssertionError("load_model drew a weight it then overwrote")
+
+        monkeypatch.setattr(models, "glorot_init", no_draws)
+        m2 = load_model(path)
+        from dropgcn.models import _state_arrays
+        got, want = _state_arrays(m2), _state_arrays(m)
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (_, a1), (_, a2) in zip(got, want):
+            np.testing.assert_array_equal(a1, a2)
 
     def test_copy_model_is_independent(self, rng_factory):
         rng = rng_factory(14)
