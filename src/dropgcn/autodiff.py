@@ -374,17 +374,28 @@ def batch_norm(x, state, training):
     return _make(xhat * scale.data + shift.data, (x, scale, shift), build)
 
 
+def index_mask(mask):
+    """`mask` as a nonempty int64 vector of row ids. A boolean or float mask
+    is rejected: cast to integers it would name other rows (a boolean
+    [F, F, T, T] reads rows 0, 0, 1, 1) or truncated ones."""
+    arr = np.asarray(mask)
+    if arr.ndim != 1 or len(arr) == 0:
+        raise ValueError("mask must be a nonempty index vector")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"mask must hold integer row ids, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def softmax_cross_entropy(logits, labels, mask):
     """Mean cross-entropy of row-wise softmax over the masked rows.
 
-    `labels` is a length-N int vector, `mask` a nonempty index array of the
-    rows that count. Row-max shifting keeps the exponentials tame; the
-    gradient on masked rows is (softmax - onehot) / len(mask).
+    `labels` is a length-N int vector, `mask` a nonempty integer index
+    array of the rows that count (see index_mask). Row-max shifting keeps
+    the exponentials tame; the gradient on masked rows is
+    (softmax - onehot) / len(mask).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.ndim != 1 or len(mask) == 0:
-        raise ValueError("mask must be a nonempty index vector")
+    mask = index_mask(mask)
     if labels.ndim != 1 or len(labels) != logits.shape[0]:
         raise ValueError("labels must have one entry per logits row")
     picked = labels[mask]

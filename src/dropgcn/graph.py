@@ -56,7 +56,11 @@ class Graph:
         for name in SPLIT_NAMES:
             if name not in splits:
                 raise ValueError(f"splits missing {name!r}")
-            idx = np.ascontiguousarray(splits[name], dtype=np.int64)
+            raw = np.asarray(splits[name])
+            if raw.size and not np.issubdtype(raw.dtype, np.integer):
+                raise ValueError(f"split {name!r} must hold integer node ids, "
+                                 f"got dtype {raw.dtype}")
+            idx = np.ascontiguousarray(raw, dtype=np.int64)
             if idx.ndim != 1:
                 raise ValueError(f"split {name!r} must be a flat index list")
             if len(idx) and (idx.min() < 0 or idx.max() >= n_nodes):

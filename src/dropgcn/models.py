@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import (BatchNormState, Tensor, add, add_bias, batch_norm,
-                       concat_cols, dropout, matmul, relu, spmm)
+                       concat_cols, dropout, index_mask, matmul, relu, spmm)
 from .dropedge import DropEdgeConfig
 from .optim import glorot_init
 from .sparsemat import SCHEMES
@@ -311,10 +311,9 @@ def predictions(logits):
 
 
 def accuracy(logits, labels, mask):
-    """Fraction of masked rows whose argmax matches the label."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if len(mask) == 0:
-        raise ValueError("mask must be nonempty")
+    """Fraction of masked rows whose argmax matches the label; `mask` is a
+    nonempty integer index array (see index_mask)."""
+    mask = index_mask(mask)
     pred = predictions(logits)[mask]
     return float(np.mean(pred == np.asarray(labels)[mask]))
 

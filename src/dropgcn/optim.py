@@ -1,5 +1,7 @@
 """Parameter initialization and the Adam update rule."""
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -17,6 +19,15 @@ def glorot_init(rows, cols, rng):
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
+def check_rates(lr, weight_decay):
+    """Reject a learning rate that is not finite and positive, or a weight
+    decay that is not finite and nonnegative."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"weight decay must be nonnegative and finite, got {weight_decay}")
+
+
 class AdamState:
     """Adam moments for a fixed parameter list, with selective L2 decay.
 
@@ -27,10 +38,7 @@ class AdamState:
     """
 
     def __init__(self, params, lr, weight_decay=0.0, decay=None):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
+        check_rates(lr, weight_decay)
         self.params = list(params)
         if decay is None:
             decay = [True] * len(self.params)

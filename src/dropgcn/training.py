@@ -4,8 +4,19 @@ One run: seed a generator, build the model from it, then per epoch draw the
 propagation matrices (where the edge dropping happens), take one Adam step
 on the training split, and evaluate all three splits with dropping and
 dropout off. The reported test accuracy is the one at the best validation
-epoch (earliest on ties). A (config, seed) pair fully determines every
-number, including the bytes of metrics.csv.
+epoch (earliest on ties).
+
+When a training step is deterministic (p=0, no feature dropout, no batch
+norm), its forward pass is the evaluation forward of the parameters it
+starts from, bit for bit. Such a run evaluates epoch e from epoch e+1's
+training forward and runs one evaluation forward of its own, after the
+last epoch: E+1 forwards for E epochs instead of 2E. Every other run
+evaluates with a separate forward each epoch.
+
+The same config and seed give the same numbers, down to the bytes of
+metrics.csv, on the same BLAS build with the same BLAS thread count. A
+different thread count may sum in a different order and change the last
+bits.
 """
 
 import json
@@ -17,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral
-from .autodiff import Tape, backward, clear_grads, softmax_cross_entropy
+from .autodiff import Tape, Tensor, backward, clear_grads, softmax_cross_entropy
 from .dropedge import propagation_matrices
 from .graph import load_graph_dir
 from .models import (ModelConfig, accuracy, build_model, copy_model, forward,
                      model_input, save_model, sup_singular_value)
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, check_rates
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
 METRIC_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "test_acc")
@@ -48,10 +59,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
+        check_rates(self.lr, self.weight_decay)
 
 
 @dataclass
@@ -125,8 +133,25 @@ def _check_finite(which, loss, epoch):
             "lower the learning rate or check the input data")
 
 
+def _deterministic_step(mcfg):
+    """Whether a training step makes no random draw and trains on the same
+    function evaluation applies: no edge dropping, no feature dropout, no
+    batch norm. Then a training forward computes, bit for bit, the logits
+    of an evaluation forward on the same parameters."""
+    return mcfg.dropedge.p == 0.0 and mcfg.dropout == 0.0 and not mcfg.withbn
+
+
 def _run(config, graph, keep_best):
-    """The epoch loop. Returns (report, final_model, best_model_or_None)."""
+    """The epoch loop. Returns (report, final_model, best_model_or_None).
+
+    Per epoch: draw the propagation matrices; inside one tape run the
+    training forward, the loss, its finiteness check, the training accuracy
+    and backward; take the Adam step; evaluate. When the step is
+    deterministic (_deterministic_step), the evaluation of epoch e is read
+    off epoch e+1's training forward, before that epoch's loss: same
+    parameters, same full matrix, no draws. Only the last epoch then runs
+    a forward of its own to evaluate.
+    """
     mcfg = config.model
     rng = np.random.default_rng(config.seed)
     model = build_model(mcfg, graph.n_features, graph.n_classes, rng)
@@ -142,10 +167,30 @@ def _run(config, graph, keep_best):
     # and p=0 training share it.
     full = normalize(graph.adjacency, mcfg.scheme)
     eval_mats = [full] * model.n_gcls
+    shared = _deterministic_step(mcfg)
 
     rows = []
     best = (-1.0, -1, -1.0)  # (val_acc, epoch, test_acc); ties keep the earliest
     best_snapshot = None
+
+    def evaluate(logits, epoch, train_loss, train_acc):
+        """Complete epoch `epoch`'s row from the logits of the model as that
+        epoch left it, read through a constant so nothing is recorded.
+        Returns whether to snapshot that model as the best so far."""
+        nonlocal best
+        logits = Tensor(logits.data)
+        val_loss = softmax_cross_entropy(logits, labels, val_idx).item()
+        _check_finite("validation", val_loss, epoch)
+        val_acc = accuracy(logits, labels, val_idx)
+        test_acc = accuracy(logits, labels, test_idx)
+        rows.append({"epoch": epoch, "train_loss": train_loss, "train_acc": train_acc,
+                     "val_loss": val_loss, "val_acc": val_acc, "test_acc": test_acc})
+        if val_acc > best[0]:
+            best = (val_acc, epoch, test_acc)
+            return keep_best
+        return False
+
+    step = None  # (epoch, train loss, train accuracy) of a step not yet evaluated
     t0 = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
@@ -156,26 +201,27 @@ def _run(config, graph, keep_best):
             # backward() needs.
             logits, _ = forward(model, mats, features, training=True, rng=rng,
                                 keep_hidden=False)
+            keep = step is not None and evaluate(logits, *step)
             loss = softmax_cross_entropy(logits, labels, train_idx)
             loss_val = loss.item()
             _check_finite("training", loss_val, epoch)
             train_acc = accuracy(logits, labels, train_idx)
             backward(loss)
+        if keep:
+            # Copied once backward has freed the tape's arrays, so the copy
+            # does not raise the step's peak; the copy keeps no gradients.
+            best_snapshot = copy_model(model)
+            clear_grads(best_snapshot.parameters())
         adam_step(opt)
         clear_grads(model.parameters())
 
-        eval_logits, _ = forward(model, eval_mats, features, training=False,
-                                 keep_hidden=False)
-        val_loss = softmax_cross_entropy(eval_logits, labels, val_idx).item()
-        _check_finite("validation", val_loss, epoch)
-        val_acc = accuracy(eval_logits, labels, val_idx)
-        test_acc = accuracy(eval_logits, labels, test_idx)
-        rows.append({"epoch": epoch, "train_loss": loss_val, "train_acc": train_acc,
-                     "val_loss": val_loss, "val_acc": val_acc, "test_acc": test_acc})
-        if val_acc > best[0]:
-            best = (val_acc, epoch, test_acc)
-            if keep_best:
+        step = (epoch, loss_val, train_acc)
+        if not shared or epoch == config.epochs:
+            eval_logits, _ = forward(model, eval_mats, features, training=False,
+                                     keep_hidden=False)
+            if evaluate(eval_logits, *step):
                 best_snapshot = copy_model(model)
+            step = None
     wall = time.perf_counter() - t0
 
     report = RunReport(rows=rows, best_epoch=best[1], val_acc=best[0],
@@ -240,6 +286,8 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
     since the subspace view wants an orthonormal eigenbasis, and probed
     layers that form a chain: each layer l in the range reads layer l-1.
     """
+    if probe_epochs < 1:
+        raise ValueError(f"probe_epochs must be positive, got {probe_epochs}")
     graph = _resolve_graph(config, graph)
     mcfg = config.model
     if mcfg.scheme not in SYMMETRIC_SCHEMES:

@@ -500,6 +500,17 @@ class TestOpSemantics:
         with pytest.raises(ValueError):
             softmax_cross_entropy(Tensor(np.zeros((2, 2))), [0, 1], [])
 
+    def test_cross_entropy_rejects_non_integer_masks(self):
+        # Cast to int64, the boolean mask would read rows 0, 0, 1, 1 and the
+        # float one rows 2, 3.
+        logits = Tensor(np.array([[2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 2.0]]))
+        labels = [0, 0, 1, 1]
+        for mask in (np.array([False, False, True, True]), np.array([2.7, 3.2])):
+            with pytest.raises(ValueError, match="integer row ids"):
+                softmax_cross_entropy(logits, labels, mask)
+        rows = softmax_cross_entropy(logits, labels, np.array([2, 3], dtype=np.uint8))
+        assert rows.item() == softmax_cross_entropy(logits, labels, [2, 3]).item()
+
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -548,6 +559,14 @@ class TestOptim:
         adam_step(state)
         assert w.data[0, 0] < 10.0  # decay pulled it down
         assert b.data[0, 0] == 10.0  # zero grad, no decay: untouched
+
+    @pytest.mark.parametrize("lr,weight_decay", [
+        (np.nan, 0.0), (np.inf, 0.0), (0.0, 0.0), (0.01, np.nan), (0.01, np.inf),
+        (0.01, -1.0)])
+    def test_adam_rejects_bad_rates(self, lr, weight_decay):
+        p = Tensor(np.ones((1, 1)), requires_grad=True)
+        with pytest.raises(ValueError, match="learning rate|weight decay"):
+            AdamState([p], lr=lr, weight_decay=weight_decay)
 
     def test_none_grads_skipped(self):
         p = Tensor(np.ones((1, 1)), requires_grad=True)

@@ -149,6 +149,13 @@ class TestGraphValidation:
             Graph(2, SparseMatrix.from_dense([[0, 1], [1, 0]]), np.eye(2), [0, 1],
                   {"train": [0, 0], "val": [], "test": [1]})
 
+    def test_rejects_non_integer_split_ids(self):
+        # A boolean mask over the nodes is not a list of node ids.
+        for train_ids in (np.array([True, False]), np.array([0.0])):
+            with pytest.raises(ValueError, match="integer node ids"):
+                Graph(2, SparseMatrix.from_dense([[0, 1], [1, 0]]), np.eye(2), [0, 1],
+                      {"train": train_ids, "val": [], "test": [1]})
+
 
 class TestSyntheticSBM:
     def test_deterministic(self):

@@ -586,6 +586,18 @@ class TestHelpers:
         np.testing.assert_array_equal(predictions(logits), [1, 0, 1])
         assert accuracy(logits, [1, 0, 0], np.arange(3)) == pytest.approx(2 / 3)
 
+    def test_accuracy_rejects_non_integer_masks(self):
+        # Cast to int64, the boolean mask would score rows 0, 0, 1, 1 (0.0
+        # instead of 1.0) and the float one rows 2, 3.
+        logits = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.3, 0.7]])
+        labels = [0, 0, 1, 1]
+        for mask in (np.array([False, False, True, True]), np.array([2.7, 3.2])):
+            with pytest.raises(ValueError, match="integer row ids"):
+                accuracy(logits, labels, mask)
+        with pytest.raises(ValueError, match="nonempty"):
+            accuracy(logits, labels, [])
+        assert accuracy(logits, labels, [2, 3]) == 1.0
+
     def test_sup_singular_value(self, rng_factory):
         rng = rng_factory(15)
         m = build_model(ModelConfig(backbone="gcn", n_layers=3, hidden_dim=5), 4, 2, rng)

@@ -2,19 +2,26 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dropgcn import (DropEdgeConfig, Graph, ModelConfig, TrainConfig,
+from dropgcn import (BACKBONES, DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      TrainingDiverged, accuracy, forward, load_model,
                      normalize, oversmoothing_probe, synthetic_sbm, train)
 from dropgcn import cli, dropedge, training
-from dropgcn.autodiff import Tape
+from dropgcn.autodiff import Tape, active_tape
 from dropgcn.graph import save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
                               write_report)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +66,28 @@ class TestTrain:
         a = train(small_config(seed=3, epochs=12, p=0.4, dropout=0.3), graph=sbm)
         b = train(small_config(seed=3, epochs=12, p=0.4, dropout=0.3), graph=sbm)
         assert a.to_csv() == b.to_csv()
+
+    def test_same_bytes_in_two_processes(self, tmp_path):
+        # Bytes reproduce per (config, seed, BLAS build, BLAS thread count);
+        # both processes pin one thread.
+        script = (
+            "import sys\n"
+            "from dropgcn import DropEdgeConfig, ModelConfig, TrainConfig, synthetic_sbm, train\n"
+            "g = synthetic_sbm(n_nodes=60, n_blocks=3, p_intra=0.4, p_inter=0.04,\n"
+            "                  n_features=8, seed=5)\n"
+            "model = ModelConfig(n_layers=3, hidden_dim=16, dropout=0.3,\n"
+            "                    dropedge=DropEdgeConfig(p=0.4))\n"
+            "train(TrainConfig(model=model, epochs=12, seed=3, out_dir=sys.argv[1]), graph=g)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        csvs = []
+        for tag in ("a", "b"):
+            out = subprocess.run([sys.executable, "-W", "error", "-c", script,
+                                  str(tmp_path / tag)], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert out.returncode == 0, out.stderr[-2000:]
+            csvs.append((tmp_path / tag / "metrics.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_different_seed_differs(self, sbm):
         a = train(small_config(seed=3, epochs=12, p=0.4), graph=sbm)
@@ -207,6 +236,127 @@ class TestTrain:
         assert summary["config"]["model"]["backbone"] == "gcn"
 
 
+class TestSharedEvaluationForward:
+    """A deterministic step (p=0, no dropout, no batch norm) reads epoch e's
+    evaluation off epoch e+1's training forward; every other config runs
+    an evaluation forward of its own each epoch."""
+
+    EPOCHS = 10
+
+    @pytest.mark.parametrize("withloop", [False, True], ids=["noloop", "withloop"])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_same_bytes_and_stream_as_two_forwards(self, sbm, tmp_path, monkeypatch,
+                                                   backbone, withloop):
+        generators = []
+        real_rng = np.random.default_rng
+
+        def recorded(seed):
+            generators.append(real_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(training.np.random, "default_rng", recorded)
+
+        def run(tag):
+            cfg = small_config(epochs=self.EPOCHS, n_layers=4, backbone=backbone,
+                               withloop=withloop)
+            cfg.out_dir = tmp_path / tag
+            return cfg, train(cfg, graph=sbm, keep_best_model=True)
+
+        cfg, shared = run("shared")
+        assert training._deterministic_step(cfg.model)
+        # The best model was snapshotted inside a later epoch's step.
+        assert shared.best_epoch < self.EPOCHS
+        monkeypatch.setattr(training, "_deterministic_step", lambda mcfg: False)
+        run("two")
+        one, two = tmp_path / "shared", tmp_path / "two"
+        assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
+        with np.load(one / "model.npz") as a, np.load(two / "model.npz") as b:
+            assert a.files == b.files
+            for name in a.files:
+                assert a[name].tobytes() == b[name].tobytes(), name
+        assert len(generators) == 2
+        assert generators[0].bit_generator.state == generators[1].bit_generator.state
+
+    def test_snapshot_from_a_shared_forward_holds_no_gradients(self, sbm):
+        cfg = small_config(epochs=self.EPOCHS, n_layers=4)
+        report, _, snapshot = training._run(cfg, sbm, keep_best=True)
+        assert report.best_epoch < self.EPOCHS
+        assert all(p.grad is None for p in snapshot.parameters())
+
+    def forwards(self, cfg, sbm, monkeypatch):
+        """The training flag of every forward a run makes, in order."""
+        calls = []
+        real = training.forward
+
+        def spy(*args, **kw):
+            calls.append(kw["training"])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(training, "forward", spy)
+        train(cfg, graph=sbm)
+        return calls
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_deterministic_run_makes_one_forward_per_epoch(self, sbm, monkeypatch, backbone):
+        cfg = small_config(epochs=7, n_layers=4, backbone=backbone)
+        assert self.forwards(cfg, sbm, monkeypatch) == [True] * 7 + [False]
+
+    def test_evaluation_records_nothing_on_the_tape(self, sbm, monkeypatch):
+        # Epoch 1's step evaluates nothing, later steps evaluate the epoch
+        # before: the tapes must still be the same length.
+        sizes = []
+        real = training.backward
+
+        def spy(loss):
+            sizes.append(len(active_tape().entries))
+            return real(loss)
+
+        monkeypatch.setattr(training, "backward", spy)
+        train(small_config(epochs=5, n_layers=3), graph=sbm)
+        assert len(sizes) == 5 and len(set(sizes)) == 1
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "two-forwards"])
+    def test_validation_check_comes_first(self, sbm, monkeypatch, shared):
+        # Epoch 3's step leaves a nan parameter: epoch 3's validation loss
+        # and epoch 4's training loss are both nan, and the validation one
+        # is reported, whichever forward computed it.
+        real = training.adam_step
+        steps = []
+
+        def poisoning(state):
+            real(state)
+            steps.append(state.t)
+            if state.t == 3:
+                state.params[0].data[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoning)
+        monkeypatch.setattr(training, "_deterministic_step", lambda mcfg: shared)
+        with pytest.raises(TrainingDiverged, match="validation loss became nan at epoch 3"):
+            train(small_config(epochs=6, n_layers=3), graph=sbm)
+        assert steps == [1, 2, 3]
+
+    @pytest.mark.parametrize("change", [
+        {"dropout": 0.3},
+        {"dropedge": DropEdgeConfig(p=0.4)},
+        {"dropedge": DropEdgeConfig(p=0.4, layer_wise=True)},
+        {"withbn": True},
+    ], ids=["dropout", "oneshot", "layerwise", "withbn"])
+    def test_other_runs_make_two_forwards_per_epoch(self, sbm, monkeypatch, change):
+        cfg = small_config(epochs=7, n_layers=3)
+        cfg = replace(cfg, model=replace(cfg.model, **change))
+        assert not training._deterministic_step(cfg.model)
+        assert self.forwards(cfg, sbm, monkeypatch) == [True, False] * 7
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr,weight_decay", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (0.01, math.nan),
+        (0.01, math.inf), (0.01, -1.0)])
+    def test_rates_must_be_finite(self, lr, weight_decay):
+        with pytest.raises(ValueError, match="learning rate|weight decay"):
+            TrainConfig(lr=lr, weight_decay=weight_decay)
+
+
 class TestProbe:
     def test_probe_structure(self, sbm):
         cfg = small_config(epochs=400, p=0.5, n_layers=6)
@@ -263,6 +413,17 @@ class TestProbe:
         # not branch 1's output, which is layer 2.
         with pytest.raises(ValueError, match="layer 3 does not read layer 2"):
             oversmoothing_probe(small_config(n_layers=5, backbone="incepgcn"), graph=sbm)
+
+    def test_probe_epochs_checked_before_any_work(self, sbm, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("the probe did work before checking probe_epochs")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        monkeypatch.setattr(training.spectral, "analyze", refuse)
+        for epochs in (0, -3):
+            with pytest.raises(ValueError, match="probe_epochs"):
+                oversmoothing_probe(small_config(n_layers=4), graph=sbm,
+                                    layer_range=(2, 3), probe_epochs=epochs)
 
     def test_probe_within_an_incepgcn_branch(self, sbm):
         # Layers 5-7 are branch 3 of a 5-layer incepgcn, a chain.
@@ -333,6 +494,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--data-dir", str(dataset_dir),
                     "--sampling-percent", "1.5")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                            ("--weight-decay", "nan")])
+    def test_non_finite_rate_is_usage_error(self, dataset_dir, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--data-dir", str(dataset_dir), flag, value)
         assert exc.value.code == 2
 
     def test_unknown_flag_is_usage_error(self, dataset_dir):
