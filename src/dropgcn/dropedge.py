@@ -54,18 +54,26 @@ def _edge_ids(a):
     return np.where(upper, rank, rank[twin]), int(upper.sum())
 
 
+def drop_count(a, p):
+    """floor(V * p): how many edges one draw at rate p removes from `a`, a
+    symmetric zero-diagonal adjacency with V = nnz / 2 undirected edges."""
+    return int(np.floor(a.nnz // 2 * p))
+
+
 def sample(a, p, rng):
-    """One dropped adjacency: remove floor(V * p) undirected edges of `a`.
+    """One dropped adjacency: remove drop_count(a, p) = floor(V * p)
+    undirected edges of `a`.
 
     The draw is uniform over edge subsets of that exact size, so
-    nnz(result) == nnz(a) - 2 * floor(V * p) always holds. p=0 returns an
-    equal matrix; p=1 an edgeless one. `a` itself is never modified; it must
-    be structurally symmetric with no stored diagonal entry.
+    nnz(result) == nnz(a) - 2 * floor(V * p) always holds. A draw that drops
+    nothing (p=0, or p < 1/V) returns an equal matrix and consumes nothing
+    from `rng`; p=1 gives an edgeless one. `a` itself is never modified; it
+    must be structurally symmetric with no stored diagonal entry.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"drop rate p must lie in [0, 1], got {p}")
     edge_id, n_edges = _edge_ids(a)
-    n_drop = int(np.floor(n_edges * p))
+    n_drop = drop_count(a, p)
     if n_drop == 0:
         return SparseMatrix(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values)
     dropped = np.zeros(n_edges, dtype=bool)
@@ -88,18 +96,19 @@ def propagation_matrices(a, config, n_layers, rng, training, full=None):
     `config` is the ModelConfig: its `scheme` normalizes and its `dropedge`
     gives the drop rate and granularity.
 
-    Outside training, or at p=0, every layer gets the same object: the plain
-    normalization of the full adjacency, untouched by the sampler (and `rng`
-    is not consumed). `full`, when given, is that normalization already built,
+    Outside training, or when a draw would drop nothing (drop_count is 0: p=0,
+    or p < 1/V), every layer gets the same object: the plain normalization
+    of the full adjacency, untouched by the sampler (and `rng` is not
+    consumed). `full`, when given, is that normalization already built,
     normalize(a, config.scheme), and is returned instead of a fresh one.
-    During training with p > 0, a one-shot draw is dropped once,
-    re-normalized once, and shared; the layer-wise variant drops and
+    During training with a draw that drops edges, a one-shot draw is dropped
+    once, re-normalized once, and shared; the layer-wise variant drops and
     re-normalizes per layer.
     """
     scheme, drop = config.scheme, config.dropedge
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    if not training or drop.p == 0.0:
+    if not training or drop_count(a, drop.p) == 0:
         if full is None:
             full = normalize(a, scheme)
         return [full] * n_layers

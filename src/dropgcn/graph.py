@@ -3,13 +3,14 @@
 A dataset directory holds four files:
 
     graph.edges    whitespace-separated 0-based "u v" pairs, '#' comments allowed
-    features.csv   N x C comma-separated reals, one node per row
-    labels.csv     N integer class ids, one per row
-    splits.json    {"train": [...], "val": [...], "test": [...]} index lists
+    features.csv   N x C comma-separated finite reals, one node per row
+    labels.csv     N nonnegative integer class ids, one per row
+    splits.json    {"train": [...], "val": [...], "test": [...]} lists of
+                   JSON integer node ids (true/false and 1.0 are rejected)
 
-The edge file is undirected: each line names one edge, duplicates and
-reversed repeats collapse to a single edge, and self-loop lines are dropped
-with a warning (schemes add their own diagonal).
+The edge file is undirected: each line names one edge, repeated and
+reversed pairs collapse to a single unit edge, and self-loop lines are
+dropped with a warning (schemes add their own diagonal).
 """
 
 import json
@@ -38,19 +39,13 @@ class Graph:
 
     def __init__(self, n_nodes, adjacency, features, labels, splits):
         n_nodes = int(n_nodes)
-        if not isinstance(adjacency, SparseMatrix):
-            adjacency = SparseMatrix.from_scipy(adjacency)
         if adjacency.shape != (n_nodes, n_nodes):
             raise ValueError("adjacency shape does not match n_nodes")
         check_adjacency(adjacency)
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != n_nodes:
             raise ValueError("features must be a 2-D array with one row per node")
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
-        if labels.shape != (n_nodes,):
-            raise ValueError("labels must be a length-N integer vector")
-        if len(labels) and labels.min() < 0:
-            raise ValueError("labels must be nonnegative class ids")
+        labels = _check_labels(labels, n_nodes)
         clean = {}
         seen = np.zeros(n_nodes, dtype=bool)
         for name in SPLIT_NAMES:
@@ -95,39 +90,49 @@ class Graph:
         )
 
 
+def _check_labels(labels, n_nodes):
+    """labels as int64; ValueError unless one nonnegative class id per node."""
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.shape != (n_nodes,):
+        raise ValueError(f"expected {n_nodes} labels (one per node), got shape {labels.shape}")
+    if len(labels) and labels.min() < 0:
+        raise ValueError("labels must be nonnegative class ids")
+    return labels
+
+
+def adjacency_from_pairs(n_nodes, u, v):
+    """Symmetric unit-weight adjacency with an edge between u[k] and v[k], as the
+    loader, synthetic_sbm and tools/prepare_dataset.py build it: repeats and
+    reversed repeats collapse into one edge, and self-loops are dropped."""
+    lo, hi = np.sort(np.array([u, v], dtype=np.int64).reshape(2, -1), axis=0)
+    if len(lo) and (lo.min() < 0 or hi.max() >= n_nodes):
+        raise ValueError(f"node id out of range for {n_nodes} nodes")
+    # One key per distinct undirected edge; sorted keys give sorted rows.
+    lo, hi = np.divmod(np.unique((lo * n_nodes + hi)[lo != hi]), n_nodes)
+    return SparseMatrix.from_coo(n_nodes, n_nodes, np.concatenate([lo, hi]),
+                                 np.concatenate([hi, lo]), np.ones(2 * len(lo)))
+
+
 def _parse_edges(path, n_nodes):
-    """Unique undirected (u, v) pairs with u < v, validated against n_nodes."""
-    pairs = set()
+    """The listed (u, v) pairs as a 2 x E array, ids checked; self-loop lines warn."""
+    pairs = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DatasetError(f"{path}:{lineno}: expected two node ids, got {line!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = map(int, line.split())
             except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
+                raise DatasetError(
+                    f"{path}:{lineno}: expected two integer node ids, got {line!r}") from None
             if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
                 raise DatasetError(
-                    f"{path}:{lineno}: node id out of range for {n_nodes} nodes: {line!r}"
-                )
+                    f"{path}:{lineno}: node id out of range for {n_nodes} nodes: {line!r}")
             if u == v:
                 warnings.warn(f"{path}:{lineno}: dropping self-loop on node {u}")
-                continue
-            pairs.add((min(u, v), max(u, v)))
-    if not pairs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
-
-
-def _adjacency_from_pairs(n_nodes, u, v):
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    return SparseMatrix.from_coo(n_nodes, n_nodes, rows, cols, np.ones(len(rows)))
+            pairs.append((u, v))
+    return np.reshape(pairs, (-1, 2)).T
 
 
 def load_graph(edge_path, feature_path, label_path, split_path):
@@ -135,28 +140,23 @@ def load_graph(edge_path, feature_path, label_path, split_path):
 
     Node count is defined by the feature file; every other file is validated
     against it. Malformed content raises DatasetError naming the file (and
-    line where one is known).
+    line or row where one is known).
     """
     try:
         features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
     except Exception as exc:
         raise DatasetError(f"{feature_path}: {exc}") from None
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DatasetError(f"{feature_path}: row {np.argmin(finite) + 1} holds a non-finite value")
     n_nodes = features.shape[0]
 
     try:
-        labels = np.loadtxt(label_path, dtype=np.int64, ndmin=1)
+        labels = _check_labels(np.loadtxt(label_path, dtype=np.int64, ndmin=1), n_nodes)
     except Exception as exc:
         raise DatasetError(f"{label_path}: {exc}") from None
-    if labels.shape != (n_nodes,):
-        raise DatasetError(
-            f"{label_path}: expected {n_nodes} labels (one per feature row), got {labels.shape}"
-        )
-    # Graph rejects these too, but its errors are reported below against the split file.
-    if np.any(labels < 0):
-        raise DatasetError(f"{label_path}: labels must be nonnegative class ids")
 
-    u, v = _parse_edges(edge_path, n_nodes)
-    adjacency = _adjacency_from_pairs(n_nodes, u, v)
+    adjacency = adjacency_from_pairs(n_nodes, *_parse_edges(edge_path, n_nodes))
 
     try:
         with open(split_path) as fh:
@@ -166,13 +166,12 @@ def load_graph(edge_path, feature_path, label_path, split_path):
     if not isinstance(raw, dict):
         raise DatasetError(f"{split_path}: top level must be an object with train/val/test")
     for name in SPLIT_NAMES:
-        if name not in raw:
-            raise DatasetError(f"{split_path}: missing split {name!r}")
-        if not isinstance(raw[name], list) or not all(isinstance(i, int) for i in raw[name]):
-            raise DatasetError(f"{split_path}: split {name!r} must be a list of integers")
+        ids = raw.get(name, [])  # type(), as true/false are ints 1/0 to isinstance
+        if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+            raise DatasetError(f"{split_path}: split {name!r} must be a list of "
+                               "JSON integers (not booleans or floats)")
     try:
-        return Graph(n_nodes, adjacency, features, labels,
-                     {k: np.array(raw[k], dtype=np.int64) for k in SPLIT_NAMES})
+        return Graph(n_nodes, adjacency, features, labels, raw)
     except ValueError as exc:
         raise DatasetError(f"{split_path}: {exc}") from None
 
@@ -234,7 +233,7 @@ def synthetic_sbm(n_nodes=120, n_blocks=3, p_intra=0.2, p_inter=0.02, n_features
     iu, iv = np.triu_indices(n_nodes, k=1)
     p_edge = np.where(blocks[iu] == blocks[iv], p_intra, p_inter)
     keep = rng.random(len(iu)) < p_edge
-    adjacency = _adjacency_from_pairs(n_nodes, iu[keep], iv[keep])
+    adjacency = adjacency_from_pairs(n_nodes, iu[keep], iv[keep])
 
     centers = rng.normal(0.0, 2.0, size=(n_blocks, n_features))
     features = centers[blocks] + noise * rng.normal(size=(n_nodes, n_features))

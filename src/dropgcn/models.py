@@ -29,6 +29,7 @@ layer output outlives its last reader or the tape's need for it.
 
 import copy
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -83,6 +84,8 @@ class ModelConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown normalization scheme {self.scheme!r}")
         _check_scheme_echo(self)
+        self.n_layers = check_integer("n_layers", self.n_layers)
+        self.hidden_dim = check_integer("hidden_dim", self.hidden_dim)
         floor = 2 if self.backbone == "gcn" else 3
         if self.n_layers < floor:
             raise ValueError(f"{self.backbone} needs n_layers >= {floor}, got {self.n_layers}")
@@ -90,6 +93,14 @@ class ModelConfig:
             raise ValueError("hidden_dim must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
+
+def check_integer(name, value):
+    """`value` as a Python int; ValueError naming the setting `name` when it
+    is not an integer: a float, even 2.0, or a bool. numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_scheme_echo(config):

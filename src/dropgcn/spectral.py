@@ -68,8 +68,8 @@ def _spectrum(a_hat, tol):
                          "analyze a subgraph instead")
     if not a_hat.is_symmetric():
         raise ValueError("matrix is not symmetric; only symmetric schemes are analyzable")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n = a_hat.n_rows
     # The matrix is exactly symmetric, so its transpose is the same matrix in
     # Fortran order, which dsytrd can overwrite without a copy.
@@ -110,7 +110,8 @@ def _cluster_basis(factors, m):
 
 def analyze(a_hat, tol=TOP_CLUSTER_TOL):
     """Eigendecompose a symmetric propagation matrix and split off the top
-    cluster: every eigenvalue within `tol` of the maximum counts as top.
+    cluster: every eigenvalue within `tol` (finite, nonnegative) of the
+    maximum counts as top.
 
     All eigenvalues are computed, but eigenvectors only for the cluster.
     For the augmented symmetric normalization of a graph, the cluster
@@ -151,10 +152,9 @@ def relaxed_smoothing_layer(epsilon, d0, s, lam):
     layers; a factor of exactly 0 lands on the subspace in 1; a factor >= 1
     never contracts below epsilon, reported as math.inf.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if d0 <= 0:
-        raise ValueError("d0 must be positive")
+    for name, value in (("epsilon", epsilon), ("d0", d0)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if s < 0 or lam < 0:
         raise ValueError("s and lambda must be nonnegative")
     if epsilon >= d0:
@@ -277,8 +277,11 @@ def verify_resistance_bound(a, tol=1e-8):
     pair of a graph, under the augmented symmetric normalization.
 
     The bound says well-connected pairs (small resistance, small degrees)
-    force the second eigenvalue up. Margins below -tol count as violations.
+    force the second eigenvalue up. Margins below -tol count as violations;
+    tol must be finite (a negative one also flags small positive margins).
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     report = analyze(normalize(a, "AugNormAdj"))
     lam = report.second_largest
     d = degrees(a)

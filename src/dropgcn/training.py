@@ -6,12 +6,13 @@ on the training split, and evaluate all three splits with dropping and
 dropout off. The reported test accuracy is the one at the best validation
 epoch (earliest on ties).
 
-When a training step is deterministic (p=0, no feature dropout, no batch
-norm), its forward pass is the evaluation forward of the parameters it
-starts from, bit for bit. Such a run evaluates epoch e from epoch e+1's
-training forward and runs one evaluation forward of its own, after the
-last epoch: E+1 forwards for E epochs instead of 2E. Every other run
-evaluates with a separate forward each epoch.
+When a training step is deterministic (no edge dropped, as at p=0 or
+p < 1/V; no feature dropout; no batch norm), its forward pass is the
+evaluation forward of the parameters it starts from, bit for bit. Such a
+run evaluates epoch e from epoch e+1's training forward and runs one
+evaluation forward of its own, after the last epoch: E+1 forwards for E
+epochs instead of 2E. Every other run evaluates with a separate forward
+each epoch.
 
 The same config and seed give the same numbers, down to the bytes of
 metrics.csv, on the same BLAS build with the same BLAS thread count. A
@@ -29,10 +30,10 @@ import numpy as np
 
 from . import spectral
 from .autodiff import Tape, Tensor, backward, clear_grads, softmax_cross_entropy
-from .dropedge import propagation_matrices
+from .dropedge import drop_count, propagation_matrices
 from .graph import load_graph_dir
-from .models import (ModelConfig, accuracy, build_model, copy_model, forward,
-                     model_input, save_model, sup_singular_value)
+from .models import (ModelConfig, accuracy, build_model, check_integer, copy_model,
+                     forward, model_input, save_model, sup_singular_value)
 from .optim import AdamState, adam_step, check_rates
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
@@ -57,6 +58,8 @@ class TrainConfig:
     out_dir: object = None
 
     def __post_init__(self):
+        self.epochs = check_integer("epochs", self.epochs)
+        self.seed = check_integer("seed", self.seed)
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         check_rates(self.lr, self.weight_decay)
@@ -133,12 +136,14 @@ def _check_finite(which, loss, epoch):
             "lower the learning rate or check the input data")
 
 
-def _deterministic_step(mcfg):
+def _deterministic_step(mcfg, adjacency):
     """Whether a training step makes no random draw and trains on the same
-    function evaluation applies: no edge dropping, no feature dropout, no
-    batch norm. Then a training forward computes, bit for bit, the logits
-    of an evaluation forward on the same parameters."""
-    return mcfg.dropedge.p == 0.0 and mcfg.dropout == 0.0 and not mcfg.withbn
+    function evaluation applies: no edge dropped from `adjacency` (a drop
+    count of 0), no feature dropout, no batch norm. Then a training forward
+    computes, bit for bit, the logits of an evaluation forward on the same
+    parameters."""
+    return (drop_count(adjacency, mcfg.dropedge.p) == 0 and mcfg.dropout == 0.0
+            and not mcfg.withbn)
 
 
 def _run(config, graph, keep_best):
@@ -167,7 +172,7 @@ def _run(config, graph, keep_best):
     # and p=0 training share it.
     full = normalize(graph.adjacency, mcfg.scheme)
     eval_mats = [full] * model.n_gcls
-    shared = _deterministic_step(mcfg)
+    shared = _deterministic_step(mcfg, graph.adjacency)
 
     rows = []
     best = (-1.0, -1, -1.0)  # (val_acc, epoch, test_acc); ties keep the earliest
@@ -286,13 +291,14 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
     since the subspace view wants an orthonormal eigenbasis, and probed
     layers that form a chain: each layer l in the range reads layer l-1.
     """
+    check_integer("probe_epochs", probe_epochs)
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be positive, got {probe_epochs}")
+    lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
     graph = _resolve_graph(config, graph)
     mcfg = config.model
     if mcfg.scheme not in SYMMETRIC_SCHEMES:
         raise ValueError(f"probe needs a symmetric scheme, got {mcfg.scheme!r}")
-    lo, hi = int(layer_range[0]), int(layer_range[1])
     rng = np.random.default_rng(config.seed)
     fresh = build_model(mcfg, graph.n_features, graph.n_classes, rng)
     if not 2 <= lo <= hi <= fresh.n_gcls:

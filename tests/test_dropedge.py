@@ -5,6 +5,7 @@ import pytest
 
 from dropgcn import (DropEdgeConfig, ModelConfig, SparseMatrix, normalize,
                      propagation_matrices, sample, sample_layerwise)
+from dropgcn.dropedge import drop_count
 from conftest import random_adjacency
 
 
@@ -286,3 +287,23 @@ class TestPropagationMatrices:
             rng = rng_factory(5)
             draws = (sample_layerwise(a, p, 3, rng) if training and p > 0 else [a] * 3)
             assert got == [normalize(m, "BingGeNormAdj") for m in draws]
+
+
+class TestDropCount:
+    """floor(V * p) edges per draw, V the undirected edge count. A rate
+    below 1/V drops nothing, so it behaves as p=0 everywhere."""
+
+    def test_rate_below_one_edge_draws_nothing(self, rng_factory):
+        a = random_adjacency(np.random.default_rng(12), 30, 0.2)
+        p = 0.9 / (a.nnz // 2)
+        assert drop_count(a, p) == 0
+        rng = rng_factory(4)
+        assert sample(a, p, rng) == a
+        full = normalize(a, "AugNormAdj")
+        for layer_wise in (False, True):
+            cfg = ModelConfig(scheme="AugNormAdj",
+                              dropedge=DropEdgeConfig(p=p, layer_wise=layer_wise))
+            mats = propagation_matrices(a, cfg, 3, rng, training=True, full=full)
+            assert all(m is full for m in mats)
+        # Nothing was drawn from the stream.
+        assert rng.integers(1 << 30) == rng_factory(4).integers(1 << 30)

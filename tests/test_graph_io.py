@@ -7,6 +7,8 @@ import pytest
 
 from dropgcn import (DatasetError, Graph, SparseMatrix, load_graph_dir,
                      save_graph, synthetic_sbm)
+from dropgcn.graph import adjacency_from_pairs
+from dropgcn.sparsemat import check_adjacency
 
 
 def write_dataset(d, edges="0 1\n1 2\n", features="1.0,0.5\n0.25,0.0\n-1.5,2.0\n",
@@ -86,11 +88,69 @@ class TestLoad:
         with pytest.raises(DatasetError, match="out-of-range"):
             load_graph_dir(d)
 
+    @pytest.mark.parametrize("test_ids", [[True], [3, True], [False, 3], [3.0]],
+                             ids=["true", "mixed-true", "mixed-false", "float"])
+    def test_split_ids_must_be_json_integers(self, tmp_path, test_ids):
+        # true and false are not node ids 1 and 0; 3.0 is not node 3.
+        d = write_dataset(tmp_path, features="1.0\n2.0\n3.0\n4.0\n",
+                          labels="0\n1\n0\n1\n",
+                          splits={"train": [0], "val": [2], "test": test_ids})
+        with pytest.raises(DatasetError, match=r"splits\.json: split 'test' must be a list "
+                                               "of JSON integers"):
+            load_graph_dir(d)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_file_and_row(self, tmp_path, bad):
+        d = write_dataset(tmp_path, features=f"1.0,0.5\n0.25,0.0\n-1.5,{bad}\n")
+        with pytest.raises(DatasetError, match=r"features\.csv: row 3 holds a non-finite"):
+            load_graph_dir(d)
+
     def test_bad_json_names_line(self, tmp_path):
         d = write_dataset(tmp_path)
         (d / "splits.json").write_text('{"train": [0],\n  "val": [1\n}')
         with pytest.raises(DatasetError, match=r"splits\.json"):
             load_graph_dir(d)
+
+
+def dense_reference(n_nodes, u, v):
+    """The adjacency built pair by pair: one unit edge per distinct
+    unordered pair, no self-loops."""
+    ref = np.zeros((n_nodes, n_nodes))
+    for a, b in zip(u, v):
+        if a != b:
+            ref[a, b] = ref[b, a] = 1.0
+    return ref
+
+
+class TestAdjacencyFromPairs:
+    @pytest.mark.parametrize("n_nodes,u,v", [
+        (4, [0, 1, 0, 2], [1, 0, 1, 3]),      # a repeat and a reversed repeat
+        (3, [0, 1, 2, 1], [0, 2, 2, 1]),      # self-loops only, bar one edge
+        (5, [], []),                          # no pairs at all
+        (5, [3, 0, 4], [0, 3, 3]),            # node 1 and node 2 isolated
+        (3, [2, 2, 1], [1, 1, 2]),            # one edge, three times
+    ], ids=["repeats", "self-loops", "empty", "isolated", "one-edge"])
+    def test_matches_pair_by_pair_reference(self, n_nodes, u, v):
+        a = adjacency_from_pairs(n_nodes, u, v)
+        check_adjacency(a)
+        assert a.shape == (n_nodes, n_nodes)
+        np.testing.assert_array_equal(a.to_dense(), dense_reference(n_nodes, u, v))
+
+    def test_random_pairs(self, rng_factory):
+        rng = rng_factory(41)
+        for n_nodes in (1, 2, 7, 30):
+            u, v = rng.integers(0, n_nodes, size=(2, 3 * n_nodes))
+            a = adjacency_from_pairs(n_nodes, u, v)
+            check_adjacency(a)
+            np.testing.assert_array_equal(a.values, 1.0)
+            np.testing.assert_array_equal(a.to_dense(), dense_reference(n_nodes, u, v))
+
+    def test_out_of_range_and_mismatched_ids_rejected(self):
+        for u, v in (([0, 3], [1, 1]), ([0, -1], [1, 1])):
+            with pytest.raises(ValueError, match="out of range"):
+                adjacency_from_pairs(3, u, v)
+        with pytest.raises(ValueError):
+            adjacency_from_pairs(3, [0, 1], [1])
 
 
 class TestSaveRoundTrip:

@@ -1,5 +1,6 @@
 """The dataset converter, exercised on synthetic raw files."""
 
+import hashlib
 import importlib.util
 import pickle
 import sys
@@ -153,3 +154,50 @@ class TestLinqs:
         g2 = prepare_dataset.load_linqs(tmp_path / "toy.content",
                                         tmp_path / "toy.cites", 5, 1, 2)
         assert not np.array_equal(g1.splits["test"], g2.splits["test"])
+
+
+def digests(out):
+    """First 16 hex digits of each written file's sha256."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+            for name in ("graph.edges", "features.csv", "labels.csv", "splits.json")}
+
+
+class TestSharedBuilder:
+    """Both converter paths build through graph.adjacency_from_pairs, the
+    loader's builder: self-citations drop, repeated and reversed citations
+    collapse. The pinned digests are those of the converter's own builder
+    before it was merged into that one."""
+
+    def test_planetoid_self_and_repeated_citations(self, tmp_path):
+        raw = tmp_path / "raw"
+        write_planetoid(raw)
+        with open(raw / "ind.cora.graph", "rb") as fh:
+            graph = pickle.load(fh)
+        graph[3] = graph[3] + [3]          # self-citation
+        graph[1] = graph[1] + [0, 2]       # repeat of 1-0, new edge 1-2
+        graph[2] = graph[2] + [1]          # reversed repeat of 1-2
+        with open(raw / "ind.cora.graph", "wb") as fh:
+            pickle.dump(graph, fh)
+        out = tmp_path / "data"
+        assert prepare_dataset.main(["planetoid", "--raw-dir", str(raw), "--name", "cora",
+                                     "--out", str(out), "--val-size", "2"]) == 0
+        assert (out / "graph.edges").read_text().split("\n") == [
+            "0 1", "0 2", "1 2", "2 3", "4 5", "6 7", "7 8", "9 10", "10 11", ""]
+        assert digests(out) == {
+            "graph.edges": "9ddb9d02a9f3b864", "features.csv": "76cdeaddcd146e4c",
+            "labels.csv": "14d36131b7e0c2fe", "splits.json": "b28e27802d39e3c6"}
+
+    def test_linqs_self_and_repeated_citations(self, tmp_path, capsys):
+        TestLinqs().write_linqs(tmp_path)
+        with open(tmp_path / "toy.cites", "a") as fh:
+            fh.write("paper_c paper_c\npaper_a paper_b\npaper_f paper_e\n")
+        out = tmp_path / "data"
+        assert prepare_dataset.main(
+            ["linqs", "--content", str(tmp_path / "toy.content"),
+             "--cites", str(tmp_path / "toy.cites"), "--out", str(out),
+             "--seed", "3", "--val-size", "1", "--test-size", "2"]) == 0
+        assert "4 undirected edges" in capsys.readouterr().out
+        assert (out / "graph.edges").read_text() == "0 1\n0 2\n3 5\n4 5\n"
+        assert digests(out) == {
+            "graph.edges": "c9aaedbbd88fbadd", "features.csv": "127746613d300b51",
+            "labels.csv": "e55f7a674163c7c4", "splits.json": "9e2c725025ba0e33"}

@@ -229,6 +229,37 @@ class TestRelaxedSmoothingLayer:
             relaxed_smoothing_layer(0.1, 1.0, -1.0, 0.5)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_epsilon_and_d0_must_be_finite_and_positive(self, value):
+        # nan used to fail deep inside with "cannot convert float NaN to integer".
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            relaxed_smoothing_layer(value, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="d0 must be finite and positive"):
+            relaxed_smoothing_layer(0.1, value, 1.0, 0.5)
+
+
+class TestNonFiniteTolerances:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_analyze_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            analyze(normalize(triangle(), "AugNormAdj"), tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_resistance_bound_tol(self, tol, monkeypatch):
+        # With tol=nan, `margin < -tol` never holds, so every graph would
+        # pass; the check comes before the eigendecomposition.
+        def refuse(*args, **kw):
+            raise AssertionError("analyzed before checking tol")
+
+        monkeypatch.setattr(dropgcn.spectral, "analyze", refuse)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            verify_resistance_bound(path3(), tol=tol)
+
+    def test_trajectory_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            theorem1_trajectory(triangle(), seed=0, epsilon=math.nan)
+
+
 class TestEmpiricalSmoothingLayer:
     def test_first_crossing(self, rng_factory):
         rng = rng_factory(49)

@@ -263,10 +263,10 @@ class TestSharedEvaluationForward:
             return cfg, train(cfg, graph=sbm, keep_best_model=True)
 
         cfg, shared = run("shared")
-        assert training._deterministic_step(cfg.model)
+        assert training._deterministic_step(cfg.model, sbm.adjacency)
         # The best model was snapshotted inside a later epoch's step.
         assert shared.best_epoch < self.EPOCHS
-        monkeypatch.setattr(training, "_deterministic_step", lambda mcfg: False)
+        monkeypatch.setattr(training, "_deterministic_step", lambda mcfg, adjacency: False)
         run("two")
         one, two = tmp_path / "shared", tmp_path / "two"
         assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
@@ -330,7 +330,8 @@ class TestSharedEvaluationForward:
                 state.params[0].data[0, 0] = np.nan
 
         monkeypatch.setattr(training, "adam_step", poisoning)
-        monkeypatch.setattr(training, "_deterministic_step", lambda mcfg: shared)
+        monkeypatch.setattr(training, "_deterministic_step",
+                            lambda mcfg, adjacency: shared)
         with pytest.raises(TrainingDiverged, match="validation loss became nan at epoch 3"):
             train(small_config(epochs=6, n_layers=3), graph=sbm)
         assert steps == [1, 2, 3]
@@ -344,8 +345,31 @@ class TestSharedEvaluationForward:
     def test_other_runs_make_two_forwards_per_epoch(self, sbm, monkeypatch, change):
         cfg = small_config(epochs=7, n_layers=3)
         cfg = replace(cfg, model=replace(cfg.model, **change))
-        assert not training._deterministic_step(cfg.model)
+        assert not training._deterministic_step(cfg.model, sbm.adjacency)
         assert self.forwards(cfg, sbm, monkeypatch) == [True, False] * 7
+
+    def test_rate_that_drops_no_edge_runs_as_p_zero(self, sbm, monkeypatch, tmp_path):
+        # floor(V * p) = 0: nothing is dropped, so the run normalizes once,
+        # shares its evaluation forward and writes the p=0 bytes.
+        p = 0.9 / (sbm.adjacency.nnz // 2)
+        calls = []
+        for module in (dropedge, training):
+            def counted(a, scheme, real=module.normalize):
+                calls.append(scheme)
+                return real(a, scheme)
+
+            monkeypatch.setattr(module, "normalize", counted)
+        cfg = small_config(epochs=5, n_layers=3, p=p)
+        assert training._deterministic_step(cfg.model, sbm.adjacency)
+        assert self.forwards(cfg, sbm, monkeypatch) == [True] * 5 + [False]
+        assert len(calls) == 1
+        cfg.out_dir = tmp_path / "tiny-p"
+        train(cfg, graph=sbm)
+        plain = small_config(epochs=5, n_layers=3)
+        plain.out_dir = tmp_path / "p0"
+        train(plain, graph=sbm)
+        assert ((tmp_path / "tiny-p" / "metrics.csv").read_bytes()
+                == (tmp_path / "p0" / "metrics.csv").read_bytes())
 
 
 class TestTrainConfig:
@@ -355,6 +379,35 @@ class TestTrainConfig:
     def test_rates_must_be_finite(self, lr, weight_decay):
         with pytest.raises(ValueError, match="learning rate|weight decay"):
             TrainConfig(lr=lr, weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_epochs_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            TrainConfig(epochs=value)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, None])
+    def test_seed_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            TrainConfig(seed=value)
+
+    def test_numpy_integers_accepted_as_ints(self, sbm, tmp_path):
+        # Stored as Python ints, so summary.json can hold them.
+        cfg = TrainConfig(model=ModelConfig(n_layers=np.int64(2), hidden_dim=np.int32(8)),
+                          epochs=np.int64(2), seed=np.uint8(3), out_dir=tmp_path)
+        assert len(train(cfg, graph=sbm).rows) == 2
+        saved = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert (saved["epochs"], saved["seed"]) == (2, 3)
+        assert (saved["model"]["n_layers"], saved["model"]["hidden_dim"]) == (2, 8)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0])
+    def test_n_layers_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="n_layers must be an integer"):
+            ModelConfig(n_layers=value)
+
+    @pytest.mark.parametrize("value", [2.5, 16.0])
+    def test_hidden_dim_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="hidden_dim must be an integer"):
+            ModelConfig(hidden_dim=value)
 
 
 class TestProbe:
@@ -424,6 +477,28 @@ class TestProbe:
             with pytest.raises(ValueError, match="probe_epochs"):
                 oversmoothing_probe(small_config(n_layers=4), graph=sbm,
                                     layer_range=(2, 3), probe_epochs=epochs)
+
+    def test_probe_epochs_must_be_an_integer(self, sbm, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("the probe did work before checking probe_epochs")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        monkeypatch.setattr(training.spectral, "analyze", refuse)
+        with pytest.raises(ValueError, match="probe_epochs must be an integer, got 2.5"):
+            oversmoothing_probe(small_config(n_layers=4), graph=sbm,
+                                layer_range=(2, 3), probe_epochs=2.5)
+
+    def test_layer_range_must_be_integers(self, sbm, monkeypatch):
+        # (2.7, 4.9) used to probe layers 2-4 without a word.
+        def refuse(*args, **kw):
+            raise AssertionError("the probe did work before checking layer_range")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        monkeypatch.setattr(training.spectral, "analyze", refuse)
+        for layers, which in (((2.7, 4.9), 0), ((2, 4.0), 1)):
+            with pytest.raises(ValueError, match=rf"layer_range\[{which}\] must be an integer"):
+                oversmoothing_probe(small_config(n_layers=6), graph=sbm,
+                                    layer_range=layers, probe_epochs=3)
 
     def test_probe_within_an_incepgcn_branch(self, sbm):
         # Layers 5-7 are branch 3 of a 5-layer incepgcn, a chain.
@@ -528,6 +603,26 @@ class TestCli:
             run_cli("analyze-spectral", "--data-dir", str(dataset_dir),
                     "--normalization", "AugRWalk")
         assert exc.value.code == 2
+
+    def test_spectral_rejects_non_finite_tol(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "spec"
+        code = run_cli("analyze-spectral", "--data-dir", str(dataset_dir),
+                       "--out-dir", str(out), "--tol", "nan")
+        assert code == 1
+        assert "tol must be finite and nonnegative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theorem_check_rejects_non_finite_epsilon(self, tmp_path, capsys):
+        g = synthetic_sbm(n_nodes=10, n_blocks=2, p_intra=0.9, p_inter=0.6,
+                          n_features=4, seed=1)
+        d = tmp_path / "tiny"
+        save_graph(g, d)
+        out = tmp_path / "thm"
+        code = run_cli("theorem-check", "--data-dir", str(d), "--out-dir", str(out),
+                       "--epsilon", "nan")
+        assert code == 1
+        assert "epsilon must be finite and positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_theorem_check(self, tmp_path, capsys):
         # A small graph that is certainly connected.

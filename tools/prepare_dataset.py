@@ -21,6 +21,9 @@ linqs       The plain-text <name>.content / <name>.cites pair. These carry
 
 Features are row-normalized (each row divided by its sum, zero rows left
 alone) in both paths, matching the usual preprocessing for these graphs.
+Both paths build the adjacency with dropgcn.graph.adjacency_from_pairs, the
+builder the dataset loader uses: citations are undirected, so repeated and
+reversed pairs become one unit edge, and self-citations are dropped.
 
 Examples:
     python3 tools/prepare_dataset.py planetoid --raw-dir raw/ --name cora --out data/cora
@@ -35,28 +38,14 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 
-from dropgcn import Graph, SparseMatrix
-from dropgcn.graph import save_graph
+from dropgcn import Graph
+from dropgcn.graph import adjacency_from_pairs, save_graph
 
 
 def row_normalize(features):
     sums = features.sum(axis=1)
     scale = np.where(sums > 0, sums, 1.0)
     return features / scale[:, None]
-
-
-def adjacency_from_pairs(n_nodes, pairs):
-    """Symmetric unweighted adjacency from possibly duplicated directed
-    pairs; self-loops are dropped."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    coo = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                                  shape=(n_nodes, n_nodes))
-    csr = coo.tocsr()
-    csr.data[:] = 1.0  # duplicates collapse to a single unit edge
-    return SparseMatrix.from_scipy(csr)
 
 
 # -- planetoid pickles --------------------------------------------------
@@ -104,7 +93,7 @@ def load_planetoid(raw_dir, name, n_val=500):
     }
 
     pairs = [(u, v) for u, nbrs in parts["graph"].items() for v in nbrs]
-    adjacency = adjacency_from_pairs(n_nodes, pairs)
+    adjacency = adjacency_from_pairs(n_nodes, *np.reshape(pairs, (-1, 2)).T)
     return Graph(n_nodes, adjacency, row_normalize(features), labels, splits)
 
 
@@ -150,7 +139,7 @@ def load_linqs(content_path, cites_path, seed, n_val, n_test):
         "val": np.sort(order[n_nodes - n_val - n_test: n_nodes - n_test]),
         "test": np.sort(order[n_nodes - n_test:]),
     }
-    adjacency = adjacency_from_pairs(n_nodes, pairs)
+    adjacency = adjacency_from_pairs(n_nodes, *np.reshape(pairs, (-1, 2)).T)
     return Graph(n_nodes, adjacency, row_normalize(features), labels, splits)
 
 
