@@ -16,6 +16,18 @@ mapped back through the stored reflectors. Removal trajectories read only
 eigenvalues, so their steps compute no eigenvectors at all. scipy.linalg is
 imported inside the functions that use it, so importing the package (and
 training) does not load it.
+
+Memory footprint, n nodes, k nodes in a connected component:
+
+- analyze holds one n x n float64 array (58.7 MB at 2708 nodes, 200 MB at
+  the cap): the tridiagonal reduction overwrites the dense copy, and the
+  eigenvectors are mapped back through reflectors read in that same buffer.
+- resistances are computed per component from (L + J/k)^-1 = L^+ + J/k,
+  with L the component's Laplacian and J the all-ones matrix: one Cholesky
+  inverse, made in place in the component's dense block, read from the
+  sparse matrix. That is about two k x k arrays per component at most
+  (verify_resistance_bound turns the block into margins with one temporary);
+  resistance_matrix adds its n x n output.
 """
 
 import math
@@ -91,7 +103,9 @@ def _spectrum(a_hat, tol):
 def _cluster_basis(factors, m):
     """Orthonormal eigenvectors of the top m eigenvalues, from the factors
     _spectrum returns: eigenvectors of the tridiagonal, mapped back through
-    the stored reflectors (what LAPACK dormtr does for lower storage)."""
+    the stored reflectors (what LAPACK dormtr does for lower storage).
+
+    Overwrites c, so the factors serve one call."""
     from scipy.linalg import eigh_tridiagonal, lapack
 
     c, d, e, tau = factors
@@ -99,8 +113,16 @@ def _cluster_basis(factors, m):
     _, z = eigh_tridiagonal(d, e, select="i", select_range=(n - m, n - 1))
     if n > 1:
         # Q = H(1)...H(n-1) leaves row 0 alone; its reflectors sit below the
-        # subdiagonal of c, i.e. in QR layout in c[1:, :n-1].
-        reflectors = c[1:, : n - 1]
+        # subdiagonal of c, i.e. in QR layout in c[1:, :n-1]. That slice is
+        # not contiguous, so dormqr would copy it. Instead its columns move,
+        # left to right, to the front of c's own Fortran-order buffer, where
+        # the first (n-1)^2 entries then hold the block contiguously. No
+        # column lands on a source not yet moved.
+        k = n - 1
+        flat = c.reshape(-1, order="F")
+        for j in range(k):
+            flat[j * k:(j + 1) * k] = flat[j * n + 1:(j + 1) * n]
+        reflectors = flat[: k * k].reshape((k, k), order="F")
         query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
         z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
         if info != 0:
@@ -155,8 +177,9 @@ def relaxed_smoothing_layer(epsilon, d0, s, lam):
     for name, value in (("epsilon", epsilon), ("d0", d0)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if s < 0 or lam < 0:
-        raise ValueError("s and lambda must be nonnegative")
+    for name, value in (("s", s), ("lam", lam)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     if epsilon >= d0:
         return 0
     factor = s * lam
@@ -172,8 +195,8 @@ def empirical_smoothing_layer(hidden_states, basis, epsilon):
 
     Scans the per-layer distances in order; None when no layer gets there.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     for i, h in enumerate(hidden_states, 1):
         if subspace_distance(h, basis) < epsilon:
             return i
@@ -210,14 +233,41 @@ def smoothing_probe(hidden_states, report, s, epsilon):
 # -- effective resistance ----------------------------------------------
 
 
-def _component_resistance(dense, nodes):
-    """Pairwise resistance block for one component of a dense adjacency via
-    the Laplacian pseudoinverse: R(s, t) = Lp[s, s] + Lp[t, t] - 2 Lp[s, t]."""
-    sub = dense[np.ix_(nodes, nodes)]
-    lap = np.diag(sub.sum(axis=1)) - sub
-    lp = np.linalg.pinv(lap)
-    diag = np.diag(lp)
-    return diag[:, None] + diag[None, :] - 2.0 * lp
+def _component_resistance(adj, nodes):
+    """Pairwise resistance block of one component, read from the graph's
+    scipy CSR matrix `adj`.
+
+    With L the component's Laplacian, k its size and J the all-ones matrix,
+    M = L + J/k is symmetric positive definite and M^-1 = L^+ + J/k, so
+    R(s, t) = M^-1[s, s] + M^-1[t, t] - 2 M^-1[s, t]: the J/k terms cancel.
+    M is built in the dense block's own buffer and inverted in place by
+    Cholesky, so the block is the only k x k array.
+    """
+    from scipy.linalg import lapack
+
+    k = len(nodes)
+    m = adj[nodes][:, nodes].toarray()
+    deg = m.sum(axis=1)
+    np.negative(m, out=m)
+    m.flat[:: k + 1] += deg
+    m += 1.0 / k
+    # m is symmetric, so m.T is the same matrix in Fortran order and LAPACK
+    # works on it without a copy. The inverse fills the Fortran lower
+    # triangle, which is the upper triangle of its transpose r.
+    chol, info = lapack.dpotrf(m.T, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"L + J/k is not numerically positive definite "
+                                    f"(info={info}); do the edge weights span too wide a range?")
+    r = inv.T
+    for i in range(k - 1):
+        r[i + 1:, i] = r[i, i + 1:]
+    diag = r.diagonal().copy()
+    r *= -2.0
+    r += diag[:, None]
+    r += diag[None, :]
+    return r
 
 
 def effective_resistance(a, s, t):
@@ -237,7 +287,7 @@ def effective_resistance(a, s, t):
     if labels[s] != labels[t]:
         return math.inf
     nodes = np.flatnonzero(labels == labels[s])
-    block = _component_resistance(a.to_dense(), nodes)
+    block = _component_resistance(a.to_scipy(), nodes)
     pos = {int(v): i for i, v in enumerate(nodes)}
     return float(block[pos[s], pos[t]])
 
@@ -248,11 +298,11 @@ def resistance_matrix(a):
     check_adjacency(a)
     n = a.n_rows
     labels, count = connected_components(a)
-    dense = a.to_dense()
+    adj = a.to_scipy()
     out = np.full((n, n), math.inf)
     for c in range(count):
         nodes = np.flatnonzero(labels == c)
-        out[np.ix_(nodes, nodes)] = _component_resistance(dense, nodes)
+        out[np.ix_(nodes, nodes)] = _component_resistance(adj, nodes)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -285,28 +335,37 @@ def verify_resistance_bound(a, tol=1e-8):
     report = analyze(normalize(a, "AugNormAdj"))
     lam = report.second_largest
     d = degrees(a)
-    dense = a.to_dense()
+    adj = a.to_scipy()
     labels, count = connected_components(a)
     worst_margin, worst_pair = math.inf, None
     n_pairs = 0
     violations = []
     for c in range(count):
         nodes = np.flatnonzero(labels == c)
-        if len(nodes) < 2:
+        k = len(nodes)
+        if k < 2:
             continue
-        block = _component_resistance(dense, nodes)
-        # Pairs (i, j), i < j, in row-major order, as a double loop visits them.
-        i, j = np.triu_indices(len(nodes), 1)
-        s, t = nodes[i], nodes[j]
-        bound = 1.0 - (1.0 / block[i, j]) * (1.0 / d[s] + 1.0 / d[t])
-        margins = lam - bound
-        n_pairs += len(margins)
+        # The margins overwrite the resistance block. The pairs (i, j), i < j,
+        # are its strict upper triangle, which row-major order visits as a
+        # double loop would; the rest holds inf (1/inf = 0 keeps it finite).
+        margins = _component_resistance(adj, nodes)
+        lower = np.tri(k, dtype=bool)
+        np.copyto(margins, math.inf, where=lower)
+        inv_d = 1.0 / d[nodes]
+        np.reciprocal(margins, out=margins)
+        margins *= inv_d[:, None] + inv_d[None, :]
+        np.subtract(1.0, margins, out=margins)  # the bound
+        np.subtract(lam, margins, out=margins)
+        np.copyto(margins, math.inf, where=lower)
+        n_pairs += k * (k - 1) // 2
         first_min = int(np.argmin(margins))
-        if margins[first_min] < worst_margin:
-            worst_margin = float(margins[first_min])
-            worst_pair = (int(s[first_min]), int(t[first_min]))
-        violations += [(int(s[k]), int(t[k]), float(margins[k]))
-                       for k in np.flatnonzero(margins < -tol)]
+        if margins.flat[first_min] < worst_margin:
+            worst_margin = float(margins.flat[first_min])
+            i, j = divmod(first_min, k)
+            worst_pair = (int(nodes[i]), int(nodes[j]))
+        i, j = np.divmod(np.flatnonzero(margins < -tol), k)
+        violations += [(int(nodes[p]), int(nodes[q]), float(margins[p, q]))
+                       for p, q in zip(i, j)]
     return ResistanceBoundReport(second_largest=lam, n_pairs=n_pairs,
                                  worst_margin=worst_margin, worst_pair=worst_pair,
                                  violations=violations)

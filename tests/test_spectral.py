@@ -3,11 +3,13 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 import dropgcn
 from dropgcn import (Graph, ModelConfig, SparseMatrix, Tensor, analyze, build_model,
@@ -17,7 +19,7 @@ from dropgcn import (Graph, ModelConfig, SparseMatrix, Tensor, analyze, build_mo
                      subspace_distance, sup_singular_value,
                      theorem1_trajectory, verify_resistance_bound)
 from dropgcn.models import rescale_filters
-from dropgcn.spectral import _without_edge, smoothing_probe
+from dropgcn.spectral import TOP_CLUSTER_TOL, _spectrum, _without_edge, smoothing_probe
 from conftest import random_adjacency, random_connected_adjacency
 
 
@@ -157,6 +159,61 @@ class TestAnalyze:
             analyze(SparseMatrix(0, 0, [0], [], []))
 
 
+def copying_basis(a_hat):
+    """The cluster basis as analyze built it when dormqr read a Fortran copy
+    of the reflector block c[1:, :n-1] rather than the block in place."""
+    _, m, _, (c, d, e, tau) = _spectrum(a_hat, TOP_CLUSTER_TOL)
+    n = len(d)
+    _, z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - m, n - 1))
+    reflectors = np.asfortranarray(c[1:, : n - 1])
+    query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
+    z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
+    assert info == 0
+    return z
+
+
+class TestInPlaceReflectors:
+    def test_basis_bit_identical_to_copying_route(self, rng_factory):
+        rng = rng_factory(60)
+        many = random_adjacency(rng, 60, 0.03)
+        assert connected_components(many)[1] > 5
+        for a in (SparseMatrix.from_dense([[0, 1], [1, 0]]), path3(), triangle(), many):
+            a_hat = normalize(a, "AugNormAdj")
+            rep = analyze(a_hat)
+            assert np.array_equal(rep.basis, copying_basis(a_hat))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees during fn(*args): numpy's and f2py's
+    buffers included. A first untraced call loads whatever fn imports."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    def test_analyze_holds_one_dense_matrix(self, rng_factory):
+        # Many components make the cluster basis (n x multiplicity) large too.
+        rng = rng_factory(61)
+        a = random_adjacency(rng, 400, 0.004)
+        assert connected_components(a)[1] >= 40
+        a_hat = normalize(a, "AugNormAdj")
+        n = a_hat.n_rows
+        assert traced_peak(analyze, a_hat) <= 1.25 * n * n * 8 + 2**20
+
+    @pytest.mark.parametrize("fn", [resistance_matrix, verify_resistance_bound],
+                             ids=["resistance_matrix", "verify_resistance_bound"])
+    def test_resistance_stays_within_three_dense_matrices(self, fn, rng_factory):
+        rng = rng_factory(62)
+        a = random_connected_adjacency(rng, 300, 0.03)
+        n = a.n_rows
+        assert traced_peak(fn, a) <= 3 * n * n * 8
+
+
 class TestSubspaceDistance:
     def test_zero_inside_span(self, rng_factory):
         rng = rng_factory(44)
@@ -237,6 +294,19 @@ class TestRelaxedSmoothingLayer:
         with pytest.raises(ValueError, match="d0 must be finite and positive"):
             relaxed_smoothing_layer(0.1, value, 1.0, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_s_and_lam_must_be_finite_and_nonnegative(self, value):
+        # nan used to pass `s < 0` and fail with "cannot convert float NaN to integer".
+        with pytest.raises(ValueError, match="^s must be finite and nonnegative"):
+            relaxed_smoothing_layer(0.1, 1.0, value, 0.5)
+        with pytest.raises(ValueError, match="^lam must be finite and nonnegative"):
+            relaxed_smoothing_layer(0.1, 1.0, 0.5, value)
+
+    def test_infinite_s_times_zero_lam(self):
+        # inf * 0 is nan, which used to reach the integer conversion.
+        with pytest.raises(ValueError, match="^s must be finite"):
+            relaxed_smoothing_layer(0.1, 1.0, math.inf, 0.0)
+
 
 class TestNonFiniteTolerances:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
@@ -271,6 +341,14 @@ class TestEmpiricalSmoothingLayer:
         assert empirical_smoothing_layer(states, e, 0.01) == 3
         assert empirical_smoothing_layer(states, e, 1e-9) is None
         assert empirical_smoothing_layer(states, e, 0.6) == 1
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # No distance is < nan, so nan used to report "never smoothed" even
+        # for a state on the subspace.
+        e = np.ones((4, 1)) / 2.0
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            empirical_smoothing_layer([e], e, epsilon)
 
 
 class TestEffectiveResistance:
@@ -330,6 +408,47 @@ class TestEffectiveResistance:
     def test_node_out_of_range(self):
         with pytest.raises(ValueError):
             effective_resistance(triangle(), 0, 5)
+
+    def test_weights_too_wide_for_the_inverse(self):
+        # A 1e-300 conductance leaves L + J/k singular in float64. The
+        # pseudoinverse used to report 0.25 for a resistance near 1e300.
+        a = SparseMatrix.from_coo(3, 3, [0, 1, 1, 2], [1, 0, 2, 1],
+                                  [1.0, 1.0, 1e-300, 1e-300])
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            resistance_matrix(a)
+
+    def test_matches_pinv_oracle_on_weighted_components(self, rng_factory):
+        # A singleton, a 2-node and a 3-node component and a 12-node one,
+        # with weights in [0.2, 5], their nodes interleaved by a permutation.
+        rng = rng_factory(63)
+        sizes = [1, 2, 3, 12]
+        n = sum(sizes)
+        dense = np.zeros((n, n))
+        start = 0
+        for k in sizes:
+            if k > 1:
+                block = random_connected_adjacency(rng, k, 0.4).to_dense()
+                block *= np.triu(rng.uniform(0.2, 5.0, size=(k, k)), 1)
+                dense[start:start + k, start:start + k] = block + block.T
+            start += k
+        perm = rng.permutation(n)
+        dense = dense[np.ix_(perm, perm)]
+        a = SparseMatrix.from_dense(dense)
+        labels, count = connected_components(a)
+        assert count == len(sizes)
+        # Oracle: the Laplacian pseudoinverse, one component at a time.
+        want = np.full((n, n), math.inf)
+        for c in range(count):
+            nodes = np.flatnonzero(labels == c)
+            sub = dense[np.ix_(nodes, nodes)]
+            lp = np.linalg.pinv(np.diag(sub.sum(axis=1)) - sub)
+            diag = np.diag(lp)
+            want[np.ix_(nodes, nodes)] = diag[:, None] + diag[None, :] - 2.0 * lp
+        np.fill_diagonal(want, 0.0)
+        got = resistance_matrix(a)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        for s, t in [(0, 1), (3, 7), (int(perm[1]), int(perm[2])), (int(perm[4]), int(perm[5]))]:
+            assert effective_resistance(a, s, t) == pytest.approx(want[s, t], rel=1e-10)
 
 
 # Adjacencies that normalize rejects; the last field says whether the fault
@@ -524,6 +643,25 @@ class TestContraction:
         for eps in (1e-4, probe.distances[3], 2.0 * probe.distances[0]):
             got = smoothing_probe(hidden, rep, probe.s, eps).l_star
             assert got == empirical_smoothing_layer(hidden, rep.basis, eps)
+
+
+    def test_probe_rejects_nan_model(self, rng_factory):
+        rng = rng_factory(57)
+        a_hat = normalize(random_connected_adjacency(rng, 8, 0.5), "AugNormAdj")
+        rep = analyze(a_hat)
+        cfg = ModelConfig(backbone="gcn", n_layers=3, hidden_dim=5, bias=False)
+        model = build_model(cfg, 4, 3, rng)
+        x = rng.normal(size=(8, 4))
+        _, hidden = forward(model, [a_hat] * 3, x, training=False)
+        # Finite states, but a nan filter norm: named as s.
+        with pytest.raises(ValueError, match="^s must be finite"):
+            smoothing_probe(hidden, rep, math.nan, 1e-3)
+        for w in model.filter_weights():
+            w.data[...] = math.nan
+        _, hidden = forward(model, [a_hat] * 3, x, training=False)
+        # nan states: d0 is nan and is named before s.
+        with pytest.raises(ValueError, match="^d0 must be finite"):
+            smoothing_probe(hidden, rep, math.nan, 1e-3)
 
 
 class TestTrajectory:
