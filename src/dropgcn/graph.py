@@ -18,7 +18,9 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
+from .models import model_input
 from .sparsemat import SparseMatrix, check_adjacency
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -33,9 +35,12 @@ class Graph:
 
     splits maps "train"/"val"/"test" to disjoint int index arrays. Arrays are
     stored read-only; adjacency is a symmetric zero-diagonal SparseMatrix.
+    The features are kept once, as `x`, in the form the first layer reads
+    (models.model_input: a CSR constant for sparse features, else the dense
+    array); `features` gives them back dense.
     """
 
-    __slots__ = ("n_nodes", "adjacency", "features", "labels", "splits")
+    __slots__ = ("n_nodes", "adjacency", "x", "labels", "splits")
 
     def __init__(self, n_nodes, adjacency, features, labels, splits):
         n_nodes = int(n_nodes)
@@ -68,15 +73,27 @@ class Graph:
             clean[name] = idx
         self.n_nodes = n_nodes
         self.adjacency = adjacency
-        self.features = features
+        self.x = model_input(features)
         self.labels = labels
         self.splits = clean
-        for arr in (self.features, self.labels, *self.splits.values()):
+        x = self.x
+        x_arrays = (x.data, x.indices, x.indptr) if sp.issparse(x) else (x,)
+        for arr in (*x_arrays, self.labels, *self.splits.values()):
             arr.flags.writeable = False
 
     @property
+    def features(self):
+        """The N x C features as a dense read-only array, rebuilt from `x` on
+        each access when `x` is sparse."""
+        if not sp.issparse(self.x):
+            return self.x
+        dense = self.x.toarray()
+        dense.flags.writeable = False
+        return dense
+
+    @property
     def n_features(self):
-        return self.features.shape[1]
+        return self.x.shape[1]
 
     @property
     def n_classes(self):

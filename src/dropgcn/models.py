@@ -129,11 +129,20 @@ class GCLParams:
 def model_input(features):
     """The features as the first layer takes them: a scipy CSR constant when
     at most SPARSE_INPUT_DENSITY of the entries are nonzero, else the dense
-    array unchanged. Both give the same logits up to rounding."""
+    array unchanged. Both give the same logits up to rounding. Graph calls
+    this once, at construction, and keeps only the result."""
     features = np.asarray(features, dtype=np.float64)
-    if np.count_nonzero(features) <= SPARSE_INPUT_DENSITY * features.size:
-        return sp.csr_matrix(features)
-    return features
+    stored = features != 0
+    if np.count_nonzero(stored) > SPARSE_INPUT_DENSITY * features.size:
+        return features
+    # The arrays of sp.csr_matrix(features), built from the row-major flat
+    # positions of the nonzeros. Scanning a boolean mask, not the floats,
+    # makes this about 4x faster than sp.csr_matrix at Cora size.
+    flat = np.flatnonzero(stored)
+    rows, cols = np.divmod(flat, features.shape[1])
+    indptr = np.zeros(features.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=features.shape[0]), out=indptr[1:])
+    return sp.csr_matrix((features.ravel()[flat], cols, indptr), shape=features.shape)
 
 
 def _project(h, w):
@@ -388,10 +397,47 @@ def copy_model(model):
     return copy.deepcopy(model, {id(model.config): model.config})
 
 
+def model_view(model):
+    """The model as it is now, without copying an array: new Tensor objects
+    over the same arrays, taking no gradients (so no op on the view is ever
+    recorded), and each batch norm's running statistics by reference.
+
+    The view keeps this moment's values while the model trains on, because
+    no update writes into an array: adam_step binds each parameter a new
+    one, and batch_norm binds new running statistics.
+    """
+    def constant(t):
+        return None if t is None else Tensor(t.data)
+
+    def layer(p):
+        bn = None
+        if p.bn is not None:
+            bn = copy.copy(p.bn)
+            bn.scale, bn.shift = constant(p.bn.scale), constant(p.bn.shift)
+        return GCLParams(constant(p.weight), constant(p.bias), constant(p.self_weight),
+                         bn, p.activation)
+
+    head = None if model.head is None else layer(model.head)
+    return Model(model.config, model.n_features, model.n_classes,
+                 [layer(p) for p in model.gcls], model.wiring, head=head)
+
+
+def _top_singular_values(model):
+    """Each GCL filter's largest singular value. A filter with a non-finite
+    weight raises ValueError naming its GCL, where the SVD would fail with
+    a bare "did not converge"."""
+    svals = []
+    for i, w in enumerate(model.filter_weights()):
+        if not np.isfinite(w.data).all():
+            raise ValueError(f"GCL {i} filter has non-finite weights; "
+                             "its singular values are undefined")
+        svals.append(float(np.linalg.svd(w.data, compute_uv=False).max()))
+    return svals
+
+
 def sup_singular_value(model):
     """Largest singular value across the GCL filter matrices."""
-    return max(float(np.linalg.svd(w.data, compute_uv=False).max())
-               for w in model.filter_weights())
+    return max(_top_singular_values(model))
 
 
 def rescale_filters(model, target=1.0):
@@ -400,11 +446,8 @@ def rescale_filters(model, target=1.0):
     Returns the per-layer singular values after rescaling. Used by the
     contraction checks, which need the s_l <= 1 regime.
     """
-    svals = []
-    for w in model.filter_weights():
-        s = float(np.linalg.svd(w.data, compute_uv=False).max())
+    svals = _top_singular_values(model)
+    for w, s in zip(model.filter_weights(), svals):
         if s > target:
             w.data = w.data * (target / s)
-            s = target
-        svals.append(s)
-    return svals
+    return [min(s, target) for s in svals]

@@ -27,7 +27,8 @@ Memory footprint, n nodes, k nodes in a connected component:
   inverse, made in place in the component's dense block, read from the
   sparse matrix. That is about two k x k arrays per component at most
   (verify_resistance_bound turns the block into margins with one temporary);
-  resistance_matrix adds its n x n output.
+  resistance_matrix adds its n x n output. effective_resistance reads one
+  pair from the same Cholesky factor by one solve, without the inverse.
 """
 
 import math
@@ -233,16 +234,13 @@ def smoothing_probe(hidden_states, report, s, epsilon):
 # -- effective resistance ----------------------------------------------
 
 
-def _component_resistance(adj, nodes):
-    """Pairwise resistance block of one component, read from the graph's
-    scipy CSR matrix `adj`.
-
-    With L the component's Laplacian, k its size and J the all-ones matrix,
-    M = L + J/k is symmetric positive definite and M^-1 = L^+ + J/k, so
-    R(s, t) = M^-1[s, s] + M^-1[t, t] - 2 M^-1[s, t]: the J/k terms cancel.
-    M is built in the dense block's own buffer and inverted in place by
-    Cholesky, so the block is the only k x k array.
-    """
+def _cholesky(adj, nodes):
+    """Lower Cholesky factor of M = L + J/k for one component, read from the
+    graph's scipy CSR matrix `adj`: L the component's Laplacian, k its size,
+    J the all-ones matrix. M is symmetric positive definite, and
+    M^-1 = L^+ + J/k. M is built in the dense block's own buffer and
+    factored in place, so the block is the only k x k array; the factor is
+    returned as a Fortran-order view of it."""
     from scipy.linalg import lapack
 
     k = len(nodes)
@@ -252,15 +250,30 @@ def _component_resistance(adj, nodes):
     m.flat[:: k + 1] += deg
     m += 1.0 / k
     # m is symmetric, so m.T is the same matrix in Fortran order and LAPACK
-    # works on it without a copy. The inverse fills the Fortran lower
-    # triangle, which is the upper triangle of its transpose r.
+    # works on it without a copy.
     chol, info = lapack.dpotrf(m.T, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    _check_definite(info)
+    return chol
+
+
+def _check_definite(info):
     if info != 0:
         raise np.linalg.LinAlgError(f"L + J/k is not numerically positive definite "
                                     f"(info={info}); do the edge weights span too wide a range?")
+
+
+def _component_resistance(adj, nodes):
+    """Pairwise resistance block of one component:
+    R(s, t) = M^-1[s, s] + M^-1[t, t] - 2 M^-1[s, t], the J/k terms of
+    M^-1 cancelling. M is inverted in place from its Cholesky factor."""
+    from scipy.linalg import lapack
+
+    inv, info = lapack.dpotri(_cholesky(adj, nodes), lower=1, overwrite_c=1)
+    _check_definite(info)
+    # The inverse fills the Fortran lower triangle, which is the upper
+    # triangle of its transpose r.
     r = inv.T
+    k = len(nodes)
     for i in range(k - 1):
         r[i + 1:, i] = r[i, i + 1:]
     diag = r.diagonal().copy()
@@ -275,8 +288,12 @@ def effective_resistance(a, s, t):
     conductance (a unit-weight graph is a network of unit resistors).
 
     Infinite across components; 0 between a node and itself. `a` must
-    pass check_adjacency.
+    pass check_adjacency. One Cholesky factor of the component's
+    M = L + J/k and one solve M x = b with b = e_s - e_t give
+    R(s, t) = b^T x = x_s - x_t, since J b = 0.
     """
+    from scipy.linalg import lapack
+
     check_adjacency(a)
     n = a.n_rows
     if not (0 <= s < n and 0 <= t < n):
@@ -287,9 +304,11 @@ def effective_resistance(a, s, t):
     if labels[s] != labels[t]:
         return math.inf
     nodes = np.flatnonzero(labels == labels[s])
-    block = _component_resistance(a.to_scipy(), nodes)
-    pos = {int(v): i for i, v in enumerate(nodes)}
-    return float(block[pos[s], pos[t]])
+    i, j = np.searchsorted(nodes, [s, t])
+    b = np.zeros(len(nodes))
+    b[i], b[j] = 1.0, -1.0
+    x, _ = lapack.dpotrs(_cholesky(a.to_scipy(), nodes), b, lower=1)
+    return float(x[i] - x[j])
 
 
 def resistance_matrix(a):

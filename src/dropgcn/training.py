@@ -6,13 +6,22 @@ on the training split, and evaluate all three splits with dropping and
 dropout off. The reported test accuracy is the one at the best validation
 epoch (earliest on ties).
 
-When a training step is deterministic (no edge dropped, as at p=0 or
-p < 1/V; no feature dropout; no batch norm), its forward pass is the
-evaluation forward of the parameters it starts from, bit for bit. Such a
-run evaluates epoch e from epoch e+1's training forward and runs one
-evaluation forward of its own, after the last epoch: E+1 forwards for E
-epochs instead of 2E. Every other run evaluates with a separate forward
-each epoch.
+Epoch e is evaluated at one point of epoch e+1: after its training
+forward, before its loss, so a validation divergence at epoch e is still
+reported ahead of a training divergence at epoch e+1. The last epoch is
+evaluated right after its Adam step. When a training step is
+deterministic (no edge dropped, as at p=0 or p < 1/V; no feature dropout;
+no batch norm), its forward pass is the evaluation forward of the
+parameters it starts from, bit for bit, so epoch e's logits are read off
+epoch e+1's training forward: E+1 forwards for E epochs instead of 2E.
+Every other run starts epoch e's evaluation forward on one worker thread
+right after epoch e's Adam step, so it runs while epoch e+1 samples its
+matrices and runs its training forward. The worker reads a view of the
+model at epoch e (models.model_view), makes no random draw and records
+nothing; each product is the call the main thread would make on the same
+arrays, so the bytes are those of an inline evaluation. The gain needs a
+second core: on one, the two threads take turns and the run is slower
+than with inline evaluation.
 
 The same config and seed give the same numbers, down to the bytes of
 metrics.csv, on the same BLAS build with the same BLAS thread count. A
@@ -23,6 +32,7 @@ bits.
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -33,7 +43,7 @@ from .autodiff import Tape, Tensor, backward, clear_grads, softmax_cross_entropy
 from .dropedge import drop_count, propagation_matrices
 from .graph import load_graph_dir
 from .models import (ModelConfig, accuracy, build_model, check_integer, copy_model,
-                     forward, model_input, save_model, sup_singular_value)
+                     forward, model_view, save_model, sup_singular_value)
 from .optim import AdamState, adam_step, check_rates
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
@@ -150,12 +160,15 @@ def _run(config, graph, keep_best):
     """The epoch loop. Returns (report, final_model, best_model_or_None).
 
     Per epoch: draw the propagation matrices; inside one tape run the
-    training forward, the loss, its finiteness check, the training accuracy
-    and backward; take the Adam step; evaluate. When the step is
-    deterministic (_deterministic_step), the evaluation of epoch e is read
-    off epoch e+1's training forward, before that epoch's loss: same
-    parameters, same full matrix, no draws. Only the last epoch then runs
-    a forward of its own to evaluate.
+    training forward, the previous epoch's evaluation, the loss, its
+    finiteness check, the training accuracy and backward; take the Adam
+    step. Epoch e's evaluation logits come from epoch e+1's training
+    forward when the step is deterministic (_deterministic_step: same
+    parameters, same full matrix, no draws), else from the forward the
+    worker started on the view of epoch e. The last epoch is evaluated
+    inline. A best-epoch snapshot is copied from the view of its epoch:
+    by the time epoch e is evaluated, epoch e+1's batch-norm forward has
+    already moved the live model's running statistics.
     """
     mcfg = config.model
     rng = np.random.default_rng(config.seed)
@@ -166,13 +179,15 @@ def _run(config, graph, keep_best):
     val_idx = graph.splits["val"]
     test_idx = graph.splits["test"]
     labels = graph.labels
-    features = model_input(graph.features)
 
     # The full-graph normalization is fixed for the whole run; evaluation
     # and p=0 training share it.
     full = normalize(graph.adjacency, mcfg.scheme)
     eval_mats = [full] * model.n_gcls
     shared = _deterministic_step(mcfg, graph.adjacency)
+
+    def eval_forward(view):
+        return forward(view, eval_mats, graph.x, training=False, keep_hidden=False)[0]
 
     rows = []
     best = (-1.0, -1, -1.0)  # (val_acc, epoch, test_acc); ties keep the earliest
@@ -195,38 +210,42 @@ def _run(config, graph, keep_best):
             return keep_best
         return False
 
-    step = None  # (epoch, train loss, train accuracy) of a step not yet evaluated
+    step = None    # (epoch, train loss, train accuracy) of the step not yet evaluated
+    view = None    # the model as that step left it
+    pending = None  # the worker's evaluation forward of `view`
     t0 = time.perf_counter()
-    for epoch in range(1, config.epochs + 1):
-        mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
-                                    rng, training=True, full=full)
-        with Tape():
-            # Without the hidden-state list, each layer's output is freed
-            # once its last reader has read it; the tape keeps what
-            # backward() needs.
-            logits, _ = forward(model, mats, features, training=True, rng=rng,
-                                keep_hidden=False)
-            keep = step is not None and evaluate(logits, *step)
-            loss = softmax_cross_entropy(logits, labels, train_idx)
-            loss_val = loss.item()
-            _check_finite("training", loss_val, epoch)
-            train_acc = accuracy(logits, labels, train_idx)
-            backward(loss)
-        if keep:
-            # Copied once backward has freed the tape's arrays, so the copy
-            # does not raise the step's peak; the copy keeps no gradients.
-            best_snapshot = copy_model(model)
-            clear_grads(best_snapshot.parameters())
-        adam_step(opt)
-        clear_grads(model.parameters())
+    # One worker, started by the first submit only; leaving the block joins
+    # it on every exit path.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for epoch in range(1, config.epochs + 1):
+            mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
+                                        rng, training=True, full=full)
+            with Tape():
+                # Without the hidden-state list, each layer's output is freed
+                # once its last reader has read it; the tape keeps what
+                # backward() needs.
+                logits, _ = forward(model, mats, graph.x, training=True, rng=rng,
+                                    keep_hidden=False)
+                keep = step is not None and evaluate(
+                    logits if shared else pending.result(), *step)
+                loss = softmax_cross_entropy(logits, labels, train_idx)
+                loss_val = loss.item()
+                _check_finite("training", loss_val, epoch)
+                train_acc = accuracy(logits, labels, train_idx)
+                backward(loss)
+            if keep:
+                # Copied once backward has freed the tape's arrays, so the
+                # copy does not raise the step's peak.
+                best_snapshot = copy_model(view)
+            adam_step(opt)
+            clear_grads(model.parameters())
 
-        step = (epoch, loss_val, train_acc)
-        if not shared or epoch == config.epochs:
-            eval_logits, _ = forward(model, eval_mats, features, training=False,
-                                     keep_hidden=False)
-            if evaluate(eval_logits, *step):
-                best_snapshot = copy_model(model)
-            step = None
+            step, view = (epoch, loss_val, train_acc), model_view(model)
+            if epoch == config.epochs:
+                if evaluate(eval_forward(view), *step):
+                    best_snapshot = copy_model(view)
+            elif not shared:
+                pending = pool.submit(eval_forward, view)
     wall = time.perf_counter() - t0
 
     report = RunReport(rows=rows, best_epoch=best[1], val_acc=best[0],
@@ -313,12 +332,11 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
                              f"at layer {l}; layer distances need equal widths")
     a_hat = normalize(graph.adjacency, mcfg.scheme)
     spec_report = spectral.analyze(a_hat)
-    features = model_input(graph.features)
 
     def measured(model):
         mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
                                     rng, training=True, full=a_hat)
-        _, hidden = forward(model, mats, features, training=False)
+        _, hidden = forward(model, mats, graph.x, training=False)
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}
         probe = spectral.smoothing_probe(hidden, spec_report,

@@ -466,6 +466,18 @@ class TestOpSemantics:
         batch_norm(x, state, training=False)
         np.testing.assert_allclose(state.running_mean, [0.2])
 
+    def test_batch_norm_training_binds_new_running_stats(self):
+        # models.model_view keeps running statistics by reference: a
+        # training pass must bind new arrays, never write into the old ones.
+        state = BatchNormState(2)
+        state.running_mean, state.running_var = np.array([0.5, -1.0]), np.array([2.0, 3.0])
+        old = (state.running_mean, state.running_var)
+        kept = tuple(arr.copy() for arr in old)
+        batch_norm(Tensor(np.array([[1.0, 4.0], [3.0, 0.0]])), state, training=True)
+        for arr, was in zip(old, kept):
+            np.testing.assert_array_equal(arr, was)
+        assert state.running_mean is not old[0] and state.running_var is not old[1]
+
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((3, 4)), requires_grad=True)
         loss = softmax_cross_entropy(logits, [0, 1, 2], np.arange(3))
@@ -567,6 +579,22 @@ class TestOptim:
         p = Tensor(np.ones((1, 1)), requires_grad=True)
         with pytest.raises(ValueError, match="learning rate|weight decay"):
             AdamState([p], lr=lr, weight_decay=weight_decay)
+
+    def test_adam_binds_new_arrays(self, rng_factory):
+        # models.model_view shares parameter arrays: a step must bind each
+        # parameter a new array and leave the old one as it was.
+        rng = rng_factory(21)
+        params = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2)]
+        state = AdamState(params, lr=0.1, weight_decay=0.5)
+        for _ in range(3):
+            old = [p.data for p in params]
+            kept = [arr.copy() for arr in old]
+            for p in params:
+                p.grad = rng.normal(size=p.shape)
+            adam_step(state)
+            for p, arr, was in zip(params, old, kept):
+                assert p.data is not arr
+                np.testing.assert_array_equal(arr, was)
 
     def test_none_grads_skipped(self):
         p = Tensor(np.ones((1, 1)), requires_grad=True)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dropgcn import (DatasetError, Graph, SparseMatrix, load_graph_dir,
                      save_graph, synthetic_sbm)
@@ -215,6 +216,34 @@ class TestGraphValidation:
             with pytest.raises(ValueError, match="integer node ids"):
                 Graph(2, SparseMatrix.from_dense([[0, 1], [1, 0]]), np.eye(2), [0, 1],
                       {"train": train_ids, "val": [], "test": [1]})
+
+
+class TestFeatureStorage:
+    def test_sparse_features_are_kept_once_as_csr(self, monkeypatch):
+        words = np.zeros((30, 40))
+        words[np.arange(30), np.arange(30) % 40] = 1.0
+        g = Graph(30, adjacency_from_pairs(30, [0, 1], [1, 2]), words, np.zeros(30),
+                  {"train": [0], "val": [1], "test": [2]})
+        assert sp.issparse(g.x) and g.x.format == "csr"
+        dense = g.features
+        assert dense is not g.features  # rebuilt on each access
+        np.testing.assert_array_equal(dense, words)
+        assert not dense.flags.writeable
+        for arr in (g.x.data, g.x.indices, g.x.indptr):
+            assert not arr.flags.writeable
+        # The feature count and repr read the stored form only.
+        monkeypatch.setattr(sp.csr_matrix, "toarray",
+                            lambda self, *a, **k: pytest.fail("densified"))
+        assert g.n_features == 40
+        assert "C=40" in repr(g)
+
+    def test_dense_features_are_kept_as_given(self):
+        feats = np.arange(6, dtype=np.float64).reshape(3, 2) + 1.0
+        g = Graph(3, adjacency_from_pairs(3, [0], [1]), feats, [0, 1, 0],
+                  {"train": [0], "val": [1], "test": [2]})
+        assert g.x is g.features
+        np.testing.assert_array_equal(g.features, feats)
+        assert not g.features.flags.writeable
 
 
 class TestSyntheticSBM:

@@ -15,7 +15,8 @@ from dropgcn import (DropEdgeConfig, GCLParams, ModelConfig, SparseMatrix,
 from dropgcn import models
 from dropgcn.autodiff import active_tape
 from dropgcn.models import (SPARSE_INPUT_DENSITY, copy_model, load_model, model_input,
-                            save_model)
+                            rescale_filters, save_model)
+from dropgcn.optim import AdamState, adam_step
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
                       relative_error)
 
@@ -321,6 +322,11 @@ class TestForward:
         via = SparseMatrix.from_dense(words).to_scipy()
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(sparse_in, part), getattr(via, part))
+        # The same arrays, dtypes included, as scipy's own conversion.
+        scipy_csr = sp.csr_matrix(words)
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(sparse_in, part), getattr(scipy_csr, part)
+            assert got.dtype == want.dtype and np.array_equal(got, want), part
         dense = rng.normal(size=(40, 50))
         assert model_input(dense) is dense
         # At the threshold exactly: sparse; one entry above it: dense.
@@ -603,3 +609,55 @@ class TestHelpers:
         m = build_model(ModelConfig(backbone="gcn", n_layers=3, hidden_dim=5), 4, 2, rng)
         want = max(np.linalg.norm(l.weight.data, ord=2) for l in m.gcls)
         assert sup_singular_value(m) == pytest.approx(want, rel=1e-12)
+
+    def test_non_finite_filter_is_named(self, rng_factory):
+        rng = rng_factory(16)
+        m = build_model(ModelConfig(backbone="gcn", n_layers=3, hidden_dim=5), 4, 2, rng)
+        before = [w.data for w in m.filter_weights()]
+        m.gcls[1].weight.data = np.full((5, 5), np.nan)
+        with pytest.raises(ValueError, match="GCL 1 filter has non-finite weights"):
+            sup_singular_value(m)
+        with pytest.raises(ValueError, match="GCL 1 filter has non-finite weights"):
+            rescale_filters(m, target=1e-3)
+        # Checked before any filter is scaled.
+        assert m.gcls[0].weight.data is before[0] and m.gcls[2].weight.data is before[2]
+
+
+class TestModelView:
+    @pytest.mark.parametrize("backbone", ["gcn", "resgcn", "jknet", "incepgcn"])
+    def test_view_keeps_the_model_of_its_moment(self, backbone, rng_factory):
+        # A view shares every array, takes no gradients, and keeps its
+        # values and logits while the model trains on.
+        rng = rng_factory(17)
+        a = random_adjacency(rng, 10, 0.4)
+        cfg = ModelConfig(backbone=backbone, n_layers=4, hidden_dim=6, withbn=True,
+                          withloop=True)
+        m = build_model(cfg, 5, 3, rng)
+        x = rng.normal(size=(10, 5))
+        view = models.model_view(m)
+        assert view.wiring is m.wiring and view.config is m.config
+        live = dict(models._state_arrays(m))
+        for name, arr in models._state_arrays(view):
+            assert arr is live[name], name
+        assert not any(t.requires_grad for t in view.parameters())
+        want, _ = forward(view, prop_for(view, a), x, training=False)
+        frozen = {name: arr.copy() for name, arr in models._state_arrays(view)}
+
+        opt = AdamState(m.parameters(), lr=0.1, decay=m.decay_flags())
+        with Tape():
+            logits, _ = forward(m, prop_for(m, a), x, training=True, rng=rng)
+            # The view's forward inside an open tape records nothing.
+            n = len(active_tape().entries)
+            got, _ = forward(view, prop_for(view, a), x, training=False)
+            assert len(active_tape().entries) == n and not got.requires_grad
+            assert got.data.tobytes() == want.data.tobytes()
+            backward(softmax_cross_entropy(logits, [0, 1, 2] * 3 + [0], np.arange(10)))
+        adam_step(opt)
+        clear_grads(m.parameters())
+
+        moved = dict(models._state_arrays(m))
+        for name, arr in models._state_arrays(view):
+            np.testing.assert_array_equal(arr, frozen[name], err_msg=name)
+            assert moved[name] is not arr, name
+        again, _ = forward(view, prop_for(view, a), x, training=False)
+        assert again.data.tobytes() == want.data.tobytes()

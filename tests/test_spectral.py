@@ -416,6 +416,8 @@ class TestEffectiveResistance:
                                   [1.0, 1.0, 1e-300, 1e-300])
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             resistance_matrix(a)
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            effective_resistance(a, 0, 2)
 
     def test_matches_pinv_oracle_on_weighted_components(self, rng_factory):
         # A singleton, a 2-node and a 3-node component and a 12-node one,
@@ -447,8 +449,14 @@ class TestEffectiveResistance:
         np.fill_diagonal(want, 0.0)
         got = resistance_matrix(a)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
-        for s, t in [(0, 1), (3, 7), (int(perm[1]), int(perm[2])), (int(perm[4]), int(perm[5]))]:
-            assert effective_resistance(a, s, t) == pytest.approx(want[s, t], rel=1e-10)
+        # One pair at a time: one Cholesky factor and one solve.
+        for s in range(n):
+            for t in range(n):
+                got_st = effective_resistance(a, s, t)
+                if math.isinf(want[s, t]):
+                    assert got_st == math.inf
+                else:
+                    assert got_st == pytest.approx(want[s, t], rel=1e-10, abs=0)
 
 
 # Adjacencies that normalize rejects; the last field says whether the fault

@@ -5,6 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +17,9 @@ import scipy.sparse as sp
 
 from dropgcn import (BACKBONES, DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      TrainingDiverged, accuracy, forward, load_model,
-                     normalize, oversmoothing_probe, synthetic_sbm, train)
-from dropgcn import cli, dropedge, training
+                     normalize, oversmoothing_probe, softmax_cross_entropy,
+                     synthetic_sbm, train)
+from dropgcn import autodiff, cli, dropedge, models, training
 from dropgcn.autodiff import Tape, active_tape
 from dropgcn.graph import save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
@@ -69,7 +73,9 @@ class TestTrain:
 
     def test_same_bytes_in_two_processes(self, tmp_path):
         # Bytes reproduce per (config, seed, BLAS build, BLAS thread count);
-        # both processes pin one thread.
+        # both processes pin the same count, one and then two threads. The
+        # step is random (p > 0, dropout), so each epoch is evaluated on the
+        # worker thread while the next one trains.
         script = (
             "import sys\n"
             "from dropgcn import DropEdgeConfig, ModelConfig, TrainConfig, synthetic_sbm, train\n"
@@ -78,16 +84,18 @@ class TestTrain:
             "model = ModelConfig(n_layers=3, hidden_dim=16, dropout=0.3,\n"
             "                    dropedge=DropEdgeConfig(p=0.4))\n"
             "train(TrainConfig(model=model, epochs=12, seed=3, out_dir=sys.argv[1]), graph=g)\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        csvs = []
-        for tag in ("a", "b"):
-            out = subprocess.run([sys.executable, "-W", "error", "-c", script,
-                                  str(tmp_path / tag)], env=env, capture_output=True,
-                                 text=True, timeout=300)
-            assert out.returncode == 0, out.stderr[-2000:]
-            csvs.append((tmp_path / tag / "metrics.csv").read_bytes())
-        assert csvs[0] == csvs[1]
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            csvs = []
+            for tag in ("a", "b"):
+                out_dir = tmp_path / f"{threads}{tag}"
+                out = subprocess.run([sys.executable, "-W", "error", "-c", script,
+                                      str(out_dir)], env=env, capture_output=True,
+                                     text=True, timeout=300)
+                assert out.returncode == 0, out.stderr[-2000:]
+                csvs.append((out_dir / "metrics.csv").read_bytes())
+            assert csvs[0] == csvs[1], f"{threads} BLAS threads"
 
     def test_different_seed_differs(self, sbm):
         a = train(small_config(seed=3, epochs=12, p=0.4), graph=sbm)
@@ -141,13 +149,15 @@ class TestTrain:
 
     def test_sparse_input_path_matches_dense(self, bow, monkeypatch):
         # Without dropout both paths consume the same random stream, so the
-        # runs agree up to rounding; the dense one is forced by skipping the
-        # conversion.
-        assert sp.issparse(training.model_input(bow.features))
+        # runs agree up to rounding; the dense one is forced by building the
+        # same graph with the sparse switch at density 0.
+        assert sp.issparse(bow.x)
         cfg = small_config(epochs=15, p=0.3, withloop=True)
         sparse_rows = train(cfg, graph=bow).rows
-        monkeypatch.setattr(training, "model_input", lambda features: features)
-        dense_rows = train(cfg, graph=bow).rows
+        monkeypatch.setattr(models, "SPARSE_INPUT_DENSITY", 0.0)
+        dense = Graph(bow.n_nodes, bow.adjacency, bow.features, bow.labels, bow.splits)
+        assert not sp.issparse(dense.x)
+        dense_rows = train(cfg, graph=dense).rows
         for got, want in zip(sparse_rows, dense_rows):
             for key in ("train_loss", "val_loss"):
                 assert got[key] == pytest.approx(want[key], rel=1e-9)
@@ -283,13 +293,16 @@ class TestSharedEvaluationForward:
         assert report.best_epoch < self.EPOCHS
         assert all(p.grad is None for p in snapshot.parameters())
 
-    def forwards(self, cfg, sbm, monkeypatch):
-        """The training flag of every forward a run makes, in order."""
+    def forwards(self, cfg, sbm, monkeypatch, threads=None):
+        """The training flag of every forward a run makes, in order; with a
+        `threads` list, also the thread each forward ran on."""
         calls = []
         real = training.forward
 
         def spy(*args, **kw):
             calls.append(kw["training"])
+            if threads is not None:
+                threads.append(threading.current_thread())
             return real(*args, **kw)
 
         monkeypatch.setattr(training, "forward", spy)
@@ -343,10 +356,18 @@ class TestSharedEvaluationForward:
         {"withbn": True},
     ], ids=["dropout", "oneshot", "layerwise", "withbn"])
     def test_other_runs_make_two_forwards_per_epoch(self, sbm, monkeypatch, change):
+        # Epochs 1-6 are evaluated on the worker, concurrently with the next
+        # epoch's training forward, so only the per-thread order is fixed;
+        # the last epoch is evaluated inline, after its training forward.
         cfg = small_config(epochs=7, n_layers=3)
         cfg = replace(cfg, model=replace(cfg.model, **change))
         assert not training._deterministic_step(cfg.model, sbm.adjacency)
-        assert self.forwards(cfg, sbm, monkeypatch) == [True, False] * 7
+        threads = []
+        calls = self.forwards(cfg, sbm, monkeypatch, threads)
+        main = threading.main_thread()
+        assert [c for c, t in zip(calls, threads) if t is main] == [True] * 7 + [False]
+        assert [c for c, t in zip(calls, threads) if t is not main] == [False] * 6
+        assert len({t for t in threads if t is not main}) == 1
 
     def test_rate_that_drops_no_edge_runs_as_p_zero(self, sbm, monkeypatch, tmp_path):
         # floor(V * p) = 0: nothing is dropped, so the run normalizes once,
@@ -370,6 +391,162 @@ class TestSharedEvaluationForward:
         train(plain, graph=sbm)
         assert ((tmp_path / "tiny-p" / "metrics.csv").read_bytes()
                 == (tmp_path / "p0" / "metrics.csv").read_bytes())
+
+
+class InlinePool:
+    """Stand-in for ThreadPoolExecutor that runs each submitted call at once
+    on the calling thread: right after the Adam step, where evaluation ran
+    before it moved to the worker."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestConcurrentEvaluation:
+    """A run whose step is random evaluates epoch e on one worker thread,
+    from a view of the model at epoch e, while epoch e+1 trains."""
+
+    EPOCHS = 12
+
+    @pytest.mark.parametrize("change", [
+        {"withbn": True},
+        {"dropout": 0.5},
+        {"dropedge": DropEdgeConfig(p=0.4, layer_wise=True)},
+        {"dropedge": DropEdgeConfig(p=0.4)},
+    ], ids=["withbn", "dropout", "layerwise", "oneshot"])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_same_bytes_as_inline_evaluation(self, sbm, tmp_path, monkeypatch,
+                                             backbone, change):
+        def run(tag):
+            cfg = small_config(epochs=self.EPOCHS, n_layers=4, backbone=backbone)
+            cfg = replace(cfg, model=replace(cfg.model, **change), out_dir=tmp_path / tag)
+            report = train(cfg, graph=sbm, keep_best_model=True)
+            # The snapshot is the model its row was computed from: its
+            # evaluation forward gives that row's validation loss exactly,
+            # batch-norm running statistics included.
+            model = load_model(tmp_path / tag / "model.npz")
+            mats = [normalize(sbm.adjacency, cfg.model.scheme)] * model.n_gcls
+            logits, _ = forward(model, mats, sbm.x, training=False)
+            val_loss = softmax_cross_entropy(logits, sbm.labels, sbm.splits["val"]).item()
+            assert val_loss == report.rows[report.best_epoch - 1]["val_loss"]
+            return report
+
+        assert run("worker").best_epoch < self.EPOCHS
+        monkeypatch.setattr(training, "ThreadPoolExecutor", InlinePool)
+        run("inline")
+        one, two = tmp_path / "worker", tmp_path / "inline"
+        assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
+        assert (one / "model.npz").read_bytes() == (two / "model.npz").read_bytes()
+
+    def test_same_bytes_under_frequent_thread_switches(self, sbm, monkeypatch):
+        # The interpreter hands over between the two threads every
+        # microsecond, so the worker's reads interleave with the batch-norm
+        # updates of the next step at many points.
+        cfg = small_config(epochs=20, n_layers=4, backbone="resgcn", dropout=0.5,
+                           withbn=True, p=0.4)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = train(cfg, graph=sbm).to_csv()
+        finally:
+            sys.setswitchinterval(old)
+        monkeypatch.setattr(training, "ThreadPoolExecutor", InlinePool)
+        assert worker == train(cfg, graph=sbm).to_csv()
+
+    def test_worker_records_nothing_on_the_open_tape(self, sbm, monkeypatch):
+        # The worker's evaluation of epoch e starts once epoch e+1's training
+        # forward has filled the open tape; the main thread then waits for
+        # its result, so the tape can only change by the worker.
+        trained = [threading.Event() for _ in range(5)]  # [i]: epoch i+1 has trained
+        seen = []
+        real = training.forward
+
+        def spy(*args, **kw):
+            if threading.current_thread() is threading.main_thread():
+                out = real(*args, **kw)
+                if kw["training"]:
+                    trained[next(i for i, e in enumerate(trained) if not e.is_set())].set()
+                return out
+            assert trained[len(seen) + 1].wait(timeout=60)
+            tape = autodiff._active
+            before = len(tape.entries)
+            out = real(*args, **kw)
+            seen.append((tape is not None, before, len(tape.entries), out[0].requires_grad))
+            return out
+
+        monkeypatch.setattr(training, "forward", spy)
+        train(small_config(epochs=5, n_layers=3, dropout=0.3), graph=sbm)
+        assert len(seen) == 4
+        for tape_open, before, after, requires_grad in seen:
+            assert tape_open and before > 0 and after == before and not requires_grad
+
+    def test_divergence_leaves_no_worker_and_no_tape(self, sbm, monkeypatch):
+        # Epoch 3's step leaves a nan parameter; the worker's evaluation of
+        # epoch 3 reports it.
+        before = set(threading.enumerate())
+        real = training.adam_step
+
+        def poisoning(state):
+            real(state)
+            if state.t == 3:
+                state.params[0].data[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoning)
+        with pytest.raises(TrainingDiverged, match="validation loss became nan at epoch 3"):
+            train(small_config(epochs=6, n_layers=3, dropout=0.3), graph=sbm)
+        assert set(threading.enumerate()) == before
+        assert autodiff._active is None and not active_tape().entries
+
+    def test_error_while_the_worker_runs_joins_it(self, sbm, monkeypatch):
+        # Epoch 3's training forward raises while the worker still evaluates
+        # epoch 2; the run returns only after that evaluation has finished.
+        before = set(threading.enumerate())
+        real = training.forward
+        trained, evaluated = [], []
+
+        def spy(*args, **kw):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+                out = real(*args, **kw)
+                evaluated.append(True)
+                return out
+            if kw["training"]:
+                trained.append(True)
+                if len(trained) == 3:
+                    raise RuntimeError("stop")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(training, "forward", spy)
+        with pytest.raises(RuntimeError, match="stop"):
+            train(small_config(epochs=6, n_layers=3, p=0.4), graph=sbm)
+        assert len(evaluated) == 2
+        assert set(threading.enumerate()) == before
+        assert autodiff._active is None and not active_tape().entries
+
+    def test_deterministic_run_starts_no_thread(self, sbm, monkeypatch):
+        started = []
+        real = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        train(small_config(epochs=4, n_layers=3), graph=sbm)
+        assert started == []
+        train(small_config(epochs=4, n_layers=3, p=0.4), graph=sbm)
+        assert len(started) == 1
 
 
 class TestTrainConfig:
