@@ -2,17 +2,21 @@
 
 Define-by-run: each op computes its output eagerly and, inside `with
 Tape():`, records it as one node: a weak reference to the output, its
-inputs, and a vjp closure holding only the arrays that the input gradients
-need (a relu keeps its mask, a matmul the other side's factor). Outside a
-tape every output is a constant. A recorded input is named by its node
-index, so the tape keeps neither outputs nor intermediate inputs alive: an
-intermediate the caller drops is freed during the forward pass. backward()
-replays the open tape once in reverse, freeing each node's saved arrays
-and gradient once propagated. Leaves accumulate into .grad; an
-intermediate gets .grad only if it is still alive when its node is
-reached. Sparse matrices enter only as constants, through spmm: a
-propagation matrix, or sparse input features (a scipy CSR matrix, which
-dropout also takes).
+inputs, and one vjp closure per input that takes gradients, holding only
+the arrays that gradient needs (a relu keeps its mask, a matmul the other
+side's factor). Outside a tape every output is a constant. A recorded
+input is named by its node index, so the tape keeps neither outputs nor
+intermediate inputs alive: an intermediate the caller drops is freed
+during the forward pass. backward() replays the open tape once in
+reverse, freeing each node's saved arrays and gradient once propagated.
+Leaves accumulate into .grad; an intermediate gets .grad only if it is
+still alive when its node is reached. Nothing in the walk reads a leaf's
+gradient, so backward(loss, pool) hands each leaf product to an executor
+and the walk computes only the chain of input gradients; the leaf
+gradients are added in walk order afterwards, so .grad bytes do not
+depend on the pool. Sparse matrices enter only as constants, through
+spmm: a propagation matrix, or sparse input features (a scipy CSR matrix,
+which dropout also takes).
 """
 
 import weakref
@@ -62,11 +66,12 @@ class Tape:
     """Op record of one training step. Tapes do not nest; closing one
     clears it on every exit path, so a step that raises leaves nothing.
 
-    entries[i] is node i, (out_ref, inputs, vjp) in execution order:
+    entries[i] is node i, (out_ref, inputs, vjps) in execution order:
     out_ref a weak reference to the output, inputs one item per op input
     (the node index of an input recorded here, the tensor itself for any
-    other input that takes gradients, None for one that takes none), vjp
-    the function from the output's gradient to per-input gradients.
+    other input that takes gradients, None for one that takes none), vjps
+    one function per input from the output's gradient to that input's
+    gradient (None where the input takes none).
     """
 
     def __init__(self):
@@ -106,22 +111,40 @@ def active_tape():
     return Tape() if _active is None else _active
 
 
+def _identity(g):
+    return g
+
+
+def _column_sums(g):
+    return g.sum(axis=0, keepdims=True)
+
+
+def _run_job(job):
+    """vjp(g) for job = [vjp, g], emptying the job first, so its arrays go
+    as soon as the product is done."""
+    vjp, g = job
+    job.clear()
+    return vjp(g)
+
+
 def _make(data, inputs, vjp_builder):
     """Create an op output, recording it when gradients are in play.
 
-    vjp_builder() returns the vector-Jacobian function g -> per-input grads
-    (None for inputs that take none). Only called when recording.
+    vjp_builder() returns one vector-Jacobian function per input, g -> that
+    input's gradient. Only called when recording; the functions of inputs
+    that take no gradient are dropped, with any arrays they hold.
     """
     rg = _active is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=rg)
     if rg:
         refs = tuple(_active.ref(t) for t in inputs)
+        vjps = tuple(None if r is None else f for r, f in zip(refs, vjp_builder()))
         out._node = len(_active.entries)
-        _active.entries.append((weakref.ref(out), refs, vjp_builder()))
+        _active.entries.append((weakref.ref(out), refs, vjps))
     return out
 
 
-def backward(loss):
+def backward(loss, pool=None):
     """Accumulate d(loss)/d(tensor) into .grad along the open tape.
 
     The loss must be a scalar recorded on the open tape, which is consumed:
@@ -132,6 +155,16 @@ def backward(loss):
     recorded on this tape); clear them between steps. A recorded tensor
     still alive when its node is reached gets .grad set to its gradient;
     one the caller has dropped gets nothing.
+
+    Only the gradients of recorded inputs feed later nodes, so only they
+    are computed in the walk. Each leaf's product (a weight's H^T g, a
+    bias's column sums) is submitted to `pool`, an executor, when one is
+    given, and runs while the walk goes on; with pool=None it runs in the
+    walk. When the walk ends, this thread runs the products the pool has
+    not started yet, last first, and waits for the rest. Then the leaf
+    gradients are added into .grad in walk order, the order an inline pass
+    adds them in, so the bytes do not depend on the pool or on which
+    thread ran a product. A leaf product that raises re-raises here.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -142,8 +175,9 @@ def backward(loss):
     slots = [None] * len(entries)
     loss.grad = np.ones((1, 1))
     slots[node] = loss.grad
+    leaf_grads = []  # (leaf, gradient or job, None or the job's future), walk order
     while entries:
-        out_ref, inputs, vjp = entries.pop()
+        out_ref, inputs, vjps = entries.pop()
         node = len(entries)
         g, slots[node] = slots[node], None
         if g is None:
@@ -151,13 +185,31 @@ def backward(loss):
         out = out_ref()
         if out is not None:
             out.grad = g
-        for src, gt in zip(inputs, vjp(g)):
-            if gt is None or src is None:
+        for src, vjp in zip(inputs, vjps):
+            if vjp is None:
                 continue
             if isinstance(src, Tensor):
-                src.grad = gt if src.grad is None else src.grad + gt
+                if pool is None:
+                    leaf_grads.append((src, vjp(g), None))
+                else:
+                    job = [vjp, g]
+                    leaf_grads.append((src, job, pool.submit(_run_job, job)))
             else:
+                gt = vjp(g)
                 slots[src] = gt if slots[src] is None else slots[src] + gt
+    if pool is not None:
+        # The walk is over: take back, last first, the products the pool
+        # has not started, so this thread never waits on one that has not
+        # begun (a single worker starts them in submission order).
+        for i in reversed(range(len(leaf_grads))):
+            leaf, job, future = leaf_grads[i]
+            if not future.cancel():
+                break
+            leaf_grads[i] = (leaf, _run_job(job), None)
+    for leaf, gt, future in leaf_grads:
+        if future is not None:
+            gt = future.result()
+        leaf.grad = gt if leaf.grad is None else leaf.grad + gt
 
 
 def clear_grads(tensors):
@@ -175,14 +227,8 @@ def matmul(a, b):
 
     def build():
         # Each side's gradient needs only the other side's data.
-        da = a.data if b.requires_grad else None
-        db = b.data if a.requires_grad else None
-
-        def vjp(g):
-            return (None if db is None else g @ db.T,
-                    None if da is None else da.T @ g)
-
-        return vjp
+        da, db = a.data, b.data
+        return (lambda g: g @ db.T), (lambda g: da.T @ g)
 
     return _make(a.data @ b.data, (a, b), build)
 
@@ -197,10 +243,7 @@ def spmm(a_sparse, h):
     m = a_sparse if sp.issparse(a_sparse) else a_sparse.to_scipy()
 
     def build():
-        def vjp(g):
-            return (m.T @ g,)
-
-        return vjp
+        return (lambda g: m.T @ g,)
 
     return _make(m @ h.data, (h,), build)
 
@@ -211,10 +254,7 @@ def add(a, b):
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
     def build():
-        def vjp(g):
-            return (g, g)
-
-        return vjp
+        return _identity, _identity
 
     return _make(a.data + b.data, (a, b), build)
 
@@ -225,10 +265,7 @@ def add_bias(x, b):
         raise ValueError(f"bias shape {b.shape} does not broadcast over {x.shape}")
 
     def build():
-        def vjp(g):
-            return (g, g.sum(axis=0, keepdims=True))
-
-        return vjp
+        return _identity, _column_sums
 
     return _make(x.data + b.data, (x, b), build)
 
@@ -238,11 +275,7 @@ def relu(x):
 
     def build():
         mask = x.data > 0
-
-        def vjp(g):
-            return (g * mask,)
-
-        return vjp
+        return (lambda g: g * mask,)
 
     return _make(np.maximum(x.data, 0.0), (x,), build)
 
@@ -269,10 +302,7 @@ def dropout(x, rate, rng, training):
     mask = rng.random(x.shape) >= rate
 
     def build():
-        def vjp(g):
-            return (g * mask * scale,)
-
-        return vjp
+        return (lambda g: g * mask * scale,)
 
     return _make(x.data * mask * scale, (x,), build)
 
@@ -287,12 +317,8 @@ def concat_cols(tensors):
     widths = [t.shape[1] for t in tensors]
 
     def build():
-        bounds = np.cumsum(widths)[:-1]
-
-        def vjp(g):
-            return tuple(np.split(g, bounds, axis=1))
-
-        return vjp
+        ends = np.cumsum(widths).tolist()
+        return tuple((lambda g, lo=hi - w, hi=hi: g[:, lo:hi]) for w, hi in zip(widths, ends))
 
     return _make(np.hstack([t.data for t in tensors]), tuple(tensors), build)
 
@@ -302,11 +328,7 @@ def sum_all(x):
 
     def build():
         shape = x.shape
-
-        def vjp(g):
-            return (np.broadcast_to(g.reshape(()), shape).copy(),)
-
-        return vjp
+        return (lambda g: np.broadcast_to(g.reshape(()), shape).copy(),)
 
     return _make(x.data.sum().reshape(1, 1), (x,), build)
 
@@ -354,22 +376,15 @@ def batch_norm(x, state, training):
     xhat = (x.data - mu) * inv_std
 
     def build():
-        need_x = x.requires_grad  # the vjp must not hold x itself
+        gamma = scale.data  # the vjps must not hold x itself
 
-        def vjp(g):
-            gx = None
-            if need_x:
-                gxh = g * scale.data
-                if training:
-                    gxh = gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)
-                gx = inv_std * gxh
-            return (
-                gx,
-                (g * xhat).sum(axis=0, keepdims=True) if scale.requires_grad else None,
-                g.sum(axis=0, keepdims=True) if shift.requires_grad else None,
-            )
+        def vjp_x(g):
+            gxh = g * gamma
+            if training:
+                gxh = gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)
+            return inv_std * gxh
 
-        return vjp
+        return vjp_x, (lambda g: (g * xhat).sum(axis=0, keepdims=True)), _column_sums
 
     return _make(xhat * scale.data + shift.data, (x, scale, shift), build)
 
@@ -417,8 +432,8 @@ def softmax_cross_entropy(logits, labels, mask):
             delta[np.arange(k), picked] -= 1.0
             full = np.zeros(shape)
             np.add.at(full, mask, delta * (float(g.reshape(())) / k))
-            return (full,)
+            return full
 
-        return vjp
+        return (vjp,)
 
     return _make(np.array([[loss]]), (logits,), build)

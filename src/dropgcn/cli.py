@@ -158,8 +158,6 @@ def _cmd_ablate(args, parser):
             p = 0.5
         reports = ablate_dropout_dropedge(config, dropout=dropout, p=p)
     else:
-        if config.model.dropedge.p == 0.0:
-            parser.error("--mode layerwise needs --sampling-percent below 1")
         reports = ablate_layerwise(config)
     combined = {}
     for name, rep in reports.items():

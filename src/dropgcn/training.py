@@ -14,14 +14,22 @@ deterministic (no edge dropped, as at p=0 or p < 1/V; no feature dropout;
 no batch norm), its forward pass is the evaluation forward of the
 parameters it starts from, bit for bit, so epoch e's logits are read off
 epoch e+1's training forward: E+1 forwards for E epochs instead of 2E.
-Every other run starts epoch e's evaluation forward on one worker thread
-right after epoch e's Adam step, so it runs while epoch e+1 samples its
-matrices and runs its training forward. The worker reads a view of the
-model at epoch e (models.model_view), makes no random draw and records
-nothing; each product is the call the main thread would make on the same
-arrays, so the bytes are those of an inline evaluation. The gain needs a
-second core: on one, the two threads take turns and the run is slower
-than with inline evaluation.
+
+Every run keeps one worker thread, which takes two kinds of work off the
+main thread. Backward hands it every parameter-gradient product (a
+weight's H^T g, a bias's column sums), so the main thread walks only the
+chain of input gradients (autodiff.backward). And a run whose step is not
+deterministic starts epoch e's evaluation forward on it right after epoch
+e's Adam step, so it runs while epoch e+1 samples its matrices and runs
+its training forward. The worker reads a view of the model at epoch e
+(models.model_view), makes no random draw and records nothing. The worker
+takes its work in submission order, and epoch e's evaluation is read
+before epoch e+1's backward, so gradient products never wait behind it.
+Each product is the call the main thread would make on the same arrays,
+and gradients are added in the inline order, so the bytes are those of a
+run without the worker. The gain needs a second core: on one, the two
+threads take turns and the run can be slower than without the worker,
+deterministic runs included.
 
 The same config and seed give the same numbers, down to the bytes of
 metrics.csv, on the same BLAS build with the same BLAS thread count. A
@@ -41,7 +49,7 @@ import numpy as np
 from . import spectral
 from .autodiff import Tape, Tensor, backward, clear_grads, softmax_cross_entropy
 from .dropedge import drop_count, propagation_matrices
-from .graph import load_graph_dir
+from .graph import SPLIT_NAMES, load_graph_dir
 from .models import (ModelConfig, accuracy, build_model, check_integer, copy_model,
                      forward, model_view, save_model, sup_singular_value)
 from .optim import AdamState, adam_step, check_rates
@@ -139,6 +147,24 @@ def _config_dict(config):
     return d
 
 
+def _check_splits(graph):
+    """A run needs a loss, a selection criterion and a score: reject an
+    empty train, val or test split before anything is built or drawn."""
+    for name in SPLIT_NAMES:
+        if len(graph.splits[name]) == 0:
+            raise ValueError(f"the {name} split is empty; training needs nonempty "
+                             "train, val and test splits")
+
+
+def _check_drops_edges(adjacency, p, what):
+    """Reject a rate p at which a draw drops no edge of `adjacency`: the
+    arms `what` compares would be the same run."""
+    if drop_count(adjacency, p) == 0:
+        v = adjacency.nnz // 2
+        raise ValueError(f"{what} needs a nonzero drop count: p={p} drops "
+                         f"floor(V * p) = 0 of the V={v} edges")
+
+
 def _check_finite(which, loss, epoch):
     if not math.isfinite(loss):
         raise TrainingDiverged(
@@ -161,16 +187,18 @@ def _run(config, graph, keep_best):
 
     Per epoch: draw the propagation matrices; inside one tape run the
     training forward, the previous epoch's evaluation, the loss, its
-    finiteness check, the training accuracy and backward; take the Adam
-    step. Epoch e's evaluation logits come from epoch e+1's training
-    forward when the step is deterministic (_deterministic_step: same
-    parameters, same full matrix, no draws), else from the forward the
-    worker started on the view of epoch e. The last epoch is evaluated
-    inline. A best-epoch snapshot is copied from the view of its epoch:
-    by the time epoch e is evaluated, epoch e+1's batch-norm forward has
-    already moved the live model's running statistics.
+    finiteness check, the training accuracy and backward (its parameter
+    gradients computed on the worker); take the Adam step. Epoch e's
+    evaluation logits come from epoch e+1's training forward when the step
+    is deterministic (_deterministic_step: same parameters, same full
+    matrix, no draws), else from the forward the worker started on the view
+    of epoch e. The last epoch is evaluated inline. A best-epoch snapshot is
+    copied from the view of its epoch: by the time epoch e is evaluated,
+    epoch e+1's batch-norm forward has already moved the live model's
+    running statistics.
     """
     mcfg = config.model
+    _check_splits(graph)
     rng = np.random.default_rng(config.seed)
     model = build_model(mcfg, graph.n_features, graph.n_classes, rng)
     opt = AdamState(model.parameters(), lr=config.lr, weight_decay=config.weight_decay,
@@ -214,8 +242,8 @@ def _run(config, graph, keep_best):
     view = None    # the model as that step left it
     pending = None  # the worker's evaluation forward of `view`
     t0 = time.perf_counter()
-    # One worker, started by the first submit only; leaving the block joins
-    # it on every exit path.
+    # One worker for the whole run; leaving the block joins it on every
+    # exit path.
     with ThreadPoolExecutor(max_workers=1) as pool:
         for epoch in range(1, config.epochs + 1):
             mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
@@ -232,7 +260,7 @@ def _run(config, graph, keep_best):
                 loss_val = loss.item()
                 _check_finite("training", loss_val, epoch)
                 train_acc = accuracy(logits, labels, train_idx)
-                backward(loss)
+                backward(loss, pool)
             if keep:
                 # Copied once backward has freed the tape's arrays, so the
                 # copy does not raise the step's peak.
@@ -315,6 +343,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
         raise ValueError(f"probe_epochs must be positive, got {probe_epochs}")
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
     graph = _resolve_graph(config, graph)
+    _check_splits(graph)
     mcfg = config.model
     if mcfg.scheme not in SYMMETRIC_SCHEMES:
         raise ValueError(f"probe needs a symmetric scheme, got {mcfg.scheme!r}")
@@ -369,8 +398,12 @@ def _with_rates(config, dropout, p):
 def ablate_dropout_dropedge(config, graph=None, dropout=0.5, p=0.5):
     """Train the four on/off combinations of feature dropout and edge
     dropping, all from the same seed. Returns {"neither", "dropout",
-    "dropedge", "both"} -> RunReport."""
+    "dropedge", "both"} -> RunReport. Requires a nonzero dropout and a p
+    that drops at least one edge, else an arm would repeat another."""
     graph = _resolve_graph(config, graph)
+    if dropout == 0.0:
+        raise ValueError("the dropout/edge-drop ablation needs a nonzero dropout rate")
+    _check_drops_edges(graph.adjacency, p, "the dropout/edge-drop ablation")
     variants = {
         "neither": _with_rates(config, 0.0, 0.0),
         "dropout": _with_rates(config, dropout, 0.0),
@@ -383,12 +416,11 @@ def ablate_dropout_dropedge(config, graph=None, dropout=0.5, p=0.5):
 def ablate_layerwise(config, graph=None):
     """One-shot versus per-layer edge dropping at the configured rate.
 
-    Returns {"oneshot", "layerwise"} -> RunReport; requires p > 0 so the
-    comparison is not vacuous.
+    Returns {"oneshot", "layerwise"} -> RunReport; requires a p that drops
+    at least one edge, else both arms would be the same run.
     """
     graph = _resolve_graph(config, graph)
-    if config.model.dropedge.p == 0.0:
-        raise ValueError("layer-wise ablation needs a nonzero drop rate p")
+    _check_drops_edges(graph.adjacency, config.model.dropedge.p, "the layer-wise ablation")
     oneshot = replace(config, out_dir=None,
                       model=replace(config.model,
                                     dropedge=replace(config.model.dropedge, layer_wise=False)))

@@ -1,15 +1,17 @@
 """Every op against central finite differences, plus tape semantics."""
 
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dropgcn import (BatchNormState, Tape, Tensor, add, add_bias, backward,
-                     batch_norm, clear_grads, concat_cols, dropout, matmul,
-                     model_input, normalize, relu, softmax_cross_entropy, spmm,
-                     sum_all)
+from dropgcn import (BACKBONES, BatchNormState, Graph, ModelConfig, Tape, Tensor, add,
+                     add_bias, backward, batch_norm, build_model, clear_grads,
+                     concat_cols, dropout, forward, matmul, model_input, normalize,
+                     relu, softmax_cross_entropy, spmm, sum_all, synthetic_sbm)
 from dropgcn.autodiff import active_tape
 from dropgcn.optim import AdamState, adam_step, glorot_init
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
@@ -601,3 +603,192 @@ class TestOptim:
         state = AdamState([p], lr=0.1, weight_decay=1.0)
         adam_step(state)
         assert p.data[0, 0] == 1.0
+
+
+class TestPooledBackward:
+    """backward(loss, pool) computes leaf products on the pool's worker and
+    must give the .grad bytes of an inline pass."""
+
+    @staticmethod
+    def loss_of(out):
+        """A scalar whose gradient reaches `out` as a dense, uneven g."""
+        if out.shape == (1, 1):
+            return out
+        rows, width = out.shape
+        mix = Tensor(np.random.default_rng(7).normal(size=(width, 3)))
+        return softmax_cross_entropy(matmul(out, mix), np.arange(rows) % 3, np.arange(rows))
+
+    def grad_bytes(self, make, leaves, pooled):
+        clear_grads(leaves)
+        with ThreadPoolExecutor(max_workers=1) as pool, Tape():
+            backward(self.loss_of(make()), pool if pooled else None)
+        return [t.grad.tobytes() for t in leaves]
+
+    @pytest.mark.parametrize("op", [
+        "matmul", "spmm", "spmm_features", "add", "add_bias", "relu", "dropout",
+        "concat_cols", "sum_all", "batch_norm_train", "batch_norm_eval",
+        "cross_entropy", "leaf_read_twice", "leaf_read_by_one_op_twice"])
+    def test_each_op_gives_the_inline_bytes(self, op, rng_factory):
+        rng = rng_factory(50)
+        a, b, c = (Tensor(rng.normal(size=(6, 6)), requires_grad=True) for _ in range(3))
+        bias = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        adj = normalize(random_adjacency(rng, 6, 0.5), "AugNormAdj")
+        words = sp.csr_matrix(np.where(rng.random((6, 6)) < 0.3, rng.random((6, 6)), 0.0))
+        state = BatchNormState(6)
+        state.scale.data = rng.normal(size=(1, 6))
+        state.running_mean, state.running_var = rng.normal(size=6), rng.random(6) + 0.5
+        make, leaves = {
+            "matmul": (lambda: matmul(a, b), [a, b]),
+            "spmm": (lambda: spmm(adj, a), [a]),
+            "spmm_features": (lambda: spmm(words, a), [a]),
+            "add": (lambda: add(a, b), [a, b]),
+            "add_bias": (lambda: add_bias(a, bias), [a, bias]),
+            "relu": (lambda: relu(a), [a]),
+            "dropout": (lambda: dropout(a, 0.5, np.random.default_rng(3), training=True),
+                        [a]),
+            "concat_cols": (lambda: concat_cols([a, b, c]), [a, b, c]),
+            "sum_all": (lambda: sum_all(matmul(a, b)), [a, b]),
+            "batch_norm_train": (lambda: batch_norm(a, state, training=True),
+                                 [a, state.scale, state.shift]),
+            "batch_norm_eval": (lambda: batch_norm(a, state, training=False),
+                                [a, state.scale, state.shift]),
+            "cross_entropy": (lambda: softmax_cross_entropy(a, np.arange(6) % 3,
+                                                            np.arange(0, 6, 2)), [a]),
+            # One leaf accumulates from several nodes; its sum must keep the
+            # inline order.
+            "leaf_read_twice": (lambda: add(matmul(relu(matmul(a, b)), b),
+                                            matmul(c, b)), [a, b, c]),
+            "leaf_read_by_one_op_twice": (lambda: add(matmul(a, a), a), [a]),
+        }[op]
+        inline = self.grad_bytes(make, leaves, pooled=False)
+        assert self.grad_bytes(make, leaves, pooled=True) == inline
+
+    @pytest.mark.parametrize("features", ["dense", "sparse"])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_each_backbone_gives_the_inline_bytes(self, backbone, features, rng_factory):
+        g = synthetic_sbm(n_nodes=40, n_blocks=3, p_intra=0.4, p_inter=0.05,
+                          n_features=30, seed=2)
+        if features == "sparse":
+            words = bag_of_words(rng_factory(53), g.n_nodes, 30)
+            g = Graph(g.n_nodes, g.adjacency, words, g.labels, g.splits)
+        assert sp.issparse(g.x) == (features == "sparse")
+        cfg = ModelConfig(backbone=backbone, n_layers=4, hidden_dim=8, dropout=0.5,
+                          withbn=True, withloop=True)
+        model = build_model(cfg, g.n_features, g.n_classes, np.random.default_rng(0))
+        mats = [normalize(g.adjacency, cfg.scheme)] * model.n_gcls
+
+        def make():
+            logits, _ = forward(model, mats, g.x, training=True,
+                                rng=np.random.default_rng(1), keep_hidden=False)
+            return softmax_cross_entropy(logits, g.labels, g.splits["train"])
+
+        params = model.parameters()
+        inline = self.grad_bytes(make, params, pooled=False)
+        assert self.grad_bytes(make, params, pooled=True) == inline
+
+    class FinishEach:
+        """A one-worker pool whose submit returns once the worker has run
+        the call, so every leaf product is done before the walk goes on."""
+
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, *args):
+            future = self.pool.submit(fn, *args)
+            wait([future])
+            return future
+
+    @staticmethod
+    def spy_products(tape, threads):
+        """Wrap every vjp on `tape` to record, under (kind, node, input),
+        the thread that runs it; kind is "leaf" or "chain"."""
+        def spied(key, vjp):
+            def run(g):
+                threads[key] = threading.current_thread()
+                return vjp(g)
+            return run
+
+        for i, (out_ref, inputs, vjps) in enumerate(tape.entries):
+            tape.entries[i] = (out_ref, inputs, tuple(
+                None if f is None else
+                spied(("leaf" if isinstance(src, Tensor) else "chain", i, k), f)
+                for k, (src, f) in enumerate(zip(inputs, vjps))))
+
+    def small_net(self, rng_factory):
+        rng = rng_factory(51)
+        x = Tensor(rng.normal(size=(5, 4)))
+        w1, w2 = (Tensor(rng.normal(size=(4, 4)), requires_grad=True) for _ in range(2))
+        bias = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        return (lambda: sum_all(relu(add_bias(matmul(relu(matmul(x, w1)), w2), bias))),
+                [w1, w2, bias])
+
+    # Nodes 0-5: matmul(x, w1), relu, matmul(., w2), add_bias, relu, sum_all;
+    # x is a constant and takes no product.
+    CHAIN = [("chain", 1, 0), ("chain", 2, 0), ("chain", 3, 0), ("chain", 4, 0),
+             ("chain", 5, 0)]
+    LEAVES = [("leaf", 0, 1), ("leaf", 2, 1), ("leaf", 3, 1)]  # w1, w2, bias
+
+    def test_leaf_products_run_on_the_worker(self, rng_factory):
+        make, params = self.small_net(rng_factory)
+        threads = {}
+        with ThreadPoolExecutor(max_workers=1) as pool, Tape() as tape:
+            loss = make()
+            self.spy_products(tape, threads)
+            backward(loss, self.FinishEach(pool))
+        assert sorted(threads) == self.CHAIN + self.LEAVES
+        main = threading.main_thread()
+        assert all((t is main) == (k[0] == "chain") for k, t in threads.items())
+
+    def test_unstarted_products_are_taken_back(self, rng_factory):
+        # The worker is busy for the whole walk, so it starts no product:
+        # the main thread runs them all once the walk ends, instead of
+        # waiting, and the bytes are the inline ones.
+        make, params = self.small_net(rng_factory)
+        inline = self.grad_bytes(make, params, pooled=False)
+        clear_grads(params)
+        threads = {}
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            busy = pool.submit(release.wait, 30)
+            try:
+                with Tape() as tape:
+                    loss = make()
+                    self.spy_products(tape, threads)
+                    backward(loss, pool)
+                assert not busy.done()
+            finally:
+                release.set()
+        assert sorted(threads) == self.CHAIN + self.LEAVES
+        assert all(t is threading.main_thread() for t in threads.values())
+        assert [t.grad.tobytes() for t in params] == inline
+
+    @pytest.mark.parametrize("where", ["worker", "taken-back"])
+    def test_leaf_product_error_reraises(self, rng_factory, where):
+        rng = rng_factory(52)
+        x = Tensor(rng.normal(size=(5, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        ran_on = []
+
+        def boom(g):
+            ran_on.append(threading.current_thread())
+            raise RuntimeError("leaf product failed")
+
+        before = set(threading.enumerate())
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            if where == "taken-back":
+                pool.submit(release.wait, 30)
+            try:
+                with Tape() as tape:
+                    loss = sum_all(matmul(x, w))
+                    out_ref, inputs, vjps = tape.entries[0]
+                    assert vjps[0] is None and vjps[1] is not None
+                    tape.entries[0] = (out_ref, inputs, (None, boom))
+                    with pytest.raises(RuntimeError, match="leaf product failed"):
+                        backward(loss, pool if where == "taken-back" else self.FinishEach(pool))
+                    assert tape.entries == []
+            finally:
+                release.set()
+        assert (ran_on[0] is threading.main_thread()) == (where == "taken-back")
+        assert set(threading.enumerate()) == before
+        assert w.grad is None and active_tape().entries == []

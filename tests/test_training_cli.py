@@ -73,29 +73,30 @@ class TestTrain:
 
     def test_same_bytes_in_two_processes(self, tmp_path):
         # Bytes reproduce per (config, seed, BLAS build, BLAS thread count);
-        # both processes pin the same count, one and then two threads. The
-        # step is random (p > 0, dropout), so each epoch is evaluated on the
-        # worker thread while the next one trains.
+        # both processes pin the same count, one and then two threads. Both
+        # runs compute their parameter gradients on the worker thread; the
+        # random one (dropout, p > 0) also evaluates each epoch there while
+        # the next one trains.
         script = (
             "import sys\n"
             "from dropgcn import DropEdgeConfig, ModelConfig, TrainConfig, synthetic_sbm, train\n"
             "g = synthetic_sbm(n_nodes=60, n_blocks=3, p_intra=0.4, p_inter=0.04,\n"
             "                  n_features=8, seed=5)\n"
-            "model = ModelConfig(n_layers=3, hidden_dim=16, dropout=0.3,\n"
-            "                    dropedge=DropEdgeConfig(p=0.4))\n"
+            "model = ModelConfig(n_layers=3, hidden_dim=16, dropout=float(sys.argv[2]),\n"
+            "                    dropedge=DropEdgeConfig(p=float(sys.argv[3])))\n"
             "train(TrainConfig(model=model, epochs=12, seed=3, out_dir=sys.argv[1]), graph=g)\n")
-        for threads in ("1", "2"):
+        for rates, threads in [(r, t) for r in ((0.3, 0.4), (0.0, 0.0)) for t in ("1", "2")]:
             env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             csvs = []
             for tag in ("a", "b"):
-                out_dir = tmp_path / f"{threads}{tag}"
+                out_dir = tmp_path / f"{rates[1]}-{threads}{tag}"
                 out = subprocess.run([sys.executable, "-W", "error", "-c", script,
-                                      str(out_dir)], env=env, capture_output=True,
-                                     text=True, timeout=300)
+                                      str(out_dir), *map(str, rates)], env=env,
+                                     capture_output=True, text=True, timeout=300)
                 assert out.returncode == 0, out.stderr[-2000:]
                 csvs.append((out_dir / "metrics.csv").read_bytes())
-            assert csvs[0] == csvs[1], f"{threads} BLAS threads"
+            assert csvs[0] == csvs[1], f"rates {rates}, {threads} BLAS threads"
 
     def test_different_seed_differs(self, sbm):
         a = train(small_config(seed=3, epochs=12, p=0.4), graph=sbm)
@@ -320,9 +321,9 @@ class TestSharedEvaluationForward:
         sizes = []
         real = training.backward
 
-        def spy(loss):
+        def spy(loss, pool):
             sizes.append(len(active_tape().entries))
-            return real(loss)
+            return real(loss, pool)
 
         monkeypatch.setattr(training, "backward", spy)
         train(small_config(epochs=5, n_layers=3), graph=sbm)
@@ -395,8 +396,9 @@ class TestSharedEvaluationForward:
 
 class InlinePool:
     """Stand-in for ThreadPoolExecutor that runs each submitted call at once
-    on the calling thread: right after the Adam step, where evaluation ran
-    before it moved to the worker."""
+    on the calling thread: an evaluation right after the Adam step, where it
+    ran before it moved to the worker, and each parameter-gradient product
+    in the backward walk, as backward(loss) without a pool computes it."""
 
     def __init__(self, max_workers):
         assert max_workers == 1
@@ -414,8 +416,9 @@ class InlinePool:
 
 
 class TestConcurrentEvaluation:
-    """A run whose step is random evaluates epoch e on one worker thread,
-    from a view of the model at epoch e, while epoch e+1 trains."""
+    """Every run computes its parameter gradients on one worker thread; a
+    run whose step is random also evaluates epoch e there, from a view of
+    the model at epoch e, while epoch e+1 trains."""
 
     EPOCHS = 12
 
@@ -424,7 +427,8 @@ class TestConcurrentEvaluation:
         {"dropout": 0.5},
         {"dropedge": DropEdgeConfig(p=0.4, layer_wise=True)},
         {"dropedge": DropEdgeConfig(p=0.4)},
-    ], ids=["withbn", "dropout", "layerwise", "oneshot"])
+        {},
+    ], ids=["withbn", "dropout", "layerwise", "oneshot", "deterministic"])
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_same_bytes_as_inline_evaluation(self, sbm, tmp_path, monkeypatch,
                                              backbone, change):
@@ -534,7 +538,9 @@ class TestConcurrentEvaluation:
         assert set(threading.enumerate()) == before
         assert autodiff._active is None and not active_tape().entries
 
-    def test_deterministic_run_starts_no_thread(self, sbm, monkeypatch):
+    def test_every_run_starts_exactly_one_worker_thread(self, sbm, monkeypatch):
+        # Deterministic runs too: their backward computes the parameter
+        # gradients on the worker.
         started = []
         real = threading.Thread.start
 
@@ -544,9 +550,73 @@ class TestConcurrentEvaluation:
 
         monkeypatch.setattr(threading.Thread, "start", spy)
         train(small_config(epochs=4, n_layers=3), graph=sbm)
-        assert started == []
-        train(small_config(epochs=4, n_layers=3, p=0.4), graph=sbm)
         assert len(started) == 1
+        train(small_config(epochs=4, n_layers=3, p=0.4), graph=sbm)
+        assert len(started) == 2
+
+    @pytest.mark.parametrize("p", [0.0, 0.4], ids=["deterministic", "random"])
+    def test_failing_gradient_product_leaves_no_worker_and_no_tape(self, sbm, monkeypatch, p):
+        # Epoch 2's first parameter-gradient product raises on the worker;
+        # backward re-raises it and the run stops with nothing left behind.
+        before = set(threading.enumerate())
+        real = training.backward
+        steps = []
+
+        def boom(g):
+            raise RuntimeError("gradient product failed")
+
+        def spy(loss, pool):
+            steps.append(pool)
+            if len(steps) == 2:
+                entries = active_tape().entries
+                i, k = next((i, k) for i, (_, inputs, vjps) in enumerate(entries)
+                            for k, (src, f) in enumerate(zip(inputs, vjps))
+                            if isinstance(src, autodiff.Tensor) and f is not None)
+                out_ref, inputs, vjps = entries[i]
+                entries[i] = (out_ref, inputs, vjps[:k] + (boom,) + vjps[k + 1:])
+            return real(loss, pool)
+
+        monkeypatch.setattr(training, "backward", spy)
+        with pytest.raises(RuntimeError, match="gradient product failed"):
+            train(small_config(epochs=4, n_layers=3, p=p), graph=sbm)
+        assert len(steps) == 2 and steps[0] is steps[1] is not None
+        assert set(threading.enumerate()) == before
+        assert autodiff._active is None and not active_tape().entries
+
+
+class TestEmptySplits:
+    """A Graph may have an empty split; a run rejects it before it builds
+    a model or draws anything, naming the split."""
+
+    @staticmethod
+    def emptied(sbm, name):
+        splits = dict(sbm.splits, **{name: np.array([], dtype=np.int64)})
+        return Graph(sbm.n_nodes, sbm.adjacency, sbm.features, sbm.labels, splits)
+
+    @pytest.fixture
+    def no_model(self, monkeypatch):
+        monkeypatch.setattr(training, "build_model",
+                            lambda *a, **k: pytest.fail("built a model"))
+
+    @pytest.mark.parametrize("name", ["train", "val", "test"])
+    def test_train(self, sbm, no_model, name):
+        with pytest.raises(ValueError, match=f"the {name} split is empty"):
+            train(small_config(epochs=3, p=0.4), graph=self.emptied(sbm, name))
+
+    def test_probe(self, sbm, no_model, monkeypatch):
+        monkeypatch.setattr(training.spectral, "analyze",
+                            lambda *a: pytest.fail("analyzed"))
+        with pytest.raises(ValueError, match="the val split is empty"):
+            oversmoothing_probe(small_config(p=0.5, n_layers=4),
+                                graph=self.emptied(sbm, "val"),
+                                layer_range=(2, 3), probe_epochs=3)
+
+    def test_ablations(self, sbm, no_model):
+        graph = self.emptied(sbm, "test")
+        with pytest.raises(ValueError, match="the test split is empty"):
+            ablate_dropout_dropedge(small_config(epochs=3), graph=graph)
+        with pytest.raises(ValueError, match="the test split is empty"):
+            ablate_layerwise(small_config(epochs=3, p=0.5), graph=graph)
 
 
 class TestTrainConfig:
@@ -708,6 +778,37 @@ class TestAblations:
         with pytest.raises(ValueError, match="nonzero"):
             ablate_layerwise(small_config(epochs=5, p=0.0), graph=sbm)
 
+    @pytest.mark.parametrize("which", ["layerwise", "dropout_dropedge"])
+    def test_rate_that_drops_no_edge_is_rejected(self, sbm, monkeypatch, which):
+        # floor(V * p) = 0: the arms would train the same model, so neither
+        # ablation trains anything.
+        v = sbm.adjacency.nnz // 2
+        p = 0.9 / v
+        monkeypatch.setattr(training, "_run", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=rf"p={p} drops .* V={v} edges"):
+            if which == "layerwise":
+                ablate_layerwise(small_config(epochs=5, p=p), graph=sbm)
+            else:
+                ablate_dropout_dropedge(small_config(epochs=5), graph=sbm, p=p)
+
+    def test_dropout_ablation_needs_dropout(self, sbm, monkeypatch):
+        monkeypatch.setattr(training, "_run", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="nonzero dropout rate"):
+            ablate_dropout_dropedge(small_config(epochs=5), graph=sbm, dropout=0.0)
+
+    def test_vacuous_rate_trains_identical_arms(self):
+        # Why the check exists: on this 588-edge graph p=1e-4 drops no edge,
+        # and without the check both layer-wise arms give the same losses.
+        g = synthetic_sbm(seed=0)
+        assert g.adjacency.nnz // 2 == 588 and dropedge.drop_count(g.adjacency, 1e-4) == 0
+        cfg = small_config(epochs=3, p=1e-4, n_layers=3)
+        runs = [training._run(replace(cfg, model=replace(
+                    cfg.model, dropedge=DropEdgeConfig(p=1e-4, layer_wise=lw))), g, False)[0]
+                for lw in (False, True)]
+        assert runs[0].to_csv() == runs[1].to_csv()
+        with pytest.raises(ValueError, match="V=588"):
+            ablate_layerwise(cfg, graph=g)
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory, sbm):
@@ -852,7 +953,14 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert sorted(summary) == ["layerwise", "oneshot"]
 
-    def test_ablate_layerwise_needs_sampling(self, dataset_dir):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("ablate", "--mode", "layerwise", "--data-dir", str(dataset_dir))
-        assert exc.value.code == 2
+    def test_ablate_layerwise_needs_sampling(self, dataset_dir, sbm, tmp_path, capsys):
+        # The library's check decides, so a rate that drops no edge is
+        # refused like p=0: exit 1, naming p and V.
+        v = sbm.adjacency.nnz // 2
+        for flags in ((), ("--sampling-percent", str(1.0 - 0.5 / v))):
+            code = run_cli("ablate", "--mode", "layerwise", "--data-dir", str(dataset_dir),
+                           "--out-dir", str(tmp_path / "abl"), *flags)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "nonzero drop count" in err and f"V={v} " in err
+            assert not (tmp_path / "abl").exists()
