@@ -663,6 +663,18 @@ class TestPooledBackward:
         inline = self.grad_bytes(make, leaves, pooled=False)
         assert self.grad_bytes(make, leaves, pooled=True) == inline
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    def test_leaf_gradients_add_in_walk_order(self, pooled):
+        # w's three contributions reach it as 1, 1e16, -1e16 in walk order
+        # (the last recorded node first): (1 + 1e16) - 1e16 is 0 in
+        # float64, any other order gives 1 or 2.
+        w = Tensor(np.ones((1, 1)), requires_grad=True)
+        scales = [Tensor([[s]]) for s in (-1e16, 1e16, 1.0)]
+        make = lambda: add(add(matmul(scales[0], w), matmul(scales[1], w)),  # noqa: E731
+                           matmul(scales[2], w))
+        assert self.grad_bytes(lambda: sum_all(make()), [w], pooled) == [
+            np.zeros((1, 1)).tobytes()]
+
     @pytest.mark.parametrize("features", ["dense", "sparse"])
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_each_backbone_gives_the_inline_bytes(self, backbone, features, rng_factory):
