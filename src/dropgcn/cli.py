@@ -152,11 +152,8 @@ def _cmd_ablate(args, parser):
     config = _train_config(args, parser)
     out = Path(config.out_dir)
     if args.mode == "dropout-vs-dropedge":
-        dropout = args.dropout if args.dropout > 0 else 0.5
-        p = 1.0 - args.sampling_percent
-        if p == 0.0:
-            p = 0.5
-        reports = ablate_dropout_dropedge(config, dropout=dropout, p=p)
+        reports = ablate_dropout_dropedge(config, dropout=args.dropout,
+                                          p=config.model.dropedge.p)
     else:
         reports = ablate_layerwise(config)
     combined = {}

@@ -11,19 +11,38 @@ A dataset directory holds four files:
 The edge file is undirected: each line names one edge, repeated and
 reversed pairs collapse to a single unit edge, and self-loop lines are
 dropped with a warning (schemes add their own diagonal).
+
+features.csv is read as np.loadtxt(path, delimiter=",") reads it: values
+separated by commas, '#' comments, blank lines, whitespace around values,
+CRLF line ends and an optional final newline, with loadtxt's number
+grammar and error messages. Every row holds the same number of values.
+The file is read in blocks of whole lines. In a block of ASCII values,
+commas and newlines only, whose values are at least half the literal 0.0
+(as save_graph writes a zero), each 0.0 is recognised without converting
+it. Features at most models.SPARSE_INPUT_DENSITY dense are kept as a CSR
+matrix from the file on and never become a dense N x C array.
 """
 
+import io
 import json
 import warnings
+from itertools import chain, compress
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .models import model_input
+from .models import csr_from_flat, model_input, stays_sparse
 from .sparsemat import SparseMatrix, check_adjacency
 
 SPLIT_NAMES = ("train", "val", "test")
+
+# features.csv is read in blocks of whole lines of about this many bytes, so
+# the reader's temporaries stay small whatever the size of the file.
+FEATURE_BLOCK_BYTES = 1 << 20
+_NEWLINE, _COMMA, _DOT, _ZERO = b"\n,.0"
+_DOT_ZERO = int.from_bytes(b".0", "little")
 
 
 class DatasetError(ValueError):
@@ -35,9 +54,10 @@ class Graph:
 
     splits maps "train"/"val"/"test" to disjoint int index arrays. Arrays are
     stored read-only; adjacency is a symmetric zero-diagonal SparseMatrix.
-    The features are kept once, as `x`, in the form the first layer reads
-    (models.model_input: a CSR constant for sparse features, else the dense
-    array); `features` gives them back dense.
+    The features, given as an array or a scipy sparse matrix, are kept once,
+    as `x`, in the form the first layer reads (models.model_input: a CSR
+    constant for sparse features, else the dense array); `features` gives
+    them back dense.
     """
 
     __slots__ = ("n_nodes", "adjacency", "x", "labels", "splits")
@@ -47,7 +67,8 @@ class Graph:
         if adjacency.shape != (n_nodes, n_nodes):
             raise ValueError("adjacency shape does not match n_nodes")
         check_adjacency(adjacency)
-        features = np.ascontiguousarray(features, dtype=np.float64)
+        if not sp.issparse(features):
+            features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != n_nodes:
             raise ValueError("features must be a 2-D array with one row per node")
         labels = _check_labels(labels, n_nodes)
@@ -131,25 +152,198 @@ def adjacency_from_pairs(n_nodes, u, v):
 
 
 def _parse_edges(path, n_nodes):
-    """The listed (u, v) pairs as a 2 x E array, ids checked; self-loop lines warn."""
-    pairs = []
+    """The listed (u, v) pairs as a 2 x E array, ids checked; self-loop lines warn.
+
+    The lines are split and converted in bulk; only a file with a fault is
+    walked line by line, to name its first faulty line.
+    """
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        lines = fh.read().split("\n")
+    fields = list(map(str.split, lines))
+    width = np.fromiter(map(len, fields), np.int64, len(fields))
+    comment = np.fromiter(map(methodcaller("startswith", "#"), map(str.lstrip, lines)),
+                          bool, len(lines))
+    listed = (width > 0) & ~comment
+    try:
+        if np.any(width[listed] != 2):
+            raise ValueError
+        ids = np.array(list(map(int, chain.from_iterable(compress(fields, listed.tolist())))),
+                       dtype=np.int64).reshape(-1, 2)
+        if len(ids) and (ids.min() < 0 or ids.max() >= n_nodes):
+            raise ValueError
+    except (ValueError, OverflowError):  # OverflowError: an id beyond int64
+        _raise_first_bad_edge_line(path, lines, n_nodes)
+    loops = ids[:, 0] == ids[:, 1]
+    for lineno, node in zip((np.flatnonzero(listed)[loops] + 1).tolist(),
+                            ids[loops, 0].tolist()):
+        warnings.warn(f"{path}:{lineno}: dropping self-loop on node {node}")
+    return ids.T
+
+
+def _raise_first_bad_edge_line(path, lines, n_nodes):
+    """Raise the DatasetError naming the first malformed line of graph.edges."""
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise DatasetError(
+                f"{path}:{lineno}: expected two integer node ids, got {line!r}") from None
+        if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
+            raise DatasetError(
+                f"{path}:{lineno}: node id out of range for {n_nodes} nodes: {line!r}")
+    raise AssertionError(f"{path}: no malformed line found")
+
+
+def _line_blocks(fh):
+    """The bytes of fh in blocks of whole lines, about FEATURE_BLOCK_BYTES each
+    (a longer line makes a longer block); each block ends with a newline."""
+    while block := fh.read(FEATURE_BLOCK_BYTES):
+        block += fh.readline()
+        yield block if block.endswith(b"\n") else block + b"\n"
+
+
+def _plain_tokens(block, n_cols):
+    """The tokens of a block other than the literal 0.0, and where they lie.
+
+    Returns (n_rows, n_cols, index, text): text holds the tokens that are not
+    0.0, each followed by its delimiter (',' or newline), and the j-th of them
+    is token index[j] of the block, counted row-major. Returns None unless
+    the block is plain: it holds only ',', newlines and the bytes from '-' to
+    127; it has no empty field and no blank line; every row holds n_cols
+    tokens (as many as the first row when n_cols is None); and at least half
+    of its tokens are the literal 0.0.
+    """
+    buf = np.frombuffer(block, dtype=np.uint8)
+    delim = buf <= _COMMA
+    n_tokens = np.count_nonzero(delim)
+    # Each 0.0 holds the byte pair ".0". Counting those pairs through two
+    # 16-bit views is a cheap bound that rules out most dense blocks.
+    views = (np.frombuffer(block, "<u2", count=(len(block) - k) // 2, offset=k) for k in (0, 1))
+    if 2 * sum(np.count_nonzero(view == _DOT_ZERO) for view in views) < n_tokens:
+        return None
+    zero = delim[3:] & (buf[:-3] == _ZERO)  # zero[i]: a 0.0 token starts at byte i
+    zero &= buf[1:-2] == _DOT
+    zero &= buf[2:-1] == _ZERO
+    zero[1:] &= delim[:-4]
+    if 2 * np.count_nonzero(zero) < n_tokens:
+        return None
+    row_ends = np.flatnonzero(buf == _NEWLINE)
+    if buf.max() > 127 or n_tokens != len(row_ends) + np.count_nonzero(buf == _COMMA):
+        return None
+    first = np.empty_like(delim)  # the first byte of each token that is not 0.0
+    first[0] = not delim[0]
+    np.greater(delim[:-1], delim[1:], out=first[1:])
+    first[:-3] ^= zero
+    last = delim.copy()  # the delimiter after each token that is not 0.0
+    last[3:] ^= zero
+    starts, ends = np.flatnonzero(first), np.flatnonzero(last)
+    if len(starts) != len(ends):  # an empty field or a blank line
+        return None
+    # Each byte belongs to one token or the delimiter after it, and a 0.0
+    # takes four, so the tokens ahead of a byte are the other tokens ahead
+    # plus a quarter of the bytes those leave.
+    ahead = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(ends + 1 - starts, out=ahead[1:])
+    index = (starts - ahead[:-1]) // 4 + np.arange(len(starts))
+    row_starts = np.concatenate(([0], row_ends + 1))
+    others = np.searchsorted(starts, row_starts)
+    per_row = np.diff((row_starts - ahead[others]) // 4 + others)
+    if n_cols is None:
+        n_cols = int(per_row[0])
+    if np.any(per_row != n_cols):
+        return None
+    # The other tokens, each with the delimiter after it.
+    text = buf[np.repeat(starts - ahead[:-1], ends + 1 - starts) + np.arange(ahead[-1])]
+    return len(row_ends), n_cols, index, text.tobytes()
+
+
+def _loadtxt_block(block):
+    """np.loadtxt on a block of whole lines, decoded as it decodes a file."""
+    with warnings.catch_warnings():  # a block may hold only comments
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(io.TextIOWrapper(io.BytesIO(block)), delimiter=",",
+                          dtype=np.float64, ndmin=2)
+
+
+def _read_feature_blocks(path):
+    n_rows, n_cols = 0, None
+    parts = []  # per block: (first row, rows np.loadtxt read, token index, token values)
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            plain = _plain_tokens(block, n_cols)
+            if plain is None:
+                rows = _loadtxt_block(block)
+                if not len(rows):
+                    continue
+                if n_cols is None:
+                    n_cols = rows.shape[1]
+                if rows.shape[1] != n_cols:
+                    raise ValueError(f"the number of columns changed from {n_cols} to "
+                                     f"{rows.shape[1]} after row {n_rows}")
+                parts.append((n_rows, rows, None, None))
+                n_rows += len(rows)
                 continue
-            try:
-                u, v = map(int, line.split())
-            except ValueError:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected two integer node ids, got {line!r}") from None
-            if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
-                raise DatasetError(
-                    f"{path}:{lineno}: node id out of range for {n_nodes} nodes: {line!r}")
-            if u == v:
-                warnings.warn(f"{path}:{lineno}: dropping self-loop on node {u}")
-            pairs.append((u, v))
-    return np.reshape(pairs, (-1, 2)).T
+            block_rows, n_cols, index, text = plain
+            values = (np.loadtxt([text[:-1].decode().replace("\n", ",")], delimiter=",",
+                                 dtype=np.float64, ndmin=1) if text else np.zeros(0))
+            parts.append((n_rows, None, index, values))
+            n_rows += block_rows
+    if not n_rows:  # no data at all: loadtxt's own result and warning
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    shape = (n_rows, n_cols)
+    nnz = sum(np.count_nonzero(values if rows is None else rows)
+              for _, rows, _, values in parts)
+    if stays_sparse(nnz, shape):
+        flat, data = [], []
+        for first_row, rows, index, values in parts:
+            if rows is not None:
+                index = np.flatnonzero(rows)
+                values = rows.ravel()[index]
+            keep = values != 0
+            flat.append(first_row * n_cols + index[keep])
+            data.append(values[keep])
+        return csr_from_flat(shape, np.concatenate(flat), np.concatenate(data))
+    features = np.zeros(shape)
+    for first_row, rows, index, values in parts:
+        if rows is None:  # assigned, not added, so a -0.0 keeps its sign
+            features.reshape(-1)[first_row * n_cols + index] = values
+        else:
+            features[first_row:first_row + len(rows)] = rows
+    return features
+
+
+def _read_features(path):
+    """features.csv as models.model_input takes it: a CSR matrix of the
+    nonzero entries when stays_sparse, else the dense array, equal bit for
+    bit to what np.loadtxt(path, delimiter=",") gives.
+
+    The file is read in blocks of whole lines. In a plain block (see
+    _plain_tokens) the literal 0.0 is recognised without converting it, and
+    the other tokens go through np.loadtxt as one row, so they follow its
+    number grammar. Any other block goes through np.loadtxt whole. A fault
+    is reported by np.loadtxt over the whole file, with its own message.
+    """
+    try:
+        return _read_feature_blocks(path)
+    except ValueError:
+        np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        raise
+
+
+def _first_non_finite_row(features):
+    """The 0-based row of the first non-finite feature, or None; reads only
+    the stored values of a sparse matrix."""
+    sparse = sp.issparse(features)
+    finite = np.isfinite(features.data if sparse else features.reshape(-1))
+    if finite.all():
+        return None
+    k = int(np.argmin(finite))
+    if sparse:
+        return int(np.searchsorted(features.indptr, k, side="right")) - 1
+    return k // features.shape[1]
 
 
 def load_graph(edge_path, feature_path, label_path, split_path):
@@ -160,12 +354,12 @@ def load_graph(edge_path, feature_path, label_path, split_path):
     line or row where one is known).
     """
     try:
-        features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
+        features = _read_features(feature_path)
     except Exception as exc:
         raise DatasetError(f"{feature_path}: {exc}") from None
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DatasetError(f"{feature_path}: row {np.argmin(finite) + 1} holds a non-finite value")
+    bad_row = _first_non_finite_row(features)
+    if bad_row is not None:
+        raise DatasetError(f"{feature_path}: row {bad_row + 1} holds a non-finite value")
     n_nodes = features.shape[0]
 
     try:
@@ -203,7 +397,8 @@ def save_graph(graph, data_dir):
     """Write the four dataset files; load_graph_dir round-trips bit-identically.
 
     Floats are written with repr (shortest string that parses back to the
-    same double), so features survive the trip exactly. graph.edges is
+    same double), so features survive the trip exactly; an entry a sparse
+    `graph.x` does not store is written as 0.0. graph.edges is
     unweighted: a weight other than 1 raises ValueError, and nothing is written.
     """
     if np.any(graph.adjacency.values != 1):
@@ -215,9 +410,17 @@ def save_graph(graph, data_dir):
     with open(d / "graph.edges", "w") as fh:
         for a, b in zip(u, v):
             fh.write(f"{a} {b}\n")
+    x = graph.x
     with open(d / "features.csv", "w") as fh:
-        for row in graph.features:
-            fh.write(",".join(repr(float(x)) for x in row))
+        for i in range(graph.n_nodes):
+            if sp.issparse(x):  # 0.0 where nothing is stored
+                lo, hi = x.indptr[i], x.indptr[i + 1]
+                row = ["0.0"] * graph.n_features
+                for j, value in zip(x.indices[lo:hi].tolist(), x.data[lo:hi].tolist()):
+                    row[j] = repr(value)
+            else:
+                row = map(repr, x[i].tolist())
+            fh.write(",".join(row))
             fh.write("\n")
     with open(d / "labels.csv", "w") as fh:
         for lab in graph.labels:

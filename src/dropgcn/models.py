@@ -126,23 +126,40 @@ class GCLParams:
         self.activation = bool(activation)
 
 
+def stays_sparse(nnz, shape):
+    """Whether features of this shape with nnz nonzero entries go into the
+    first layer as a CSR constant: at most SPARSE_INPUT_DENSITY dense."""
+    return nnz <= SPARSE_INPUT_DENSITY * shape[0] * shape[1]
+
+
+def csr_from_flat(shape, flat, values):
+    """The CSR matrix holding values[k] at the sorted row-major flat position
+    flat[k], built as model_input builds it, index dtypes included."""
+    rows, cols = np.divmod(flat, shape[1])
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((values, cols, indptr), shape=shape)
+
+
 def model_input(features):
     """The features as the first layer takes them: a scipy CSR constant when
-    at most SPARSE_INPUT_DENSITY of the entries are nonzero, else the dense
-    array unchanged. Both give the same logits up to rounding. Graph calls
-    this once, at construction, and keeps only the result."""
+    stays_sparse, else a dense array (a dense input unchanged). `features` is
+    an array or a scipy sparse matrix; either form gives the same result.
+    Both results give the same logits up to rounding. Graph calls this once,
+    at construction, and keeps only the result."""
+    if sp.issparse(features):
+        x = sp.csr_matrix(features, dtype=np.float64, copy=True)
+        x.sum_duplicates()
+        x.eliminate_zeros()
+        return x if stays_sparse(x.nnz, x.shape) else x.toarray()
     features = np.asarray(features, dtype=np.float64)
     stored = features != 0
-    if np.count_nonzero(stored) > SPARSE_INPUT_DENSITY * features.size:
+    if not stays_sparse(np.count_nonzero(stored), features.shape):
         return features
-    # The arrays of sp.csr_matrix(features), built from the row-major flat
-    # positions of the nonzeros. Scanning a boolean mask, not the floats,
-    # makes this about 4x faster than sp.csr_matrix at Cora size.
+    # Scanning a boolean mask, not the floats, makes this about 4x faster
+    # than sp.csr_matrix at Cora size.
     flat = np.flatnonzero(stored)
-    rows, cols = np.divmod(flat, features.shape[1])
-    indptr = np.zeros(features.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=features.shape[0]), out=indptr[1:])
-    return sp.csr_matrix((features.ravel()[flat], cols, indptr), shape=features.shape)
+    return csr_from_flat(features.shape, flat, features.ravel()[flat])
 
 
 def _project(h, w):

@@ -35,8 +35,12 @@ The same config and seed give the same numbers, down to the bytes of
 metrics.csv, on the same BLAS build with the same BLAS thread count. A
 different thread count may sum in a different order and change the last
 bits.
+
+Under glibc, a run fixes malloc's mmap threshold at 32 MB and its trim
+threshold at 64 MB for the whole process (see _keep_freed_memory).
 """
 
+import ctypes
 import json
 import math
 import time
@@ -182,6 +186,32 @@ def _deterministic_step(mcfg, adjacency):
             and not mcfg.withbn)
 
 
+# glibc's malloc serves a block above M_MMAP_THRESHOLD from a fresh mapping
+# and hands the free top of its heap back to the system above
+# M_TRIM_THRESHOLD. Both start low (128 KiB) and rise only after a large
+# block is freed. An epoch allocates and frees arrays of several MB (2708 x
+# 256 floats are 5.5 MB), and under low thresholds every epoch faults them
+# in again. Measured on the Cora-shaped graph with the perfbench
+# shallow-wide config (one BLAS thread, 2 vCPUs): about 2200 minor page
+# faults per epoch and 35-40 epochs/s, against about 30 faults and 43-52
+# epochs/s with these values, the highest the dynamic rule reaches (32 MB)
+# and twice that.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory():
+    """Have glibc's malloc keep freed blocks of up to 32 MB for reuse; a no-op
+    where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _run(config, graph, keep_best):
     """The epoch loop. Returns (report, final_model, best_model_or_None).
 
@@ -199,6 +229,7 @@ def _run(config, graph, keep_best):
     """
     mcfg = config.model
     _check_splits(graph)
+    _keep_freed_memory()
     rng = np.random.default_rng(config.seed)
     model = build_model(mcfg, graph.n_features, graph.n_classes, rng)
     opt = AdamState(model.parameters(), lr=config.lr, weight_decay=config.weight_decay,

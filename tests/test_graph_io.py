@@ -1,14 +1,16 @@
 """Dataset files: parsing, validation, round-trips, and the generator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dropgcn import (DatasetError, Graph, SparseMatrix, load_graph_dir,
+from dropgcn import (DatasetError, Graph, SparseMatrix, graph, load_graph_dir,
                      save_graph, synthetic_sbm)
 from dropgcn.graph import adjacency_from_pairs
+from dropgcn.models import model_input
 from dropgcn.sparsemat import check_adjacency
 
 
@@ -17,7 +19,8 @@ def write_dataset(d, edges="0 1\n1 2\n", features="1.0,0.5\n0.25,0.0\n-1.5,2.0\n
     if splits is None:
         splits = {"train": [0], "val": [1], "test": [2]}
     (d / "graph.edges").write_text(edges)
-    (d / "features.csv").write_text(features)
+    if features is not None:
+        (d / "features.csv").write_text(features)
     (d / "labels.csv").write_text(labels)
     (d / "splits.json").write_text(json.dumps(splits))
     return d
@@ -58,6 +61,29 @@ class TestLoad:
         d = write_dataset(tmp_path, edges="0 7\n")
         with pytest.raises(DatasetError, match="out of range"):
             load_graph_dir(d)
+
+    @pytest.mark.parametrize("edges,message", [
+        ("# c\n0 1\n\n1 9\n1 x\n", r"graph\.edges:4: node id out of range"),
+        ("0 1\n1 x\n1 9\n", r"graph\.edges:2: expected two integer node ids, got '1 x'"),
+        ("0 1\n  1   2 0 \n", r"graph\.edges:2: expected two integer node ids, got '1   2 0'"),
+        ("0 1 2\n2\n", r"graph\.edges:1: expected two integer node ids, got '0 1 2'"),
+        ("0 1\n1 99999999999999999999\n", r"graph\.edges:2: node id out of range"),
+        ("0 1\n-1 2\n", r"graph\.edges:2: node id out of range"),
+    ], ids=["range-before-token", "token-before-range", "arity", "arity-even-total",
+            "beyond-int64", "negative"])
+    def test_first_bad_edge_line_is_named(self, tmp_path, edges, message):
+        with pytest.raises(DatasetError, match=message):
+            load_graph_dir(write_dataset(tmp_path, edges=edges))
+
+    def test_self_loop_warnings_count_every_line(self, tmp_path):
+        # Comment and blank lines count toward the line numbers; each
+        # self-loop line warns once, in file order.
+        d = write_dataset(tmp_path, edges="# pairs\n\n2 2\n0 1\r\n 1 1 \n1 2")
+        with pytest.warns(UserWarning) as caught:
+            g = load_graph_dir(d)
+        assert [str(w.message).split(":", 1)[1] for w in caught] == [
+            "3: dropping self-loop on node 2", "5: dropping self-loop on node 1"]
+        assert g.adjacency.nnz == 4
 
     def test_bad_feature_row_names_file(self, tmp_path):
         d = write_dataset(tmp_path, features="1.0,0.5\nx,0.0\n-1.5,2.0\n")
@@ -111,6 +137,208 @@ class TestLoad:
         (d / "splits.json").write_text('{"train": [0],\n  "val": [1\n}')
         with pytest.raises(DatasetError, match=r"splits\.json"):
             load_graph_dir(d)
+
+
+def load_features(d, text):
+    """Load a dataset whose features.csv is `text` (bytes) and has no edges;
+    return it with np.loadtxt's reading of that file."""
+    d.mkdir(exist_ok=True)
+    (d / "features.csv").write_bytes(text)
+    reference = np.loadtxt(d / "features.csv", delimiter=",", ndmin=2)
+    n = len(reference)
+    write_dataset(d, edges="", features=None, labels="0\n" * n,
+                  splits={"train": list(range(n)), "val": [], "test": []})
+    return load_graph_dir(d), reference
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def assert_matches_loadtxt(g, reference):
+    """Graph.x is model_input(np.loadtxt(...)), array for array, and
+    Graph.features is its dense form, sign bits included."""
+    expected = model_input(reference)
+    assert sp.issparse(g.x) == sp.issparse(expected)
+    if sp.issparse(expected):
+        for name in ("indptr", "indices", "data"):
+            assert_same_bits(getattr(g.x, name), getattr(expected, name))
+        expected = expected.toarray()
+    assert_same_bits(g.features, expected)
+
+
+def words_csv(rng, n, c, density):
+    """A bag-of-words features.csv as save_graph writes one: repr values,
+    the literal 0.0 for a zero."""
+    rows = []
+    for row in rng.random((n, c)) < density:
+        scale = 1.0 / max(1, int(row.sum()))
+        rows.append(",".join(repr(scale) if hit else "0.0" for hit in row))
+    return ("\n".join(rows) + "\n").encode()
+
+
+@pytest.fixture
+def block_paths(monkeypatch):
+    """Counts the blocks read on the fast path and those handed to np.loadtxt."""
+    seen = {"plain": 0, "loadtxt": 0}
+    plain_tokens = graph._plain_tokens
+
+    def counted(block, n_cols):
+        found = plain_tokens(block, n_cols)
+        seen["loadtxt" if found is None else "plain"] += 1
+        return found
+
+    monkeypatch.setattr(graph, "_plain_tokens", counted)
+    return seen
+
+
+class TestFeatureReader:
+    """features.csv gives what model_input(np.loadtxt(path, delimiter=",")) gives."""
+
+    def test_sparse_bag_of_words(self, tmp_path, block_paths):
+        g, reference = load_features(tmp_path, words_csv(np.random.default_rng(3), 300, 200,
+                                                         0.01))
+        assert sp.issparse(g.x)
+        assert_matches_loadtxt(g, reference)
+        assert block_paths == {"plain": 1, "loadtxt": 0}
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_number_spellings(self, tmp_path, block_paths, monkeypatch, dense):
+        # Only the exact token 0.0 skips conversion; the other spellings of
+        # zero and the rest of loadtxt's grammar go through loadtxt. The
+        # sparse file's blocks hold about three rows; the one with the '+'
+        # goes to np.loadtxt whole.
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 1 << 20 if dense else 150)
+        odd = ["-0.0", "0", "00.0", "+.5", "5.", "1e-17", "5e300", "0.0e0", ".0", "010"]
+        rows = [["0.0"] * 12 for _ in range(30)]
+        for i, token in enumerate(odd):
+            rows[3 * i][i] = token
+        if dense:
+            rows = [[token if token != "0.0" else "0.75" for token in row] for row in rows]
+            rows[4][5] = "-0.0"
+        text = "".join(",".join(row) + "\n" for row in rows).encode()
+        g, reference = load_features(tmp_path, text)
+        assert sp.issparse(g.x) != dense
+        assert_matches_loadtxt(g, reference)
+        if dense:
+            assert np.signbit(g.features[4, 5]) and np.signbit(g.features[0, 0])
+            assert block_paths == {"plain": 0, "loadtxt": 1}
+        else:
+            assert block_paths["plain"] > 1 and block_paths["loadtxt"] == 1
+
+    @pytest.mark.parametrize("text,route", [
+        (b"# header\n0.0,1.5,0.0\n\n0.0,0.0,0.0\n", "loadtxt"),
+        (b"0.0,1.5,0.0\r\n0.0,0.0,2.0\r\n", "loadtxt"),
+        (b"0.0, 1.5 ,0.0\n 0.0,0.0,0.0\t\n", "loadtxt"),
+        (b"0.0,1.5,0.0 # trailing comment\n0.0,0.0,2.0\n", "loadtxt"),
+        (b"0.0,1.5,0.0\n\n0.0,0.0,2.0\n\n", "loadtxt"),
+        ("0.0,1.5,0.0\n0.0,0.0,\u00a02.0\n".encode(), "loadtxt"),
+        (b"0.0,1.5,0.0\n0.0,0.0,2.0", "plain"),
+    ], ids=["comment-blank", "crlf", "padded", "inline-comment", "blank-only", "non-ascii",
+            "no-final-newline"])
+    def test_layouts_loadtxt_accepts(self, tmp_path, block_paths, text, route):
+        # A block that leaves the plain grammar goes to np.loadtxt whole.
+        g, reference = load_features(tmp_path, text)
+        assert_matches_loadtxt(g, reference)
+        assert block_paths == {"plain": 0, "loadtxt": 0, route: 1}
+
+    def test_dense_gaussian(self, tmp_path, block_paths, monkeypatch):
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 4096)
+        values = np.random.default_rng(5).normal(size=(40, 25))
+        values[3, 4] = -0.0
+        text = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()).encode()
+        g, reference = load_features(tmp_path, text)
+        assert not sp.issparse(g.x)
+        assert_matches_loadtxt(g, reference)
+        assert block_paths["plain"] == 0 and block_paths["loadtxt"] > 1
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 50, 333])
+    def test_rows_split_across_blocks(self, tmp_path, block_paths, monkeypatch, block_bytes):
+        # Blocks of whole lines whatever the read size; a comment block in
+        # the middle goes to np.loadtxt, the others take the fast path.
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", block_bytes)
+        text = words_csv(np.random.default_rng(7), 40, 30, 0.05)
+        lines = text.splitlines(keepends=True)
+        text = b"".join(lines[:20] + [b"# middle\n"] + lines[20:])
+        g, reference = load_features(tmp_path, text)
+        assert_matches_loadtxt(g, reference)
+        assert block_paths["plain"] > 1 and block_paths["loadtxt"] >= 1
+
+    def test_dense_file_with_plain_blocks(self, tmp_path, block_paths, monkeypatch):
+        # Dense rows, then rows of 0.0 with a -0.0 each: over 10 % nonzero in
+        # all, so the file is assembled dense, and the -0.0 entries of the
+        # fast-path blocks keep their sign.
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 200)
+        values = np.random.default_rng(9).normal(size=(10, 20)).tolist()
+        lines = [",".join(map(repr, row)) for row in values]
+        lines += [",".join("-0.0" if j == i else "0.0" for j in range(20)) for i in range(20)]
+        g, reference = load_features(tmp_path, ("\n".join(lines) + "\n").encode())
+        assert not sp.issparse(g.x)
+        assert_matches_loadtxt(g, reference)
+        assert np.signbit(g.features[10 + np.arange(20), np.arange(20)]).all()
+        assert block_paths["plain"] > 0 and block_paths["loadtxt"] > 0
+
+    def test_non_finite_value_in_sparse_file_names_row(self, tmp_path, monkeypatch):
+        # Two stored values a row, so the 7th row starts at the 13th value.
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 300)
+        rows = [["0.0"] * 40 for _ in range(12)]
+        for row in rows:
+            row[3] = row[9] = "0.5"
+        rows[6][1] = "inf"
+        d = write_dataset(tmp_path, features="".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(DatasetError, match=r"features\.csv: row 7 holds a non-finite"):
+            load_graph_dir(d)
+
+    def test_width_change_at_a_block_boundary_named(self, tmp_path, block_paths,
+                                                    monkeypatch):
+        # Rows of 80 bytes read 399 at a time make blocks of five rows. The
+        # third block goes to np.loadtxt (it holds a comment) and reads fine
+        # on its own, but its rows are one value short.
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 399)
+        rows = ["0.0," * 19 + "0.5"] * 10 + ["# narrower\n" + "0.0," * 18 + "0.5"] * 3
+        d = write_dataset(tmp_path, features="\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=r"features\.csv: the number of columns "
+                                               r"changed from 20 to 19 at row 11"):
+            load_graph_dir(d)
+        assert block_paths == {"plain": 2, "loadtxt": 1}
+
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 60])
+    def test_ragged_row_named(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", block_bytes)
+        rows = ["0.0,0.0,0.5"] * 12
+        rows[8] = "0.0,0.0,0.5,0.0"
+        d = write_dataset(tmp_path, features="\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=r"features\.csv: the number of columns "
+                                               r"changed from 3 to 4 at row 9"):
+            load_graph_dir(d)
+
+    @pytest.mark.parametrize("row,token", [("0.0,x,0.0", "'x'"), ("0.0,,0.0", "''"),
+                                           ("0.0,0.0,", "''")],
+                             ids=["non-numeric", "empty", "trailing-comma"])
+    def test_bad_token_names_file(self, tmp_path, row, token):
+        rows = ["0.0,0.5,0.0"] * 6
+        rows[4] = row
+        d = write_dataset(tmp_path, features="\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=rf"features\.csv: could not convert string "
+                                               rf"{token} to float64 at row 4"):
+            load_graph_dir(d)
+
+    def test_sparse_file_never_dense(self, tmp_path):
+        # 2000 x 1000 at 1 %: the dense array would take 16 MB.
+        n, c = 2000, 1000
+        d = tmp_path / "big"
+        g, reference = load_features(d, words_csv(np.random.default_rng(11), n, c, 0.01))
+        assert_matches_loadtxt(g, reference)
+        del g, reference
+        tracemalloc.start()
+        try:
+            g = load_graph_dir(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sp.issparse(g.x)
+        assert peak < n * c * 8
 
 
 def dense_reference(n_nodes, u, v):
@@ -180,6 +408,26 @@ class TestSaveRoundTrip:
         g2 = load_graph_dir(save_graph(g, tmp_path / "ds"))
         np.testing.assert_array_equal(g2.features, feats)
 
+    @pytest.mark.parametrize("kind", ["sparse", "sbm", "awkward"])
+    def test_features_csv_bytes_unchanged(self, tmp_path, monkeypatch, kind):
+        # The file is what writing repr of every dense entry gives, but a
+        # sparse graph.x is written from its stored entries, never densified.
+        if kind == "sbm":
+            g = synthetic_sbm(n_nodes=40, seed=9)
+        else:
+            feats = np.zeros((3, 40)) if kind == "sparse" else np.empty((3, 2))
+            feats[:, :2] = [[1e-17, 0.1], [1 / 3, -2.5000000000000004],
+                            [123456789.123456789, 5e300]]
+            g = Graph(3, SparseMatrix.from_dense([[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+                      feats, [0, 1, 0], {"train": [0], "val": [1], "test": [2]})
+        expected = "".join(",".join(repr(float(x)) for x in row) + "\n"
+                           for row in g.features)
+        assert sp.issparse(g.x) == (kind == "sparse")
+        monkeypatch.setattr(sp.csr_matrix, "toarray",
+                            lambda self, *a, **k: pytest.fail("densified"))
+        save_graph(g, tmp_path / "ds")
+        assert (tmp_path / "ds" / "features.csv").read_text() == expected
+
     def test_weighted_graph_rejected_before_writing(self, tmp_path):
         # graph.edges has no weight column, so a weight of 2.5 cannot survive.
         g = Graph(2, SparseMatrix.from_dense([[0, 2.5], [2.5, 0]]), np.zeros((2, 1)),
@@ -236,6 +484,20 @@ class TestFeatureStorage:
                             lambda self, *a, **k: pytest.fail("densified"))
         assert g.n_features == 40
         assert "C=40" in repr(g)
+
+    def test_csr_features_give_the_same_graph(self):
+        words = np.zeros((30, 40))
+        words[np.arange(30), np.arange(30) % 40] = 0.5
+        given = sp.csr_matrix(words)
+        args = (adjacency_from_pairs(30, [0, 1], [1, 2]),)
+        rest = (np.zeros(30), {"train": [0], "val": [1], "test": [2]})
+        a, b = Graph(30, *args, words, *rest), Graph(30, *args, given, *rest)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(b.x, name), getattr(a.x, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert given.data.flags.writeable  # the caller's matrix is left alone
+        with pytest.raises(ValueError, match="one row per node"):
+            Graph(31, adjacency_from_pairs(31, [0], [1]), given, np.zeros(31), rest[1])
 
     def test_dense_features_are_kept_as_given(self):
         feats = np.arange(6, dtype=np.float64).reshape(3, 2) + 1.0

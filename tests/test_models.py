@@ -336,6 +336,43 @@ class TestForward:
         edge.flat[int(SPARSE_INPUT_DENSITY * 100)] = 1.0
         assert not sp.issparse(model_input(edge))
 
+    def test_model_input_takes_sparse_input(self, rng_factory):
+        # A scipy sparse input gives what its dense form gives: the same CSR
+        # arrays and dtypes, whatever explicit zeros, repeats and index order
+        # it holds, and not altered in place.
+        rng = rng_factory(16)
+        words = bag_of_words(rng, 40, 50, density=0.05)
+        rows, cols = np.nonzero(words)
+        vals = words[rows, cols]
+        order = rng.permutation(len(rows))
+        extra = np.array([3, 3])  # an explicit zero and a repeat split in two
+        coo = sp.coo_matrix((np.concatenate([vals[order], [0.0, 0.0], [0.25, 0.75]]),
+                             (np.concatenate([rows[order], extra, [5, 5]]),
+                              np.concatenate([cols[order], [7, 8], [1, 1]]))),
+                            shape=words.shape)
+        words[5, 1] += 1.0
+        snapshot = coo.data.copy()
+        # CSR arrays as given: column indices unsorted, the first entry halved
+        # into two entries.
+        canon = sp.csr_matrix(words)
+        order = np.concatenate([np.arange(lo, hi)[::-1]
+                                for lo, hi in zip(canon.indptr[:-1], canon.indptr[1:])])
+        data, indices = canon.data[order], canon.indices[order]
+        raw = sp.csr_matrix((np.concatenate([[data[0] / 2, data[0] / 2], data[1:]]),
+                             np.concatenate([indices[:1], indices]),
+                             np.concatenate([[0], canon.indptr[1:] + 1])), shape=words.shape)
+        for given in (coo, coo.tocsr(), sp.csr_array(coo), raw):
+            got, want = model_input(given), model_input(words)
+            assert sp.issparse(got) and got.format == "csr"
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), part
+        np.testing.assert_array_equal(coo.data, snapshot)
+        dense = rng.normal(size=(40, 50))
+        got = model_input(sp.csr_matrix(dense))
+        assert not sp.issparse(got)
+        np.testing.assert_array_equal(got, dense)
+
     def test_permutation_equivariance(self, rng_factory):
         rng = rng_factory(11)
         a = random_adjacency(rng, 9, 0.5)

@@ -810,6 +810,12 @@ class TestAblations:
             ablate_layerwise(cfg, graph=g)
 
 
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
+    # A C library without mallopt (not glibc) leaves the run as it is.
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: object())
+    assert training._keep_freed_memory() is None
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory, sbm):
     d = tmp_path_factory.mktemp("data") / "sbm"
@@ -943,6 +949,37 @@ class TestCli:
             assert (out / name / "metrics.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert sorted(summary) == ["both", "dropedge", "dropout", "neither"]
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--dropout", "0", "--sampling-percent", "0.5"), "needs a nonzero dropout rate"),
+        (("--dropout", "0.5", "--sampling-percent", "1"), "nonzero drop count"),
+        (("--dropout", "0.5"), "nonzero drop count"),
+    ], ids=["dropout-0", "sampling-1", "sampling-default"])
+    def test_ablate_grid_refuses_zero_rates(self, dataset_dir, tmp_path, capsys, flags,
+                                            message):
+        # The rates given are the rates used: a zero rate is refused by the
+        # library, not replaced by 0.5.
+        out = tmp_path / "abl"
+        code = run_cli("ablate", "--data-dir", str(dataset_dir), "--out-dir", str(out),
+                       *self.BASE, *flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_ablate_command(self, dataset_dir, tmp_path, capsys):
+        # The ablate example in README.md, as printed there, on sbm data.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = text.index("dropgcn ablate ")
+        end = text.index("\n```", start)
+        argv = text[start:end].replace("\\\n", " ").split()[1:]
+        argv[argv.index("--data-dir") + 1] = str(dataset_dir)
+        assert argv[argv.index("--dropout") + 1] == "0.5"
+        assert argv[argv.index("--sampling-percent") + 1] == "0.5"
+        out = tmp_path / "abl"
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary) == ["both", "dropedge", "dropout", "neither"]
+        assert "both: val_acc=" in capsys.readouterr().out
 
     def test_ablate_layerwise_command(self, dataset_dir, tmp_path):
         out = tmp_path / "ablw"
