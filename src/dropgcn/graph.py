@@ -19,15 +19,14 @@ grammar and error messages. Every row holds the same number of values.
 The file is read in blocks of whole lines. In a block of ASCII values,
 commas and newlines only, whose values are at least half the literal 0.0
 (as save_graph writes a zero), each 0.0 is recognised without converting
-it. Features at most models.SPARSE_INPUT_DENSITY dense are kept as a CSR
-matrix from the file on and never become a dense N x C array.
+it. When every block is such a block and the features are at most
+models.SPARSE_INPUT_DENSITY dense, they are kept as a CSR matrix from the
+file on and never become a dense N x C array. Any other file is read whole
+by np.loadtxt.
 """
 
-import io
 import json
 import warnings
-from itertools import chain, compress
-from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -152,49 +151,25 @@ def adjacency_from_pairs(n_nodes, u, v):
 
 
 def _parse_edges(path, n_nodes):
-    """The listed (u, v) pairs as a 2 x E array, ids checked; self-loop lines warn.
-
-    The lines are split and converted in bulk; only a file with a fault is
-    walked line by line, to name its first faulty line.
-    """
+    """The listed (u, v) pairs as a 2 x E array, ids checked; self-loop lines warn."""
+    pairs = []
     with open(path) as fh:
-        lines = fh.read().split("\n")
-    fields = list(map(str.split, lines))
-    width = np.fromiter(map(len, fields), np.int64, len(fields))
-    comment = np.fromiter(map(methodcaller("startswith", "#"), map(str.lstrip, lines)),
-                          bool, len(lines))
-    listed = (width > 0) & ~comment
-    try:
-        if np.any(width[listed] != 2):
-            raise ValueError
-        ids = np.array(list(map(int, chain.from_iterable(compress(fields, listed.tolist())))),
-                       dtype=np.int64).reshape(-1, 2)
-        if len(ids) and (ids.min() < 0 or ids.max() >= n_nodes):
-            raise ValueError
-    except (ValueError, OverflowError):  # OverflowError: an id beyond int64
-        _raise_first_bad_edge_line(path, lines, n_nodes)
-    loops = ids[:, 0] == ids[:, 1]
-    for lineno, node in zip((np.flatnonzero(listed)[loops] + 1).tolist(),
-                            ids[loops, 0].tolist()):
-        warnings.warn(f"{path}:{lineno}: dropping self-loop on node {node}")
-    return ids.T
-
-
-def _raise_first_bad_edge_line(path, lines, n_nodes):
-    """Raise the DatasetError naming the first malformed line of graph.edges."""
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            u, v = map(int, line.split())
-        except ValueError:
-            raise DatasetError(
-                f"{path}:{lineno}: expected two integer node ids, got {line!r}") from None
-        if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
-            raise DatasetError(
-                f"{path}:{lineno}: node id out of range for {n_nodes} nodes: {line!r}")
-    raise AssertionError(f"{path}: no malformed line found")
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                u, v = map(int, line.split())
+            except ValueError:
+                raise DatasetError(
+                    f"{path}:{lineno}: expected two integer node ids, got {line!r}") from None
+            if u < 0 or v < 0 or u >= n_nodes or v >= n_nodes:
+                raise DatasetError(
+                    f"{path}:{lineno}: node id out of range for {n_nodes} nodes: {line!r}")
+            if u == v:
+                warnings.warn(f"{path}:{lineno}: dropping self-loop on node {u}")
+            pairs.append((u, v))
+    return np.reshape(pairs, (-1, 2)).T
 
 
 def _line_blocks(fh):
@@ -260,77 +235,51 @@ def _plain_tokens(block, n_cols):
     return len(row_ends), n_cols, index, text.tobytes()
 
 
-def _loadtxt_block(block):
-    """np.loadtxt on a block of whole lines, decoded as it decodes a file."""
-    with warnings.catch_warnings():  # a block may hold only comments
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(io.TextIOWrapper(io.BytesIO(block)), delimiter=",",
-                          dtype=np.float64, ndmin=2)
-
-
-def _read_feature_blocks(path):
+def _read_plain_features(path):
+    """features.csv as _read_features gives it, read on the fast path; None
+    unless every block is plain and the file holds a row."""
     n_rows, n_cols = 0, None
-    parts = []  # per block: (first row, rows np.loadtxt read, token index, token values)
+    flat, values = [], []  # per block: the row-major places of the other tokens, their values
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
             plain = _plain_tokens(block, n_cols)
             if plain is None:
-                rows = _loadtxt_block(block)
-                if not len(rows):
-                    continue
-                if n_cols is None:
-                    n_cols = rows.shape[1]
-                if rows.shape[1] != n_cols:
-                    raise ValueError(f"the number of columns changed from {n_cols} to "
-                                     f"{rows.shape[1]} after row {n_rows}")
-                parts.append((n_rows, rows, None, None))
-                n_rows += len(rows)
-                continue
+                return None
             block_rows, n_cols, index, text = plain
-            values = (np.loadtxt([text[:-1].decode().replace("\n", ",")], delimiter=",",
-                                 dtype=np.float64, ndmin=1) if text else np.zeros(0))
-            parts.append((n_rows, None, index, values))
+            flat.append(n_rows * n_cols + index)
+            values.append(np.loadtxt([text[:-1].decode().replace("\n", ",")], delimiter=",",
+                                     dtype=np.float64, ndmin=1) if text else np.zeros(0))
             n_rows += block_rows
-    if not n_rows:  # no data at all: loadtxt's own result and warning
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    shape = (n_rows, n_cols)
-    nnz = sum(np.count_nonzero(values if rows is None else rows)
-              for _, rows, _, values in parts)
-    if stays_sparse(nnz, shape):
-        flat, data = [], []
-        for first_row, rows, index, values in parts:
-            if rows is not None:
-                index = np.flatnonzero(rows)
-                values = rows.ravel()[index]
-            keep = values != 0
-            flat.append(first_row * n_cols + index[keep])
-            data.append(values[keep])
-        return csr_from_flat(shape, np.concatenate(flat), np.concatenate(data))
+    if not n_rows:
+        return None
+    shape, flat, values = (n_rows, n_cols), np.concatenate(flat), np.concatenate(values)
+    if stays_sparse(np.count_nonzero(values), shape):
+        keep = values != 0
+        return csr_from_flat(shape, flat[keep], values[keep])
     features = np.zeros(shape)
-    for first_row, rows, index, values in parts:
-        if rows is None:  # assigned, not added, so a -0.0 keeps its sign
-            features.reshape(-1)[first_row * n_cols + index] = values
-        else:
-            features[first_row:first_row + len(rows)] = rows
+    features.reshape(-1)[flat] = values  # assigned, not added, so a -0.0 keeps its sign
     return features
 
 
 def _read_features(path):
-    """features.csv as models.model_input takes it: a CSR matrix of the
-    nonzero entries when stays_sparse, else the dense array, equal bit for
-    bit to what np.loadtxt(path, delimiter=",") gives.
+    """features.csv as models.model_input takes it, equal bit for bit to
+    what np.loadtxt(path, delimiter=",") gives: when every block is plain
+    (see _plain_tokens), a CSR matrix of the nonzero entries if
+    stays_sparse, else the dense array.
 
-    The file is read in blocks of whole lines. In a plain block (see
-    _plain_tokens) the literal 0.0 is recognised without converting it, and
-    the other tokens go through np.loadtxt as one row, so they follow its
-    number grammar. Any other block goes through np.loadtxt whole. A fault
-    is reported by np.loadtxt over the whole file, with its own message.
+    The file is read in blocks of whole lines. In a plain block the literal
+    0.0 is recognised without converting it, and the other tokens go through
+    np.loadtxt as one row, so they follow its number grammar. A file with a
+    block that is not plain, or a token np.loadtxt refuses, is read whole by
+    np.loadtxt, which gives the dense array or its own error.
     """
     try:
-        return _read_feature_blocks(path)
+        features = _read_plain_features(path)
     except ValueError:
-        np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        raise
+        features = None
+    if features is None:
+        features = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    return features
 
 
 def _first_non_finite_row(features):

@@ -318,6 +318,10 @@ def train(config, graph=None, keep_best_model=False):
 
     With keep_best_model=True the parameters at the best validation epoch
     are snapshotted and saved to out_dir/model.npz.
+
+    Under glibc this changes malloc settings of the whole calling process,
+    for good: it fixes the mmap threshold at 32 MB and the trim threshold at
+    64 MB (see _keep_freed_memory), as do the probe and ablation runs.
     """
     graph = _resolve_graph(config, graph)
     report, _, best_snapshot = _run(config, graph, keep_best_model)

@@ -180,7 +180,8 @@ def words_csv(rng, n, c, density):
 
 @pytest.fixture
 def block_paths(monkeypatch):
-    """Counts the blocks read on the fast path and those handed to np.loadtxt."""
+    """Counts the blocks read on the fast path and the blocks that hand the
+    whole file to np.loadtxt (at most one: the reader stops there)."""
     seen = {"plain": 0, "loadtxt": 0}
     plain_tokens = graph._plain_tokens
 
@@ -207,10 +208,10 @@ class TestFeatureReader:
     def test_number_spellings(self, tmp_path, block_paths, monkeypatch, dense):
         # Only the exact token 0.0 skips conversion; the other spellings of
         # zero and the rest of loadtxt's grammar go through loadtxt. The
-        # sparse file's blocks hold about three rows; the one with the '+'
-        # goes to np.loadtxt whole.
+        # sparse file's blocks hold about three rows, all on the fast path.
+        # ('+.5' leaves the plain grammar; see test_layouts_loadtxt_accepts.)
         monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 1 << 20 if dense else 150)
-        odd = ["-0.0", "0", "00.0", "+.5", "5.", "1e-17", "5e300", "0.0e0", ".0", "010"]
+        odd = ["-0.0", "0", "00.0", "5.", "1e-17", "5e300", "0.0e0", ".0", "010", "-.5"]
         rows = [["0.0"] * 12 for _ in range(30)]
         for i, token in enumerate(odd):
             rows[3 * i][i] = token
@@ -225,7 +226,7 @@ class TestFeatureReader:
             assert np.signbit(g.features[4, 5]) and np.signbit(g.features[0, 0])
             assert block_paths == {"plain": 0, "loadtxt": 1}
         else:
-            assert block_paths["plain"] > 1 and block_paths["loadtxt"] == 1
+            assert block_paths["plain"] > 1 and block_paths["loadtxt"] == 0
 
     @pytest.mark.parametrize("text,route", [
         (b"# header\n0.0,1.5,0.0\n\n0.0,0.0,0.0\n", "loadtxt"),
@@ -234,11 +235,12 @@ class TestFeatureReader:
         (b"0.0,1.5,0.0 # trailing comment\n0.0,0.0,2.0\n", "loadtxt"),
         (b"0.0,1.5,0.0\n\n0.0,0.0,2.0\n\n", "loadtxt"),
         ("0.0,1.5,0.0\n0.0,0.0,\u00a02.0\n".encode(), "loadtxt"),
+        (b"0.0,+.5,0.0\n0.0,0.0,2.0\n", "loadtxt"),
         (b"0.0,1.5,0.0\n0.0,0.0,2.0", "plain"),
     ], ids=["comment-blank", "crlf", "padded", "inline-comment", "blank-only", "non-ascii",
-            "no-final-newline"])
+            "plus-sign", "no-final-newline"])
     def test_layouts_loadtxt_accepts(self, tmp_path, block_paths, text, route):
-        # A block that leaves the plain grammar goes to np.loadtxt whole.
+        # A block that leaves the plain grammar hands the file to np.loadtxt.
         g, reference = load_features(tmp_path, text)
         assert_matches_loadtxt(g, reference)
         assert block_paths == {"plain": 0, "loadtxt": 0, route: 1}
@@ -251,33 +253,44 @@ class TestFeatureReader:
         g, reference = load_features(tmp_path, text)
         assert not sp.issparse(g.x)
         assert_matches_loadtxt(g, reference)
-        assert block_paths["plain"] == 0 and block_paths["loadtxt"] > 1
+        assert block_paths == {"plain": 0, "loadtxt": 1}
 
     @pytest.mark.parametrize("block_bytes", [1, 7, 50, 333])
     def test_rows_split_across_blocks(self, tmp_path, block_paths, monkeypatch, block_bytes):
-        # Blocks of whole lines whatever the read size; a comment block in
-        # the middle goes to np.loadtxt, the others take the fast path.
+        # Blocks of whole lines whatever the read size, all on the fast path.
         monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", block_bytes)
-        text = words_csv(np.random.default_rng(7), 40, 30, 0.05)
-        lines = text.splitlines(keepends=True)
-        text = b"".join(lines[:20] + [b"# middle\n"] + lines[20:])
-        g, reference = load_features(tmp_path, text)
+        g, reference = load_features(tmp_path, words_csv(np.random.default_rng(7), 40, 30, 0.05))
+        assert sp.issparse(g.x)
         assert_matches_loadtxt(g, reference)
-        assert block_paths["plain"] > 1 and block_paths["loadtxt"] >= 1
+        assert block_paths["plain"] > 1 and block_paths["loadtxt"] == 0
 
-    def test_dense_file_with_plain_blocks(self, tmp_path, block_paths, monkeypatch):
-        # Dense rows, then rows of 0.0 with a -0.0 each: over 10 % nonzero in
-        # all, so the file is assembled dense, and the -0.0 entries of the
-        # fast-path blocks keep their sign.
+    @pytest.mark.parametrize("block_bytes", [7, 333])
+    def test_late_comment_hands_file_to_loadtxt(self, tmp_path, block_paths, monkeypatch,
+                                                block_bytes):
+        # Plain blocks, then a comment: the rows read so far are dropped and
+        # np.loadtxt reads the whole file.
+        monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", block_bytes)
+        lines = words_csv(np.random.default_rng(7), 40, 30, 0.05).splitlines(keepends=True)
+        g, reference = load_features(tmp_path, b"".join(lines[:20] + [b"# middle\n"] + lines[20:]))
+        assert_matches_loadtxt(g, reference)
+        assert block_paths["plain"] > 0 and block_paths["loadtxt"] == 1
+
+    def test_dense_file_on_the_fast_path(self, tmp_path, block_paths, monkeypatch):
+        # Every row holds 8 values and a -0.0 among 20: plain blocks, but
+        # 40 % nonzero, so the file is assembled dense and each -0.0 keeps
+        # its sign.
         monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 200)
-        values = np.random.default_rng(9).normal(size=(10, 20)).tolist()
-        lines = [",".join(map(repr, row)) for row in values]
-        lines += [",".join("-0.0" if j == i else "0.0" for j in range(20)) for i in range(20)]
-        g, reference = load_features(tmp_path, ("\n".join(lines) + "\n").encode())
+        rng = np.random.default_rng(9)
+        rows = [["0.0"] * 20 for _ in range(20)]
+        for i, row in enumerate(rows):
+            for j in rng.choice(np.delete(np.arange(20), i), 8, replace=False):
+                row[j] = repr(rng.normal())
+            row[i] = "-0.0"
+        g, reference = load_features(tmp_path, "".join(",".join(r) + "\n" for r in rows).encode())
         assert not sp.issparse(g.x)
         assert_matches_loadtxt(g, reference)
-        assert np.signbit(g.features[10 + np.arange(20), np.arange(20)]).all()
-        assert block_paths["plain"] > 0 and block_paths["loadtxt"] > 0
+        assert np.signbit(g.features[np.arange(20), np.arange(20)]).all()
+        assert block_paths["plain"] > 1 and block_paths["loadtxt"] == 0
 
     def test_non_finite_value_in_sparse_file_names_row(self, tmp_path, monkeypatch):
         # Two stored values a row, so the 7th row starts at the 13th value.
@@ -293,8 +306,8 @@ class TestFeatureReader:
     def test_width_change_at_a_block_boundary_named(self, tmp_path, block_paths,
                                                     monkeypatch):
         # Rows of 80 bytes read 399 at a time make blocks of five rows. The
-        # third block goes to np.loadtxt (it holds a comment) and reads fine
-        # on its own, but its rows are one value short.
+        # third block holds a comment, so np.loadtxt reads the whole file and
+        # finds its rows one value short.
         monkeypatch.setattr(graph, "FEATURE_BLOCK_BYTES", 399)
         rows = ["0.0," * 19 + "0.5"] * 10 + ["# narrower\n" + "0.0," * 18 + "0.5"] * 3
         d = write_dataset(tmp_path, features="\n".join(rows) + "\n")

@@ -816,6 +816,24 @@ def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
     assert training._keep_freed_memory() is None
 
 
+def test_run_fixes_malloc_thresholds(monkeypatch, sbm):
+    # Every run sets both thresholds through mallopt, with int arguments.
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((self.argtypes, param, value))
+            return 1
+
+    class Libc:
+        mallopt = Mallopt()
+
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: Libc())
+    train(small_config(epochs=1), graph=sbm)
+    ints = (training.ctypes.c_int, training.ctypes.c_int)
+    assert calls == [(ints, -3, 32 << 20), (ints, -1, 64 << 20)]
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory, sbm):
     d = tmp_path_factory.mktemp("data") / "sbm"
