@@ -2,8 +2,10 @@
 edge dropping.
 
 The probe measures consecutive-layer distances ||H^(l) - H^(l-1)|| on a
-fixed forward pass, once on the freshly initialized model and once after a
-training stint. Small distances mean the later layers have stopped changing
+fixed forward pass, once on the freshly initialized model and once after
+training it. Like the ablations, it takes every setting from the config:
+it trains config.epochs epochs, and with config.out_dir set it writes
+probe.json there. Small distances mean the later layers have stopped changing
 anything: the representations are collapsing toward the propagation
 matrix's top eigenspace. Dropping edges thins that matrix out and keeps the
 distances up.
@@ -26,8 +28,7 @@ for p in (0.0, 0.6):
         model=ModelConfig(backbone="gcn", n_layers=10, hidden_dim=16,
                           dropout=0.0, dropedge=DropEdgeConfig(p=p)),
         lr=0.002, weight_decay=5e-3, epochs=200, seed=1)
-    report = oversmoothing_probe(cfg, graph=graph, layer_range=(2, 6),
-                                 probe_epochs=200)
+    report = oversmoothing_probe(cfg, graph=graph, layer_range=(2, 6))
     results[p] = report
     print(f"=== drop rate p = {p} ===")
     for tag, block in (("fresh", report.before), ("trained", report.after)):

@@ -18,8 +18,7 @@ from .models import ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
 from .spectral import TOP_CLUSTER_TOL, analyze, theorem1_trajectory
 from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
-                       ablate_layerwise, oversmoothing_probe, train, write_json,
-                       write_report)
+                       ablate_layerwise, oversmoothing_probe, train, write_json)
 
 
 def _add_data_flags(p):
@@ -78,15 +77,11 @@ def _cmd_train(args, parser):
 
 def _cmd_probe(args, parser):
     config = _train_config(args, parser)
-    lo, hi = args.probe_layers
-    report = oversmoothing_probe(config, layer_range=(lo, hi),
-                                 probe_epochs=args.probe_epochs)
-    out = Path(config.out_dir)
-    write_json(out / "probe.json", report.summary())
+    report = oversmoothing_probe(config, layer_range=tuple(args.probe_layers))
     for tag, block in (("before", report.before), ("after", report.after)):
         dist = " ".join(f"l={l}:{v:.4g}" for l, v in block["layer_distance"].items())
         print(f"{tag:>6}: {dist}")
-    print(f"wrote {out / 'probe.json'}")
+    print(f"wrote {Path(config.out_dir) / 'probe.json'}")
     return 0
 
 
@@ -150,20 +145,11 @@ def _cmd_theorem(args, parser):
 
 def _cmd_ablate(args, parser):
     config = _train_config(args, parser)
-    out = Path(config.out_dir)
-    if args.mode == "dropout-vs-dropedge":
-        reports = ablate_dropout_dropedge(config, dropout=args.dropout,
-                                          p=config.model.dropedge.p)
-    else:
-        reports = ablate_layerwise(config)
-    combined = {}
-    for name, rep in reports.items():
-        write_report(rep, out / name)
-        combined[name] = rep.summary()
+    ablate = ablate_dropout_dropedge if args.mode == "dropout-vs-dropedge" else ablate_layerwise
+    for name, rep in ablate(config).items():
         print(f"{name:>10}: val_acc={rep.val_acc:.4f} test_acc={rep.test_acc:.4f} "
               f"(best epoch {rep.best_epoch})")
-    write_json(out / "summary.json", combined)
-    print(f"wrote {out / 'summary.json'}")
+    print(f"wrote {Path(config.out_dir) / 'summary.json'}")
     return 0
 
 
@@ -182,7 +168,7 @@ def build_parser():
                              help="layer-distance probe before and after training")
     _add_data_flags(p_probe)
     _add_model_flags(p_probe)
-    p_probe.add_argument("--probe-epochs", type=int, default=150)
+    p_probe.set_defaults(epochs=150)
     p_probe.add_argument("--probe-layers", type=int, nargs=2, default=(2, 6),
                          metavar=("LO", "HI"))
 

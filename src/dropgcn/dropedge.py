@@ -10,13 +10,42 @@ drop rate and the granularity.
 
 Two granularities: one draw shared by every layer (the default; the returned
 list repeats one matrix object), or an independent draw per layer.
+
+DropEdgeConfig is the first config class in the import order, so the type
+checks every config class applies to its fields live here: check_integer,
+check_real and check_flag.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sparsemat import SparseMatrix, keep_entries, normalize
+
+
+def check_integer(name, value):
+    """`value` as a Python int; ValueError naming the setting `name` when it
+    is not an integer: a float, even 2.0, or a bool. numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_real(name, value):
+    """`value` as a Python float; ValueError naming the setting `name` when it
+    is not a real number, or is a bool. numpy floats and integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_flag(name, value):
+    """`value` as a Python bool; ValueError naming the setting `name` when it
+    is not a bool. numpy bools pass."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 @dataclass
@@ -34,6 +63,8 @@ class DropEdgeConfig:
     scheme: str = None
 
     def __post_init__(self):
+        self.p = check_real("p", self.p)
+        self.layer_wise = check_flag("layer_wise", self.layer_wise)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"drop rate p must lie in [0, 1], got {self.p}")
 

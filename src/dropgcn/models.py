@@ -29,7 +29,6 @@ layer output outlives its last reader or the tape's need for it.
 
 import copy
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ import scipy.sparse as sp
 
 from .autodiff import (BatchNormState, Tensor, add, add_bias, batch_norm,
                        concat_cols, dropout, index_mask, matmul, relu, spmm)
-from .dropedge import DropEdgeConfig
+from .dropedge import DropEdgeConfig, check_flag, check_integer, check_real
 from .optim import glorot_init
 from .sparsemat import SCHEMES
 
@@ -91,16 +90,12 @@ class ModelConfig:
             raise ValueError(f"{self.backbone} needs n_layers >= {floor}, got {self.n_layers}")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
+        self.dropout = check_real("dropout", self.dropout)
+        self.withloop = check_flag("withloop", self.withloop)
+        self.withbn = check_flag("withbn", self.withbn)
+        self.bias = check_flag("bias", self.bias)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-
-
-def check_integer(name, value):
-    """`value` as a Python int; ValueError naming the setting `name` when it
-    is not an integer: a float, even 2.0, or a bool. numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_scheme_echo(config):

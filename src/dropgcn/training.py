@@ -6,6 +6,10 @@ on the training split, and evaluate all three splits with dropping and
 dropout off. The reported test accuracy is the one at the best validation
 epoch (earliest on ties).
 
+The probe and both ablations take every setting from their TrainConfig
+(epochs, rates, granularity) and, like train, write their reports under
+config.out_dir when it is set.
+
 Epoch e is evaluated at one point of epoch e+1: after its training
 forward, before its loss, so a validation divergence at epoch e is still
 reported ahead of a training divergence at epoch e+1. The last epoch is
@@ -52,10 +56,10 @@ import numpy as np
 
 from . import spectral
 from .autodiff import Tape, Tensor, backward, clear_grads, softmax_cross_entropy
-from .dropedge import drop_count, propagation_matrices
+from .dropedge import check_integer, check_real, drop_count, propagation_matrices
 from .graph import SPLIT_NAMES, load_graph_dir
-from .models import (ModelConfig, accuracy, build_model, check_integer, copy_model,
-                     forward, model_view, save_model, sup_singular_value)
+from .models import (ModelConfig, accuracy, build_model, copy_model, forward,
+                     model_view, save_model, sup_singular_value)
 from .optim import AdamState, adam_step, check_rates
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
@@ -84,6 +88,8 @@ class TrainConfig:
         self.seed = check_integer("seed", self.seed)
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        self.lr = check_real("lr", self.lr)
+        self.weight_decay = check_real("weight_decay", self.weight_decay)
         check_rates(self.lr, self.weight_decay)
 
 
@@ -317,12 +323,16 @@ def train(config, graph=None, keep_best_model=False):
     """One full-batch run; returns the RunReport (and writes out_dir files).
 
     With keep_best_model=True the parameters at the best validation epoch
-    are snapshotted and saved to out_dir/model.npz.
+    are snapshotted and saved to out_dir/model.npz; config.out_dir must then
+    be set.
 
     Under glibc this changes malloc settings of the whole calling process,
     for good: it fixes the mmap threshold at 32 MB and the trim threshold at
     64 MB (see _keep_freed_memory), as do the probe and ablation runs.
     """
+    if keep_best_model and config.out_dir is None:
+        raise ValueError("keep_best_model saves the best model to out_dir/model.npz; "
+                         "set config.out_dir")
     graph = _resolve_graph(config, graph)
     report, _, best_snapshot = _run(config, graph, keep_best_model)
     if config.out_dir is not None:
@@ -337,7 +347,7 @@ def train(config, graph=None, keep_best_model=False):
 
 @dataclass
 class ProbeReport:
-    """Layer-distance measurements before and after a training stint.
+    """Layer-distance measurements before and after a training run.
 
     `before` and `after` each map: "layer_distance" to {l: ||H^(l) -
     H^(l-1)||_F} over the probed range, "subspace_distance" to the per-GCL
@@ -349,7 +359,6 @@ class ProbeReport:
     layer_range: tuple
     before: dict
     after: dict
-    epochs_trained: int
     config: dict
 
     def summary(self):
@@ -358,13 +367,13 @@ class ProbeReport:
             "layer_range": list(self.layer_range),
             "before": self.before,
             "after": self.after,
-            "epochs_trained": self.epochs_trained,
         }
 
 
-def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150):
-    """Measure layer-to-layer distances on a fresh model, train for
-    probe_epochs, and measure the final model again.
+def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
+    """Measure layer-to-layer distances on a fresh model, train it for
+    config.epochs, and measure the final model again. Writes probe.json
+    under config.out_dir when it is set.
 
     Both measurements draw propagation matrices through the model's
     edge-drop settings (that effect is the thing observed) but keep feature
@@ -373,9 +382,6 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
     since the subspace view wants an orthonormal eigenbasis, and probed
     layers that form a chain: each layer l in the range reads layer l-1.
     """
-    check_integer("probe_epochs", probe_epochs)
-    if probe_epochs < 1:
-        raise ValueError(f"probe_epochs must be positive, got {probe_epochs}")
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
     graph = _resolve_graph(config, graph)
     _check_splits(graph)
@@ -414,38 +420,50 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6), probe_epochs=150
         }
 
     before = measured(fresh)
-    run_cfg = replace(config, epochs=probe_epochs, out_dir=None)
-    _, trained, _ = _run(run_cfg, graph, keep_best=False)
-    after = measured(trained)
-    return ProbeReport(layer_range=(lo, hi), before=before, after=after,
-                       epochs_trained=probe_epochs, config=_config_dict(config))
+    _, trained, _ = _run(config, graph, keep_best=False)
+    report = ProbeReport(layer_range=(lo, hi), before=before, after=measured(trained),
+                         config=_config_dict(config))
+    if config.out_dir is not None:
+        write_json(Path(config.out_dir) / "probe.json", report.summary())
+    return report
 
 
 # -- ablations ---------------------------------------------------------
 
 
-def _with_rates(config, dropout, p):
-    mcfg = replace(config.model, dropout=dropout,
-                   dropedge=replace(config.model.dropedge, p=p))
-    return replace(config, model=mcfg, out_dir=None)
+def _run_arms(config, graph, **arms):
+    """Train `config` once per arm, changed as that arm says: "dropout" sets
+    the model's feature dropout, any other key a field of its DropEdgeConfig.
+    Returns {arm: RunReport}. Once every arm has finished, and when
+    config.out_dir is set, writes each arm's metrics.csv and summary.json
+    under out_dir/<arm>/ and every arm's summary to out_dir/summary.json."""
+    reports = {}
+    for name, change in arms.items():
+        mcfg = replace(config.model, dropout=change.pop("dropout", config.model.dropout),
+                       dropedge=replace(config.model.dropedge, **change))
+        reports[name] = _run(replace(config, model=mcfg, out_dir=None), graph,
+                             keep_best=False)[0]
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
+        for name, report in reports.items():
+            write_report(report, out / name)
+        write_json(out / "summary.json", {name: r.summary() for name, r in reports.items()})
+    return reports
 
 
-def ablate_dropout_dropedge(config, graph=None, dropout=0.5, p=0.5):
-    """Train the four on/off combinations of feature dropout and edge
-    dropping, all from the same seed. Returns {"neither", "dropout",
-    "dropedge", "both"} -> RunReport. Requires a nonzero dropout and a p
-    that drops at least one edge, else an arm would repeat another."""
+def ablate_dropout_dropedge(config, graph=None):
+    """Train the four on/off combinations of the configured feature dropout
+    and edge dropping, all from the same seed; "both" is `config` itself.
+    Returns {"neither", "dropout", "dropedge", "both"} -> RunReport. Requires
+    a nonzero dropout and a p that drops at least one edge, else an arm
+    would repeat another."""
     graph = _resolve_graph(config, graph)
-    if dropout == 0.0:
+    if config.model.dropout == 0.0:
         raise ValueError("the dropout/edge-drop ablation needs a nonzero dropout rate")
-    _check_drops_edges(graph.adjacency, p, "the dropout/edge-drop ablation")
-    variants = {
-        "neither": _with_rates(config, 0.0, 0.0),
-        "dropout": _with_rates(config, dropout, 0.0),
-        "dropedge": _with_rates(config, 0.0, p),
-        "both": _with_rates(config, dropout, p),
-    }
-    return {name: _run(cfg, graph, keep_best=False)[0] for name, cfg in variants.items()}
+    _check_drops_edges(graph.adjacency, config.model.dropedge.p,
+                       "the dropout/edge-drop ablation")
+    return _run_arms(config, graph, neither={"dropout": 0.0, "p": 0.0},
+                     dropout={"p": 0.0}, dropedge={"dropout": 0.0}, both={})
 
 
 def ablate_layerwise(config, graph=None):
@@ -456,13 +474,5 @@ def ablate_layerwise(config, graph=None):
     """
     graph = _resolve_graph(config, graph)
     _check_drops_edges(graph.adjacency, config.model.dropedge.p, "the layer-wise ablation")
-    oneshot = replace(config, out_dir=None,
-                      model=replace(config.model,
-                                    dropedge=replace(config.model.dropedge, layer_wise=False)))
-    layerwise = replace(config, out_dir=None,
-                        model=replace(config.model,
-                                      dropedge=replace(config.model.dropedge, layer_wise=True)))
-    return {
-        "oneshot": _run(oneshot, graph, keep_best=False)[0],
-        "layerwise": _run(layerwise, graph, keep_best=False)[0],
-    }
+    return _run_arms(config, graph, oneshot={"layer_wise": False},
+                     layerwise={"layer_wise": True})

@@ -13,7 +13,6 @@ has no network access, so the raw files cannot be fetched here).
 import math
 import statistics
 import time
-from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -393,10 +392,10 @@ def test_criterion_07_cora_shallow_accuracy():
              f"{elapsed:.0f}s (budget 600s)")
 
 
-def _deep_cora_config(p, seed, n_layers=8, epochs=400):
+def _deep_cora_config(p, seed, n_layers=8, epochs=400, dropout=0.0):
     return TrainConfig(
         model=ModelConfig(backbone="gcn", n_layers=n_layers, hidden_dim=256,
-                          dropout=0.0, scheme="AugNormAdj",
+                          dropout=dropout, scheme="AugNormAdj",
                           dropedge=DropEdgeConfig(p=p)),
         lr=0.005, weight_decay=5e-4, epochs=epochs, seed=seed)
 
@@ -426,9 +425,8 @@ def test_criterion_09_cora_layer_distance_probe():
     t0 = time.perf_counter()
     probes = {}
     for p in (0.0, 0.8):
-        cfg = _deep_cora_config(p, seed=0)
-        probes[p] = oversmoothing_probe(cfg, graph=graph, layer_range=(2, 6),
-                                        probe_epochs=150)
+        cfg = _deep_cora_config(p, seed=0, epochs=150)
+        probes[p] = oversmoothing_probe(cfg, graph=graph, layer_range=(2, 6))
     before_ok = all(
         probes[0.8].before["layer_distance"][l] > probes[0.0].before["layer_distance"][l]
         for l in range(2, 7))
@@ -453,8 +451,8 @@ def test_criterion_10_cora_ablation_ordering():
     t0 = time.perf_counter()
     finals = {name: [] for name in ("neither", "dropout", "dropedge", "both")}
     for seed in (0, 1, 2):
-        cfg = replace(_deep_cora_config(0.0, seed, n_layers=4, epochs=200))
-        reports = ablate_dropout_dropedge(cfg, graph=graph, dropout=0.8, p=0.3)
+        cfg = _deep_cora_config(0.3, seed, n_layers=4, epochs=200, dropout=0.8)
+        reports = ablate_dropout_dropedge(cfg, graph=graph)
         for name, rep in reports.items():
             finals[name].append(rep.rows[-1]["val_loss"])
     med = {name: statistics.median(vals) for name, vals in finals.items()}

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -607,14 +608,13 @@ class TestEmptySplits:
         monkeypatch.setattr(training.spectral, "analyze",
                             lambda *a: pytest.fail("analyzed"))
         with pytest.raises(ValueError, match="the val split is empty"):
-            oversmoothing_probe(small_config(p=0.5, n_layers=4),
-                                graph=self.emptied(sbm, "val"),
-                                layer_range=(2, 3), probe_epochs=3)
+            oversmoothing_probe(small_config(epochs=3, p=0.5, n_layers=4),
+                                graph=self.emptied(sbm, "val"), layer_range=(2, 3))
 
     def test_ablations(self, sbm, no_model):
         graph = self.emptied(sbm, "test")
         with pytest.raises(ValueError, match="the test split is empty"):
-            ablate_dropout_dropedge(small_config(epochs=3), graph=graph)
+            ablate_dropout_dropedge(small_config(epochs=3, p=0.5, dropout=0.5), graph=graph)
         with pytest.raises(ValueError, match="the test split is empty"):
             ablate_layerwise(small_config(epochs=3, p=0.5), graph=graph)
 
@@ -627,9 +627,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning rate|weight decay"):
             TrainConfig(lr=lr, weight_decay=weight_decay)
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, 0, -3])
     def test_epochs_must_be_an_integer(self, value):
-        with pytest.raises(ValueError, match="epochs must be an integer"):
+        # 0 and -3 are integers but no epoch count; the probe trains
+        # config.epochs, so this is also its check.
+        message = "positive" if value in (0, -3) else "an integer"
+        with pytest.raises(ValueError, match=f"epochs must be {message}"):
             TrainConfig(epochs=value)
 
     @pytest.mark.parametrize("value", [1.5, 1.0, None])
@@ -656,29 +659,74 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="hidden_dim must be an integer"):
             ModelConfig(hidden_dim=value)
 
+    @pytest.mark.parametrize("build,name,bad,numpy_value", [
+        (DropEdgeConfig, "p", True, np.float32(0.25)),
+        (ModelConfig, "dropout", "0.5", np.float64(0.25)),
+        (TrainConfig, "lr", True, np.float32(0.125)),
+        (TrainConfig, "weight_decay", "0", np.float64(5e-4)),
+        (DropEdgeConfig, "layer_wise", "no", np.True_),
+        (ModelConfig, "withloop", 1, np.True_),
+        (ModelConfig, "withbn", "yes", np.False_),
+        (ModelConfig, "bias", 0, np.False_),
+    ])
+    def test_rates_and_flags_must_have_their_type(self, build, name, bad, numpy_value):
+        # p=True used to drop every edge, lr=True trained at 1.0,
+        # layer_wise="no" ran layer-wise and p="0.5" failed in a comparison.
+        with pytest.raises(ValueError, match=rf"^{name} must be a (real number|bool), "
+                                             rf"got {re.escape(repr(bad))}$"):
+            build(**{name: bad})
+        # Stored as Python floats and bools, so summary.json can hold them.
+        value = getattr(build(**{name: numpy_value}), name)
+        assert type(value) is type(numpy_value.item()) and value == numpy_value
+
+    def test_keep_best_model_needs_out_dir(self, sbm, monkeypatch):
+        # The snapshots would be copied every best epoch and then dropped.
+        monkeypatch.setattr(training, "build_model", lambda *a, **k: pytest.fail("built"))
+        monkeypatch.setattr(training.np.random, "default_rng",
+                            lambda *a: pytest.fail("seeded a generator"))
+        with pytest.raises(ValueError, match="out_dir"):
+            train(small_config(epochs=3, p=0.4), graph=sbm, keep_best_model=True)
+
 
 class TestProbe:
     def test_probe_structure(self, sbm):
-        cfg = small_config(epochs=400, p=0.5, n_layers=6)
-        report = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 5),
-                                     probe_epochs=15)
+        cfg = small_config(epochs=15, p=0.5, n_layers=6)
+        report = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 5))
         assert report.layer_range == (2, 5)
-        assert report.epochs_trained == 15
+        assert report.summary()["config"]["epochs"] == 15
         for block in (report.before, report.after):
             assert sorted(block["layer_distance"]) == [2, 3, 4, 5]
             assert all(v >= 0.0 for v in block["layer_distance"].values())
             assert len(block["subspace_distance"]) == 6
             assert block["s"] > 0.0
 
+    def test_probe_trains_config_epochs_and_writes_under_out_dir(self, sbm, tmp_path,
+                                                                  monkeypatch):
+        trained = []
+        real = training._run
+
+        def spy(config, graph, keep_best):
+            result = real(config, graph, keep_best)
+            trained.append(len(result[0].rows))
+            return result
+
+        monkeypatch.setattr(training, "_run", spy)
+        cfg = replace(small_config(epochs=7, p=0.5, n_layers=4), out_dir=tmp_path / "probe")
+        report = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
+        assert trained == [7]
+        saved = json.loads((tmp_path / "probe" / "probe.json").read_text())
+        assert saved == json.loads(json.dumps(report.summary()))
+        assert saved["config"]["epochs"] == 7 and "epochs_trained" not in saved
+
     def test_probe_deterministic(self, sbm):
-        cfg = small_config(epochs=400, p=0.5, n_layers=4)
-        a = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3), probe_epochs=8)
-        b = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3), probe_epochs=8)
+        cfg = small_config(epochs=8, p=0.5, n_layers=4)
+        a = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
+        b = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
         assert json.dumps(a.summary()) == json.dumps(b.summary())
 
     def test_probe_on_sparse_features(self, bow):
-        cfg = small_config(p=0.5, n_layers=4, dropout=0.5)
-        report = oversmoothing_probe(cfg, graph=bow, layer_range=(2, 3), probe_epochs=5)
+        cfg = small_config(epochs=5, p=0.5, n_layers=4, dropout=0.5)
+        report = oversmoothing_probe(cfg, graph=bow, layer_range=(2, 3))
         assert all(math.isfinite(v) for v in report.after["layer_distance"].values())
 
     def test_probe_at_p_zero_normalizes_twice(self, sbm, monkeypatch):
@@ -693,8 +741,8 @@ class TestProbe:
 
         monkeypatch.setattr(training, "normalize", counted)
         monkeypatch.setattr(dropedge, "normalize", counted)
-        oversmoothing_probe(small_config(n_layers=4, scheme="BingGeNormAdj"), graph=sbm,
-                            layer_range=(2, 3), probe_epochs=3)
+        oversmoothing_probe(small_config(epochs=3, n_layers=4, scheme="BingGeNormAdj"),
+                            graph=sbm, layer_range=(2, 3))
         assert calls == ["BingGeNormAdj", "BingGeNormAdj"]
 
     def test_probe_rejects_bad_settings(self, sbm):
@@ -714,27 +762,6 @@ class TestProbe:
         with pytest.raises(ValueError, match="layer 3 does not read layer 2"):
             oversmoothing_probe(small_config(n_layers=5, backbone="incepgcn"), graph=sbm)
 
-    def test_probe_epochs_checked_before_any_work(self, sbm, monkeypatch):
-        def refuse(*args, **kw):
-            raise AssertionError("the probe did work before checking probe_epochs")
-
-        monkeypatch.setattr(training, "build_model", refuse)
-        monkeypatch.setattr(training.spectral, "analyze", refuse)
-        for epochs in (0, -3):
-            with pytest.raises(ValueError, match="probe_epochs"):
-                oversmoothing_probe(small_config(n_layers=4), graph=sbm,
-                                    layer_range=(2, 3), probe_epochs=epochs)
-
-    def test_probe_epochs_must_be_an_integer(self, sbm, monkeypatch):
-        def refuse(*args, **kw):
-            raise AssertionError("the probe did work before checking probe_epochs")
-
-        monkeypatch.setattr(training, "build_model", refuse)
-        monkeypatch.setattr(training.spectral, "analyze", refuse)
-        with pytest.raises(ValueError, match="probe_epochs must be an integer, got 2.5"):
-            oversmoothing_probe(small_config(n_layers=4), graph=sbm,
-                                layer_range=(2, 3), probe_epochs=2.5)
-
     def test_layer_range_must_be_integers(self, sbm, monkeypatch):
         # (2.7, 4.9) used to probe layers 2-4 without a word.
         def refuse(*args, **kw):
@@ -744,13 +771,13 @@ class TestProbe:
         monkeypatch.setattr(training.spectral, "analyze", refuse)
         for layers, which in (((2.7, 4.9), 0), ((2, 4.0), 1)):
             with pytest.raises(ValueError, match=rf"layer_range\[{which}\] must be an integer"):
-                oversmoothing_probe(small_config(n_layers=6), graph=sbm,
-                                    layer_range=layers, probe_epochs=3)
+                oversmoothing_probe(small_config(epochs=3, n_layers=6), graph=sbm,
+                                    layer_range=layers)
 
     def test_probe_within_an_incepgcn_branch(self, sbm):
         # Layers 5-7 are branch 3 of a 5-layer incepgcn, a chain.
-        cfg = small_config(n_layers=5, backbone="incepgcn")
-        report = oversmoothing_probe(cfg, graph=sbm, layer_range=(6, 7), probe_epochs=3)
+        cfg = small_config(epochs=3, n_layers=5, backbone="incepgcn")
+        report = oversmoothing_probe(cfg, graph=sbm, layer_range=(6, 7))
         for block in (report.before, report.after):
             assert sorted(block["layer_distance"]) == [6, 7]
             assert all(math.isfinite(v) for v in block["layer_distance"].values())
@@ -758,14 +785,65 @@ class TestProbe:
 
 class TestAblations:
     def test_four_way_grid(self, sbm):
-        reports = ablate_dropout_dropedge(small_config(epochs=5), graph=sbm,
-                                          dropout=0.4, p=0.5)
+        reports = ablate_dropout_dropedge(small_config(epochs=5, p=0.5, dropout=0.4),
+                                          graph=sbm)
         assert sorted(reports) == ["both", "dropedge", "dropout", "neither"]
         rates = {name: (rep.config["model"]["dropout"],
                         rep.config["model"]["dropedge"]["p"])
                  for name, rep in reports.items()}
         assert rates == {"neither": (0.0, 0.0), "dropout": (0.4, 0.0),
                          "dropedge": (0.0, 0.5), "both": (0.4, 0.5)}
+
+    def test_arms_are_the_runs_of_their_configs(self, sbm):
+        # Each arm is train() on the config with its rates; "both" is the
+        # config itself, and the layer-wise arms keep its dropout and p.
+        cfg = small_config(epochs=6, p=0.5, dropout=0.4, n_layers=3)
+
+        def changed(dropout=0.4, **dropedge):
+            model = replace(cfg.model, dropout=dropout,
+                            dropedge=replace(cfg.model.dropedge, **dropedge))
+            return replace(cfg, model=model)
+
+        arms = {"neither": changed(0.0, p=0.0), "dropout": changed(p=0.0),
+                "dropedge": changed(0.0), "both": cfg,
+                "oneshot": changed(layer_wise=False), "layerwise": changed(layer_wise=True)}
+        reports = {**ablate_dropout_dropedge(cfg, graph=sbm), **ablate_layerwise(cfg, graph=sbm)}
+        assert list(reports) == list(arms)
+        for name, arm in arms.items():
+            assert reports[name].to_csv() == train(arm, graph=sbm).to_csv(), name
+
+    @pytest.mark.parametrize("which", ["dropout_dropedge", "layerwise"])
+    def test_reports_written_under_out_dir(self, sbm, tmp_path, which):
+        ablate = ablate_layerwise if which == "layerwise" else ablate_dropout_dropedge
+        cfg = replace(small_config(epochs=4, p=0.5, dropout=0.4), out_dir=tmp_path / "abl")
+        reports = ablate(cfg, graph=sbm)
+        out = tmp_path / "abl"
+        combined = json.loads((out / "summary.json").read_text())
+        assert list(combined) == list(reports)
+        for name, report in reports.items():
+            assert (out / name / "metrics.csv").read_text() == report.to_csv()
+            summary = json.loads((out / name / "summary.json").read_text())
+            assert summary == combined[name] == json.loads(json.dumps(report.summary()))
+            assert summary["config"]["out_dir"] is None
+
+    @pytest.mark.parametrize("which", ["dropout_dropedge", "layerwise"])
+    def test_nothing_written_before_every_arm_finished(self, sbm, tmp_path, monkeypatch,
+                                                       which):
+        ablate = ablate_layerwise if which == "layerwise" else ablate_dropout_dropedge
+        runs = []
+        real = training._run
+
+        def last_arm_fails(config, graph, keep_best):
+            runs.append(config)
+            if len(runs) == (2 if which == "layerwise" else 4):
+                raise TrainingDiverged("the last arm diverged")
+            return real(config, graph, keep_best)
+
+        monkeypatch.setattr(training, "_run", last_arm_fails)
+        cfg = replace(small_config(epochs=3, p=0.5, dropout=0.4), out_dir=tmp_path / "abl")
+        with pytest.raises(TrainingDiverged, match="last arm"):
+            ablate(cfg, graph=sbm)
+        assert not (tmp_path / "abl").exists()
 
     def test_layerwise_pair(self, sbm):
         reports = ablate_layerwise(small_config(epochs=5, p=0.5, n_layers=3),
@@ -789,12 +867,12 @@ class TestAblations:
             if which == "layerwise":
                 ablate_layerwise(small_config(epochs=5, p=p), graph=sbm)
             else:
-                ablate_dropout_dropedge(small_config(epochs=5), graph=sbm, p=p)
+                ablate_dropout_dropedge(small_config(epochs=5, p=p, dropout=0.5), graph=sbm)
 
     def test_dropout_ablation_needs_dropout(self, sbm, monkeypatch):
         monkeypatch.setattr(training, "_run", lambda *a, **k: pytest.fail("trained"))
         with pytest.raises(ValueError, match="nonzero dropout rate"):
-            ablate_dropout_dropedge(small_config(epochs=5), graph=sbm, dropout=0.0)
+            ablate_dropout_dropedge(small_config(epochs=5, p=0.5), graph=sbm)
 
     def test_vacuous_rate_trains_identical_arms(self):
         # Why the check exists: on this 588-edge graph p=1e-4 drops no edge,
@@ -948,7 +1026,7 @@ class TestCli:
         out = tmp_path / "probe"
         code = run_cli("probe-oversmoothing", "--data-dir", str(dataset_dir),
                        "--out-dir", str(out), "--hidden", "16", "--nlayers", "5",
-                       "--sampling-percent", "0.8", "--probe-epochs", "6",
+                       "--sampling-percent", "0.8", "--epochs", "6",
                        "--probe-layers", "2", "4")
         assert code == 0
         payload = json.loads((out / "probe.json").read_text())
@@ -956,6 +1034,43 @@ class TestCli:
         assert sorted(payload["before"]["layer_distance"]) == ["2", "3", "4"]
         text = capsys.readouterr().out
         assert "before" in text and "after" in text
+
+    @pytest.mark.parametrize("command", [
+        ("train",),
+        ("probe-oversmoothing", "--nlayers", "4", "--probe-layers", "2", "3"),
+        ("ablate", "--mode", "dropout-vs-dropedge"),
+        ("ablate", "--mode", "layerwise"),
+    ], ids=["train", "probe", "ablate-grid", "ablate-layerwise"])
+    def test_run_flags_reach_the_reports(self, dataset_dir, tmp_path, command):
+        out = tmp_path / "out"
+        code = run_cli(*command, "--data-dir", str(dataset_dir), "--out-dir", str(out),
+                       "--hidden", "16", "--epochs", "3", "--dropout", "0.3",
+                       "--sampling-percent", "0.6")
+        assert code == 0
+        if command[0] == "probe-oversmoothing":
+            assert json.loads((out / "probe.json").read_text())["config"]["epochs"] == 3
+            return
+        runs = [""] if command[0] == "train" else list(json.loads(
+            (out / "summary.json").read_text()))
+        rates = {"": (0.3, 0.4), "neither": (0.0, 0.0), "dropout": (0.3, 0.0),
+                 "dropedge": (0.0, 0.4), "both": (0.3, 0.4), "oneshot": (0.3, 0.4),
+                 "layerwise": (0.3, 0.4)}
+        for name in runs:
+            assert len((out / name / "metrics.csv").read_text().splitlines()) == 1 + 3
+            model = json.loads((out / name / "summary.json").read_text())["config"]["model"]
+            assert model["dropout"] == rates[name][0], name
+            assert model["dropedge"]["p"] == pytest.approx(rates[name][1]), name
+
+    def test_probe_trains_150_epochs_by_default(self):
+        parser = cli.build_parser()
+        base = ("--data-dir", "data")
+        assert parser.parse_args(["probe-oversmoothing", *base]).epochs == 150
+        assert parser.parse_args(["probe-oversmoothing", *base, "--epochs", "3"]).epochs == 3
+        assert parser.parse_args(["train", *base]).epochs == 400
+        assert parser.parse_args(["ablate", *base]).epochs == 400
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["probe-oversmoothing", *base, "--probe-epochs", "3"])
+        assert exc.value.code == 2
 
     def test_ablate_grid_command(self, dataset_dir, tmp_path):
         out = tmp_path / "abl"
