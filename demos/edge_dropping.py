@@ -8,8 +8,8 @@ Three observations on a small random graph:
 
 import numpy as np
 
-from dropgcn import (DropEdgeConfig, ModelConfig, propagation_matrices, sample,
-                     synthetic_sbm)
+from dropgcn import (DropEdgeConfig, ModelConfig, normalize, propagation_matrices,
+                     sample, synthetic_sbm)
 
 g = synthetic_sbm(n_nodes=30, n_blocks=2, p_intra=0.35, p_inter=0.05,
                   n_features=4, seed=2)
@@ -43,19 +43,21 @@ print(f"  expected {expected:.3f}, observed "
 
 # One-shot vs layer-wise. propagation_matrices returns one matrix per
 # layer; identical objects mean a shared draw. The model's scheme
-# normalizes every matrix.
+# normalizes every matrix. The full graph's normalization is made once,
+# here as in training, and passed to every call.
+full = normalize(a, "AugNormAdj")
 cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.4))
-mats = propagation_matrices(a, cfg, 4, rng, training=True)
+mats = propagation_matrices(a, cfg, 4, rng, training=True, full=full)
 print(f"\none-shot: all four layers share one draw -> "
       f"{all(m is mats[0] for m in mats)}")
 
 cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.4, layer_wise=True))
-mats = propagation_matrices(a, cfg, 4, rng, training=True)
+mats = propagation_matrices(a, cfg, 4, rng, training=True, full=full)
 edge_sets = [frozenset(zip(*map(tuple, m.undirected_edges()))) for m in mats]
 print(f"layer-wise: every layer keeps {len(edge_sets[0])} edges, but "
       f"{len(set(edge_sets))} of 4 draws are distinct")
 
-# Evaluation never samples: identical full-graph matrix regardless of p.
-mats = propagation_matrices(a, cfg, 4, rng, training=False)
+# Evaluation never samples: the full-graph matrix itself, regardless of p.
+mats = propagation_matrices(a, cfg, 4, rng, training=False, full=full)
 print(f"eval mode: zero edges removed -> nnz {mats[0].nnz} per layer, "
-      f"diagonal included")
+      f"diagonal included, the full normalization itself -> {mats[0] is full}")

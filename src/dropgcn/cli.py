@@ -10,6 +10,7 @@ message on stderr.
 import argparse
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from .dropedge import DropEdgeConfig
@@ -34,7 +35,8 @@ def _add_model_flags(p):
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--sampling-percent", type=float, default=1.0,
-                   help="fraction of edges KEPT per draw; drop rate p is 1 minus this")
+                   help="fraction of edges KEPT per draw; drop rate p is 1 minus this, "
+                        "taken in decimal (0.8 gives p=0.2)")
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--normalization", default="AugNormAdj", choices=list(SCHEMES))
     p.add_argument("--withloop", action="store_true",
@@ -52,8 +54,12 @@ def _train_config(args, parser):
     keep = args.sampling_percent
     if not 0.0 <= keep <= 1.0:
         parser.error(f"--sampling-percent must lie in [0, 1], got {keep}")
+    # In binary floating point 1.0 - 0.8 is 0.19999999999999996, which drops
+    # one edge fewer than p=0.2 whenever 5 divides V; the complement taken in
+    # decimal, of the shortest repr of `keep`, is the p the flag names.
+    p = float(1 - Decimal(repr(keep)))
     try:
-        dropedge = DropEdgeConfig(p=1.0 - keep, layer_wise=args.layerwise_dropedge)
+        dropedge = DropEdgeConfig(p=p, layer_wise=args.layerwise_dropedge)
         model = ModelConfig(backbone=args.backbone, n_layers=args.nlayers,
                             hidden_dim=args.hidden, dropout=args.dropout,
                             withloop=args.withloop, withbn=args.withbn,

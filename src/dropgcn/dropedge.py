@@ -4,9 +4,10 @@ Each training epoch draws a random sub-adjacency: floor(V * p) of the V
 undirected edges are removed uniformly without replacement (both stored
 directions go together), and the survivor is re-normalized from scratch so
 degrees reflect the dropped graph. Evaluation always sees the full, fixed
-normalization. One scheme, the model's (ModelConfig.scheme), normalizes
-every draw, p=0 training and evaluation; DropEdgeConfig holds only the
-drop rate and the granularity.
+normalization, which the caller builds once and passes in. One scheme, the
+model's (ModelConfig.scheme), normalizes every draw, p=0 training and
+evaluation; DropEdgeConfig holds only the drop rate and the granularity.
+Edge ids come from the twins the adjacency keeps (SparseMatrix.twins).
 
 Two granularities: one draw shared by every layer (the default; the returned
 list repeats one matrix object), or an independent draw per layer.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparsemat import SparseMatrix, keep_entries, normalize
+from .sparsemat import keep_entries, normalize
 
 
 def check_integer(name, value):
@@ -72,7 +73,8 @@ class DropEdgeConfig:
 def _edge_ids(a):
     """Id of each stored entry's undirected edge, in undirected_edges()
     order, and the number of undirected edges. An upper entry (i < j) takes
-    its rank among the upper entries; a lower one takes its twin's.
+    its rank among the upper entries; a lower one takes its twin's (a.twins(),
+    sorted once per matrix, so a fixed adjacency is not re-sorted per draw).
     """
     rows = a.row_ids()
     if np.any(rows == a.col_indices):
@@ -97,16 +99,19 @@ def sample(a, p, rng):
 
     The draw is uniform over edge subsets of that exact size, so
     nnz(result) == nnz(a) - 2 * floor(V * p) always holds. A draw that drops
-    nothing (p=0, or p < 1/V) returns an equal matrix and consumes nothing
-    from `rng`; p=1 gives an edgeless one. `a` itself is never modified; it
-    must be structurally symmetric with no stored diagonal entry.
+    nothing (p=0, or p < 1/V) returns `a` itself, which is immutable, and
+    consumes nothing from `rng`; p=1 gives an edgeless matrix. `a` itself is
+    never modified; it must be structurally symmetric with no stored
+    diagonal entry, which is checked whatever the rate. `p` is a real number
+    in [0, 1], as in DropEdgeConfig.
     """
+    p = check_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"drop rate p must lie in [0, 1], got {p}")
     edge_id, n_edges = _edge_ids(a)
     n_drop = drop_count(a, p)
     if n_drop == 0:
-        return SparseMatrix(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values)
+        return a
     dropped = np.zeros(n_edges, dtype=bool)
     dropped[rng.choice(n_edges, size=n_drop, replace=False)] = True
     # Masking keeps the stored entries in CSR order, so nothing is re-sorted.
@@ -121,27 +126,23 @@ def sample_layerwise(a, p, n_layers, rng):
     return [sample(a, p, rng) for _ in range(n_layers)]
 
 
-def propagation_matrices(a, config, n_layers, rng, training, full=None):
+def propagation_matrices(a, config, n_layers, rng, training, full):
     """Per-layer propagation matrices for one forward pass.
 
     `config` is the ModelConfig: its `scheme` normalizes and its `dropedge`
-    gives the drop rate and granularity.
+    gives the drop rate and granularity. `full` is the full adjacency's
+    normalization, normalize(a, config.scheme), which the caller builds once.
 
     Outside training, or when a draw would drop nothing (drop_count is 0: p=0,
-    or p < 1/V), every layer gets the same object: the plain normalization
-    of the full adjacency, untouched by the sampler (and `rng` is not
-    consumed). `full`, when given, is that normalization already built,
-    normalize(a, config.scheme), and is returned instead of a fresh one.
-    During training with a draw that drops edges, a one-shot draw is dropped
-    once, re-normalized once, and shared; the layer-wise variant drops and
-    re-normalizes per layer.
+    or p < 1/V), every layer gets `full` itself, untouched by the sampler
+    (and `rng` is not consumed). During training with a draw that drops
+    edges, a one-shot draw is dropped once, re-normalized once, and shared;
+    the layer-wise variant drops and re-normalizes per layer.
     """
     scheme, drop = config.scheme, config.dropedge
     if n_layers < 1:
         raise ValueError("need at least one layer")
     if not training or drop_count(a, drop.p) == 0:
-        if full is None:
-            full = normalize(a, scheme)
         return [full] * n_layers
     if drop.layer_wise:
         return [normalize(m, scheme) for m in sample_layerwise(a, drop.p, n_layers, rng)]

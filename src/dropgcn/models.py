@@ -82,6 +82,8 @@ class ModelConfig:
             raise ValueError(f"unknown backbone {self.backbone!r}; expected one of {BACKBONES}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown normalization scheme {self.scheme!r}")
+        if not isinstance(self.dropedge, DropEdgeConfig):
+            raise ValueError(f"dropedge must be a DropEdgeConfig, got {self.dropedge!r}")
         _check_scheme_echo(self)
         self.n_layers = check_integer("n_layers", self.n_layers)
         self.hidden_dim = check_integer("hidden_dim", self.hidden_dim)

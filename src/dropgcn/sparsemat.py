@@ -28,7 +28,7 @@ class SparseMatrix:
     on that).
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values")
+    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "_twins")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
         n_rows = int(n_rows)
@@ -158,15 +158,20 @@ class SparseMatrix:
 
         Sorting the entries by column, stably, lists them in CSC order; for a
         structurally symmetric matrix that is the CSR order of the transpose,
-        so position k of the sort holds the twin of CSR entry k.
+        so position k of the sort holds the twin of CSR entry k. The matrix
+        is immutable, so the sort runs at most once per instance: the result
+        is kept, read-only, and returned by every later call.
         """
-        if self.n_rows != self.n_cols:
-            return None
-        rows, cols = self.row_ids(), self.col_indices
-        twin = np.argsort(cols, kind="stable")
-        if not (np.array_equal(cols[twin], rows) and np.array_equal(rows[twin], cols)):
-            return None
-        return twin
+        if hasattr(self, "_twins"):
+            return self._twins
+        self._twins = None
+        if self.n_rows == self.n_cols:
+            rows, cols = self.row_ids(), self.col_indices
+            twin = np.argsort(cols, kind="stable")
+            if np.array_equal(cols[twin], rows) and np.array_equal(rows[twin], cols):
+                twin.flags.writeable = False
+                self._twins = twin
+        return self._twins
 
     def is_symmetric(self):
         """True when the matrix equals its transpose exactly: it is

@@ -8,7 +8,8 @@ epoch (earliest on ties).
 
 The probe and both ablations take every setting from their TrainConfig
 (epochs, rates, granularity) and, like train, write their reports under
-config.out_dir when it is set.
+config.out_dir when it is set. Each of these four calls normalizes its graph
+once (_prepared_graph); every run it makes and the probe's spectrum share it.
 
 Epoch e is evaluated at one point of epoch e+1: after its training
 forward, before its loss, so a validation divergence at epoch e is still
@@ -84,6 +85,8 @@ class TrainConfig:
     out_dir: object = None
 
     def __post_init__(self):
+        if not isinstance(self.model, ModelConfig):
+            raise ValueError(f"model must be a ModelConfig, got {self.model!r}")
         self.epochs = check_integer("epochs", self.epochs)
         self.seed = check_integer("seed", self.seed)
         if self.epochs < 1:
@@ -142,14 +145,6 @@ def write_report(report, out_dir):
     return out
 
 
-def _resolve_graph(config, graph):
-    if graph is not None:
-        return graph
-    if config.data_dir is None:
-        raise ValueError("no graph given and config.data_dir is not set")
-    return load_graph_dir(config.data_dir)
-
-
 def _config_dict(config):
     d = asdict(config)
     d["data_dir"] = None if config.data_dir is None else str(config.data_dir)
@@ -157,13 +152,20 @@ def _config_dict(config):
     return d
 
 
-def _check_splits(graph):
-    """A run needs a loss, a selection criterion and a score: reject an
-    empty train, val or test split before anything is built or drawn."""
+def _prepared_graph(config, graph):
+    """(graph, full) for one public call: `graph` (or the one in
+    config.data_dir) and its adjacency normalized under config.model.scheme,
+    shared by every run of the call. A run needs a loss, a selection
+    criterion and a score: an empty split is rejected before anything else."""
+    if graph is None:
+        if config.data_dir is None:
+            raise ValueError("no graph given and config.data_dir is not set")
+        graph = load_graph_dir(config.data_dir)
     for name in SPLIT_NAMES:
         if len(graph.splits[name]) == 0:
             raise ValueError(f"the {name} split is empty; training needs nonempty "
                              "train, val and test splits")
+    return graph, normalize(graph.adjacency, config.model.scheme)
 
 
 def _check_drops_edges(adjacency, p, what):
@@ -218,8 +220,9 @@ def _keep_freed_memory():
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _run(config, graph, keep_best):
-    """The epoch loop. Returns (report, final_model, best_model_or_None).
+def _run(config, graph, full, keep_best):
+    """The epoch loop on `full`, the call's normalization of graph.adjacency
+    (_prepared_graph). Returns (report, final_model, best_model_or_None).
 
     Per epoch: draw the propagation matrices; inside one tape run the
     training forward, the previous epoch's evaluation, the loss, its
@@ -234,7 +237,6 @@ def _run(config, graph, keep_best):
     running statistics.
     """
     mcfg = config.model
-    _check_splits(graph)
     _keep_freed_memory()
     rng = np.random.default_rng(config.seed)
     model = build_model(mcfg, graph.n_features, graph.n_classes, rng)
@@ -244,10 +246,6 @@ def _run(config, graph, keep_best):
     val_idx = graph.splits["val"]
     test_idx = graph.splits["test"]
     labels = graph.labels
-
-    # The full-graph normalization is fixed for the whole run; evaluation
-    # and p=0 training share it.
-    full = normalize(graph.adjacency, mcfg.scheme)
     eval_mats = [full] * model.n_gcls
     shared = _deterministic_step(mcfg, graph.adjacency)
 
@@ -333,8 +331,7 @@ def train(config, graph=None, keep_best_model=False):
     if keep_best_model and config.out_dir is None:
         raise ValueError("keep_best_model saves the best model to out_dir/model.npz; "
                          "set config.out_dir")
-    graph = _resolve_graph(config, graph)
-    report, _, best_snapshot = _run(config, graph, keep_best_model)
+    report, _, best_snapshot = _run(config, *_prepared_graph(config, graph), keep_best_model)
     if config.out_dir is not None:
         write_report(report, config.out_dir)
         if best_snapshot is not None:
@@ -383,8 +380,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
     layers that form a chain: each layer l in the range reads layer l-1.
     """
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
-    graph = _resolve_graph(config, graph)
-    _check_splits(graph)
+    graph, a_hat = _prepared_graph(config, graph)
     mcfg = config.model
     if mcfg.scheme not in SYMMETRIC_SCHEMES:
         raise ValueError(f"probe needs a symmetric scheme, got {mcfg.scheme!r}")
@@ -400,7 +396,6 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
         if widths[l - 1] != widths[l - 2]:
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
-    a_hat = normalize(graph.adjacency, mcfg.scheme)
     spec_report = spectral.analyze(a_hat)
 
     def measured(model):
@@ -420,7 +415,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
         }
 
     before = measured(fresh)
-    _, trained, _ = _run(config, graph, keep_best=False)
+    _, trained, _ = _run(config, graph, a_hat, keep_best=False)
     report = ProbeReport(layer_range=(lo, hi), before=before, after=measured(trained),
                          config=_config_dict(config))
     if config.out_dir is not None:
@@ -431,9 +426,10 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
 # -- ablations ---------------------------------------------------------
 
 
-def _run_arms(config, graph, **arms):
+def _run_arms(config, graph, full, **arms):
     """Train `config` once per arm, changed as that arm says: "dropout" sets
-    the model's feature dropout, any other key a field of its DropEdgeConfig.
+    the model's feature dropout, any other key a field of its DropEdgeConfig;
+    no arm changes the scheme, so all share the one full normalization.
     Returns {arm: RunReport}. Once every arm has finished, and when
     config.out_dir is set, writes each arm's metrics.csv and summary.json
     under out_dir/<arm>/ and every arm's summary to out_dir/summary.json."""
@@ -441,7 +437,7 @@ def _run_arms(config, graph, **arms):
     for name, change in arms.items():
         mcfg = replace(config.model, dropout=change.pop("dropout", config.model.dropout),
                        dropedge=replace(config.model.dropedge, **change))
-        reports[name] = _run(replace(config, model=mcfg, out_dir=None), graph,
+        reports[name] = _run(replace(config, model=mcfg, out_dir=None), graph, full,
                              keep_best=False)[0]
     if config.out_dir is not None:
         out = Path(config.out_dir)
@@ -457,12 +453,12 @@ def ablate_dropout_dropedge(config, graph=None):
     Returns {"neither", "dropout", "dropedge", "both"} -> RunReport. Requires
     a nonzero dropout and a p that drops at least one edge, else an arm
     would repeat another."""
-    graph = _resolve_graph(config, graph)
+    graph, full = _prepared_graph(config, graph)
     if config.model.dropout == 0.0:
         raise ValueError("the dropout/edge-drop ablation needs a nonzero dropout rate")
     _check_drops_edges(graph.adjacency, config.model.dropedge.p,
                        "the dropout/edge-drop ablation")
-    return _run_arms(config, graph, neither={"dropout": 0.0, "p": 0.0},
+    return _run_arms(config, graph, full, neither={"dropout": 0.0, "p": 0.0},
                      dropout={"p": 0.0}, dropedge={"dropout": 0.0}, both={})
 
 
@@ -472,7 +468,7 @@ def ablate_layerwise(config, graph=None):
     Returns {"oneshot", "layerwise"} -> RunReport; requires a p that drops
     at least one edge, else both arms would be the same run.
     """
-    graph = _resolve_graph(config, graph)
+    graph, full = _prepared_graph(config, graph)
     _check_drops_edges(graph.adjacency, config.model.dropedge.p, "the layer-wise ablation")
-    return _run_arms(config, graph, oneshot={"layer_wise": False},
+    return _run_arms(config, graph, full, oneshot={"layer_wise": False},
                      layerwise={"layer_wise": True})

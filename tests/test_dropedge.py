@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dropgcn import (DropEdgeConfig, ModelConfig, SparseMatrix, normalize,
+from dropgcn import (DropEdgeConfig, ModelConfig, SparseMatrix, dropedge, normalize,
                      propagation_matrices, sample, sample_layerwise)
 from dropgcn.dropedge import drop_count
 from conftest import random_adjacency
@@ -60,8 +60,7 @@ class TestSample:
     def test_p_zero_is_identity_draw(self, rng_factory):
         a = triangle()
         out = sample(a, 0.0, rng_factory(0))
-        assert out == a
-        assert out is not a  # fresh object, input untouched
+        assert out is a  # immutable, so the no-draw path hands it back
 
     def test_p_one_empties_the_graph(self, rng_factory):
         out = sample(triangle(), 1.0, rng_factory(0))
@@ -114,6 +113,19 @@ class TestSample:
             sample(triangle(), 1.5, rng_factory(0))
         with pytest.raises(ValueError):
             DropEdgeConfig(p=1.2)
+
+    @pytest.mark.parametrize("p", [True, False, "0.5", None])
+    def test_rate_must_be_a_real_number(self, rng_factory, p):
+        # As in DropEdgeConfig: a bool is not a rate (True would compare as
+        # 1 and drop every edge), nor is a string.
+        with pytest.raises(ValueError, match="p must be a real number"):
+            sample(triangle(), p, rng_factory(0))
+
+    def test_numpy_rates_accepted(self, rng_factory):
+        a = random_adjacency(np.random.default_rng(2), 12, 0.5)
+        for p in (np.float64(0.4), np.float32(0.4)):
+            assert sample(a, p, rng_factory(3)) == sample(a, float(p), rng_factory(3))
+        assert sample(a, np.int64(0), rng_factory(3)) is a
 
     def test_triangle_each_edge_equally_likely(self, rng_factory):
         # p=1/3 drops exactly one of the three edges; over many draws each
@@ -181,7 +193,8 @@ class TestAgainstReference:
         cfg = ModelConfig(scheme="AugNormAdj",
                           dropedge=DropEdgeConfig(p=p, layer_wise=layer_wise))
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = propagation_matrices(a, cfg, 3, got_rng, training=True)
+        got = propagation_matrices(a, cfg, 3, got_rng, training=True,
+                                   full=normalize(a, "AugNormAdj"))
         if p == 0.0:
             want = [normalize(a, "AugNormAdj")] * 3
         elif layer_wise:
@@ -226,23 +239,28 @@ class TestPropagationMatrices:
         a = triangle()
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.9))
         rng = rng_factory(0)
-        mats = propagation_matrices(a, cfg, 4, rng, training=False)
+        full = normalize(a, "AugNormAdj")
+        mats = propagation_matrices(a, cfg, 4, rng, training=False, full=full)
         assert len(mats) == 4
-        assert all(m is mats[0] for m in mats)
-        assert mats[0] == normalize(a, "AugNormAdj")
+        assert all(m is full for m in mats)
         # The sampler stream was not consumed.
         assert rng.integers(1 << 30) == rng_factory(0).integers(1 << 30)
 
     def test_p_zero_training_same_as_eval(self, rng_factory):
         a = triangle()
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.0))
-        mats = propagation_matrices(a, cfg, 3, rng_factory(0), training=True)
-        assert all(m is mats[0] for m in mats)
-        assert mats[0] == normalize(a, "AugNormAdj")
+        full = normalize(a, "AugNormAdj")
+        mats = propagation_matrices(a, cfg, 3, rng_factory(0), training=True, full=full)
+        assert all(m is full for m in mats)
 
-    def test_given_full_normalization_is_reused(self, rng_factory):
+    def test_given_full_normalization_is_reused(self, rng_factory, monkeypatch):
         a = triangle()
         full = normalize(a, "AugNormAdj")
+        # Only drawn matrices are normalized here, never the full graph.
+        inputs = []
+        real = dropedge.normalize
+        monkeypatch.setattr(dropedge, "normalize",
+                            lambda m, scheme: inputs.append(m) or real(m, scheme))
         for p, training in ((0.0, True), (0.5, False)):
             cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=p))
             rng = rng_factory(0)
@@ -253,11 +271,13 @@ class TestPropagationMatrices:
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5))
         mats = propagation_matrices(a, cfg, 2, rng_factory(0), training=True, full=full)
         assert mats[0] is not full
+        assert len(inputs) == 1 and inputs[0] is not a
 
     def test_one_shot_shares_one_draw(self, rng_factory):
         a = random_adjacency(np.random.default_rng(6), 16, 0.4)
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5))
-        mats = propagation_matrices(a, cfg, 5, rng_factory(2), training=True)
+        mats = propagation_matrices(a, cfg, 5, rng_factory(2), training=True,
+                                    full=normalize(a, "AugNormAdj"))
         assert all(m is mats[0] for m in mats)
         # Matches drop-then-normalize done by hand from the same stream.
         want = normalize(sample(a, 0.5, rng_factory(2)), "AugNormAdj")
@@ -266,7 +286,8 @@ class TestPropagationMatrices:
     def test_layerwise_distinct_objects(self, rng_factory):
         a = random_adjacency(np.random.default_rng(6), 16, 0.4)
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5, layer_wise=True))
-        mats = propagation_matrices(a, cfg, 4, rng_factory(2), training=True)
+        mats = propagation_matrices(a, cfg, 4, rng_factory(2), training=True,
+                                    full=normalize(a, "AugNormAdj"))
         assert len({id(m) for m in mats}) == 4
 
     def test_degrees_renormalized_after_dropping(self, rng_factory):
@@ -274,7 +295,8 @@ class TestPropagationMatrices:
         # every row of the AugRWalk form still sums to one.
         a = random_adjacency(np.random.default_rng(9), 12, 0.6)
         cfg = ModelConfig(scheme="AugRWalk", dropedge=DropEdgeConfig(p=0.5))
-        mats = propagation_matrices(a, cfg, 2, rng_factory(4), training=True)
+        mats = propagation_matrices(a, cfg, 2, rng_factory(4), training=True,
+                                    full=normalize(a, "AugRWalk"))
         np.testing.assert_allclose(mats[0].to_dense().sum(axis=1), np.ones(12),
                                    atol=1e-12)
 
@@ -283,7 +305,8 @@ class TestPropagationMatrices:
         for p, training in ((0.0, True), (0.5, True), (0.5, False)):
             cfg = ModelConfig(scheme="BingGeNormAdj",
                               dropedge=DropEdgeConfig(p=p, layer_wise=True))
-            got = propagation_matrices(a, cfg, 3, rng_factory(5), training=training)
+            got = propagation_matrices(a, cfg, 3, rng_factory(5), training=training,
+                                       full=normalize(a, "BingGeNormAdj"))
             rng = rng_factory(5)
             draws = (sample_layerwise(a, p, 3, rng) if training and p > 0 else [a] * 3)
             assert got == [normalize(m, "BingGeNormAdj") for m in draws]

@@ -206,6 +206,27 @@ class TestTwins:
     def test_empty(self):
         assert len(SparseMatrix(3, 3, [0, 0, 0, 0], [], []).twins()) == 0
 
+    def test_sorted_once_and_kept_read_only(self, monkeypatch):
+        a = weighted_adjacency(np.random.default_rng(45), 12, 0.3, n_isolated=2)
+        lone = SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
+        sorts = []
+        real = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        twin = a.twins()
+        assert a.twins() is twin and a.is_symmetric()
+        assert len(sorts) == 1 and sorts[0] is a.col_indices
+        assert not twin.flags.writeable
+        with pytest.raises(ValueError):
+            twin[0] = 0
+        # A matrix without twins also sorts once and keeps its None.
+        assert lone.twins() is None and lone.twins() is None and not lone.is_symmetric()
+        assert len(sorts) == 2
+
 
 class TestIsSymmetric:
     @staticmethod

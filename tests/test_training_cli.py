@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from dropgcn import (BACKBONES, DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      synthetic_sbm, train)
 from dropgcn import autodiff, cli, dropedge, models, training
 from dropgcn.autodiff import Tape, active_tape
-from dropgcn.graph import save_graph
+from dropgcn.graph import adjacency_from_pairs, save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
                               write_report)
 
@@ -218,9 +218,29 @@ class TestTrain:
         monkeypatch.undo()
         # Bit-identical to re-normalizing every epoch: same function, same input.
         real = dropedge.propagation_matrices
-        monkeypatch.setattr(training, "propagation_matrices",
-                            lambda *args, full=None, **kw: real(*args, **kw))
+
+        def fresh_full(a, config, *args, full, **kw):
+            return real(a, config, *args, full=normalize(a, config.scheme), **kw)
+
+        monkeypatch.setattr(training, "propagation_matrices", fresh_full)
         assert before == train(small_config(epochs=7, p=0.0), graph=sbm).to_csv()
+
+    def test_draws_do_not_re_sort_the_adjacency(self, sbm, monkeypatch):
+        # The Graph's adjacency check found its transpose twins once; every
+        # draw's edge ids and the run's normalization reuse them.
+        sorts = []
+        real = np.argsort
+
+        def counted(a, *args, **kw):
+            sorts.append(a is sbm.adjacency.col_indices)
+            return real(a, *args, **kw)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        for layer_wise in (False, True):
+            cfg = small_config(epochs=5, n_layers=3)
+            cfg.model.dropedge = DropEdgeConfig(p=0.4, layer_wise=layer_wise)
+            train(cfg, graph=sbm)
+        assert sorts and not any(sorts)  # the drawn matrices are sorted, once each
 
     def test_reassigned_mismatched_scheme_echo_rejected_before_training(self, sbm, tmp_path,
                                                                         monkeypatch):
@@ -291,7 +311,8 @@ class TestSharedEvaluationForward:
 
     def test_snapshot_from_a_shared_forward_holds_no_gradients(self, sbm):
         cfg = small_config(epochs=self.EPOCHS, n_layers=4)
-        report, _, snapshot = training._run(cfg, sbm, keep_best=True)
+        full = normalize(sbm.adjacency, cfg.model.scheme)
+        report, _, snapshot = training._run(cfg, sbm, full, keep_best=True)
         assert report.best_epoch < self.EPOCHS
         assert all(p.grad is None for p in snapshot.parameters())
 
@@ -649,6 +670,19 @@ class TestTrainConfig:
         assert (saved["epochs"], saved["seed"]) == (2, 3)
         assert (saved["model"]["n_layers"], saved["model"]["hidden_dim"]) == (2, 8)
 
+    def test_nested_configs_must_have_their_type(self):
+        # A dict is refused where it enters, naming the field, not later as
+        # an AttributeError in train or in the scheme-echo check.
+        with pytest.raises(ValueError, match=r"^model must be a ModelConfig, got \{"):
+            TrainConfig(model={"n_layers": 2})
+        with pytest.raises(ValueError, match=r"^dropedge must be a DropEdgeConfig, got \{"):
+            ModelConfig(dropedge={"p": 0.5})
+        with pytest.raises(ValueError, match="^dropedge must be a DropEdgeConfig, got None"):
+            ModelConfig(dropedge=None)
+        # A checkpoint's config dict still loads, its DropEdgeConfig built first.
+        cfg = ModelConfig(n_layers=3, dropedge=DropEdgeConfig(p=0.25, layer_wise=True))
+        assert models.config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
     @pytest.mark.parametrize("value", [2.5, 4.0])
     def test_n_layers_must_be_an_integer(self, value):
         with pytest.raises(ValueError, match="n_layers must be an integer"):
@@ -705,8 +739,8 @@ class TestProbe:
         trained = []
         real = training._run
 
-        def spy(config, graph, keep_best):
-            result = real(config, graph, keep_best)
+        def spy(config, graph, full, keep_best):
+            result = real(config, graph, full, keep_best)
             trained.append(len(result[0].rows))
             return result
 
@@ -729,9 +763,9 @@ class TestProbe:
         report = oversmoothing_probe(cfg, graph=bow, layer_range=(2, 3))
         assert all(math.isfinite(v) for v in report.after["layer_distance"].values())
 
-    def test_probe_at_p_zero_normalizes_twice(self, sbm, monkeypatch):
-        # One normalization for the probe's spectrum and both measurements,
-        # one for the training run.
+    def test_probe_at_p_zero_normalizes_once(self, sbm, monkeypatch):
+        # One normalization for the probe's spectrum, both measurements and
+        # the training run.
         calls = []
         orig = training.normalize
 
@@ -743,7 +777,7 @@ class TestProbe:
         monkeypatch.setattr(dropedge, "normalize", counted)
         oversmoothing_probe(small_config(epochs=3, n_layers=4, scheme="BingGeNormAdj"),
                             graph=sbm, layer_range=(2, 3))
-        assert calls == ["BingGeNormAdj", "BingGeNormAdj"]
+        assert calls == ["BingGeNormAdj"]
 
     def test_probe_rejects_bad_settings(self, sbm):
         cfg = small_config(n_layers=4, scheme="AugRWalk")
@@ -833,11 +867,11 @@ class TestAblations:
         runs = []
         real = training._run
 
-        def last_arm_fails(config, graph, keep_best):
+        def last_arm_fails(config, graph, full, keep_best):
             runs.append(config)
             if len(runs) == (2 if which == "layerwise" else 4):
                 raise TrainingDiverged("the last arm diverged")
-            return real(config, graph, keep_best)
+            return real(config, graph, full, keep_best)
 
         monkeypatch.setattr(training, "_run", last_arm_fails)
         cfg = replace(small_config(epochs=3, p=0.5, dropout=0.4), out_dir=tmp_path / "abl")
@@ -880,12 +914,56 @@ class TestAblations:
         g = synthetic_sbm(seed=0)
         assert g.adjacency.nnz // 2 == 588 and dropedge.drop_count(g.adjacency, 1e-4) == 0
         cfg = small_config(epochs=3, p=1e-4, n_layers=3)
+        full = normalize(g.adjacency, cfg.model.scheme)
         runs = [training._run(replace(cfg, model=replace(
-                    cfg.model, dropedge=DropEdgeConfig(p=1e-4, layer_wise=lw))), g, False)[0]
+                    cfg.model, dropedge=DropEdgeConfig(p=1e-4, layer_wise=lw))), g, full,
+                    False)[0]
                 for lw in (False, True)]
         assert runs[0].to_csv() == runs[1].to_csv()
         with pytest.raises(ValueError, match="V=588"):
             ablate_layerwise(cfg, graph=g)
+
+
+class TestOneNormalizationPerCall:
+    """Each public call normalizes the full graph once, under the model's
+    scheme, and every run it makes (and the probe's spectrum) uses that one
+    matrix."""
+
+    RUNS = {"train": 1, "probe": 1, "ablate_dropout_dropedge": 4, "ablate_layerwise": 2}
+
+    @pytest.mark.parametrize("call", list(RUNS))
+    def test_once_per_call(self, sbm, monkeypatch, call):
+        made, used = [], []
+        for module in (training, dropedge):
+            def counted(a, scheme, real=module.normalize):
+                out = real(a, scheme)
+                if a is sbm.adjacency:
+                    made.append(out)
+                return out
+
+            monkeypatch.setattr(module, "normalize", counted)
+        real_run, real_analyze = training._run, training.spectral.analyze
+
+        def run_spy(config, graph, full, keep_best):
+            used.append(full)
+            return real_run(config, graph, full, keep_best)
+
+        def analyze_spy(a_hat, *args, **kw):
+            used.append(a_hat)
+            return real_analyze(a_hat, *args, **kw)
+
+        monkeypatch.setattr(training, "_run", run_spy)
+        monkeypatch.setattr(training.spectral, "analyze", analyze_spy)
+        cfg = small_config(epochs=3, p=0.5, dropout=0.4, n_layers=4)
+        if call == "train":
+            train(cfg, graph=sbm)
+        elif call == "probe":
+            oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
+        else:
+            getattr(training, call)(cfg, graph=sbm)
+        assert len(made) == 1
+        assert len(used) == self.RUNS[call] + (call == "probe")
+        assert all(full is made[0] for full in used)
 
 
 def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
@@ -945,11 +1023,32 @@ class TestCli:
         direct = train(small_config(epochs=8), graph=sbm)
         assert (out / "metrics.csv").read_text() == direct.to_csv()
 
+    @pytest.mark.parametrize("keep,p", [("0.8", 0.2), ("0.9", 0.1)])
+    def test_sampling_percent_is_the_decimal_complement(self, tmp_path, keep, p):
+        # In binary floating point 1 - 0.9 is 0.09999999999999998, which drops
+        # floor(10 * p) = 0 of a 10-edge ring's edges where p=0.1 drops one.
+        ring = np.arange(10)
+        g = Graph(10, adjacency_from_pairs(10, ring, (ring + 1) % 10), np.eye(10),
+                  ring % 2, {"train": ring[:6], "val": ring[6:8], "test": ring[8:]})
+        save_graph(g, tmp_path / "ring")
+        want = DropEdgeConfig(p=p).p
+        assert dropedge.drop_count(g.adjacency, 1.0 - float(keep)) == round(10 * p) - 1
+        assert dropedge.drop_count(g.adjacency, want) == round(10 * p)
+        for command in (("train",), ("ablate", "--mode", "layerwise")):
+            out = tmp_path / command[0]
+            assert run_cli(*command, "--data-dir", str(tmp_path / "ring"),
+                           "--out-dir", str(out), "--hidden", "4", "--epochs", "2",
+                           "--sampling-percent", keep) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            for run in ([summary] if command[0] == "train" else summary.values()):
+                assert run["config"]["model"]["dropedge"]["p"] == want
+
     def test_sampling_percent_out_of_range(self, dataset_dir):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("train", "--data-dir", str(dataset_dir),
-                    "--sampling-percent", "1.5")
-        assert exc.value.code == 2
+        for keep in ("1.5", "-0.1", "nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("train", "--data-dir", str(dataset_dir),
+                        "--sampling-percent", keep)
+            assert exc.value.code == 2, keep
 
     @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
                                             ("--weight-decay", "nan")])
