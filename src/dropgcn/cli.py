@@ -10,12 +10,13 @@ message on stderr.
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from decimal import Decimal
 from pathlib import Path
 
 from .dropedge import DropEdgeConfig
 from .graph import DatasetError, load_graph_dir
-from .models import ModelConfig
+from .models import BACKBONES, ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
 from .spectral import TOP_CLUSTER_TOL, analyze, theorem1_trajectory
 from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
@@ -27,18 +28,26 @@ def _add_data_flags(p):
     p.add_argument("--out-dir", default="dropgcn-out", help="where reports are written")
 
 
+def _complement(x):
+    """1 - x, taken in decimal on the shortest repr of x. In binary floating
+    point 1.0 - 0.8 is 0.19999999999999996, which drops one edge fewer than
+    p=0.2 whenever 5 divides V."""
+    return float(1 - Decimal(repr(x)))
+
+
 def _add_model_flags(p):
-    p.add_argument("--backbone", default="gcn",
-                   choices=["gcn", "resgcn", "jknet", "incepgcn"])
-    p.add_argument("--nlayers", type=int, default=2, help="depth knob (GCL count for gcn)")
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--sampling-percent", type=float, default=1.0,
+    model, run = ModelConfig(), TrainConfig()
+    p.add_argument("--backbone", default=model.backbone, choices=BACKBONES)
+    p.add_argument("--nlayers", type=int, default=model.n_layers,
+                   help="depth knob (GCL count for gcn)")
+    p.add_argument("--hidden", type=int, default=model.hidden_dim)
+    p.add_argument("--lr", type=float, default=run.lr)
+    p.add_argument("--weight-decay", type=float, default=run.weight_decay)
+    p.add_argument("--sampling-percent", type=float, default=_complement(model.dropedge.p),
                    help="fraction of edges KEPT per draw; drop rate p is 1 minus this, "
                         "taken in decimal (0.8 gives p=0.2)")
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--normalization", default="AugNormAdj", choices=list(SCHEMES))
+    p.add_argument("--dropout", type=float, default=model.dropout)
+    p.add_argument("--normalization", default=model.scheme, choices=SCHEMES)
     p.add_argument("--withloop", action="store_true",
                    help="add a separate self-feature filter per layer")
     p.add_argument("--withbn", action="store_true",
@@ -46,20 +55,16 @@ def _add_model_flags(p):
     p.add_argument("--no-bias", action="store_true", help="drop the additive bias terms")
     p.add_argument("--layerwise-dropedge", action="store_true",
                    help="independent edge draw per layer instead of one shared draw")
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=run.epochs)
+    p.add_argument("--seed", type=int, default=run.seed)
 
 
 def _train_config(args, parser):
     keep = args.sampling_percent
     if not 0.0 <= keep <= 1.0:
         parser.error(f"--sampling-percent must lie in [0, 1], got {keep}")
-    # In binary floating point 1.0 - 0.8 is 0.19999999999999996, which drops
-    # one edge fewer than p=0.2 whenever 5 divides V; the complement taken in
-    # decimal, of the shortest repr of `keep`, is the p the flag names.
-    p = float(1 - Decimal(repr(keep)))
     try:
-        dropedge = DropEdgeConfig(p=p, layer_wise=args.layerwise_dropedge)
+        dropedge = DropEdgeConfig(p=_complement(keep), layer_wise=args.layerwise_dropedge)
         model = ModelConfig(backbone=args.backbone, n_layers=args.nlayers,
                             hidden_dim=args.hidden, dropout=args.dropout,
                             withloop=args.withloop, withbn=args.withbn,
@@ -117,25 +122,10 @@ def _cmd_spectral(args, parser):
 def _cmd_theorem(args, parser):
     graph = load_graph_dir(args.data_dir)
     report = theorem1_trajectory(graph.adjacency, seed=args.seed, epsilon=args.epsilon)
-    payload = {
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "steps": [
-            {
-                "step": s.step,
-                "removed_edge": None if s.removed_edge is None else list(s.removed_edge),
-                "n_components": s.n_components,
-                "top_multiplicity": s.top_multiplicity,
-                "second_largest": s.second_largest,
-                "l_hat": None if s.l_hat == math.inf else s.l_hat,
-            }
-            for s in report.steps
-        ],
-        "disconnect_steps": report.disconnect_steps,
-        "lambda_decrease_steps": report.lambda_decrease_steps,
-        "multiplicity_tracks_components": report.multiplicity_tracks_components,
-        "disjunction_holds": report.disjunction_holds,
-    }
+    payload = {"seed": args.seed, "epsilon": args.epsilon, **asdict(report)}
+    for step in payload["steps"]:
+        if step["l_hat"] == math.inf:
+            step["l_hat"] = None
     out = Path(args.out_dir)
     write_json(out / "theorem_check.json", payload)
     ok = report.multiplicity_tracks_components and report.disjunction_holds

@@ -114,9 +114,10 @@ def sample(a, p, rng):
         return a
     dropped = np.zeros(n_edges, dtype=bool)
     dropped[rng.choice(n_edges, size=n_drop, replace=False)] = True
-    # Masking keeps the stored entries in CSR order, so nothing is re-sorted.
+    # Masking keeps the CSR order, and both entries of an edge go together:
+    # the draw needs no re-sort and inherits a's twins.
     return keep_entries(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values,
-                        ~dropped[edge_id])
+                        ~dropped[edge_id], a.twins())
 
 
 def sample_layerwise(a, p, n_layers, rng):

@@ -160,7 +160,8 @@ class SparseMatrix:
         structurally symmetric matrix that is the CSR order of the transpose,
         so position k of the sort holds the twin of CSR entry k. The matrix
         is immutable, so the sort runs at most once per instance: the result
-        is kept, read-only, and returned by every later call.
+        is kept, read-only, and returned by every later call; a pairwise mask
+        of a matrix passes its twins on (keep_entries).
         """
         if hasattr(self, "_twins"):
             return self._twins
@@ -221,16 +222,25 @@ def check_adjacency(a):
         raise ValueError("adjacency must be symmetric")
 
 
-def keep_entries(n_rows, n_cols, row_offsets, col_indices, values, keep):
+def keep_entries(n_rows, n_cols, row_offsets, col_indices, values, keep, twins=None):
     """The matrix of the stored entries where the mask `keep` holds.
 
     `row_offsets`, `col_indices` and `values` are CSR arrays with columns
     strictly increasing within each row; `keep` is a boolean mask over the
     entries. Entries keep their order, so the result needs no re-sort, and
     each row's new offset counts the entries kept before it.
+
+    When the mask keeps both or neither entry of every pair of the source's
+    twins (SparseMatrix.twins), the result inherits them, read-only: a kept
+    entry's twin is its source twin's rank among the kept entries.
     """
-    offsets = np.concatenate(([0], np.cumsum(keep)))[row_offsets]
-    return SparseMatrix(n_rows, n_cols, offsets, col_indices[keep], values[keep])
+    rank = np.cumsum(keep)
+    out = SparseMatrix(n_rows, n_cols, np.concatenate(([0], rank))[row_offsets],
+                       col_indices[keep], values[keep])
+    if twins is not None and np.array_equal(keep[twins], keep):
+        out._twins = (rank - 1)[twins[keep]]
+        out._twins.flags.writeable = False
+    return out
 
 
 def _with_diagonal(a, off_diagonal, diagonal):

@@ -351,8 +351,9 @@ def verify_resistance_bound(a, tol=1e-8):
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
-    report = analyze(normalize(a, "AugNormAdj"))
-    lam = report.second_largest
+    # Only lambda is kept, so the n x n reduction buffer is freed before the
+    # resistance blocks are built.
+    lam = _spectrum(normalize(a, "AugNormAdj"), TOP_CLUSTER_TOL)[2]
     d = degrees(a)
     adj = a.to_scipy()
     labels, count = connected_components(a)
@@ -430,7 +431,7 @@ def _without_edge(a, u, v):
     keep = np.ones(a.nnz, dtype=bool)
     for r, col in ((u, v), (v, u)):
         keep[offsets[r] + np.searchsorted(cols[offsets[r]:offsets[r + 1]], col)] = False
-    return keep_entries(a.n_rows, a.n_cols, offsets, cols, a.values, keep)
+    return keep_entries(a.n_rows, a.n_cols, offsets, cols, a.values, keep, a.twins())
 
 
 def theorem1_trajectory(a, seed, epsilon=1e-3):

@@ -231,10 +231,10 @@ def _run(config, graph, full, keep_best):
     evaluation logits come from epoch e+1's training forward when the step
     is deterministic (_deterministic_step: same parameters, same full
     matrix, no draws), else from the forward the worker started on the view
-    of epoch e. The last epoch is evaluated inline. A best-epoch snapshot is
-    copied from the view of its epoch: by the time epoch e is evaluated,
-    epoch e+1's batch-norm forward has already moved the live model's
-    running statistics.
+    of epoch e. The last epoch is evaluated inline. With keep_best, the best
+    epoch's view (models.model_view, its batch-norm statistics included) is
+    kept, valid since no update writes into an array, and copied once after
+    the loop.
     """
     mcfg = config.model
     _keep_freed_memory()
@@ -253,13 +253,12 @@ def _run(config, graph, full, keep_best):
         return forward(view, eval_mats, graph.x, training=False, keep_hidden=False)[0]
 
     rows = []
-    best = (-1.0, -1, -1.0)  # (val_acc, epoch, test_acc); ties keep the earliest
-    best_snapshot = None
+    best = (-1.0, -1, -1.0, None)  # (val_acc, epoch, test_acc, view); earliest on ties
 
-    def evaluate(logits, epoch, train_loss, train_acc):
-        """Complete epoch `epoch`'s row from the logits of the model as that
-        epoch left it, read through a constant so nothing is recorded.
-        Returns whether to snapshot that model as the best so far."""
+    def evaluate(logits, view, epoch, train_loss, train_acc):
+        """Complete epoch `epoch`'s row from the logits of `view`, the model
+        as that epoch left it, read through a constant so nothing is
+        recorded; a new best keeps the view when keep_best."""
         nonlocal best
         logits = Tensor(logits.data)
         val_loss = softmax_cross_entropy(logits, labels, val_idx).item()
@@ -269,13 +268,10 @@ def _run(config, graph, full, keep_best):
         rows.append({"epoch": epoch, "train_loss": train_loss, "train_acc": train_acc,
                      "val_loss": val_loss, "val_acc": val_acc, "test_acc": test_acc})
         if val_acc > best[0]:
-            best = (val_acc, epoch, test_acc)
-            return keep_best
-        return False
+            best = (val_acc, epoch, test_acc, view if keep_best else None)
 
-    step = None    # (epoch, train loss, train accuracy) of the step not yet evaluated
-    view = None    # the model as that step left it
-    pending = None  # the worker's evaluation forward of `view`
+    step = None     # (view, epoch, train loss, train accuracy) not yet evaluated
+    pending = None  # the worker's evaluation forward of that view
     t0 = time.perf_counter()
     # One worker for the whole run; leaving the block joins it on every
     # exit path.
@@ -289,32 +285,27 @@ def _run(config, graph, full, keep_best):
                 # backward() needs.
                 logits, _ = forward(model, mats, graph.x, training=True, rng=rng,
                                     keep_hidden=False)
-                keep = step is not None and evaluate(
-                    logits if shared else pending.result(), *step)
+                if step is not None:
+                    evaluate(logits if shared else pending.result(), *step)
                 loss = softmax_cross_entropy(logits, labels, train_idx)
                 loss_val = loss.item()
                 _check_finite("training", loss_val, epoch)
                 train_acc = accuracy(logits, labels, train_idx)
                 backward(loss, pool)
-            if keep:
-                # Copied once backward has freed the tape's arrays, so the
-                # copy does not raise the step's peak.
-                best_snapshot = copy_model(view)
             adam_step(opt)
             clear_grads(model.parameters())
 
-            step, view = (epoch, loss_val, train_acc), model_view(model)
+            step = (model_view(model), epoch, loss_val, train_acc)
             if epoch == config.epochs:
-                if evaluate(eval_forward(view), *step):
-                    best_snapshot = copy_model(view)
+                evaluate(eval_forward(step[0]), *step)
             elif not shared:
-                pending = pool.submit(eval_forward, view)
+                pending = pool.submit(eval_forward, step[0])
     wall = time.perf_counter() - t0
 
-    report = RunReport(rows=rows, best_epoch=best[1], val_acc=best[0],
-                       test_acc=best[2], wall_seconds=wall,
-                       config=_config_dict(config))
-    return report, model, best_snapshot
+    val_acc, best_epoch, test_acc, best_view = best
+    report = RunReport(rows=rows, best_epoch=best_epoch, val_acc=val_acc,
+                       test_acc=test_acc, wall_seconds=wall, config=_config_dict(config))
+    return report, model, None if best_view is None else copy_model(best_view)
 
 
 def train(config, graph=None, keep_best_model=False):

@@ -234,6 +234,35 @@ class TestLayerwise:
             assert m == sample(a, 0.5, rng)
 
 
+class TestDrawsInheritTwins:
+    """A draw drops both entries of an edge together, so it takes its
+    transpose twins from the adjacency: neither the draw nor its
+    normalization sorts."""
+
+    @pytest.mark.parametrize("layer_wise", [False, True], ids=["oneshot", "layerwise"])
+    def test_inherited_twins_equal_a_fresh_sort(self, rng_factory, monkeypatch, layer_wise):
+        a = weighted_with_isolated(np.random.default_rng(33), 30, 0.3, 4)
+        a.twins()
+        sorts = []
+        real = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        rng = rng_factory(6)
+        draws = sample_layerwise(a, 0.4, 3, rng) if layer_wise else [sample(a, 0.4, rng)]
+        for draw in draws:
+            normalize(draw, "AugNormAdj")
+        assert sorts == []
+        for draw in draws:
+            fresh = SparseMatrix(draw.n_rows, draw.n_cols, draw.row_offsets,
+                                 draw.col_indices, draw.values)
+            np.testing.assert_array_equal(draw.twins(), fresh.twins())
+            assert not draw.twins().flags.writeable
+
+
 class TestPropagationMatrices:
     def test_eval_mode_shares_plain_normalization(self, rng_factory):
         a = triangle()

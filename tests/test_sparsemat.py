@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from dropgcn import (SCHEMES, SparseMatrix, connected_components, degrees,
                      normalize)
+from dropgcn.sparsemat import keep_entries
 from conftest import random_adjacency
 
 
@@ -226,6 +227,40 @@ class TestTwins:
         # A matrix without twins also sorts once and keeps its None.
         assert lone.twins() is None and lone.twins() is None and not lone.is_symmetric()
         assert len(sorts) == 2
+
+    @staticmethod
+    def masked(a, keep):
+        return keep_entries(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values,
+                            keep, a.twins())
+
+    def test_pairwise_mask_inherits_twins_without_a_sort(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        a = weighted_adjacency(rng, 12, 0.4, n_isolated=2)
+        keep = rng.random(a.nnz) < 0.5
+        keep &= keep[a.twins()]  # both entries of a pair, or neither
+        assert 0 < keep.sum() < a.nnz
+        monkeypatch.setattr(np, "argsort", lambda *args, **kw: pytest.fail("sorted"))
+        out = self.masked(a, keep)
+        inherited = out.twins()
+        assert out.is_symmetric() and not inherited.flags.writeable
+        monkeypatch.undo()
+        fresh = SparseMatrix(out.n_rows, out.n_cols, out.row_offsets, out.col_indices,
+                             out.values)
+        np.testing.assert_array_equal(inherited, fresh.twins())
+
+    def test_mask_splitting_a_pair_inherits_nothing(self):
+        keep = np.ones(6, dtype=bool)
+        keep[0] = False  # (0, 1) goes, (1, 0) stays
+        out = self.masked(triangle(), keep)
+        assert out.twins() is None and not out.is_symmetric()
+
+    def test_inherited_twins_still_compare_values(self):
+        # Structurally symmetric, but (0, 2) and (2, 0) differ in value.
+        a = SparseMatrix.from_dense([[0, 1, 2], [1, 0, 1], [3, 1, 0]])
+        keep = np.array([False, True, False, True, True, True])  # drop edge {0, 1}
+        out = self.masked(a, keep)
+        np.testing.assert_array_equal(out.twins(), [2, 3, 0, 1])
+        assert not out.is_symmetric()
 
 
 class TestIsSymmetric:

@@ -523,6 +523,15 @@ class TestResistanceBound:
         rep = verify_resistance_bound(a)
         assert rep.n_pairs == 1
 
+    def test_computes_no_eigenvectors(self, rng_factory, monkeypatch):
+        # lambda is analyze's second_largest, read from the eigenvalues alone.
+        a = random_adjacency(rng_factory(54), 20, 0.2)
+        rep = verify_resistance_bound(a)
+        assert rep.second_largest == analyze(normalize(a, "AugNormAdj")).second_largest
+        monkeypatch.setattr(dropgcn.spectral, "_cluster_basis",
+                            lambda *args: pytest.fail("computed eigenvectors"))
+        assert verify_resistance_bound(a) == rep
+
 
 def resistance_bound_reference(a, tol):
     """The pair-by-pair double loop verify_resistance_bound vectorizes."""
@@ -752,6 +761,18 @@ class TestTrajectory:
             assert step.n_components == full.component_count
             assert step.second_largest == pytest.approx(full.second_largest, abs=1e-12)
         assert current.nnz == 0
+
+    def test_removal_inherits_twins(self, rng_factory, monkeypatch):
+        a = random_connected_adjacency(rng_factory(62), 10, 0.4)
+        a.twins()
+        u, v = a.undirected_edges()
+        monkeypatch.setattr(np, "argsort", lambda *args, **kw: pytest.fail("sorted"))
+        out = _without_edge(a, int(u[3]), int(v[3]))
+        inherited = out.twins()
+        monkeypatch.undo()
+        fresh = SparseMatrix(out.n_rows, out.n_cols, out.row_offsets, out.col_indices,
+                             out.values)
+        np.testing.assert_array_equal(inherited, fresh.twins())
 
     def test_requires_connected_start(self):
         a = SparseMatrix.from_dense(

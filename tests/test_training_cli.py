@@ -24,7 +24,7 @@ from dropgcn import autodiff, cli, dropedge, models, training
 from dropgcn.autodiff import Tape, active_tape
 from dropgcn.graph import adjacency_from_pairs, save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
-                              write_report)
+                              write_json, write_report)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -227,7 +227,8 @@ class TestTrain:
 
     def test_draws_do_not_re_sort_the_adjacency(self, sbm, monkeypatch):
         # The Graph's adjacency check found its transpose twins once; every
-        # draw's edge ids and the run's normalization reuse them.
+        # draw's edge ids and the run's normalization reuse them, and each
+        # draw inherits its own, so its normalization sorts nothing either.
         sorts = []
         real = np.argsort
 
@@ -240,7 +241,7 @@ class TestTrain:
             cfg = small_config(epochs=5, n_layers=3)
             cfg.model.dropedge = DropEdgeConfig(p=0.4, layer_wise=layer_wise)
             train(cfg, graph=sbm)
-        assert sorts and not any(sorts)  # the drawn matrices are sorted, once each
+        assert sorts == []
 
     def test_reassigned_mismatched_scheme_echo_rejected_before_training(self, sbm, tmp_path,
                                                                         monkeypatch):
@@ -604,6 +605,50 @@ class TestConcurrentEvaluation:
         assert len(steps) == 2 and steps[0] is steps[1] is not None
         assert set(threading.enumerate()) == before
         assert autodiff._active is None and not active_tape().entries
+
+
+class TestOneBestCopy:
+    """A run keeps its best epoch as that epoch's view and copies it once,
+    after the loop; a run that keeps no best model copies nothing."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        copied = []
+        real = training.copy_model
+
+        def counted(model):
+            copied.append(model)
+            return real(model)
+
+        monkeypatch.setattr(training, "copy_model", counted)
+        return copied
+
+    def test_kept_run_copies_once(self, sbm, tmp_path, copies):
+        # Batch norm: the view carries the best epoch's running statistics,
+        # which later epochs rebind on the live model.
+        cfg = replace(small_config(epochs=25, p=0.3, withbn=True), out_dir=tmp_path / "run")
+        report = train(cfg, graph=sbm, keep_best_model=True)
+        vals = [r["val_acc"] for r in report.rows]
+        improvements = sum(v > max(vals[:i], default=-1.0) for i, v in enumerate(vals))
+        assert improvements >= 3 and report.best_epoch < cfg.epochs
+        assert len(copies) == 1
+        model = load_model(tmp_path / "run" / "model.npz")
+        mats = [normalize(sbm.adjacency, cfg.model.scheme)] * model.n_gcls
+        logits, _ = forward(model, mats, sbm.x, training=False)
+        val_loss = softmax_cross_entropy(logits, sbm.labels, sbm.splits["val"]).item()
+        assert val_loss == report.rows[report.best_epoch - 1]["val_loss"]
+
+    @pytest.mark.parametrize("call", ["train", "probe", "ablate_dropout_dropedge",
+                                      "ablate_layerwise"])
+    def test_runs_without_a_kept_model_copy_nothing(self, sbm, copies, call):
+        cfg = small_config(epochs=6, p=0.5, dropout=0.4, n_layers=4)
+        if call == "train":
+            train(cfg, graph=sbm)
+        elif call == "probe":
+            oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
+        else:
+            getattr(training, call)(cfg, graph=sbm)
+        assert copies == []
 
 
 class TestEmptySplits:
@@ -1170,6 +1215,58 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["probe-oversmoothing", *base, "--probe-epochs", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "probe-oversmoothing"])
+    def test_default_flags_build_the_default_configs(self, command):
+        parser = cli.build_parser()
+        args = parser.parse_args([command, "--data-dir", "data"])
+        built = asdict(cli._train_config(args, parser))
+        epochs = 150 if command == "probe-oversmoothing" else TrainConfig().epochs
+        assert built == asdict(TrainConfig(epochs=epochs, data_dir="data",
+                                           out_dir="dropgcn-out"))
+        assert built["model"] == asdict(ModelConfig())
+
+    def test_backbone_choices_are_the_library_backbones(self):
+        parser = cli.build_parser()
+        for backbone in BACKBONES:
+            assert parser.parse_args(["train", "--data-dir", "d", "--backbone",
+                                      backbone]).backbone == backbone
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", "--data-dir", "d", "--backbone", "sage"])
+
+    def test_theorem_check_payload_bytes(self, dataset_dir, tmp_path, monkeypatch):
+        # The payload built from the report's fields is byte for byte the one
+        # spelled out field by field, an infinite l_hat written as null.
+        from dropgcn.spectral import TrajectoryReport, TrajectoryStep
+        steps = [TrajectoryStep(0, None, 1, 1, 0.25, 5),
+                 TrajectoryStep(1, (0, 3), 2, 2, 1.0, math.inf),
+                 TrajectoryStep(2, (1, 2), 2, 2, 0.5, 10)]
+        report = TrajectoryReport(steps, [1], [2], True, True)
+        monkeypatch.setattr(cli, "theorem1_trajectory", lambda a, seed, epsilon: report)
+        assert run_cli("theorem-check", "--data-dir", str(dataset_dir),
+                       "--out-dir", str(tmp_path / "thm"), "--seed", "4") == 0
+        expected = {
+            "seed": 4,
+            "epsilon": 1e-3,
+            "steps": [
+                {
+                    "step": s.step,
+                    "removed_edge": None if s.removed_edge is None else list(s.removed_edge),
+                    "n_components": s.n_components,
+                    "top_multiplicity": s.top_multiplicity,
+                    "second_largest": s.second_largest,
+                    "l_hat": None if s.l_hat == math.inf else s.l_hat,
+                }
+                for s in steps
+            ],
+            "disconnect_steps": [1],
+            "lambda_decrease_steps": [2],
+            "multiplicity_tracks_components": True,
+            "disjunction_holds": True,
+        }
+        write_json(tmp_path / "expected.json", expected)
+        assert ((tmp_path / "thm" / "theorem_check.json").read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
 
     def test_ablate_grid_command(self, dataset_dir, tmp_path):
         out = tmp_path / "abl"

@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Print the output digests of the benchmark's three training workloads.
+
+Each training workload of perfbench/workloads.py (shallow-wide,
+deep-layerwise, deep-nodrop) trains once with its benchmark config on the
+Cora-shaped graph of --seed (perfbench/cora_shaped.py), with
+keep_best_model=True. One line per workload:
+
+    <workload> <metrics.csv sha256[:16]> <model.npz sha256[:16]>
+
+A change that alters no float prints the same lines. The bytes depend on
+the BLAS thread count, so BLAS is pinned to one thread before numpy loads.
+perfbench/ is only read.
+
+    python3 tools/digests.py                   # seed 11, 3 epochs, Cora size
+    python3 tools/digests.py --size tiny --epochs 1
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+
+import cora_shaped  # noqa: E402
+import workloads  # noqa: E402
+from dropgcn.training import train  # noqa: E402
+
+
+def sha16(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def digests(seed, epochs, size):
+    """(workload, metrics.csv digest, model.npz digest) per training workload."""
+    graph = cora_shaped.cora_shaped(seed, workloads.SIZES[size].graph)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for w in workloads.WORKLOADS.values():
+            if w.kind != "train":
+                continue
+            run_dir = Path(tmp) / w.name
+            train(w.config(seed, run_dir, epochs), graph=graph, keep_best_model=True)
+            out.append((w.name, sha16(run_dir / "metrics.csv"), sha16(run_dir / "model.npz")))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=11, help="graph and training seed")
+    parser.add_argument("--epochs", type=int, default=3, help="epochs per run")
+    parser.add_argument("--size", choices=sorted(workloads.SIZES), default="full",
+                        help="tiny: the benchmark's small graph")
+    args = parser.parse_args(argv)
+    for name, metrics, model in digests(args.seed, args.epochs, args.size):
+        print(f"{name} {metrics} {model}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
