@@ -161,7 +161,8 @@ class SparseMatrix:
         so position k of the sort holds the twin of CSR entry k. The matrix
         is immutable, so the sort runs at most once per instance: the result
         is kept, read-only, and returned by every later call; a pairwise mask
-        of a matrix passes its twins on (keep_entries).
+        of a matrix (keep_entries) and a normalization (normalize) pass its
+        twins on.
         """
         if hasattr(self, "_twins"):
             return self._twins
@@ -247,7 +248,12 @@ def _with_diagonal(a, off_diagonal, diagonal):
     """a's pattern carrying the values `off_diagonal` (in CSR order), plus
     `diagonal` on the main diagonal, which a leaves empty. Built directly in
     CSR: each diagonal entry goes into its sorted row. Entries that are
-    exactly zero (underflow) are pruned."""
+    exactly zero (underflow) are pruned.
+
+    `a` is symmetric (normalize checks it first), and the result inherits
+    its twins (SparseMatrix.twins): the entry moved from position k of `a`
+    to pos[k] has its twin at pos[twins[k]], and a diagonal entry is its own
+    twin."""
     n = a.n_rows
     rows = a.row_ids()
     # Every earlier row gains one diagonal entry; an entry right of its own
@@ -261,11 +267,16 @@ def _with_diagonal(a, off_diagonal, diagonal):
     vals[pos] = off_diagonal
     cols[on_diagonal] = np.arange(n)
     vals[on_diagonal] = diagonal
+    twins = np.arange(a.nnz + n)
+    twins[pos] = pos[a.twins()]
     offsets = a.row_offsets + np.arange(n + 1)
     keep = vals != 0.0
     if not keep.all():
-        return keep_entries(n, n, offsets, cols, vals, keep)
-    return SparseMatrix(n, n, offsets, cols, vals)
+        return keep_entries(n, n, offsets, cols, vals, keep, twins)
+    out = SparseMatrix(n, n, offsets, cols, vals)
+    twins.flags.writeable = False
+    out._twins = twins
+    return out
 
 
 def normalize(a, scheme):

@@ -9,19 +9,29 @@ smoothing layer inverts that bound into a depth estimate. Edge removal is
 studied directly: effective resistances, the lambda lower bound they imply,
 and full random-removal trajectories.
 
-Everything is dense linear algebra, capped at 5000 nodes. The eigenvalue
-route reduces the matrix once to tridiagonal form and takes every eigenvalue
-from the tridiagonal; eigenvectors are computed only for the top cluster and
-mapped back through the stored reflectors. Removal trajectories read only
-eigenvalues, so their steps compute no eigenvectors at all. scipy.linalg is
-imported inside the functions that use it, so importing the package (and
-training) does not load it.
+Everything is dense linear algebra, capped at 5000 nodes, and it works per
+connected component: a symmetric matrix whose stored entries never join two
+components is block diagonal over them, so its spectrum is the union of the
+blocks' spectra, and its top eigenspace is spanned by the blocks' top
+eigenvectors, each zero outside its component. The eigenvalue route reads
+each component's dense block from the sparse matrix, reduces it once to
+tridiagonal form and takes the block's eigenvalues from the tridiagonal; a
+singleton's eigenvalue is its diagonal entry. Eigenvectors are computed only
+for the top cluster, mapped back through each block's stored reflectors.
+Removal trajectories read only eigenvalues, so their steps compute no
+eigenvectors at all. scipy.linalg is imported inside the functions that use
+it, so importing the package (and training) does not load it.
 
-Memory footprint, n nodes, k nodes in a connected component:
+Memory footprint, n nodes, k nodes in a connected component, m the
+multiplicity of the top cluster:
 
-- analyze holds one n x n float64 array (58.7 MB at 2708 nodes, 200 MB at
-  the cap): the tridiagonal reduction overwrites the dense copy, and the
-  eigenvectors are mapped back through reflectors read in that same buffer.
+- analyze holds every component's k x k float64 block, whose total is at
+  most n times the largest k and is dominated by the largest component
+  (49.4 MB for the 2486-node component of a 2708-node graph, 200 MB for one
+  component at the cap), plus the n x m basis: each tridiagonal reduction
+  overwrites its block, and the eigenvectors are mapped back through
+  reflectors read in that same buffer and written into the basis rows of
+  their component.
 - resistances are computed per component from (L + J/k)^-1 = L^+ + J/k,
   with L the component's Laplacian and J the all-ones matrix: one Cholesky
   inverse, made in place in the component's dense block, read from the
@@ -61,16 +71,28 @@ class SpectralReport:
     component_count: int
 
 
-def _spectrum(a_hat, tol):
+def _spectrum(a_hat, tol, labels):
     """Eigenvalues of a symmetric propagation matrix, split at the top cluster.
 
-    The dense matrix is reduced once to tridiagonal form (LAPACK dsytrd,
-    lower storage), and all eigenvalues come from the tridiagonal. Returns
-    (eigenvalues ascending, multiplicity, second_largest, factors), where
-    factors = (c, d, e, tau) lets _cluster_basis compute eigenvectors
-    without a second reduction.
+    `labels` assigns each node a component: connected_components of the
+    matrix, or of the adjacency it normalizes, whose labeling may be coarser
+    (normalize prunes entries that underflow to zero). A stored entry that
+    joins two labels raises ValueError; otherwise the matrix is block
+    diagonal over the labels, and its spectrum is the union of the blocks'.
+    A singleton's eigenvalue is its diagonal entry. Every larger component's
+    dense block is read from the CSR arrays, reduced to tridiagonal form
+    (LAPACK dsytrd, lower storage, in the block's own buffer) and its
+    eigenvalues taken from the tridiagonal (dsterf), so the largest dense
+    array is the largest component's k x k block.
+
+    Returns (eigenvalues ascending, multiplicity, second_largest, blocks).
+    blocks lets analyze build the cluster basis without a second reduction:
+    a list of (nodes, their eigenvalues, factors), first the singletons with
+    their diagonal and factors None, then one entry per larger component,
+    its eigenvalues ascending and factors = (c, d, e, tau) for
+    _cluster_basis.
     """
-    from scipy.linalg import eigh_tridiagonal, lapack
+    from scipy.linalg import lapack
 
     if a_hat.n_rows != a_hat.n_cols:
         raise ValueError("spectral analysis needs a square matrix")
@@ -84,27 +106,54 @@ def _spectrum(a_hat, tol):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n = a_hat.n_rows
-    # The matrix is exactly symmetric, so its transpose is the same matrix in
-    # Fortran order, which dsytrd can overwrite without a copy.
-    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    c, d, e, tau, info = lapack.dsytrd(a_hat.to_dense().T, lower=1, lwork=int(lwork),
-                                       overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
-    eigenvalues = eigh_tridiagonal(d, e, eigvals_only=True)
+    rows, cols, values = a_hat.row_ids(), a_hat.col_indices, a_hat.values
+    entry_labels = labels[rows]
+    if np.any(entry_labels != labels[cols]):
+        raise ValueError("a stored entry joins two components of the labeling")
+    # Nodes grouped by label, each group ascending, and each node's index
+    # within its group; the entries grouped the same way, by their row.
+    sizes = np.bincount(labels)
+    nodes_by_label = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(n, dtype=np.int64)
+    local[nodes_by_label] = np.arange(n) - np.repeat(starts, sizes)
+    entries = np.argsort(entry_labels, kind="stable")
+    entry_counts = np.bincount(entry_labels, minlength=len(sizes))
+    entry_starts = np.cumsum(entry_counts) - entry_counts
+
+    singles = nodes_by_label[starts[sizes == 1]]
+    blocks = [(singles, a_hat.diagonal()[singles], None)]
+    for label in np.flatnonzero(sizes > 1):
+        k = int(sizes[label])
+        nodes = nodes_by_label[starts[label]:starts[label] + k]
+        own = entries[entry_starts[label]:entry_starts[label] + entry_counts[label]]
+        block = np.zeros((k, k))
+        block[local[rows[own]], local[cols[own]]] = values[own]
+        # The block is exactly symmetric, so its transpose is the same matrix
+        # in Fortran order, which dsytrd can overwrite without a copy.
+        lwork, _ = lapack.dsytrd_lwork(k, lower=1)
+        c, d, e, tau, info = lapack.dsytrd(block.T, lower=1, lwork=int(lwork), overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
+        w, info = lapack.dsterf(d, e)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
+        blocks.append((nodes, w, (c, d, e, tau)))
+    eigenvalues = np.sort(np.concatenate([w for _, w, _ in blocks]))
     top = eigenvalues[-1]
     multiplicity = int(np.sum(eigenvalues >= top - tol))
     if multiplicity < n:
         second = float(np.max(np.abs(eigenvalues[: n - multiplicity])))
     else:
         second = 0.0
-    return eigenvalues, multiplicity, second, (c, d, e, tau)
+    return eigenvalues, multiplicity, second, blocks
 
 
 def _cluster_basis(factors, m):
-    """Orthonormal eigenvectors of the top m eigenvalues, from the factors
-    _spectrum returns: eigenvectors of the tridiagonal, mapped back through
-    the stored reflectors (what LAPACK dormtr does for lower storage).
+    """Orthonormal eigenvectors of the top m eigenvalues of one block, from
+    the factors _spectrum returns for it: eigenvectors of the tridiagonal,
+    mapped back through the stored reflectors (what LAPACK dormtr does for
+    lower storage).
 
     Overwrites c, so the factors serve one call."""
     from scipy.linalg import eigh_tridiagonal, lapack
@@ -112,22 +161,21 @@ def _cluster_basis(factors, m):
     c, d, e, tau = factors
     n = len(d)
     _, z = eigh_tridiagonal(d, e, select="i", select_range=(n - m, n - 1))
-    if n > 1:
-        # Q = H(1)...H(n-1) leaves row 0 alone; its reflectors sit below the
-        # subdiagonal of c, i.e. in QR layout in c[1:, :n-1]. That slice is
-        # not contiguous, so dormqr would copy it. Instead its columns move,
-        # left to right, to the front of c's own Fortran-order buffer, where
-        # the first (n-1)^2 entries then hold the block contiguously. No
-        # column lands on a source not yet moved.
-        k = n - 1
-        flat = c.reshape(-1, order="F")
-        for j in range(k):
-            flat[j * k:(j + 1) * k] = flat[j * n + 1:(j + 1) * n]
-        reflectors = flat[: k * k].reshape((k, k), order="F")
-        query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
-        z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+    # Q = H(1)...H(n-1) leaves row 0 alone; its reflectors sit below the
+    # subdiagonal of c, i.e. in QR layout in c[1:, :n-1]. That slice is not
+    # contiguous, so dormqr would copy it. Instead its columns move, left to
+    # right, to the front of c's own Fortran-order buffer, where the first
+    # (n-1)^2 entries then hold the block contiguously. No column lands on a
+    # source not yet moved.
+    k = n - 1
+    flat = c.reshape(-1, order="F")
+    for j in range(k):
+        flat[j * k:(j + 1) * k] = flat[j * n + 1:(j + 1) * n]
+    reflectors = flat[: k * k].reshape((k, k), order="F")
+    query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
+    z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
     return z
 
 
@@ -136,19 +184,33 @@ def analyze(a_hat, tol=TOP_CLUSTER_TOL):
     cluster: every eigenvalue within `tol` (finite, nonnegative) of the
     maximum counts as top.
 
-    All eigenvalues are computed, but eigenvectors only for the cluster.
-    For the augmented symmetric normalization of a graph, the cluster
-    multiplicity equals the number of connected components; that is checked
-    by tests, not enforced here, so the function stays usable on arbitrary
-    symmetric matrices.
+    The work is per connected component of the matrix: all eigenvalues are
+    computed, block by block, but eigenvectors only for the blocks that hold
+    cluster eigenvalues. Their vectors fill the rows of their component in
+    one n x multiplicity basis, and a top singleton gets a unit column; the
+    columns are grouped by component. For the augmented symmetric
+    normalization of a graph, the cluster multiplicity equals the number of
+    connected components; that is checked by tests, not enforced here, so
+    the function stays usable on arbitrary symmetric matrices.
     """
-    eigenvalues, multiplicity, second, factors = _spectrum(a_hat, tol)
-    _, n_components = connected_components(a_hat)
+    labels, n_components = connected_components(a_hat)
+    eigenvalues, multiplicity, second, blocks = _spectrum(a_hat, tol, labels)
+    floor = eigenvalues[-1] - tol
+    basis = np.zeros((a_hat.n_rows, multiplicity))
+    col = 0
+    for nodes, w, factors in blocks:
+        top = w >= floor
+        m = int(np.count_nonzero(top))
+        if factors is None:
+            basis[nodes[top], col + np.arange(m)] = 1.0
+        elif m:
+            basis[nodes, col:col + m] = _cluster_basis(factors, m)
+        col += m
     return SpectralReport(
         eigenvalues=eigenvalues,
         top_multiplicity=multiplicity,
         second_largest=second,
-        basis=_cluster_basis(factors, multiplicity),
+        basis=basis,
         component_count=n_components,
     )
 
@@ -351,12 +413,14 @@ def verify_resistance_bound(a, tol=1e-8):
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
-    # Only lambda is kept, so the n x n reduction buffer is freed before the
-    # resistance blocks are built.
-    lam = _spectrum(normalize(a, "AugNormAdj"), TOP_CLUSTER_TOL)[2]
+    a_hat = normalize(a, "AugNormAdj")
+    # The normalization keeps the adjacency's pattern plus the diagonal, so
+    # the adjacency's components label it. Only lambda is kept, so the
+    # reduction blocks are freed before the resistance blocks are built.
+    labels, count = connected_components(a)
+    lam = _spectrum(a_hat, TOP_CLUSTER_TOL, labels)[2]
     d = degrees(a)
     adj = a.to_scipy()
-    labels, count = connected_components(a)
     worst_margin, worst_pair = math.inf, None
     n_pairs = 0
     violations = []
@@ -452,8 +516,9 @@ def theorem1_trajectory(a, seed, epsilon=1e-3):
 
     def snapshot(mat, step, edge):
         # A step reads only the eigenvalues, so it computes no eigenvectors.
-        _, multiplicity, second, _ = _spectrum(normalize(mat, "AugNormAdj"), TOP_CLUSTER_TOL)
-        _, n_components = connected_components(mat)
+        labels, n_components = connected_components(mat)
+        _, multiplicity, second, _ = _spectrum(normalize(mat, "AugNormAdj"), TOP_CLUSTER_TOL,
+                                               labels)
         l_hat = relaxed_smoothing_layer(epsilon, 1.0, 1.0, second)
         return TrajectoryStep(step=step, removed_edge=edge, n_components=n_components,
                               top_multiplicity=multiplicity, second_largest=second,

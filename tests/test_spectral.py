@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.linalg import lapack
 
 import dropgcn
@@ -19,7 +20,8 @@ from dropgcn import (Graph, ModelConfig, SparseMatrix, Tensor, analyze, build_mo
                      subspace_distance, sup_singular_value,
                      theorem1_trajectory, verify_resistance_bound)
 from dropgcn.models import rescale_filters
-from dropgcn.spectral import TOP_CLUSTER_TOL, _spectrum, _without_edge, smoothing_probe
+from dropgcn.spectral import (TOP_CLUSTER_TOL, _cluster_basis, _spectrum, _without_edge,
+                              smoothing_probe)
 from conftest import random_adjacency, random_connected_adjacency
 
 
@@ -159,13 +161,14 @@ class TestAnalyze:
             analyze(SparseMatrix(0, 0, [0], [], []))
 
 
-def copying_basis(a_hat):
-    """The cluster basis as analyze built it when dormqr read a Fortran copy
-    of the reflector block c[1:, :n-1] rather than the block in place."""
-    _, m, _, (c, d, e, tau) = _spectrum(a_hat, TOP_CLUSTER_TOL)
-    n = len(d)
-    _, z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - m, n - 1))
-    reflectors = np.asfortranarray(c[1:, : n - 1])
+def copying_basis(factors, m):
+    """A block's cluster basis as _cluster_basis built it when dormqr read a
+    Fortran copy of the reflector block c[1:, :k-1] rather than the block in
+    place."""
+    c, d, e, tau = factors
+    k = len(d)
+    _, z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(k - m, k - 1))
+    reflectors = np.asfortranarray(c[1:, : k - 1])
     query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
     z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
     assert info == 0
@@ -180,7 +183,87 @@ class TestInPlaceReflectors:
         for a in (SparseMatrix.from_dense([[0, 1], [1, 0]]), path3(), triangle(), many):
             a_hat = normalize(a, "AugNormAdj")
             rep = analyze(a_hat)
-            assert np.array_equal(rep.basis, copying_basis(a_hat))
+            labels, _ = connected_components(a_hat)
+            eigenvalues, _, _, blocks = _spectrum(a_hat, TOP_CLUSTER_TOL, labels)
+            floor = eigenvalues[-1] - TOP_CLUSTER_TOL
+            _, single_values, _ = blocks[0]
+            col = int(np.sum(single_values >= floor))
+            for nodes, w, factors in blocks[1:]:
+                m = int(np.sum(w >= floor))
+                assert m == 1  # each component's top eigenvalue, 1
+                want = copying_basis(factors, m)
+                got = _cluster_basis(factors, m)
+                assert np.array_equal(got, want)
+                # analyze writes the same vectors into its component's rows.
+                assert np.array_equal(rep.basis[nodes, col:col + m], got)
+                col += m
+            assert col == rep.top_multiplicity
+
+
+def permuted_component_graph(rng):
+    """A weighted graph of interleaved components: 4 singletons, five 2-node
+    blocks, a 5-node and a 12-node connected block, nodes in random order."""
+    sizes = [1] * 4 + [2] * 5 + [5, 12]
+    perm = rng.permutation(sum(sizes))
+    rows, cols = [], []
+    first = 0
+    for k in sizes:
+        u, v = np.nonzero(np.triu(random_connected_adjacency(rng, k, 0.4).to_dense()))
+        rows.append(perm[first + u])
+        cols.append(perm[first + v])
+        first += k
+    u, v = np.concatenate(rows), np.concatenate(cols)
+    w = rng.uniform(0.1, 3.0, size=len(u))
+    n = len(perm)
+    return SparseMatrix.from_coo(n, n, np.concatenate([u, v]), np.concatenate([v, u]),
+                                 np.concatenate([w, w])), len(sizes)
+
+
+class TestComponentBlocks:
+    def test_interleaved_components_match_whole_matrix_eigh(self, rng_factory):
+        rng = rng_factory(63)
+        for _ in range(5):
+            a, count = permuted_component_graph(rng)
+            labels, _ = connected_components(a)
+            assert np.any(np.diff(labels) < 0)  # the components interleave
+            a_hat = normalize(a, "AugNormAdj")
+            rep = analyze(a_hat)
+            w, v = np.linalg.eigh(a_hat.to_dense())
+            np.testing.assert_allclose(rep.eigenvalues, w, rtol=0, atol=1e-12)
+            assert rep.top_multiplicity == count == rep.component_count
+            assert rep.second_largest == pytest.approx(
+                float(np.max(np.abs(w[:-count]))), abs=1e-12)
+            e, oracle = rep.basis, v[:, -count:]
+            np.testing.assert_allclose(e.T @ e, np.eye(count), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a_hat.to_dense() @ e, e, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(e @ e.T, oracle @ oracle.T, rtol=0, atol=1e-10)
+
+    def test_repeated_top_eigenvalue_in_one_block(self):
+        # -(K4 adjacency) is connected, with eigenvalues {-3, 1, 1, 1}.
+        dense = np.eye(4) - np.ones((4, 4))
+        rep = analyze(SparseMatrix.from_dense(dense))
+        w = np.sort(scipy.linalg.eig(dense)[0].real)
+        np.testing.assert_allclose(rep.eigenvalues, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.eigenvalues, [-3, 1, 1, 1], rtol=0, atol=1e-12)
+        assert rep.top_multiplicity == 3 and rep.component_count == 1
+        assert rep.second_largest == pytest.approx(3.0, abs=1e-12)
+        e = rep.basis
+        assert e.shape == (4, 3)
+        np.testing.assert_allclose(e.T @ e, np.eye(3), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense @ e, e, rtol=0, atol=1e-12)
+
+    def test_labeling_crossed_by_an_entry_raises(self):
+        a_hat = normalize(path3(), "AugNormAdj")
+        with pytest.raises(ValueError, match="joins two components"):
+            _spectrum(a_hat, TOP_CLUSTER_TOL, np.array([0, 0, 1]))
+
+    def test_coarser_labeling_gives_the_same_spectrum(self, rng_factory):
+        a, count = permuted_component_graph(rng_factory(64))
+        a_hat = normalize(a, "AugNormAdj")
+        fine = _spectrum(a_hat, TOP_CLUSTER_TOL, connected_components(a)[0])
+        coarse = _spectrum(a_hat, TOP_CLUSTER_TOL, np.zeros(a.n_rows, dtype=np.int64))
+        np.testing.assert_allclose(coarse[0], fine[0], rtol=0, atol=1e-12)
+        assert coarse[1] == fine[1] == count
 
 
 def traced_peak(fn, *args):
@@ -204,6 +287,17 @@ class TestFootprint:
         a_hat = normalize(a, "AugNormAdj")
         n = a_hat.n_rows
         assert traced_peak(analyze, a_hat) <= 1.25 * n * n * 8 + 2**20
+
+    def test_analyze_holds_no_array_beyond_the_basis_and_one_block(self, rng_factory):
+        # 50 components of 40 nodes: one n x n array would be 32 MB, the
+        # basis is 0.8 MB and a block 12.8 kB.
+        rng = rng_factory(65)
+        blocks = [random_connected_adjacency(rng, 40, 0.15).to_scipy() for _ in range(50)]
+        a_hat = normalize(SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks)),
+                          "AugNormAdj")
+        n, m = a_hat.n_rows, len(blocks)
+        assert analyze(a_hat).basis.shape == (n, m)
+        assert traced_peak(analyze, a_hat) <= n * m * 8 + 2 * 2**20
 
     @pytest.mark.parametrize("fn", [resistance_matrix, verify_resistance_bound],
                              ids=["resistance_matrix", "verify_resistance_bound"])
@@ -773,6 +867,20 @@ class TestTrajectory:
         fresh = SparseMatrix(out.n_rows, out.n_cols, out.row_offsets, out.col_indices,
                              out.values)
         np.testing.assert_array_equal(inherited, fresh.twins())
+
+    def test_sorts_no_columns(self, rng_factory, monkeypatch):
+        # Every matrix a trajectory builds, removals and their normalizations,
+        # inherits its twins, so none sorts its columns.
+        a = random_connected_adjacency(rng_factory(63), 12, 0.4)
+        a.twins()
+        sort = SparseMatrix.twins
+
+        def kept(self):
+            assert hasattr(self, "_twins"), "sorted the columns of a matrix"
+            return sort(self)
+
+        monkeypatch.setattr(SparseMatrix, "twins", kept)
+        assert theorem1_trajectory(a, seed=1).multiplicity_tracks_components
 
     def test_requires_connected_start(self):
         a = SparseMatrix.from_dense(
