@@ -47,17 +47,16 @@ print(f"  expected {expected:.3f}, observed "
 # here as in training, and passed to every call.
 full = normalize(a, "AugNormAdj")
 cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.4))
-mats = propagation_matrices(a, cfg, 4, rng, training=True, full=full)
+mats = propagation_matrices(a, cfg, 4, rng, full)
 print(f"\none-shot: all four layers share one draw -> "
       f"{all(m is mats[0] for m in mats)}")
 
 cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.4, layer_wise=True))
-mats = propagation_matrices(a, cfg, 4, rng, training=True, full=full)
+mats = propagation_matrices(a, cfg, 4, rng, full)
 edge_sets = [frozenset(zip(*map(tuple, m.undirected_edges()))) for m in mats]
 print(f"layer-wise: every layer keeps {len(edge_sets[0])} edges, but "
       f"{len(set(edge_sets))} of 4 draws are distinct")
 
-# Evaluation never samples: the full-graph matrix itself, regardless of p.
-mats = propagation_matrices(a, cfg, 4, rng, training=False, full=full)
-print(f"eval mode: zero edges removed -> nnz {mats[0].nnz} per layer, "
-      f"diagonal included, the full normalization itself -> {mats[0] is full}")
+# Evaluation never samples: every layer reads `full`, regardless of p.
+print(f"eval mode: zero edges removed -> nnz {full.nnz} per layer, "
+      f"diagonal included: 2V + n = {a.nnz + a.n_rows}")

@@ -7,7 +7,8 @@ degrees reflect the dropped graph. Evaluation always sees the full, fixed
 normalization, which the caller builds once and passes in. One scheme, the
 model's (ModelConfig.scheme), normalizes every draw, p=0 training and
 evaluation; DropEdgeConfig holds only the drop rate and the granularity.
-Edge ids come from the twins the adjacency keeps (SparseMatrix.twins).
+Draws, and each step of a spectral removal trajectory, mask the stored
+entries by edge_ids, read from the twins the adjacency keeps.
 
 Two granularities: one draw shared by every layer (the default; the returned
 list repeats one matrix object), or an independent draw per layer.
@@ -70,7 +71,7 @@ class DropEdgeConfig:
             raise ValueError(f"drop rate p must lie in [0, 1], got {self.p}")
 
 
-def _edge_ids(a):
+def edge_ids(a):
     """Id of each stored entry's undirected edge, in undirected_edges()
     order, and the number of undirected edges. An upper entry (i < j) takes
     its rank among the upper entries; a lower one takes its twin's (a.twins(),
@@ -108,7 +109,7 @@ def sample(a, p, rng):
     p = check_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"drop rate p must lie in [0, 1], got {p}")
-    edge_id, n_edges = _edge_ids(a)
+    edge_id, n_edges = edge_ids(a)
     n_drop = drop_count(a, p)
     if n_drop == 0:
         return a
@@ -127,23 +128,24 @@ def sample_layerwise(a, p, n_layers, rng):
     return [sample(a, p, rng) for _ in range(n_layers)]
 
 
-def propagation_matrices(a, config, n_layers, rng, training, full):
-    """Per-layer propagation matrices for one forward pass.
+def propagation_matrices(a, config, n_layers, rng, full):
+    """Per-layer propagation matrices for one training forward pass.
 
     `config` is the ModelConfig: its `scheme` normalizes and its `dropedge`
     gives the drop rate and granularity. `full` is the full adjacency's
-    normalization, normalize(a, config.scheme), which the caller builds once.
+    normalization, normalize(a, config.scheme), which the caller builds once;
+    evaluation uses it for every layer and never calls this.
 
-    Outside training, or when a draw would drop nothing (drop_count is 0: p=0,
-    or p < 1/V), every layer gets `full` itself, untouched by the sampler
-    (and `rng` is not consumed). During training with a draw that drops
-    edges, a one-shot draw is dropped once, re-normalized once, and shared;
-    the layer-wise variant drops and re-normalizes per layer.
+    When a draw would drop nothing (drop_count is 0: p=0, or p < 1/V), every
+    layer gets `full` itself, untouched by the sampler (and `rng` is not
+    consumed). Otherwise a one-shot draw is dropped once, re-normalized
+    once, and shared; the layer-wise variant drops and re-normalizes per
+    layer.
     """
     scheme, drop = config.scheme, config.dropedge
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    if not training or drop_count(a, drop.p) == 0:
+    if drop_count(a, drop.p) == 0:
         return [full] * n_layers
     if drop.layer_wise:
         return [normalize(m, scheme) for m in sample_layerwise(a, drop.p, n_layers, rng)]

@@ -10,17 +10,19 @@ studied directly: effective resistances, the lambda lower bound they imply,
 and full random-removal trajectories.
 
 Everything is dense linear algebra, capped at 5000 nodes, and it works per
-connected component: a symmetric matrix whose stored entries never join two
-components is block diagonal over them, so its spectrum is the union of the
-blocks' spectra, and its top eigenspace is spanned by the blocks' top
-eigenvectors, each zero outside its component. The eigenvalue route reads
-each component's dense block from the sparse matrix, reduces it once to
-tridiagonal form and takes the block's eigenvalues from the tridiagonal; a
-singleton's eigenvalue is its diagonal entry. Eigenvectors are computed only
-for the top cluster, mapped back through each block's stored reflectors.
-Removal trajectories read only eigenvalues, so their steps compute no
-eigenvectors at all. scipy.linalg is imported inside the functions that use
-it, so importing the package (and training) does not load it.
+connected component: a symmetric matrix is block diagonal over its
+components, so its spectrum is the union of the blocks' spectra, and its top
+eigenspace is spanned by the blocks' top eigenvectors, each zero outside its
+component. One reader, _component_blocks, scatters each component's dense
+block from the CSR arrays, for the eigenvalues and the resistances alike.
+The eigenvalue route reduces each block once to tridiagonal form and takes
+its eigenvalues from the tridiagonal; a singleton's eigenvalue is its
+diagonal entry. Eigenvectors are computed only for the top cluster, mapped
+back through each block's stored reflectors. Removal trajectories read only
+eigenvalues, so their steps compute no eigenvectors at all; each step masks
+the start graph's entries by undirected edge id, as a DropEdge draw does.
+scipy.linalg is imported inside the functions that use it, so importing the
+package (and training) does not load it.
 
 Memory footprint, n nodes, k nodes in a connected component, m the
 multiplicity of the top cluster:
@@ -34,11 +36,12 @@ multiplicity of the top cluster:
   their component.
 - resistances are computed per component from (L + J/k)^-1 = L^+ + J/k,
   with L the component's Laplacian and J the all-ones matrix: one Cholesky
-  inverse, made in place in the component's dense block, read from the
-  sparse matrix. That is about two k x k arrays per component at most
-  (verify_resistance_bound turns the block into margins with one temporary);
-  resistance_matrix adds its n x n output. effective_resistance reads one
-  pair from the same Cholesky factor by one solve, without the inverse.
+  inverse, made in place in the component's dense block. That is about two
+  k x k arrays per component at most (verify_resistance_bound turns the
+  block into margins with one temporary);
+  resistance_matrix adds its n x n output. effective_resistance builds only
+  the block of the pair's component and reads the pair from its Cholesky
+  factor by one solve, without the inverse.
 """
 
 import math
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .dropedge import edge_ids
 from .sparsemat import check_adjacency, connected_components, degrees, keep_entries, normalize
 
 MAX_DENSE_NODES = 5000
@@ -71,26 +75,52 @@ class SpectralReport:
     component_count: int
 
 
-def _spectrum(a_hat, tol, labels):
+def _component_blocks(a, labels):
+    """(nodes, block) for each component of `labels` with 2 or more nodes,
+    in label order: `nodes` ascending, `block` the k x k dense float64 block
+    of `a` on them, scattered from the CSR arrays only when the generator
+    reaches it. No stored entry of `a` may join two labels: each entry is
+    read into its row's block.
+    """
+    n = a.n_rows
+    rows, cols, values = a.row_ids(), a.col_indices, a.values
+    entry_labels = labels[rows]
+    # Nodes grouped by label, each group ascending, and each node's index
+    # within its group; the entries grouped the same way, by their row.
+    sizes = np.bincount(labels)
+    nodes_by_label = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(n, dtype=np.int64)
+    local[nodes_by_label] = np.arange(n) - np.repeat(starts, sizes)
+    entries = np.argsort(entry_labels, kind="stable")
+    entry_counts = np.bincount(entry_labels, minlength=len(sizes))
+    entry_starts = np.cumsum(entry_counts) - entry_counts
+    for label in np.flatnonzero(sizes > 1):
+        k = int(sizes[label])
+        nodes = nodes_by_label[starts[label]:starts[label] + k]
+        own = entries[entry_starts[label]:entry_starts[label] + entry_counts[label]]
+        block = np.zeros((k, k))
+        block[local[rows[own]], local[cols[own]]] = values[own]
+        yield nodes, block
+
+
+def _spectrum(a_hat, tol):
     """Eigenvalues of a symmetric propagation matrix, split at the top cluster.
 
-    `labels` assigns each node a component: connected_components of the
-    matrix, or of the adjacency it normalizes, whose labeling may be coarser
-    (normalize prunes entries that underflow to zero). A stored entry that
-    joins two labels raises ValueError; otherwise the matrix is block
-    diagonal over the labels, and its spectrum is the union of the blocks'.
-    A singleton's eigenvalue is its diagonal entry. Every larger component's
-    dense block is read from the CSR arrays, reduced to tridiagonal form
-    (LAPACK dsytrd, lower storage, in the block's own buffer) and its
-    eigenvalues taken from the tridiagonal (dsterf), so the largest dense
-    array is the largest component's k x k block.
+    The matrix is block diagonal over its own connected components, so its
+    spectrum is the union of the blocks'. A singleton's eigenvalue is its
+    diagonal entry. Every larger component's dense block
+    (_component_blocks) is reduced to tridiagonal form (LAPACK dsytrd, lower
+    storage, in the block's own buffer) and its eigenvalues taken from the
+    tridiagonal (dsterf), so the largest dense array is the largest
+    component's k x k block.
 
-    Returns (eigenvalues ascending, multiplicity, second_largest, blocks).
-    blocks lets analyze build the cluster basis without a second reduction:
-    a list of (nodes, their eigenvalues, factors), first the singletons with
-    their diagonal and factors None, then one entry per larger component,
-    its eigenvalues ascending and factors = (c, d, e, tau) for
-    _cluster_basis.
+    Returns (eigenvalues ascending, multiplicity, second_largest, blocks,
+    component count). blocks lets analyze build the cluster basis without a
+    second reduction: a list of (nodes, their eigenvalues, factors), first
+    the singletons with their diagonal and factors None, then one entry per
+    larger component, its eigenvalues ascending and factors = (c, d, e, tau)
+    for _cluster_basis.
     """
     from scipy.linalg import lapack
 
@@ -106,29 +136,12 @@ def _spectrum(a_hat, tol, labels):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n = a_hat.n_rows
-    rows, cols, values = a_hat.row_ids(), a_hat.col_indices, a_hat.values
-    entry_labels = labels[rows]
-    if np.any(entry_labels != labels[cols]):
-        raise ValueError("a stored entry joins two components of the labeling")
-    # Nodes grouped by label, each group ascending, and each node's index
-    # within its group; the entries grouped the same way, by their row.
-    sizes = np.bincount(labels)
-    nodes_by_label = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    local = np.empty(n, dtype=np.int64)
-    local[nodes_by_label] = np.arange(n) - np.repeat(starts, sizes)
-    entries = np.argsort(entry_labels, kind="stable")
-    entry_counts = np.bincount(entry_labels, minlength=len(sizes))
-    entry_starts = np.cumsum(entry_counts) - entry_counts
-
-    singles = nodes_by_label[starts[sizes == 1]]
+    labels, count = connected_components(a_hat)
+    # Labels follow node order, so the singletons are in label order too.
+    singles = np.flatnonzero(np.bincount(labels)[labels] == 1)
     blocks = [(singles, a_hat.diagonal()[singles], None)]
-    for label in np.flatnonzero(sizes > 1):
-        k = int(sizes[label])
-        nodes = nodes_by_label[starts[label]:starts[label] + k]
-        own = entries[entry_starts[label]:entry_starts[label] + entry_counts[label]]
-        block = np.zeros((k, k))
-        block[local[rows[own]], local[cols[own]]] = values[own]
+    for nodes, block in _component_blocks(a_hat, labels):
+        k = len(nodes)
         # The block is exactly symmetric, so its transpose is the same matrix
         # in Fortran order, which dsytrd can overwrite without a copy.
         lwork, _ = lapack.dsytrd_lwork(k, lower=1)
@@ -146,7 +159,7 @@ def _spectrum(a_hat, tol, labels):
         second = float(np.max(np.abs(eigenvalues[: n - multiplicity])))
     else:
         second = 0.0
-    return eigenvalues, multiplicity, second, blocks
+    return eigenvalues, multiplicity, second, blocks, count
 
 
 def _cluster_basis(factors, m):
@@ -184,8 +197,9 @@ def analyze(a_hat, tol=TOP_CLUSTER_TOL):
     cluster: every eigenvalue within `tol` (finite, nonnegative) of the
     maximum counts as top.
 
-    The work is per connected component of the matrix: all eigenvalues are
-    computed, block by block, but eigenvectors only for the blocks that hold
+    The work is per connected component of the matrix, which _spectrum
+    labels; its count is component_count. All eigenvalues are computed,
+    block by block, but eigenvectors only for the blocks that hold
     cluster eigenvalues. Their vectors fill the rows of their component in
     one n x multiplicity basis, and a top singleton gets a unit column; the
     columns are grouped by component. For the augmented symmetric
@@ -193,8 +207,7 @@ def analyze(a_hat, tol=TOP_CLUSTER_TOL):
     connected components; that is checked by tests, not enforced here, so
     the function stays usable on arbitrary symmetric matrices.
     """
-    labels, n_components = connected_components(a_hat)
-    eigenvalues, multiplicity, second, blocks = _spectrum(a_hat, tol, labels)
+    eigenvalues, multiplicity, second, blocks, n_components = _spectrum(a_hat, tol)
     floor = eigenvalues[-1] - tol
     basis = np.zeros((a_hat.n_rows, multiplicity))
     col = 0
@@ -296,17 +309,16 @@ def smoothing_probe(hidden_states, report, s, epsilon):
 # -- effective resistance ----------------------------------------------
 
 
-def _cholesky(adj, nodes):
-    """Lower Cholesky factor of M = L + J/k for one component, read from the
-    graph's scipy CSR matrix `adj`: L the component's Laplacian, k its size,
-    J the all-ones matrix. M is symmetric positive definite, and
-    M^-1 = L^+ + J/k. M is built in the dense block's own buffer and
+def _cholesky(m):
+    """Lower Cholesky factor of M = L + J/k for one component, whose k x k
+    adjacency block `m` (from _component_blocks) it overwrites: L the
+    component's Laplacian, J the all-ones matrix. M is symmetric positive
+    definite, and M^-1 = L^+ + J/k. M is built in the block's own buffer and
     factored in place, so the block is the only k x k array; the factor is
     returned as a Fortran-order view of it."""
     from scipy.linalg import lapack
 
-    k = len(nodes)
-    m = adj[nodes][:, nodes].toarray()
+    k = len(m)
     deg = m.sum(axis=1)
     np.negative(m, out=m)
     m.flat[:: k + 1] += deg
@@ -324,18 +336,18 @@ def _check_definite(info):
                                     f"(info={info}); do the edge weights span too wide a range?")
 
 
-def _component_resistance(adj, nodes):
-    """Pairwise resistance block of one component:
-    R(s, t) = M^-1[s, s] + M^-1[t, t] - 2 M^-1[s, t], the J/k terms of
-    M^-1 cancelling. M is inverted in place from its Cholesky factor."""
+def _component_resistance(block):
+    """Pairwise resistance block of one component, made in its adjacency
+    block: R(s, t) = M^-1[s, s] + M^-1[t, t] - 2 M^-1[s, t], the J/k terms
+    of M^-1 cancelling. M is inverted in place from its Cholesky factor."""
     from scipy.linalg import lapack
 
-    inv, info = lapack.dpotri(_cholesky(adj, nodes), lower=1, overwrite_c=1)
+    inv, info = lapack.dpotri(_cholesky(block), lower=1, overwrite_c=1)
     _check_definite(info)
     # The inverse fills the Fortran lower triangle, which is the upper
     # triangle of its transpose r.
     r = inv.T
-    k = len(nodes)
+    k = len(block)
     for i in range(k - 1):
         r[i + 1:, i] = r[i, i + 1:]
     diag = r.diagonal().copy()
@@ -365,11 +377,12 @@ def effective_resistance(a, s, t):
     labels, _ = connected_components(a)
     if labels[s] != labels[t]:
         return math.inf
-    nodes = np.flatnonzero(labels == labels[s])
+    # Label s's component 0 and all else 1: only the first block is built.
+    nodes, block = next(_component_blocks(a, (labels != labels[s]).astype(np.int64)))
     i, j = np.searchsorted(nodes, [s, t])
     b = np.zeros(len(nodes))
     b[i], b[j] = 1.0, -1.0
-    x, _ = lapack.dpotrs(_cholesky(a.to_scipy(), nodes), b, lower=1)
+    x, _ = lapack.dpotrs(_cholesky(block), b, lower=1)
     return float(x[i] - x[j])
 
 
@@ -378,12 +391,9 @@ def resistance_matrix(a):
     pass check_adjacency."""
     check_adjacency(a)
     n = a.n_rows
-    labels, count = connected_components(a)
-    adj = a.to_scipy()
     out = np.full((n, n), math.inf)
-    for c in range(count):
-        nodes = np.flatnonzero(labels == c)
-        out[np.ix_(nodes, nodes)] = _component_resistance(adj, nodes)
+    for nodes, block in _component_blocks(a, connected_components(a)[0]):
+        out[np.ix_(nodes, nodes)] = _component_resistance(block)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -414,25 +424,19 @@ def verify_resistance_bound(a, tol=1e-8):
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
     a_hat = normalize(a, "AugNormAdj")
-    # The normalization keeps the adjacency's pattern plus the diagonal, so
-    # the adjacency's components label it. Only lambda is kept, so the
-    # reduction blocks are freed before the resistance blocks are built.
-    labels, count = connected_components(a)
-    lam = _spectrum(a_hat, TOP_CLUSTER_TOL, labels)[2]
+    # Only lambda is kept, so the reduction blocks are freed before the
+    # resistance blocks are built.
+    lam = _spectrum(a_hat, TOP_CLUSTER_TOL)[2]
     d = degrees(a)
-    adj = a.to_scipy()
     worst_margin, worst_pair = math.inf, None
     n_pairs = 0
     violations = []
-    for c in range(count):
-        nodes = np.flatnonzero(labels == c)
+    for nodes, block in _component_blocks(a, connected_components(a)[0]):
         k = len(nodes)
-        if k < 2:
-            continue
         # The margins overwrite the resistance block. The pairs (i, j), i < j,
         # are its strict upper triangle, which row-major order visits as a
         # double loop would; the rest holds inf (1/inf = 0 keeps it finite).
-        margins = _component_resistance(adj, nodes)
+        margins = _component_resistance(block)
         lower = np.tri(k, dtype=bool)
         np.copyto(margins, math.inf, where=lower)
         inv_d = 1.0 / d[nodes]
@@ -489,15 +493,6 @@ class TrajectoryReport:
     disjunction_holds: bool
 
 
-def _without_edge(a, u, v):
-    """`a` with its stored entries (u, v) and (v, u) removed."""
-    offsets, cols = a.row_offsets, a.col_indices
-    keep = np.ones(a.nnz, dtype=bool)
-    for r, col in ((u, v), (v, u)):
-        keep[offsets[r] + np.searchsorted(cols[offsets[r]:offsets[r + 1]], col)] = False
-    return keep_entries(a.n_rows, a.n_cols, offsets, cols, a.values, keep, a.twins())
-
-
 def theorem1_trajectory(a, seed, epsilon=1e-3):
     """Remove uniformly random edges one at a time until none remain,
     re-normalizing (AugNormAdj) and recomputing the eigenvalues and the
@@ -508,34 +503,34 @@ def theorem1_trajectory(a, seed, epsilon=1e-3):
 
     Requires a connected starting graph so the initial subspace dimension is
     1 and every later disconnection is visible as a +1.
+
+    A step masks a's entries by edge id, as a draw does (dropedge.edge_ids),
+    picking uniformly among the edges left, in undirected_edges() order.
     """
-    _, count = connected_components(a)
-    if count != 1:
-        raise ValueError("trajectory needs a connected starting graph")
-    rng = np.random.default_rng(seed)
 
     def snapshot(mat, step, edge):
         # A step reads only the eigenvalues, so it computes no eigenvectors.
-        labels, n_components = connected_components(mat)
-        _, multiplicity, second, _ = _spectrum(normalize(mat, "AugNormAdj"), TOP_CLUSTER_TOL,
-                                               labels)
+        _, multiplicity, second, _, n_components = _spectrum(normalize(mat, "AugNormAdj"),
+                                                             TOP_CLUSTER_TOL)
         l_hat = relaxed_smoothing_layer(epsilon, 1.0, 1.0, second)
         return TrajectoryStep(step=step, removed_edge=edge, n_components=n_components,
                               top_multiplicity=multiplicity, second_largest=second,
                               l_hat=l_hat)
 
     steps = [snapshot(a, 0, None)]
-    current = a
-    step = 0
-    while True:
-        u, v = current.undirected_edges()
-        if len(u) == 0:
-            break
-        pick = int(rng.integers(len(u)))
-        edge = (int(u[pick]), int(v[pick]))
-        current = _without_edge(current, *edge)
-        step += 1
-        steps.append(snapshot(current, step, edge))
+    if steps[0].n_components != 1:
+        raise ValueError("trajectory needs a connected starting graph")
+    rng = np.random.default_rng(seed)
+    edge_id, n_edges = edge_ids(a)
+    u, v = a.undirected_edges()
+    alive = np.ones(n_edges, dtype=bool)
+    remaining = list(range(n_edges))
+    for step in range(1, n_edges + 1):
+        removed = remaining.pop(int(rng.integers(len(remaining))))
+        alive[removed] = False
+        current = keep_entries(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values,
+                               alive[edge_id], a.twins())
+        steps.append(snapshot(current, step, (int(u[removed]), int(v[removed]))))
 
     disconnects = [s.step for prev, s in zip(steps, steps[1:])
                    if s.n_components > prev.n_components]

@@ -277,8 +277,7 @@ def _run(config, graph, full, keep_best):
     # exit path.
     with ThreadPoolExecutor(max_workers=1) as pool:
         for epoch in range(1, config.epochs + 1):
-            mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
-                                        rng, training=True, full=full)
+            mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls, rng, full)
             with Tape():
                 # Without the hidden-state list, each layer's output is freed
                 # once its last reader has read it; the tape keeps what
@@ -390,8 +389,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
     spec_report = spectral.analyze(a_hat)
 
     def measured(model):
-        mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls,
-                                    rng, training=True, full=a_hat)
+        mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls, rng, a_hat)
         _, hidden = forward(model, mats, graph.x, training=False)
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}

@@ -193,8 +193,7 @@ class TestAgainstReference:
         cfg = ModelConfig(scheme="AugNormAdj",
                           dropedge=DropEdgeConfig(p=p, layer_wise=layer_wise))
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = propagation_matrices(a, cfg, 3, got_rng, training=True,
-                                   full=normalize(a, "AugNormAdj"))
+        got = propagation_matrices(a, cfg, 3, got_rng, full=normalize(a, "AugNormAdj"))
         if p == 0.0:
             want = [normalize(a, "AugNormAdj")] * 3
         elif layer_wise:
@@ -264,22 +263,11 @@ class TestDrawsInheritTwins:
 
 
 class TestPropagationMatrices:
-    def test_eval_mode_shares_plain_normalization(self, rng_factory):
-        a = triangle()
-        cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.9))
-        rng = rng_factory(0)
-        full = normalize(a, "AugNormAdj")
-        mats = propagation_matrices(a, cfg, 4, rng, training=False, full=full)
-        assert len(mats) == 4
-        assert all(m is full for m in mats)
-        # The sampler stream was not consumed.
-        assert rng.integers(1 << 30) == rng_factory(0).integers(1 << 30)
-
     def test_p_zero_training_same_as_eval(self, rng_factory):
         a = triangle()
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.0))
         full = normalize(a, "AugNormAdj")
-        mats = propagation_matrices(a, cfg, 3, rng_factory(0), training=True, full=full)
+        mats = propagation_matrices(a, cfg, 3, rng_factory(0), full=full)
         assert all(m is full for m in mats)
 
     def test_given_full_normalization_is_reused(self, rng_factory, monkeypatch):
@@ -290,23 +278,21 @@ class TestPropagationMatrices:
         real = dropedge.normalize
         monkeypatch.setattr(dropedge, "normalize",
                             lambda m, scheme: inputs.append(m) or real(m, scheme))
-        for p, training in ((0.0, True), (0.5, False)):
-            cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=p))
-            rng = rng_factory(0)
-            mats = propagation_matrices(a, cfg, 3, rng, training=training, full=full)
-            assert all(m is full for m in mats)
-            assert rng.integers(1 << 30) == rng_factory(0).integers(1 << 30)
-        # With p > 0 during training the draw ignores it.
+        cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.0))
+        rng = rng_factory(0)
+        mats = propagation_matrices(a, cfg, 3, rng, full=full)
+        assert all(m is full for m in mats)
+        assert rng.integers(1 << 30) == rng_factory(0).integers(1 << 30)
+        # With p > 0 the draw ignores it.
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5))
-        mats = propagation_matrices(a, cfg, 2, rng_factory(0), training=True, full=full)
+        mats = propagation_matrices(a, cfg, 2, rng_factory(0), full=full)
         assert mats[0] is not full
         assert len(inputs) == 1 and inputs[0] is not a
 
     def test_one_shot_shares_one_draw(self, rng_factory):
         a = random_adjacency(np.random.default_rng(6), 16, 0.4)
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5))
-        mats = propagation_matrices(a, cfg, 5, rng_factory(2), training=True,
-                                    full=normalize(a, "AugNormAdj"))
+        mats = propagation_matrices(a, cfg, 5, rng_factory(2), full=normalize(a, "AugNormAdj"))
         assert all(m is mats[0] for m in mats)
         # Matches drop-then-normalize done by hand from the same stream.
         want = normalize(sample(a, 0.5, rng_factory(2)), "AugNormAdj")
@@ -315,8 +301,7 @@ class TestPropagationMatrices:
     def test_layerwise_distinct_objects(self, rng_factory):
         a = random_adjacency(np.random.default_rng(6), 16, 0.4)
         cfg = ModelConfig(scheme="AugNormAdj", dropedge=DropEdgeConfig(p=0.5, layer_wise=True))
-        mats = propagation_matrices(a, cfg, 4, rng_factory(2), training=True,
-                                    full=normalize(a, "AugNormAdj"))
+        mats = propagation_matrices(a, cfg, 4, rng_factory(2), full=normalize(a, "AugNormAdj"))
         assert len({id(m) for m in mats}) == 4
 
     def test_degrees_renormalized_after_dropping(self, rng_factory):
@@ -324,20 +309,19 @@ class TestPropagationMatrices:
         # every row of the AugRWalk form still sums to one.
         a = random_adjacency(np.random.default_rng(9), 12, 0.6)
         cfg = ModelConfig(scheme="AugRWalk", dropedge=DropEdgeConfig(p=0.5))
-        mats = propagation_matrices(a, cfg, 2, rng_factory(4), training=True,
-                                    full=normalize(a, "AugRWalk"))
+        mats = propagation_matrices(a, cfg, 2, rng_factory(4), full=normalize(a, "AugRWalk"))
         np.testing.assert_allclose(mats[0].to_dense().sum(axis=1), np.ones(12),
                                    atol=1e-12)
 
     def test_model_scheme_normalizes_every_matrix(self, rng_factory):
         a = random_adjacency(np.random.default_rng(10), 14, 0.5)
-        for p, training in ((0.0, True), (0.5, True), (0.5, False)):
+        for p in (0.0, 0.5):
             cfg = ModelConfig(scheme="BingGeNormAdj",
                               dropedge=DropEdgeConfig(p=p, layer_wise=True))
-            got = propagation_matrices(a, cfg, 3, rng_factory(5), training=training,
+            got = propagation_matrices(a, cfg, 3, rng_factory(5),
                                        full=normalize(a, "BingGeNormAdj"))
             rng = rng_factory(5)
-            draws = (sample_layerwise(a, p, 3, rng) if training and p > 0 else [a] * 3)
+            draws = sample_layerwise(a, p, 3, rng) if p > 0 else [a] * 3
             assert got == [normalize(m, "BingGeNormAdj") for m in draws]
 
 
@@ -355,7 +339,7 @@ class TestDropCount:
         for layer_wise in (False, True):
             cfg = ModelConfig(scheme="AugNormAdj",
                               dropedge=DropEdgeConfig(p=p, layer_wise=layer_wise))
-            mats = propagation_matrices(a, cfg, 3, rng, training=True, full=full)
+            mats = propagation_matrices(a, cfg, 3, rng, full=full)
             assert all(m is full for m in mats)
         # Nothing was drawn from the stream.
         assert rng.integers(1 << 30) == rng_factory(4).integers(1 << 30)

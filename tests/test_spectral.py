@@ -20,7 +20,7 @@ from dropgcn import (Graph, ModelConfig, SparseMatrix, Tensor, analyze, build_mo
                      subspace_distance, sup_singular_value,
                      theorem1_trajectory, verify_resistance_bound)
 from dropgcn.models import rescale_filters
-from dropgcn.spectral import (TOP_CLUSTER_TOL, _cluster_basis, _spectrum, _without_edge,
+from dropgcn.spectral import (TOP_CLUSTER_TOL, _cluster_basis, _component_blocks, _spectrum,
                               smoothing_probe)
 from conftest import random_adjacency, random_connected_adjacency
 
@@ -183,8 +183,7 @@ class TestInPlaceReflectors:
         for a in (SparseMatrix.from_dense([[0, 1], [1, 0]]), path3(), triangle(), many):
             a_hat = normalize(a, "AugNormAdj")
             rep = analyze(a_hat)
-            labels, _ = connected_components(a_hat)
-            eigenvalues, _, _, blocks = _spectrum(a_hat, TOP_CLUSTER_TOL, labels)
+            eigenvalues, _, _, blocks, _ = _spectrum(a_hat, TOP_CLUSTER_TOL)
             floor = eigenvalues[-1] - TOP_CLUSTER_TOL
             _, single_values, _ = blocks[0]
             col = int(np.sum(single_values >= floor))
@@ -252,18 +251,22 @@ class TestComponentBlocks:
         np.testing.assert_allclose(e.T @ e, np.eye(3), rtol=0, atol=1e-12)
         np.testing.assert_allclose(dense @ e, e, rtol=0, atol=1e-12)
 
-    def test_labeling_crossed_by_an_entry_raises(self):
-        a_hat = normalize(path3(), "AugNormAdj")
-        with pytest.raises(ValueError, match="joins two components"):
-            _spectrum(a_hat, TOP_CLUSTER_TOL, np.array([0, 0, 1]))
-
-    def test_coarser_labeling_gives_the_same_spectrum(self, rng_factory):
-        a, count = permuted_component_graph(rng_factory(64))
-        a_hat = normalize(a, "AugNormAdj")
-        fine = _spectrum(a_hat, TOP_CLUSTER_TOL, connected_components(a)[0])
-        coarse = _spectrum(a_hat, TOP_CLUSTER_TOL, np.zeros(a.n_rows, dtype=np.int64))
-        np.testing.assert_allclose(coarse[0], fine[0], rtol=0, atol=1e-12)
-        assert coarse[1] == fine[1] == count
+    def test_blocks_are_the_dense_submatrices(self, rng_factory):
+        # Oracle: index the dense matrix with each component's nodes.
+        rng = rng_factory(64)
+        for _ in range(3):
+            a, _ = permuted_component_graph(rng)
+            labels, count = connected_components(a)
+            dense = a.to_dense()
+            got = list(_component_blocks(a, labels))
+            # Label order, singletons skipped: 4 of the 11 components.
+            want = [np.flatnonzero(labels == c) for c in range(count)]
+            want = [nodes for nodes in want if len(nodes) > 1]
+            assert len(got) == len(want) == count - 4
+            for (nodes, block), want_nodes in zip(got, want):
+                assert np.array_equal(nodes, want_nodes)
+                assert np.all(np.diff(nodes) > 0)
+                assert np.array_equal(block, dense[np.ix_(nodes, nodes)])
 
 
 def traced_peak(fn, *args):
@@ -306,6 +309,14 @@ class TestFootprint:
         a = random_connected_adjacency(rng, 300, 0.03)
         n = a.n_rows
         assert traced_peak(fn, a) <= 3 * n * n * 8
+
+    def test_effective_resistance_builds_only_its_component(self, rng_factory):
+        # s and t in a 3-node path beside a 300-node component, whose block
+        # alone would take 720 kB.
+        big = random_connected_adjacency(rng_factory(66), 300, 0.03).to_scipy()
+        a = SparseMatrix.from_scipy(scipy.sparse.block_diag([big, path3().to_scipy()]))
+        assert effective_resistance(a, 300, 302) == pytest.approx(2.0, abs=1e-10)
+        assert traced_peak(effective_resistance, a, 300, 302) <= 300 * 300 * 8 / 4
 
 
 class TestSubspaceDistance:
@@ -841,32 +852,24 @@ class TestTrajectory:
         rng = rng_factory(61)
         a = random_connected_adjacency(rng, 14, 0.35)
         rep = theorem1_trajectory(a, seed=4)
+        # The pick rule: the seed's stream picks uniformly among the edges
+        # still present, in their undirected_edges() order.
+        picks = np.random.default_rng(4)
         current = a
         for step in rep.steps:
             if step.removed_edge is not None:
+                u, v = current.undirected_edges()
+                pick = int(picks.integers(len(u)))
+                assert step.removed_edge == (int(u[pick]), int(v[pick]))
                 u, v = step.removed_edge
                 rows, cols, vals = current.coo_arrays()
                 keep = ~(((rows == u) & (cols == v)) | ((rows == v) & (cols == u)))
-                replayed = SparseMatrix.from_coo(14, 14, rows[keep], cols[keep], vals[keep])
-                assert _without_edge(current, u, v) == replayed
-                current = replayed
+                current = SparseMatrix.from_coo(14, 14, rows[keep], cols[keep], vals[keep])
             full = analyze(normalize(current, "AugNormAdj"))
             assert step.top_multiplicity == full.top_multiplicity
             assert step.n_components == full.component_count
             assert step.second_largest == pytest.approx(full.second_largest, abs=1e-12)
         assert current.nnz == 0
-
-    def test_removal_inherits_twins(self, rng_factory, monkeypatch):
-        a = random_connected_adjacency(rng_factory(62), 10, 0.4)
-        a.twins()
-        u, v = a.undirected_edges()
-        monkeypatch.setattr(np, "argsort", lambda *args, **kw: pytest.fail("sorted"))
-        out = _without_edge(a, int(u[3]), int(v[3]))
-        inherited = out.twins()
-        monkeypatch.undo()
-        fresh = SparseMatrix(out.n_rows, out.n_cols, out.row_offsets, out.col_indices,
-                             out.values)
-        np.testing.assert_array_equal(inherited, fresh.twins())
 
     def test_sorts_no_columns(self, rng_factory, monkeypatch):
         # Every matrix a trajectory builds, removals and their normalizations,

@@ -219,8 +219,8 @@ class TestTrain:
         # Bit-identical to re-normalizing every epoch: same function, same input.
         real = dropedge.propagation_matrices
 
-        def fresh_full(a, config, *args, full, **kw):
-            return real(a, config, *args, full=normalize(a, config.scheme), **kw)
+        def fresh_full(a, config, n_layers, rng, full):
+            return real(a, config, n_layers, rng, normalize(a, config.scheme))
 
         monkeypatch.setattr(training, "propagation_matrices", fresh_full)
         assert before == train(small_config(epochs=7, p=0.0), graph=sbm).to_csv()
