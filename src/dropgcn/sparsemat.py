@@ -7,6 +7,8 @@ provides the conversion and multiplication kernels; everything observable
 goes through this class so the storage invariants hold everywhere.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -159,21 +161,28 @@ class SparseMatrix:
         Sorting the entries by column, stably, lists them in CSC order; for a
         structurally symmetric matrix that is the CSR order of the transpose,
         so position k of the sort holds the twin of CSR entry k. The matrix
-        is immutable, so the sort runs at most once per instance: the result
-        is kept, read-only, and returned by every later call; a pairwise mask
-        of a matrix (keep_entries) and a normalization (normalize) pass its
-        twins on.
+        is immutable, so the twins are found at most once per instance: the
+        result is kept, read-only, and returned by every later call. A
+        pairwise mask of a matrix (keep_entries) and a normalization
+        (normalize) pass its twins on without a sort, a normalization only
+        when they are first asked for.
         """
-        if hasattr(self, "_twins"):
-            return self._twins
-        self._twins = None
-        if self.n_rows == self.n_cols:
-            rows, cols = self.row_ids(), self.col_indices
-            twin = np.argsort(cols, kind="stable")
-            if np.array_equal(cols[twin], rows) and np.array_equal(rows[twin], cols):
-                twin.flags.writeable = False
-                self._twins = twin
+        # _twins holds the result, or a function that makes it without a
+        # sort; while unset, the sort makes it.
+        find = getattr(self, "_twins", self._sorted_twins)
+        if callable(find):
+            self._twins = find()
         return self._twins
+
+    def _sorted_twins(self):
+        if self.n_rows != self.n_cols:
+            return None
+        rows, cols = self.row_ids(), self.col_indices
+        twin = np.argsort(cols, kind="stable")
+        if not (np.array_equal(cols[twin], rows) and np.array_equal(rows[twin], cols)):
+            return None
+        twin.flags.writeable = False
+        return twin
 
     def is_symmetric(self):
         """True when the matrix equals its transpose exactly: it is
@@ -251,9 +260,8 @@ def _with_diagonal(a, off_diagonal, diagonal):
     exactly zero (underflow) are pruned.
 
     `a` is symmetric (normalize checks it first), and the result inherits
-    its twins (SparseMatrix.twins): the entry moved from position k of `a`
-    to pos[k] has its twin at pos[twins[k]], and a diagonal entry is its own
-    twin."""
+    its twins (SparseMatrix.twins). Training never reads them, so unless an
+    entry is pruned they are made on the result's first twins() call."""
     n = a.n_rows
     rows = a.row_ids()
     # Every earlier row gains one diagonal entry; an entry right of its own
@@ -267,15 +275,24 @@ def _with_diagonal(a, off_diagonal, diagonal):
     vals[pos] = off_diagonal
     cols[on_diagonal] = np.arange(n)
     vals[on_diagonal] = diagonal
-    twins = np.arange(a.nnz + n)
-    twins[pos] = pos[a.twins()]
     offsets = a.row_offsets + np.arange(n + 1)
     keep = vals != 0.0
     if not keep.all():
-        return keep_entries(n, n, offsets, cols, vals, keep, twins)
+        return keep_entries(n, n, offsets, cols, vals, keep,
+                            _moved_twins(pos, a.twins(), a.nnz + n))
     out = SparseMatrix(n, n, offsets, cols, vals)
-    twins.flags.writeable = False
-    out._twins = twins
+    out._twins = functools.partial(_moved_twins, pos, a.twins(), a.nnz + n)
+    return out
+
+
+def _moved_twins(pos, twins, size):
+    """Read-only twins of a matrix of `size` entries made by moving each
+    entry k of a source with twins `twins` to position pos[k] and adding
+    one diagonal entry in each position pos leaves free: entry pos[k] has
+    its twin at pos[twins[k]], and a diagonal entry is its own twin."""
+    out = np.arange(size)
+    out[pos] = pos[twins]
+    out.flags.writeable = False
     return out
 
 

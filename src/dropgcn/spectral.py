@@ -21,6 +21,11 @@ diagonal entry. Eigenvectors are computed only for the top cluster, mapped
 back through each block's stored reflectors. Removal trajectories read only
 eigenvalues, so their steps compute no eigenvectors at all; each step masks
 the start graph's entries by undirected edge id, as a DropEdge draw does.
+A trajectory draws every removal first and counts each step's components
+by union-find over the removals in reverse. It then solves its steps in
+stacks, each one numpy eigvalsh call on the steps' matrices restricted to
+the nodes that still have an edge at the stack's first step, on two
+worker threads, since that LAPACK call releases the GIL.
 scipy.linalg is imported inside the functions that use it, so importing the
 package (and training) does not load it.
 
@@ -42,20 +47,35 @@ multiplicity of the top cluster:
   resistance_matrix adds its n x n output. effective_resistance builds only
   the block of the pair's component and reads the pair from its Cholesky
   factor by one solve, without the inverse.
+- theorem1_trajectory holds at most three stacks of step matrices, two
+  being solved, each with eigvalsh's copy of one of its matrices, and one
+  being built. A stack's matrices and their steps' n eigenvalues take at
+  most STACK_BYTES (4 MB), or one step's if that is more; then the steps
+  are built and solved one at a time, so a large graph holds one n x n
+  matrix and its copy. Each stack is mapped from the system and unmapped
+  when freed, and only eigvalsh runs on the worker threads, so their
+  malloc arenas keep next to nothing resident after the call.
 """
 
 import math
+import mmap
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
-from .dropedge import edge_ids
+from .dropedge import check_integer, edge_ids
 from .sparsemat import check_adjacency, connected_components, degrees, keep_entries, normalize
 
 MAX_DENSE_NODES = 5000
 # Eigenvalues within this distance of the largest form the top cluster.
 TOP_CLUSTER_TOL = 1e-8
+# Bytes of one stack of removal-trajectory step matrices, of which numpy's
+# eigvalsh takes one call, with each step's n eigenvalues; a stack holds at
+# least one matrix.
+STACK_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -104,6 +124,14 @@ def _component_blocks(a, labels):
         yield nodes, block
 
 
+def _check_order(n):
+    if n == 0:
+        raise ValueError("spectral analysis needs a nonempty matrix")
+    if n > MAX_DENSE_NODES:
+        raise ValueError(f"dense eigendecomposition capped at {MAX_DENSE_NODES} nodes; "
+                         "analyze a subgraph instead")
+
+
 def _spectrum(a_hat, tol):
     """Eigenvalues of a symmetric propagation matrix, split at the top cluster.
 
@@ -126,16 +154,11 @@ def _spectrum(a_hat, tol):
 
     if a_hat.n_rows != a_hat.n_cols:
         raise ValueError("spectral analysis needs a square matrix")
-    if a_hat.n_rows == 0:
-        raise ValueError("spectral analysis needs a nonempty matrix")
-    if a_hat.n_rows > MAX_DENSE_NODES:
-        raise ValueError(f"dense eigendecomposition capped at {MAX_DENSE_NODES} nodes; "
-                         "analyze a subgraph instead")
+    _check_order(a_hat.n_rows)
     if not a_hat.is_symmetric():
         raise ValueError("matrix is not symmetric; only symmetric schemes are analyzable")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    n = a_hat.n_rows
     labels, count = connected_components(a_hat)
     # Labels follow node order, so the singletons are in label order too.
     singles = np.flatnonzero(np.bincount(labels)[labels] == 1)
@@ -153,13 +176,17 @@ def _spectrum(a_hat, tol):
             raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
         blocks.append((nodes, w, (c, d, e, tau)))
     eigenvalues = np.sort(np.concatenate([w for _, w, _ in blocks]))
-    top = eigenvalues[-1]
-    multiplicity = int(np.sum(eigenvalues >= top - tol))
-    if multiplicity < n:
-        second = float(np.max(np.abs(eigenvalues[: n - multiplicity])))
-    else:
-        second = 0.0
-    return eigenvalues, multiplicity, second, blocks, count
+    multiplicity, second = _top_cluster(eigenvalues[None, :], tol)
+    return eigenvalues, int(multiplicity[0]), float(second[0]), blocks, count
+
+
+def _top_cluster(w, tol):
+    """(top multiplicity, second_largest) arrays, one entry per row of w,
+    each row the eigenvalues of one matrix: those within tol of the row's
+    largest form its top cluster, and second_largest is the largest
+    magnitude outside it, 0.0 when the cluster takes the whole row."""
+    cluster = w >= w.max(axis=1, keepdims=True) - tol
+    return cluster.sum(axis=1), np.where(cluster, 0.0, np.abs(w)).max(axis=1)
 
 
 def _cluster_basis(factors, m):
@@ -266,13 +293,17 @@ def relaxed_smoothing_layer(epsilon, d0, s, lam):
     return int(math.ceil(math.log(epsilon / d0) / math.log(factor)))
 
 
+def _check_epsilon(epsilon):
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def empirical_smoothing_layer(hidden_states, basis, epsilon):
     """First 1-based layer whose output is within epsilon of the subspace.
 
     Scans the per-layer distances in order; None when no layer gets there.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    _check_epsilon(epsilon)
     for i, h in enumerate(hidden_states, 1):
         if subspace_distance(h, basis) < epsilon:
             return i
@@ -362,13 +393,15 @@ def effective_resistance(a, s, t):
     conductance (a unit-weight graph is a network of unit resistors).
 
     Infinite across components; 0 between a node and itself. `a` must
-    pass check_adjacency. One Cholesky factor of the component's
+    pass check_adjacency, and s and t are integer node ids (a bool or a
+    float, even 2.0, is refused). One Cholesky factor of the component's
     M = L + J/k and one solve M x = b with b = e_s - e_t give
     R(s, t) = b^T x = x_s - x_t, since J b = 0.
     """
     from scipy.linalg import lapack
 
     check_adjacency(a)
+    s, t = check_integer("node id s", s), check_integer("node id t", t)
     n = a.n_rows
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"node ids must lie in [0, {n}), got ({s}, {t})")
@@ -493,45 +526,160 @@ class TrajectoryReport:
     disjunction_holds: bool
 
 
-def theorem1_trajectory(a, seed, epsilon=1e-3):
-    """Remove uniformly random edges one at a time until none remain,
-    re-normalizing (AugNormAdj) and recomputing the eigenvalues and the
-    component count after each removal.
+def _removal_components(n, u, v):
+    """Component count of an n-node graph after each number of removals,
+    0 to len(u), when the graph's edges (u[i], v[i]) are removed in list
+    order and none is left at the end. One union-find pass adds the edges
+    back, last removed first."""
+    parent = list(range(n))
 
-    A step's l_hat takes d0 = s = 1; TOP_CLUSTER_TOL splits off the top
-    cluster and is the drop that counts as a lambda decrease.
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    counts = [n]
+    for i in reversed(range(len(u))):
+        ru, rv = root(u[i]), root(v[i])
+        merged = ru != rv
+        if merged:
+            parent[ru] = rv
+        counts.append(counts[-1] - merged)
+    return counts[::-1]
+
+
+def _mapped_zeros(shape):
+    """Zero float64 array in an anonymous memory map of its own, unmapped
+    when the array is freed. Memory that malloc returns to a worker
+    thread's arena can stay resident there, beyond the reach of the other
+    threads; a map goes back to the system."""
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(8 * count, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, count=count).reshape(shape)
+
+
+def _step_stack(a, removal, last_step, first, end):
+    """The AugNormAdj matrices of trajectory steps first to end - 1,
+    restricted to the nodes that still have an edge at step `first`, as a
+    stack; and each step's other nodes' eigenvalues. Those nodes stay
+    singletons to the end of the stack, and a singleton's eigenvalue is its
+    diagonal entry. removal[k] is the step that removes stored entry k of
+    `a`, and last_step[i] the step that removes node i's last edge.
+    """
+    n = a.n_rows
+    nodes = np.flatnonzero(last_step > first)
+    k = len(nodes)
+    local = np.full(n, -1)
+    local[nodes] = np.arange(k)
+    stack = _mapped_zeros((end - first, k, k))
+    singles = np.empty((end - first, n - k))
+    for i, step in enumerate(range(first, end)):
+        m = normalize(keep_entries(n, n, a.row_offsets, a.col_indices, a.values,
+                                   removal > step, a.twins()), "AugNormAdj")
+        rows, cols = local[m.row_ids()], local[m.col_indices]
+        inside = rows >= 0
+        stack[i, rows[inside], cols[inside]] = m.values[inside]
+        singles[i] = m.values[~inside]
+    return stack, singles
+
+
+def theorem1_trajectory(a, seed, epsilon=1e-3):
+    """Remove uniformly random edges one at a time until none remain, and
+    after each removal re-normalize (AugNormAdj) and read the eigenvalues
+    and the component count.
+
+    `seed` is a nonnegative integer, and `epsilon` is finite and positive;
+    both are checked before any work. A step's l_hat takes d0 = s = 1;
+    TOP_CLUSTER_TOL splits off the top cluster and is the drop that counts
+    as a lambda decrease.
 
     Requires a connected starting graph so the initial subspace dimension is
     1 and every later disconnection is visible as a +1.
 
-    A step masks a's entries by edge id, as a draw does (dropedge.edge_ids),
-    picking uniformly among the edges left, in undirected_edges() order.
+    Every removal is drawn first, uniformly among the edges left, in
+    undirected_edges() order. The component counts come from one
+    union-find pass over the removals in reverse, independent of the
+    eigenvalues, and the connected start is checked before any eigensolve.
+    A step masks a's entries by edge id, as a draw does
+    (dropedge.edge_ids), and normalizes the result (sparsemat.normalize).
+    The steps go in order into stacks, each restricted to the nodes that
+    still have an edge at its first step and solved by one eigenvalue-only
+    numpy eigvalsh call (LAPACK dsyevd). A stack's matrices and its steps'
+    n eigenvalues take at most STACK_BYTES, and a stack holds at least one
+    step. eigvalsh releases the GIL, so two worker threads solve the
+    stacks while the calling thread builds the next; when one step alone
+    exceeds STACK_BYTES, the steps are built and solved one at a time on
+    one worker, so a large graph holds one dense matrix and its copy at a
+    time. The workers are joined before the function returns or raises,
+    and the results do not depend on which thread solves a stack.
     """
-
-    def snapshot(mat, step, edge):
-        # A step reads only the eigenvalues, so it computes no eigenvectors.
-        _, multiplicity, second, _, n_components = _spectrum(normalize(mat, "AugNormAdj"),
-                                                             TOP_CLUSTER_TOL)
-        l_hat = relaxed_smoothing_layer(epsilon, 1.0, 1.0, second)
-        return TrajectoryStep(step=step, removed_edge=edge, n_components=n_components,
-                              top_multiplicity=multiplicity, second_largest=second,
-                              l_hat=l_hat)
-
-    steps = [snapshot(a, 0, None)]
-    if steps[0].n_components != 1:
-        raise ValueError("trajectory needs a connected starting graph")
-    rng = np.random.default_rng(seed)
+    seed = check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_epsilon(epsilon)
+    check_adjacency(a)
+    _check_order(a.n_rows)
+    n = a.n_rows
     edge_id, n_edges = edge_ids(a)
-    u, v = a.undirected_edges()
-    alive = np.ones(n_edges, dtype=bool)
+    rng = np.random.default_rng(seed)
     remaining = list(range(n_edges))
-    for step in range(1, n_edges + 1):
-        removed = remaining.pop(int(rng.integers(len(remaining))))
-        alive[removed] = False
-        current = keep_entries(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values,
-                               alive[edge_id], a.twins())
-        steps.append(snapshot(current, step, (int(u[removed]), int(v[removed]))))
+    order = [remaining.pop(int(rng.integers(len(remaining)))) for _ in range(n_edges)]
+    u, v = (ends[order].tolist() for ends in a.undirected_edges())
+    n_components = _removal_components(n, u, v)
+    if n_components[0] != 1:
+        raise ValueError("trajectory needs a connected starting graph")
 
+    # The step that removes each stored entry, and each node's last edge.
+    edge_removal = np.empty(n_edges, dtype=np.int64)
+    edge_removal[order] = np.arange(1, n_edges + 1)
+    removal = edge_removal[edge_id]
+    last_step = np.zeros(n, dtype=np.int64)
+    np.maximum.at(last_step, a.row_ids(), removal)
+
+    def step_bytes(first):
+        # A step's k x k matrix and its n eigenvalues, k the nodes with an
+        # edge at the stack's first step.
+        k = int(np.count_nonzero(last_step > first))
+        return 8 * (k * k + n)
+
+    bounds = []
+    first = 0
+    while first <= n_edges:
+        end = min(first + max(STACK_BYTES // step_bytes(first), 1), n_edges + 1)
+        bounds.append((first, end))
+        first = end
+    # This thread builds every array but eigvalsh's own, so the workers'
+    # malloc arenas keep next to nothing: two stacks are solved while it
+    # builds a third, or one at a time when a step exceeds STACK_BYTES.
+    workers = 2 if step_bytes(0) <= STACK_BYTES else 1
+    spectra, solving = [], deque()
+
+    def finish():
+        future, singles = solving.popleft()
+        w = np.concatenate([future.result(), singles], axis=1)
+        spectra.append(_top_cluster(w, TOP_CLUSTER_TOL))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for first, end in bounds:
+            if workers == 1 and solving:
+                finish()
+            stack, singles = _step_stack(a, removal, last_step, first, end)
+            if len(solving) == workers:
+                finish()
+            solving.append((pool.submit(np.linalg.eigvalsh, stack), singles))
+            del stack  # the pool holds it until it is solved
+        while solving:
+            finish()
+    multiplicity = np.concatenate([m for m, _ in spectra]).tolist()
+    second = np.concatenate([s for _, s in spectra]).tolist()
+
+    steps = [TrajectoryStep(step=step, removed_edge=(u[step - 1], v[step - 1]) if step else None,
+                            n_components=n_components[step],
+                            top_multiplicity=multiplicity[step],
+                            second_largest=second[step],
+                            l_hat=relaxed_smoothing_layer(epsilon, 1.0, 1.0, second[step]))
+             for step in range(n_edges + 1)]
     disconnects = [s.step for prev, s in zip(steps, steps[1:])
                    if s.n_components > prev.n_components]
     lam_decreases = [s.step for prev, s in zip(steps, steps[1:])

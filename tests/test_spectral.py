@@ -3,7 +3,11 @@
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +25,7 @@ from dropgcn import (Graph, ModelConfig, SparseMatrix, Tensor, analyze, build_mo
                      theorem1_trajectory, verify_resistance_bound)
 from dropgcn.models import rescale_filters
 from dropgcn.spectral import (TOP_CLUSTER_TOL, _cluster_basis, _component_blocks, _spectrum,
-                              smoothing_probe)
+                              _top_cluster, smoothing_probe)
 from conftest import random_adjacency, random_connected_adjacency
 
 
@@ -269,6 +273,18 @@ class TestComponentBlocks:
                 assert np.array_equal(block, dense[np.ix_(nodes, nodes)])
 
 
+def test_top_cluster_split_per_row():
+    # Within tol of each row's largest is the cluster; second_largest is the
+    # largest magnitude outside it, a negative eigenvalue's included.
+    w = np.array([[0.2, 1.0 - 1e-6, 1.0 - 5e-9, 1.0],
+                  [-0.995, 0.5, 0.99, 1.0],
+                  [2.0, 2.0, 2.0, 2.0]])
+    multiplicity, second = _top_cluster(w, 1e-8)
+    assert multiplicity.tolist() == [2, 1, 4]
+    assert second.tolist() == [1.0 - 1e-6, 0.995, 0.0]
+    assert _top_cluster(w[1:2], 0.02)[0].tolist() == [2]
+
+
 def traced_peak(fn, *args):
     """Peak bytes tracemalloc sees during fn(*args): numpy's and f2py's
     buffers included. A first untraced call loads whatever fn imports."""
@@ -430,9 +446,16 @@ class TestNonFiniteTolerances:
         with pytest.raises(ValueError, match="tol must be finite"):
             verify_resistance_bound(path3(), tol=tol)
 
-    def test_trajectory_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-            theorem1_trajectory(triangle(), seed=0, epsilon=math.nan)
+    def test_trajectory_epsilon(self, monkeypatch):
+        # Checked on entry, not after every step's eigenvalues.
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_eigensolve)
+        for epsilon in (math.nan, math.inf, 0.0, -1e-3):
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                theorem1_trajectory(triangle(), seed=0, epsilon=epsilon)
+
+
+def refuse_eigensolve(*args, **kw):
+    raise AssertionError("eigensolved before the arguments were checked")
 
 
 class TestEmpiricalSmoothingLayer:
@@ -514,6 +537,17 @@ class TestEffectiveResistance:
         with pytest.raises(ValueError):
             effective_resistance(triangle(), 0, 5)
 
+    @pytest.mark.parametrize("s, t, bad", [(True, 2, "s"), (1.5, 0, "s"), (0, 2.0, "t"),
+                                           (0, np.float64(1), "t"), (None, 1, "s")])
+    def test_node_ids_must_be_integers(self, s, t, bad):
+        # True used to raise numpy's "truth value of an array is ambiguous",
+        # and 1.5 an IndexError.
+        with pytest.raises(ValueError, match=f"^node id {bad} must be an integer"):
+            effective_resistance(triangle(), s, t)
+
+    def test_numpy_integer_node_ids(self):
+        assert effective_resistance(path3(), np.int64(0), np.int32(2)) == pytest.approx(2.0)
+
     def test_weights_too_wide_for_the_inverse(self):
         # A 1e-300 conductance leaves L + J/k singular in float64. The
         # pseudoinverse used to report 0.25 for a resistance near 1e300.
@@ -594,6 +628,7 @@ def test_every_adjacency_entry_point_rejects(name, dense, structural):
         "effective_resistance": lambda: effective_resistance(a, 0, 2),
         "resistance_matrix": lambda: resistance_matrix(a),
         "verify_resistance_bound": lambda: verify_resistance_bound(a),
+        "theorem1_trajectory": lambda: theorem1_trajectory(a, 0),
     }
     if structural:
         entry_points["sample"] = lambda: sample(a, 0.5, np.random.default_rng(0))
@@ -837,13 +872,9 @@ class TestTrajectory:
         rng = rng_factory(59)
         a = random_connected_adjacency(rng, 8, 0.4)
         rep = theorem1_trajectory(a, seed=21)
-        current = a
-        prev = resistance_matrix(current)
-        for step in rep.steps[1:]:
-            u, v = step.removed_edge
-            rows, cols, vals = current.coo_arrays()
-            keep = ~(((rows == u) & (cols == v)) | ((rows == v) & (cols == u)))
-            current = SparseMatrix.from_coo(8, 8, rows[keep], cols[keep], vals[keep])
+        graphs = replayed(a, rep.steps)
+        prev = resistance_matrix(next(graphs))
+        for current in graphs:
             nxt = resistance_matrix(current)
             assert np.all(nxt >= prev - 1e-9)
             prev = nxt
@@ -885,11 +916,26 @@ class TestTrajectory:
         monkeypatch.setattr(SparseMatrix, "twins", kept)
         assert theorem1_trajectory(a, seed=1).multiplicity_tracks_components
 
-    def test_requires_connected_start(self):
+    def test_requires_connected_start(self, monkeypatch):
         a = SparseMatrix.from_dense(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_eigensolve)
         with pytest.raises(ValueError, match="connected"):
             theorem1_trajectory(a, seed=0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (None, "seed must be an integer"), (True, "seed must be an integer"),
+        (1.0, "seed must be an integer"), (-1, "seed must be nonnegative")])
+    def test_seed_checked_before_any_work(self, seed, message, monkeypatch):
+        # None used to draw fresh OS entropy, so the run could not be
+        # repeated; True ran as seed 1.
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_eigensolve)
+        with pytest.raises(ValueError, match=message):
+            theorem1_trajectory(triangle(), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        steps = theorem1_trajectory(triangle(), seed=np.int64(3)).steps
+        assert steps == theorem1_trajectory(triangle(), seed=3).steps
 
     def test_deterministic_by_seed(self, rng_factory):
         rng = rng_factory(60)
@@ -897,3 +943,144 @@ class TestTrajectory:
         r1 = theorem1_trajectory(a, seed=9)
         r2 = theorem1_trajectory(a, seed=9)
         assert [s.removed_edge for s in r1.steps] == [s.removed_edge for s in r2.steps]
+
+
+def replayed(a, steps):
+    """The adjacency after each step, each step's edge deleted by value
+    from the one before."""
+    current = a
+    yield current
+    for step in steps[1:]:
+        u, v = step.removed_edge
+        rows, cols, vals = current.coo_arrays()
+        keep = ~(((rows == u) & (cols == v)) | ((rows == v) & (cols == u)))
+        current = SparseMatrix.from_coo(a.n_rows, a.n_cols, rows[keep], cols[keep], vals[keep])
+        yield current
+
+
+def path_with_chords(rng, n, n_chords):
+    """A connected graph: a path through the nodes in random order, plus
+    n_chords random extra edges."""
+    order = rng.permutation(n)
+    u = np.concatenate([order[:-1], rng.integers(0, n, size=n_chords)])
+    v = np.concatenate([order[1:], rng.integers(0, n, size=n_chords)])
+    keep = u != v
+    u, v = u[keep], v[keep]
+    pattern = scipy.sparse.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    return SparseMatrix.from_scipy((pattern + pattern.T).sign())
+
+
+class TestTrajectoryStacks:
+    """The steps are eigensolved in stacks on two threads."""
+
+    def test_stacks_match_replayed_analyze_and_bfs(self, rng_factory, monkeypatch):
+        # Stacks of 4 steps while every node keeps an edge, longer later, so
+        # nodes lose their last edge inside a stack and stay in its block.
+        a = random_connected_adjacency(rng_factory(67), 16, 0.3)
+        monkeypatch.setattr(dropgcn.spectral, "STACK_BYTES", 4 * 8 * (16 * 16 + 16))
+        stacks = []
+        real = dropgcn.spectral._step_stack
+
+        def spy(*args):
+            stacks.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(dropgcn.spectral, "_step_stack", spy)
+        rep = theorem1_trajectory(a, seed=5)
+        firsts = {first for first, _ in stacks}
+        assert len(stacks) >= 4
+        assert sorted(stacks)[-1][1] == len(rep.steps)
+        edgeless_inside = 0
+        for step, current in zip(rep.steps, replayed(a, rep.steps)):
+            full = analyze(normalize(current, "AugNormAdj"))
+            assert step.top_multiplicity == full.top_multiplicity
+            assert step.second_largest == pytest.approx(full.second_largest, abs=1e-12)
+            assert step.n_components == connected_components(current)[1]
+            if step.removed_edge is not None and step.step not in firsts:
+                edgeless_inside += int(np.sum(degrees(current)[list(step.removed_edge)] == 0))
+        assert edgeless_inside >= 2
+        assert current.nnz == 0
+
+    @staticmethod
+    def bits(rep):
+        return [repr(astuple(step)) for step in rep.steps]
+
+    def test_steps_bit_identical_across_calls_and_thread_counts(self, rng_factory,
+                                                               monkeypatch):
+        a = random_connected_adjacency(rng_factory(68), 40, 0.15)
+        monkeypatch.setattr(dropgcn.spectral, "STACK_BYTES", 3 * 8 * (40 * 40 + 40))
+        first = self.bits(theorem1_trajectory(a, seed=8))
+        assert self.bits(theorem1_trajectory(a, seed=8)) == first
+        monkeypatch.setattr(dropgcn.spectral, "ThreadPoolExecutor",
+                            lambda max_workers: ThreadPoolExecutor(max_workers=1))
+        assert self.bits(theorem1_trajectory(a, seed=8)) == first
+
+    def test_leaves_no_thread_alive(self, rng_factory, monkeypatch):
+        a = random_connected_adjacency(rng_factory(69), 30, 0.2)
+        monkeypatch.setattr(dropgcn.spectral, "STACK_BYTES", 2 * 8 * (30 * 30 + 30))
+        before = set(threading.enumerate())
+        theorem1_trajectory(a, seed=2)
+        assert set(threading.enumerate()) == before
+        solvers = []
+
+        def failing(stack):
+            solvers.append(threading.current_thread())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            theorem1_trajectory(a, seed=2)
+        assert set(threading.enumerate()) == before
+        assert solvers and threading.main_thread() not in solvers
+
+    @staticmethod
+    def count_stacks(monkeypatch):
+        """Spy on the stacks a trajectory maps: their shapes, in the order
+        made, and the most alive at once. The maps are out of tracemalloc's
+        sight."""
+        real = dropgcn.spectral._mapped_zeros
+        shapes, live, most = [], [0], [0]
+
+        def counted(shape):
+            out = real(shape)
+            shapes.append(shape)
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            weakref.finalize(out, lambda: live.__setitem__(0, live[0] - 1))
+            return out
+
+        monkeypatch.setattr(dropgcn.spectral, "_mapped_zeros", counted)
+        return shapes, most
+
+    def test_footprint(self, rng_factory, monkeypatch):
+        # 200 nodes, about 300 edges. One dense matrix takes 320 kB, every
+        # step's n eigenvalues at once 475 kB. At most one stack per thread
+        # is alive at a time, each within STACK_BYTES.
+        a = path_with_chords(rng_factory(70), 200, 100)
+        n, n_steps = a.n_rows, a.nnz // 2 + 1
+        shapes, most = self.count_stacks(monkeypatch)
+        assert traced_peak(theorem1_trajectory, a, 0) <= 2 * n * n * 8
+        assert most[0] <= 3
+        assert len(shapes) >= 2 * 10  # traced_peak calls twice
+        assert all(c * (k * k + n) * 8 <= dropgcn.spectral.STACK_BYTES for c, k, _ in shapes)
+        assert sum(c for c, _, _ in shapes) == 2 * n_steps
+
+    def test_one_thread_when_one_step_exceeds_the_cap(self, rng_factory, monkeypatch):
+        # Each step on all n nodes then gets a stack of its own, and one
+        # stack is alive at a time: one dense matrix and eigvalsh's copy.
+        a = random_connected_adjacency(rng_factory(71), 30, 0.2)
+        n = a.n_rows
+        monkeypatch.setattr(dropgcn.spectral, "STACK_BYTES", 8 * (n * n + n) - 1)
+        shapes, most = self.count_stacks(monkeypatch)
+        solvers = set()
+        real = np.linalg.eigvalsh
+
+        def solve(stack):
+            solvers.add(threading.current_thread())
+            return real(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        rep = theorem1_trajectory(a, seed=3)
+        assert shapes[0] == (1, n, n) and all(c == 1 for c, k, _ in shapes if k == n)
+        assert sum(c for c, _, _ in shapes) == len(rep.steps)
+        assert most[0] == 1 and len(solvers) == 1

@@ -20,7 +20,7 @@ from dropgcn import (BACKBONES, DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      TrainingDiverged, accuracy, forward, load_model,
                      normalize, oversmoothing_probe, softmax_cross_entropy,
                      synthetic_sbm, train)
-from dropgcn import autodiff, cli, dropedge, models, training
+from dropgcn import autodiff, cli, dropedge, models, sparsemat, training
 from dropgcn.autodiff import Tape, active_tape
 from dropgcn.graph import adjacency_from_pairs, save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
@@ -1009,6 +1009,21 @@ class TestOneNormalizationPerCall:
         assert len(made) == 1
         assert len(used) == self.RUNS[call] + (call == "probe")
         assert all(full is made[0] for full in used)
+
+    def test_layerwise_train_builds_no_twins_of_a_normalization(self, sbm, monkeypatch):
+        # Training never reads a normalized matrix's twins, so no draw's
+        # normalization (and not the full graph's) makes them.
+        built = []
+        real = sparsemat._moved_twins
+        monkeypatch.setattr(sparsemat, "_moved_twins",
+                            lambda *args: built.append(args) or real(*args))
+        cfg = small_config(epochs=3, n_layers=3)
+        cfg.model.dropedge = DropEdgeConfig(p=0.4, layer_wise=True)
+        train(cfg, graph=sbm)
+        assert built == []
+        # The spy sees a normalization's twins once they are asked for.
+        normalize(sbm.adjacency, cfg.model.scheme).twins()
+        assert len(built) == 1
 
 
 def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
