@@ -17,6 +17,15 @@ gradients are added in walk order afterwards, so .grad bytes do not
 depend on the pool. Sparse matrices enter only as constants, through
 spmm: a propagation matrix, or sparse input features (a scipy CSR matrix,
 which dropout also takes).
+
+matmul, add, add_bias and relu take the same kind of `pool`, an executor
+whose one worker is idle. An output of at least SPLIT_MIN_ELEMENTS
+elements is split by rows: the worker writes the bottom rows into the
+output this thread allocated while this thread writes the top ones, and
+this thread takes the bottom rows back when the worker has not started
+them (_take_back, the rule backward uses for its leaf products). Every row
+is the numpy computation of the unsplit op, so the bytes do not depend on
+the pool. spmm takes no pool: scipy's sparse product holds the GIL.
 """
 
 import weakref
@@ -127,6 +136,54 @@ def _run_job(job):
     return vjp(g)
 
 
+def _take_back(future, fn, *args):
+    """The value of `future`, the call fn(*args) submitted to a pool: when
+    the pool has not started it, it is cancelled there and run on this
+    thread, else waited for. An error raised by the call re-raises here."""
+    return fn(*args) if future.cancel() else future.result()
+
+
+def _on_two_threads(pool, fn, top, bottom):
+    """fn(top) on this thread and fn(bottom) on the pool's worker (taken
+    back by _take_back once fn(top) is done); both here when pool is None.
+    Returns once both have run."""
+    if pool is None:
+        fn(top)
+        fn(bottom)
+        return
+    future = pool.submit(fn, bottom)
+    try:
+        fn(top)
+    finally:
+        _take_back(future, fn, bottom)
+
+
+# An op given a pool splits an output of at least this many elements by
+# rows between the calling thread and the pool's worker (_by_rows). Timed
+# with one BLAS thread on 2 vCPUs: splitting an add or relu of 2708 x 48
+# (130k elements) gains nothing, of 2708 x 128 (347k) it saves about 40 %,
+# and a 2708 x 256 @ 256 x 256 product takes 4.5 ms instead of 8.6. Above
+# this size each half of a product also stays out of OpenBLAS's
+# small-matrix kernel, which sums in another order: halves of 65k-elements
+# outputs with an inner dimension of 16 already gave other last bits.
+SPLIT_MIN_ELEMENTS = 1 << 18
+
+
+def _by_rows(out, pool, rows):
+    """Fill `out` by rows(s), which writes out[s] for a slice s of its rows
+    with one numpy call and allocates nothing, and return it. With a pool
+    and at least SPLIT_MIN_ELEMENTS elements, the worker writes the bottom
+    rows while this thread writes the top ones (_on_two_threads); each row
+    is the same numpy computation either way, so the bytes are those of
+    one call over all rows."""
+    if pool is None or out.size < SPLIT_MIN_ELEMENTS:
+        rows(slice(None))
+    else:
+        mid = (out.shape[0] + 1) // 2
+        _on_two_threads(pool, rows, slice(None, mid), slice(mid, None))
+    return out
+
+
 def _make(data, inputs, vjp_builder):
     """Create an op output, recording it when gradients are in play.
 
@@ -175,7 +232,7 @@ def backward(loss, pool=None):
     slots = [None] * len(entries)
     loss.grad = np.ones((1, 1))
     slots[node] = loss.grad
-    leaf_grads = []  # (leaf, gradient or job, None or the job's future), walk order
+    leaf_grads = []  # (leaf, gradient), or (leaf, (job, future)) with a pool; walk order
     while entries:
         out_ref, inputs, vjps = entries.pop()
         node = len(entries)
@@ -190,25 +247,21 @@ def backward(loss, pool=None):
                 continue
             if isinstance(src, Tensor):
                 if pool is None:
-                    leaf_grads.append((src, vjp(g), None))
+                    leaf_grads.append((src, vjp(g)))
                 else:
                     job = [vjp, g]
-                    leaf_grads.append((src, job, pool.submit(_run_job, job)))
+                    leaf_grads.append((src, (job, pool.submit(_run_job, job))))
             else:
                 gt = vjp(g)
                 slots[src] = gt if slots[src] is None else slots[src] + gt
     if pool is not None:
         # The walk is over: take back, last first, the products the pool
-        # has not started, so this thread never waits on one that has not
-        # begun (a single worker starts them in submission order).
+        # has not started, so this thread waits only on the one the worker
+        # is running (a single worker starts them in submission order).
         for i in reversed(range(len(leaf_grads))):
-            leaf, job, future = leaf_grads[i]
-            if not future.cancel():
-                break
-            leaf_grads[i] = (leaf, _run_job(job), None)
-    for leaf, gt, future in leaf_grads:
-        if future is not None:
-            gt = future.result()
+            leaf, (job, future) = leaf_grads[i]
+            leaf_grads[i] = (leaf, _take_back(future, _run_job, job))
+    for leaf, gt in leaf_grads:
         leaf.grad = gt if leaf.grad is None else leaf.grad + gt
 
 
@@ -220,24 +273,31 @@ def clear_grads(tensors):
 # -- ops ---------------------------------------------------------------
 
 
-def matmul(a, b):
-    """a @ b for 2-D tensors."""
+def matmul(a, b, pool=None):
+    """a @ b for 2-D tensors, split by rows across `pool` when it is large
+    (_by_rows) and has more than one column: a one-column product is a
+    matrix-vector product, whose row blocks BLAS sums in another order."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    da, db = a.data, b.data
+    out = np.empty((da.shape[0], db.shape[1]))
+    if db.shape[1] == 1:
+        pool = None
 
     def build():
         # Each side's gradient needs only the other side's data.
-        da, db = a.data, b.data
         return (lambda g: g @ db.T), (lambda g: da.T @ g)
 
-    return _make(a.data @ b.data, (a, b), build)
+    return _make(_by_rows(out, pool, lambda s: np.matmul(da[s], db, out=out[s])),
+                 (a, b), build)
 
 
 def spmm(a_sparse, h):
     """A @ H for a gradient-free sparse constant A: a SparseMatrix (a
     propagation matrix) or a scipy sparse matrix (the input features that
     model_input makes). H's gradient is A^T @ g, through scipy's transposed
-    view of A, so no transpose is built."""
+    view of A, so no transpose is built. It takes no pool: scipy's sparse
+    product holds the GIL, so a second thread would only take turns."""
     if a_sparse.shape[1] != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {a_sparse.shape} @ {h.shape}")
     m = a_sparse if sp.issparse(a_sparse) else a_sparse.to_scipy()
@@ -248,36 +308,48 @@ def spmm(a_sparse, h):
     return _make(m @ h.data, (h,), build)
 
 
-def add(a, b):
-    """Elementwise sum of same-shape tensors (residual connections)."""
+def add(a, b, pool=None):
+    """Elementwise sum of same-shape tensors (residual connections), split
+    by rows across `pool` when it is large (_by_rows)."""
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    da, db = a.data, b.data
+    out = np.empty(da.shape)
 
     def build():
         return _identity, _identity
 
-    return _make(a.data + b.data, (a, b), build)
+    return _make(_by_rows(out, pool, lambda s: np.add(da[s], db[s], out=out[s])),
+                 (a, b), build)
 
 
-def add_bias(x, b):
-    """Row-broadcast bias: x + b with b of shape (1, cols)."""
+def add_bias(x, b, pool=None):
+    """Row-broadcast bias: x + b with b of shape (1, cols), split by rows
+    across `pool` when it is large (_by_rows)."""
     if b.shape != (1, x.shape[1]):
         raise ValueError(f"bias shape {b.shape} does not broadcast over {x.shape}")
+    dx, db = x.data, b.data
+    out = np.empty(dx.shape)
 
     def build():
         return _identity, _column_sums
 
-    return _make(x.data + b.data, (x, b), build)
+    return _make(_by_rows(out, pool, lambda s: np.add(dx[s], db, out=out[s])),
+                 (x, b), build)
 
 
-def relu(x):
-    """max(x, 0); subgradient 0 at 0."""
+def relu(x, pool=None):
+    """max(x, 0); subgradient 0 at 0. Split by rows across `pool` when it
+    is large (_by_rows)."""
+    dx = x.data
+    out = np.empty(dx.shape)
 
     def build():
-        mask = x.data > 0
+        mask = dx > 0
         return (lambda g: g * mask,)
 
-    return _make(np.maximum(x.data, 0.0), (x,), build)
+    return _make(_by_rows(out, pool, lambda s: np.maximum(dx[s], 0.0, out=out[s])),
+                 (x,), build)
 
 
 def dropout(x, rate, rng, training):

@@ -159,35 +159,36 @@ def model_input(features):
     return csr_from_flat(features.shape, flat, features.ravel()[flat])
 
 
-def _project(h, w):
+def _project(h, w, pool):
     """H @ W, for a tensor or a sparse-constant H."""
-    return spmm(h, w) if sp.issparse(h) else matmul(h, w)
+    return spmm(h, w) if sp.issparse(h) else matmul(h, w, pool=pool)
 
 
-def gcl_forward(a_hat, h, params, training, rng=None, dropout_rate=0.0):
+def gcl_forward(a_hat, h, params, training, rng=None, dropout_rate=0.0, pool=None):
     """One GCL application. Input dropout happens here, before aggregation.
 
     `h` is a tensor, or a sparse constant from model_input; a sparse input is
     always projected before it is propagated. With a_hat=None there is no
     propagation: the layer is the dense H @ W (+ the rest), as the jknet
-    head is.
+    head is. `pool` goes to the dense products, sums and relu, which split
+    their rows across it when they are large (autodiff's `pool`).
     """
     h = dropout(h, dropout_rate, rng, training)
     w = params.weight
     if a_hat is None:
-        z = _project(h, w)
+        z = _project(h, w, pool)
     elif sp.issparse(h) or w.shape[1] < h.shape[1]:
-        z = spmm(a_hat, _project(h, w))
+        z = spmm(a_hat, _project(h, w, pool))
     else:
-        z = matmul(spmm(a_hat, h), w)
+        z = matmul(spmm(a_hat, h), w, pool=pool)
     if params.self_weight is not None:
-        z = add(z, _project(h, params.self_weight))
+        z = add(z, _project(h, params.self_weight, pool), pool=pool)
     if params.bias is not None:
-        z = add_bias(z, params.bias)
+        z = add_bias(z, params.bias, pool=pool)
     if params.bn is not None:
         z = batch_norm(z, params.bn, training)
     if params.activation:
-        z = relu(z)
+        z = relu(z, pool=pool)
     return z
 
 
@@ -303,7 +304,7 @@ def build_model(config, n_features, n_classes, rng):
     return Model(cfg, n_features, n_classes, gcls, wiring, head=head)
 
 
-def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True):
+def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True, pool=None):
     """Run the backbone: each layer of model.layers in turn gathers its
     sources, applies gcl_forward, and adds its input back if residual.
 
@@ -317,6 +318,8 @@ def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True):
     applies. With keep_hidden=False it is None instead, and each output is
     released as soon as its last reader has gathered it, so it lives only
     as long as the tape needs it; training passes only need the logits.
+    `pool`, an executor whose worker is idle, goes to every layer's dense
+    ops (gcl_forward) and residual sums; the logits do not depend on it.
     """
     n = model.n_gcls
     if len(prop_mats) < n:
@@ -333,8 +336,8 @@ def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True):
                     outs[s] = None
         h = h[0] if len(h) == 1 else concat_cols(h)
         z = gcl_forward(prop_mats[j] if j < n else None, h, layer, training, rng,
-                        model.config.dropout)
-        outs.append(add(z, h) if residual else z)
+                        model.config.dropout, pool)
+        outs.append(add(z, h, pool=pool) if residual else z)
     return outs[-1], (outs[1:n + 1] if keep_hidden else None)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, _on_two_threads
 
 
 def glorot_init(rows, cols, rng):
@@ -34,7 +34,9 @@ class AdamState:
     `decay` flags, aligned with `params`, mark the tensors whose gradient
     gets `weight_decay * value` added before the moment updates: weight
     matrices yes, biases and normalization parameters no. The constants are
-    BETA1, BETA2 and EPS; the step counter starts at 0.
+    BETA1, BETA2 and EPS; the step counter starts at 0. The elements of all
+    parameters, taken in order, are split once into two halves of equal
+    count, one per thread of a pooled step (adam_step).
     """
 
     def __init__(self, params, lr, weight_decay=0.0, decay=None):
@@ -48,27 +50,100 @@ class AdamState:
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # C order, so that a flat view of a moment is the moment itself.
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self.halves = _halves([p.data.size for p in self.params])
 
 
-def adam_step(state):
-    """One bias-corrected Adam update in place; grads are left untouched.
+def _halves(sizes):
+    """Two lists of (i, lo, hi), flat element ranges of parameter i, that
+    cover every element once: the first half of all elements in parameter
+    order, then the rest. A parameter may straddle the cut."""
+    cut = sum(sizes) // 2
+    first, second, start = [], [], 0
+    for i, n in enumerate(sizes):
+        below = min(max(cut - start, 0), n)
+        if below:
+            first.append((i, 0, below))
+        if below < n:
+            second.append((i, below, n))
+        start += n
+    return first, second
+
+
+# adam_step updates each range this many elements at a time, so that no
+# temporary is as large as a parameter and a chunk's eight operands (256 kB
+# each) stay near the cache. Timed with one BLAS thread on 2 vCPUs, on the
+# 762k parameter elements of an 8-layer, hidden-256 gcn on 1433 features
+# (medians of 5 x 40 steps): the whole-array expressions took 12.2 ms;
+# chunks of 2^14, 2^15 and 2^16 took 10.7, 9.8 and 10.6 ms on one thread
+# and 7.5, 6.3 and 5.7 ms on two. Much shorter chunks lose on two threads
+# to hand-offs of the GIL between numpy calls (2^11: 15-32 ms).
+CHUNK_LEN = 1 << 15
+
+
+def _update(state, c1, c2, flats, ranges, scratch):
+    """The Adam update of the flat element ranges `ranges`: the moments in
+    place, the new values into the fresh arrays of `flats`, through the
+    (3, CHUNK_LEN) rows of `scratch`. Every operation writes into an array
+    that exists, so nothing is allocated. The float operations are those of
+    the textbook expressions, in the same order (a product or sum of two
+    operands is the same float either way round)."""
+    lr, wd = state.lr, state.weight_decay
+    for i, lo, hi in ranges:
+        if flats[i] is None:
+            continue
+        p, g, m, v, new = flats[i]
+        decay = state.decay[i] and wd
+        for s in range(lo, hi, CHUNK_LEN):
+            e = min(s + CHUNK_LEN, hi)
+            t1, t2, t3 = scratch[:, :e - s]
+            gs, ms, vs = g[s:e], m[s:e], v[s:e]
+            if decay:
+                np.multiply(p[s:e], wd, out=t1)
+                gs = np.add(gs, t1, out=t1)            # g + wd * p
+            np.multiply(ms, BETA1, out=ms)
+            np.multiply(gs, 1.0 - BETA1, out=t2)
+            np.add(ms, t2, out=ms)                     # m = BETA1 m + (1 - BETA1) g
+            np.multiply(gs, gs, out=t2)
+            np.multiply(t2, 1.0 - BETA2, out=t2)
+            np.multiply(vs, BETA2, out=vs)
+            np.add(vs, t2, out=vs)                     # v = BETA2 v + (1 - BETA2) g^2
+            np.divide(vs, c2, out=t3)
+            np.sqrt(t3, out=t3)
+            np.add(t3, EPS, out=t3)                    # sqrt(v / c2) + EPS
+            np.divide(ms, c1, out=t2)
+            np.multiply(t2, lr, out=t2)
+            np.divide(t2, t3, out=t2)                  # lr (m / c1) / (sqrt(v / c2) + EPS)
+            np.subtract(p[s:e], t2, out=new[s:e])
+
+
+def adam_step(state, pool=None):
+    """One bias-corrected Adam update; grads are left untouched.
 
     Parameters whose .grad is None are skipped entirely (their moments do
-    not advance a notch either; nothing flowed to them this pass).
+    not advance a notch either; nothing flowed to them this pass). The
+    moments are updated in place, CHUNK_LEN elements at a time; each
+    updated parameter is bound a new array, never written in place, so a
+    models.model_view taken before the step keeps its values.
+
+    With `pool`, an executor whose worker is idle, the worker updates the
+    second of state.halves while this thread updates the first; the worker
+    writes only into arrays this thread allocated. Each element goes
+    through the same float operations either way, so the bytes do not
+    depend on the pool.
     """
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
-    for i, p in enumerate(state.params):
-        if p.grad is None:
-            continue
-        g = p.grad
-        if state.decay[i] and state.weight_decay:
-            g = g + state.weight_decay * p.data
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    new = [None if p.grad is None else np.empty(p.data.shape) for p in state.params]
+    flats = [None if a is None else tuple(np.ravel(x) for x in (p.data, p.grad, m, v, a))
+             for p, m, v, a in zip(state.params, state.m, state.v, new)]
+    scratch = np.empty((2, 3, CHUNK_LEN))
+    first, second = state.halves
+    _on_two_threads(pool, lambda job: _update(state, c1, c2, flats, *job),
+                    (first, scratch[0]), (second, scratch[1]))
+    for p, a in zip(state.params, new):
+        if a is not None:
+            p.data = a

@@ -20,21 +20,28 @@ no batch norm), its forward pass is the evaluation forward of the
 parameters it starts from, bit for bit, so epoch e's logits are read off
 epoch e+1's training forward: E+1 forwards for E epochs instead of 2E.
 
-Every run keeps one worker thread, which takes two kinds of work off the
-main thread. Backward hands it every parameter-gradient product (a
+Every run keeps one worker thread, which takes three kinds of work off
+the main thread. Backward hands it every parameter-gradient product (a
 weight's H^T g, a bias's column sums), so the main thread walks only the
-chain of input gradients (autodiff.backward). And a run whose step is not
+chain of input gradients (autodiff.backward). A run whose step is not
 deterministic starts epoch e's evaluation forward on it right after epoch
 e's Adam step, so it runs while epoch e+1 samples its matrices and runs
-its training forward. The worker reads a view of the model at epoch e
-(models.model_view), makes no random draw and records nothing. The worker
-takes its work in submission order, and epoch e's evaluation is read
-before epoch e+1's backward, so gradient products never wait behind it.
+its training forward. And whenever it is otherwise idle, it takes half of
+the row-independent dense work: the bottom rows of each large dense
+product, bias, sum and relu (autodiff's `pool`) in the training forward
+of a deterministic step and in the final inline evaluation, and half of
+the elements of every Adam step (optim.adam_step). A random step's
+training forward is not split, as the worker is evaluating then. The
+worker reads a view of the model at epoch e (models.model_view), makes no
+random draw and records nothing. The worker takes its work in submission
+order, and epoch e's evaluation is read before epoch e+1's backward, so
+gradient products never wait behind it.
 Each product is the call the main thread would make on the same arrays,
 and gradients are added in the inline order, so the bytes are those of a
-run without the worker. The gain needs a second core: on one, the two
-threads take turns and the run can be slower than without the worker,
-deterministic runs included.
+run without the worker. The gain needs a second core and one BLAS thread:
+on one core the two threads take turns, and a multi-threaded BLAS already
+spreads each product over the cores; either way the run can be slower
+than without the worker, deterministic runs included.
 
 The same config and seed give the same numbers, down to the bytes of
 metrics.csv, on the same BLAS build with the same BLAS thread count. A
@@ -231,10 +238,12 @@ def _run(config, graph, full, keep_best):
     evaluation logits come from epoch e+1's training forward when the step
     is deterministic (_deterministic_step: same parameters, same full
     matrix, no draws), else from the forward the worker started on the view
-    of epoch e. The last epoch is evaluated inline. With keep_best, the best
-    epoch's view (models.model_view, its batch-norm statistics included) is
-    kept, valid since no update writes into an array, and copied once after
-    the loop.
+    of epoch e. The last epoch is evaluated inline. The pool goes to the
+    training forward only on deterministic steps, and always to the Adam
+    step and the last evaluation: nothing else is in flight on the worker
+    then. With keep_best, the best epoch's view (models.model_view, its
+    batch-norm statistics included) is kept, valid since no update writes
+    into an array, and copied once after the loop.
     """
     mcfg = config.model
     _keep_freed_memory()
@@ -249,8 +258,9 @@ def _run(config, graph, full, keep_best):
     eval_mats = [full] * model.n_gcls
     shared = _deterministic_step(mcfg, graph.adjacency)
 
-    def eval_forward(view):
-        return forward(view, eval_mats, graph.x, training=False, keep_hidden=False)[0]
+    def eval_forward(view, pool=None):
+        return forward(view, eval_mats, graph.x, training=False, keep_hidden=False,
+                       pool=pool)[0]
 
     rows = []
     best = (-1.0, -1, -1.0, None)  # (val_acc, epoch, test_acc, view); earliest on ties
@@ -283,7 +293,7 @@ def _run(config, graph, full, keep_best):
                 # once its last reader has read it; the tape keeps what
                 # backward() needs.
                 logits, _ = forward(model, mats, graph.x, training=True, rng=rng,
-                                    keep_hidden=False)
+                                    keep_hidden=False, pool=pool if shared else None)
                 if step is not None:
                     evaluate(logits if shared else pending.result(), *step)
                 loss = softmax_cross_entropy(logits, labels, train_idx)
@@ -291,12 +301,12 @@ def _run(config, graph, full, keep_best):
                 _check_finite("training", loss_val, epoch)
                 train_acc = accuracy(logits, labels, train_idx)
                 backward(loss, pool)
-            adam_step(opt)
+            adam_step(opt, pool)
             clear_grads(model.parameters())
 
             step = (model_view(model), epoch, loss_val, train_acc)
             if epoch == config.epochs:
-                evaluate(eval_forward(step[0]), *step)
+                evaluate(eval_forward(step[0], pool), *step)
             elif not shared:
                 pending = pool.submit(eval_forward, step[0])
     wall = time.perf_counter() - t0

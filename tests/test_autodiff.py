@@ -12,8 +12,9 @@ from dropgcn import (BACKBONES, BatchNormState, Graph, ModelConfig, Tape, Tensor
                      add_bias, backward, batch_norm, build_model, clear_grads,
                      concat_cols, dropout, forward, matmul, model_input, normalize,
                      relu, softmax_cross_entropy, spmm, sum_all, synthetic_sbm)
-from dropgcn.autodiff import active_tape
-from dropgcn.optim import AdamState, adam_step, glorot_init
+from dropgcn import optim
+from dropgcn.autodiff import SPLIT_MIN_ELEMENTS, active_tape
+from dropgcn.optim import BETA1, BETA2, CHUNK_LEN, EPS, AdamState, adam_step, glorot_init
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
                       relative_error)
 
@@ -605,6 +606,96 @@ class TestOptim:
         assert p.data[0, 0] == 1.0
 
 
+def reference_adam_step(state):
+    """Adam as whole-array expressions: the update adam_step's chunks must
+    reproduce bit for bit."""
+    state.t += 1
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
+    for i, p in enumerate(state.params):
+        if p.grad is None:
+            continue
+        g = p.grad
+        if state.decay[i] and state.weight_decay:
+            g = g + state.weight_decay * p.data
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
+        m_hat = state.m[i] / c1
+        v_hat = state.v[i] / c2
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+class TestChunkedAdam:
+    """adam_step updates in CHUNK_LEN pieces, its two halves on two threads
+    when given a pool, and must give the whole-array expressions' bytes."""
+
+    # Parameter element counts around the chunk boundary; with the two
+    # halves cut in between, ranges start and end off chunk boundaries too.
+    SIZES = [(1, CHUNK_LEN - 1), (1, CHUNK_LEN), (1, CHUNK_LEN + 1), (3, 7),
+             (2, CHUNK_LEN + 1), (1, 1)]
+
+    @staticmethod
+    def states(rng, sizes, weight_decay):
+        """Two AdamStates over equal, separate parameters."""
+        values = [rng.normal(size=shape) for shape in sizes]
+        decay = [i % 2 == 0 for i in range(len(sizes))]
+        out = []
+        for _ in range(2):
+            params = [Tensor(v.copy(), requires_grad=True) for v in values]
+            out.append(AdamState(params, lr=0.01, weight_decay=weight_decay, decay=decay))
+        return out
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_same_bytes_as_whole_array_expressions(self, rng_factory, weight_decay, pooled):
+        rng = rng_factory(60)
+        ref, got = self.states(rng, self.SIZES, weight_decay)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for step in range(4):
+                for a, b in zip(ref.params, got.params):
+                    # A gradient that skips a step leaves its parameter
+                    # and moments as they were.
+                    a.grad = None if step == 2 and a is ref.params[3] else rng.normal(size=a.shape)
+                    b.grad = None if a.grad is None else a.grad.copy()
+                reference_adam_step(ref)
+                adam_step(got, pool if pooled else None)
+                for name in ("m", "v"):
+                    for x, y in zip(getattr(ref, name), getattr(got, name)):
+                        assert x.tobytes() == y.tobytes()
+                assert [p.data.tobytes() for p in ref.params] == [
+                    p.data.tobytes() for p in got.params]
+
+    def test_moments_in_place_and_every_parameter_a_new_array(self, rng_factory):
+        rng = rng_factory(61)
+        _, state = self.states(rng, self.SIZES, 5e-4)
+        moments = [id(x) for x in state.m + state.v]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for _ in range(2):
+                old = [p.data for p in state.params]
+                kept = [a.copy() for a in old]
+                for p in state.params[1:]:
+                    p.grad = rng.normal(size=p.shape)
+                adam_step(state, pool)
+                assert state.params[0].data is old[0]  # grad None: skipped
+                for p, a, was in zip(state.params[1:], old[1:], kept[1:]):
+                    assert p.data is not a and p.data.flags.c_contiguous
+                    np.testing.assert_array_equal(a, was)
+        assert [id(x) for x in state.m + state.v] == moments
+        assert not state.m[0].any() and not state.v[0].any()
+
+    def test_halves_cover_every_element_once(self):
+        sizes = [5, 1, 12, 3, 2]
+        first, second = optim._halves(sizes)
+        assert sum(hi - lo for _, lo, hi in first) == sum(sizes) // 2
+        covered = [np.zeros(n, dtype=int) for n in sizes]
+        for i, lo, hi in first + second:
+            assert 0 <= lo < hi <= sizes[i]
+            covered[i][lo:hi] += 1
+        assert all((c == 1).all() for c in covered)
+        state = AdamState([Tensor(np.ones((1, n)), requires_grad=True) for n in sizes], lr=0.1)
+        assert state.halves == (first, second)
+
+
 class TestPooledBackward:
     """backward(loss, pool) computes leaf products on the pool's worker and
     must give the .grad bytes of an inline pass."""
@@ -804,3 +895,106 @@ class TestPooledBackward:
         assert (ran_on[0] is threading.main_thread()) == (where == "taken-back")
         assert set(threading.enumerate()) == before
         assert w.grad is None and active_tape().entries == []
+
+
+class TestRowSplitOps:
+    """matmul, add, add_bias and relu given a pool split a large output by
+    rows between the calling thread and the worker, with the bytes of the
+    unsplit op."""
+
+    class Counting:
+        """A pool that counts the calls submitted to it."""
+
+        def __init__(self, pool):
+            self.pool, self.calls = pool, 0
+
+        def submit(self, fn, *args):
+            self.calls += 1
+            return self.pool.submit(fn, *args)
+
+    @staticmethod
+    def make(op, rows, cols, rng):
+        """A call of `op` on fresh tensors whose output is rows x cols."""
+        def t(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True)
+
+        x = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+        if op == "relu":
+            # Exact zeros of both signs meet relu's scalar 0.0.
+            x.data[::7] = 0.0
+            x.data[3::7] = -0.0
+            return lambda pool: relu(x, pool=pool)
+        if op == "add":
+            y = t(rows, cols)
+            return lambda pool: add(x, y, pool=pool)
+        if op == "add_bias":
+            b = t(1, cols)
+            return lambda pool: add_bias(x, b, pool=pool)
+        a = t(rows, 64)
+        # matmul_t multiplies by a transposed view, as g @ W.T does.
+        w = t(64, cols) if op == "matmul" else Tensor(rng.normal(size=(cols, 64)).T)
+        return lambda pool: matmul(a, w, pool=pool)
+
+    OPS = ["matmul", "matmul_t", "add", "add_bias", "relu"]
+    # Odd row counts just under and over the threshold, and a wide odd one.
+    SHAPES = [(SPLIT_MIN_ELEMENTS // 256 - 1, 256), (SPLIT_MIN_ELEMENTS // 256 + 1, 256),
+              (2 * SPLIT_MIN_ELEMENTS // 97 + 1, 97)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["below", "above", "odd-cols"])
+    @pytest.mark.parametrize("op", OPS)
+    def test_same_bytes_as_the_unsplit_op(self, op, shape, rng_factory):
+        call = self.make(op, *shape, rng_factory(70))
+        unsplit = call(None).data
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            counting = self.Counting(pool)
+            split = call(counting).data
+        assert counting.calls == (unsplit.size >= SPLIT_MIN_ELEMENTS)
+        assert np.array_equal(split, unsplit)
+        assert split.tobytes() == unsplit.tobytes()
+
+    def test_one_column_product_is_not_split(self, rng_factory):
+        # BLAS computes it as a matrix-vector product, whose row blocks do
+        # not reproduce the whole product's bits.
+        rng = rng_factory(73)
+        a = Tensor(rng.normal(size=(SPLIT_MIN_ELEMENTS + 1, 16)))
+        w = Tensor(rng.normal(size=(16, 1)))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            counting = self.Counting(pool)
+            out = matmul(a, w, pool=counting).data
+        assert counting.calls == 0
+        assert out.tobytes() == (a.data @ w.data).tobytes()
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_busy_worker_leaves_both_halves_here(self, op, rng_factory):
+        # The worker is held for the whole op, so the bottom half is taken
+        # back: the op returns without waiting and gives the same bytes.
+        call = self.make(op, *self.SHAPES[1], rng_factory(71))
+        unsplit = call(None).data
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            busy = pool.submit(release.wait, 30)
+            try:
+                split = call(pool).data
+                assert not busy.done()
+            finally:
+                release.set()
+        assert split.tobytes() == unsplit.tobytes()
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_worker_error_reraises_from_the_op(self, op, rng_factory):
+        call = self.make(op, *self.SHAPES[1], rng_factory(72))
+
+        class Failing(TestPooledBackward.FinishEach):
+            """Runs a failing call in place of each submitted one, to the end."""
+
+            def submit(self, fn, *args):
+                def boom(*_):
+                    raise RuntimeError("worker half failed")
+                return super().submit(boom, *args)
+
+        before = set(threading.enumerate())
+        with ThreadPoolExecutor(max_workers=1) as pool, Tape() as tape:
+            with pytest.raises(RuntimeError, match="worker half failed"):
+                call(Failing(pool))
+            assert tape.entries == []
+        assert set(threading.enumerate()) == before

@@ -205,6 +205,26 @@ class TestForward:
         assert len(hidden) == m.n_gcls
         assert logits.shape == (8, 3)
 
+    @pytest.mark.parametrize("backbone", ["gcn", "resgcn", "jknet", "incepgcn"])
+    def test_pool_reaches_every_dense_op(self, backbone, rng_factory, monkeypatch):
+        # forward hands its pool to each product, sum, bias and relu it
+        # makes, residual sums and self-weight paths included.
+        rng = rng_factory(5)
+        a = random_adjacency(rng, 8, 0.5)
+        cfg = ModelConfig(backbone=backbone, n_layers=4, hidden_dim=6, withloop=True)
+        m = build_model(cfg, 4, 3, rng)
+        pool = object()
+        seen = []
+        for name in ("matmul", "add", "add_bias", "relu"):
+            def spy(*args, real=getattr(models, name), name=name, pool=None):
+                seen.append((name, pool))
+                return real(*args)
+
+            monkeypatch.setattr(models, name, spy)
+        forward(m, prop_for(m, a), rng.normal(size=(8, 4)), training=False, pool=pool)
+        assert {name for name, _ in seen} == {"matmul", "add", "add_bias", "relu"}
+        assert all(p is pool for _, p in seen)
+
     def test_logits_are_raw(self, rng_factory):
         # No terminal activation: negative logits must be possible.
         rng = rng_factory(4)

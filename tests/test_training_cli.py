@@ -360,8 +360,8 @@ class TestSharedEvaluationForward:
         real = training.adam_step
         steps = []
 
-        def poisoning(state):
-            real(state)
+        def poisoning(state, pool):
+            real(state, pool)
             steps.append(state.t)
             if state.t == 3:
                 state.params[0].data[0, 0] = np.nan
@@ -476,6 +476,68 @@ class TestConcurrentEvaluation:
         assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
         assert (one / "model.npz").read_bytes() == (two / "model.npz").read_bytes()
 
+    @pytest.mark.parametrize("backbone,change", [(b, {}) for b in BACKBONES]
+                             + [("gcn", {"dropout": 0.5})],
+                             ids=[*BACKBONES, "gcn-dropout"])
+    def test_split_ops_same_bytes_as_inline(self, sbm, tmp_path, monkeypatch, backbone,
+                                            change):
+        # Every dense op output splits, so the training forwards of a
+        # deterministic run, every final evaluation and every Adam step
+        # share their work with the worker; an InlinePool computes both
+        # halves on the main thread, at the same split points.
+        monkeypatch.setattr(autodiff, "SPLIT_MIN_ELEMENTS", 1)
+        splits = []
+        real = autodiff._on_two_threads
+
+        def spy(pool, fn, top, bottom):
+            splits.append(threading.current_thread() is threading.main_thread())
+            return real(pool, fn, top, bottom)
+
+        monkeypatch.setattr(autodiff, "_on_two_threads", spy)
+
+        def run(tag):
+            cfg = small_config(epochs=6, n_layers=4, backbone=backbone, withloop=True)
+            cfg = replace(cfg, model=replace(cfg.model, **change), out_dir=tmp_path / tag)
+            train(cfg, graph=sbm, keep_best_model=True)
+
+        run("worker")
+        assert splits and all(splits)
+        monkeypatch.setattr(training, "ThreadPoolExecutor", InlinePool)
+        run("inline")
+        one, two = tmp_path / "worker", tmp_path / "inline"
+        assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
+        assert (one / "model.npz").read_bytes() == (two / "model.npz").read_bytes()
+
+    @pytest.mark.parametrize("p,dropout", [(0.0, 0.0), (0.0, 0.3), (0.4, 0.0)],
+                             ids=["deterministic", "dropout", "dropedge"])
+    def test_pool_goes_only_where_the_worker_is_idle(self, sbm, monkeypatch, p, dropout):
+        # The training forward of a deterministic step gets the pool; on a
+        # random step the worker is evaluating then, so it gets none. The
+        # worker's evaluations get none, the final inline one and every
+        # Adam step get it.
+        seen = []
+        real_forward, real_adam = training.forward, training.adam_step
+
+        def forward(*args, **kw):
+            main = threading.current_thread() is threading.main_thread()
+            seen.append(("train" if kw["training"] else "eval", main, kw["pool"] is not None))
+            return real_forward(*args, **kw)
+
+        def adam_step(state, pool):
+            seen.append(("adam", True, pool is not None))
+            return real_adam(state, pool)
+
+        monkeypatch.setattr(training, "forward", forward)
+        monkeypatch.setattr(training, "adam_step", adam_step)
+        train(small_config(epochs=3, n_layers=3, p=p, dropout=dropout), graph=sbm)
+        shared = p == 0.0 and dropout == 0.0
+        step = [("train", True, shared), ("adam", True, True)]
+        if shared:
+            assert seen == step * 3 + [("eval", True, True)]
+        else:
+            worker_eval = ("eval", False, False)
+            assert sorted(seen) == sorted(step * 3 + [worker_eval] * 2 + [("eval", True, True)])
+
     def test_same_bytes_under_frequent_thread_switches(self, sbm, monkeypatch):
         # The interpreter hands over between the two threads every
         # microsecond, so the worker's reads interleave with the batch-norm
@@ -524,8 +586,8 @@ class TestConcurrentEvaluation:
         before = set(threading.enumerate())
         real = training.adam_step
 
-        def poisoning(state):
-            real(state)
+        def poisoning(state, pool):
+            real(state, pool)
             if state.t == 3:
                 state.params[0].data[0, 0] = np.nan
 
