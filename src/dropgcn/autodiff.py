@@ -164,8 +164,8 @@ def _on_two_threads(pool, fn, top, bottom):
 # (130k elements) gains nothing, of 2708 x 128 (347k) it saves about 40 %,
 # and a 2708 x 256 @ 256 x 256 product takes 4.5 ms instead of 8.6. Above
 # this size each half of a product also stays out of OpenBLAS's
-# small-matrix kernel, which sums in another order: halves of 65k-elements
-# outputs with an inner dimension of 16 already gave other last bits.
+# small-matrix kernel, which sums in another order: split outputs of 70k
+# to 110k elements with an inner dimension of 16 or 17 gave other last bits.
 SPLIT_MIN_ELEMENTS = 1 << 18
 
 
