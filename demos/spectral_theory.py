@@ -13,7 +13,7 @@ from dropgcn import (ModelConfig, analyze, build_model, effective_resistance,
                      empirical_smoothing_layer, forward, normalize,
                      relaxed_smoothing_layer, rescale_filters,
                      subspace_distance, sup_singular_value,
-                     theorem1_trajectory, verify_resistance_bound)
+                     theorem1_trajectory, top_eigenspace, verify_resistance_bound)
 from dropgcn.sparsemat import SparseMatrix
 
 rng = np.random.default_rng(4)
@@ -37,14 +37,15 @@ def random_connected(n, p):
 a = random_connected(10, 0.5)
 a_hat = normalize(a, "AugNormAdj")
 rep = analyze(a_hat)
+basis = top_eigenspace(a, "AugNormAdj")
 model = build_model(ModelConfig(backbone="gcn", n_layers=8, hidden_dim=8,
                                 bias=False), 6, 3, rng)
 rescale_filters(model, target=0.9)
 s = sup_singular_value(model)
 x = rng.normal(size=(10, 6))
 _, hidden = forward(model, [a_hat] * 8, x, training=False)
-dists = [subspace_distance(x, rep.basis)]
-dists += [subspace_distance(h, rep.basis) for h in hidden]
+dists = [subspace_distance(x, basis)]
+dists += [subspace_distance(h, basis) for h in hidden]
 print(f"lambda = {rep.second_largest:.4f}, s = {s:.4f}")
 print(f"{'layer':>5} {'d_M':>10} {'bound':>10}")
 for l in range(1, len(dists)):
@@ -57,7 +58,7 @@ for l in range(1, len(dists)):
 d0 = dists[0]
 eps = 1e-3 * d0
 l_hat = relaxed_smoothing_layer(eps, d0, s, rep.second_largest)
-l_star = empirical_smoothing_layer(hidden, rep.basis, eps)
+l_star = empirical_smoothing_layer(hidden, basis, eps)
 print(f"\neps = {eps:.2e}: predicted crossing at l_hat = {l_hat}, "
       f"measured l* = {l_star}")
 

@@ -24,7 +24,7 @@ from .spectral import (SmoothingProbe, SpectralReport, analyze,
                        effective_resistance, empirical_smoothing_layer,
                        relaxed_smoothing_layer, resistance_matrix,
                        smoothing_probe, subspace_distance, theorem1_trajectory,
-                       verify_resistance_bound)
+                       top_eigenspace, verify_resistance_bound)
 from .training import (ProbeReport, RunReport, TrainConfig, TrainingDiverged,
                        ablate_dropout_dropedge, ablate_layerwise,
                        oversmoothing_probe, train, write_report)

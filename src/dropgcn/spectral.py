@@ -11,34 +11,34 @@ and full random-removal trajectories.
 
 Everything is dense linear algebra, capped at 5000 nodes, and it works per
 connected component: a symmetric matrix is block diagonal over its
-components, so its spectrum is the union of the blocks' spectra, and its top
-eigenspace is spanned by the blocks' top eigenvectors, each zero outside its
-component. One reader, _component_blocks, scatters each component's dense
-block from the CSR arrays, for the eigenvalues and the resistances alike.
-The eigenvalue route reduces each block once to tridiagonal form and takes
-its eigenvalues from the tridiagonal; a singleton's eigenvalue is its
-diagonal entry. Eigenvectors are computed only for the top cluster, mapped
-back through each block's stored reflectors. Removal trajectories read only
-eigenvalues, so their steps compute no eigenvectors at all; each step masks
-the start graph's entries by undirected edge id, as a DropEdge draw does.
-A trajectory draws every removal first and counts each step's components
-by union-find over the removals in reverse. It then solves its steps in
-stacks, each one numpy eigvalsh call on the steps' matrices restricted to
-the nodes that still have an edge at the stack's first step, on two
-worker threads, since that LAPACK call releases the GIL.
+components, so its spectrum is the union of the blocks' spectra. One
+reader, _component_blocks, scatters each component's dense block from the
+CSR arrays, for the eigenvalues and the resistances alike. analyze takes
+each block's eigenvalues from one eigenvalue-only LAPACK call (dsyev:
+tridiagonal reduction, then the tridiagonal's eigenvalues); a singleton's
+eigenvalue is its diagonal entry. No eigenvector is computed anywhere: for
+a graph under a symmetric scheme, top_eigenspace builds M in closed form
+from the degrees and the components (Oono & Suzuki, arXiv 1905.10947), and
+analyze's numerical multiplicity is the check on it. Removal trajectories
+read only eigenvalues; each step masks the start graph's entries by
+undirected edge id, as a DropEdge draw does. A trajectory draws every
+removal first and counts each step's components by union-find over the
+removals in reverse. It then solves its steps in stacks, each one numpy
+eigvalsh call on the steps' matrices restricted to the nodes that still
+have an edge at the stack's first step, on two worker threads, since that
+LAPACK call releases the GIL.
 scipy.linalg is imported inside the functions that use it, so importing the
 package (and training) does not load it.
 
-Memory footprint, n nodes, k nodes in a connected component, m the
-multiplicity of the top cluster:
+Memory footprint, n nodes, k nodes in a connected component, c the
+number of components:
 
 - analyze holds every component's k x k float64 block, whose total is at
   most n times the largest k and is dominated by the largest component
   (49.4 MB for the 2486-node component of a 2708-node graph, 200 MB for one
-  component at the cap), plus the n x m basis: each tridiagonal reduction
-  overwrites its block, and the eigenvectors are mapped back through
-  reflectors read in that same buffer and written into the basis rows of
-  their component.
+  component at the cap). Each block is handed to LAPACK in Fortran order
+  and reduced in its own buffer, without a copy. top_eigenspace returns
+  one n x c array and builds nothing larger.
 - resistances are computed per component from (L + J/k)^-1 = L^+ + J/k,
   with L the component's Laplacian and J the all-ones matrix: one Cholesky
   inverse, made in place in the component's dense block. That is about two
@@ -67,7 +67,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .dropedge import check_integer, edge_ids
-from .sparsemat import check_adjacency, connected_components, degrees, keep_entries, normalize
+from .sparsemat import (SYMMETRIC_SCHEMES, check_adjacency, connected_components, degrees,
+                        keep_entries, normalize)
 
 MAX_DENSE_NODES = 5000
 # Eigenvalues within this distance of the largest form the top cluster.
@@ -82,16 +83,14 @@ STACK_BYTES = 4 * 2**20
 class SpectralReport:
     """Eigenstructure of a symmetric propagation matrix.
 
-    eigenvalues are ascending (eigh order); basis holds an orthonormal basis
-    of the top-cluster eigenspace, one column per clustered eigenvalue;
-    second_largest is max |eigenvalue| outside the cluster, 0.0 when the
-    cluster swallows the whole spectrum.
+    eigenvalues are ascending (eigh order); top_multiplicity counts the
+    top cluster; second_largest is max |eigenvalue| outside the cluster,
+    0.0 when the cluster swallows the whole spectrum.
     """
 
     eigenvalues: np.ndarray
     top_multiplicity: int
     second_largest: float
-    basis: np.ndarray
     component_count: int
 
 
@@ -132,54 +131,6 @@ def _check_order(n):
                          "analyze a subgraph instead")
 
 
-def _spectrum(a_hat, tol):
-    """Eigenvalues of a symmetric propagation matrix, split at the top cluster.
-
-    The matrix is block diagonal over its own connected components, so its
-    spectrum is the union of the blocks'. A singleton's eigenvalue is its
-    diagonal entry. Every larger component's dense block
-    (_component_blocks) is reduced to tridiagonal form (LAPACK dsytrd, lower
-    storage, in the block's own buffer) and its eigenvalues taken from the
-    tridiagonal (dsterf), so the largest dense array is the largest
-    component's k x k block.
-
-    Returns (eigenvalues ascending, multiplicity, second_largest, blocks,
-    component count). blocks lets analyze build the cluster basis without a
-    second reduction: a list of (nodes, their eigenvalues, factors), first
-    the singletons with their diagonal and factors None, then one entry per
-    larger component, its eigenvalues ascending and factors = (c, d, e, tau)
-    for _cluster_basis.
-    """
-    from scipy.linalg import lapack
-
-    if a_hat.n_rows != a_hat.n_cols:
-        raise ValueError("spectral analysis needs a square matrix")
-    _check_order(a_hat.n_rows)
-    if not a_hat.is_symmetric():
-        raise ValueError("matrix is not symmetric; only symmetric schemes are analyzable")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    labels, count = connected_components(a_hat)
-    # Labels follow node order, so the singletons are in label order too.
-    singles = np.flatnonzero(np.bincount(labels)[labels] == 1)
-    blocks = [(singles, a_hat.diagonal()[singles], None)]
-    for nodes, block in _component_blocks(a_hat, labels):
-        k = len(nodes)
-        # The block is exactly symmetric, so its transpose is the same matrix
-        # in Fortran order, which dsytrd can overwrite without a copy.
-        lwork, _ = lapack.dsytrd_lwork(k, lower=1)
-        c, d, e, tau, info = lapack.dsytrd(block.T, lower=1, lwork=int(lwork), overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
-        w, info = lapack.dsterf(d, e)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
-        blocks.append((nodes, w, (c, d, e, tau)))
-    eigenvalues = np.sort(np.concatenate([w for _, w, _ in blocks]))
-    multiplicity, second = _top_cluster(eigenvalues[None, :], tol)
-    return eigenvalues, int(multiplicity[0]), float(second[0]), blocks, count
-
-
 def _top_cluster(w, tol):
     """(top multiplicity, second_largest) arrays, one entry per row of w,
     each row the eigenvalues of one matrix: those within tol of the row's
@@ -189,76 +140,82 @@ def _top_cluster(w, tol):
     return cluster.sum(axis=1), np.where(cluster, 0.0, np.abs(w)).max(axis=1)
 
 
-def _cluster_basis(factors, m):
-    """Orthonormal eigenvectors of the top m eigenvalues of one block, from
-    the factors _spectrum returns for it: eigenvectors of the tridiagonal,
-    mapped back through the stored reflectors (what LAPACK dormtr does for
-    lower storage).
-
-    Overwrites c, so the factors serve one call."""
-    from scipy.linalg import eigh_tridiagonal, lapack
-
-    c, d, e, tau = factors
-    n = len(d)
-    _, z = eigh_tridiagonal(d, e, select="i", select_range=(n - m, n - 1))
-    # Q = H(1)...H(n-1) leaves row 0 alone; its reflectors sit below the
-    # subdiagonal of c, i.e. in QR layout in c[1:, :n-1]. That slice is not
-    # contiguous, so dormqr would copy it. Instead its columns move, left to
-    # right, to the front of c's own Fortran-order buffer, where the first
-    # (n-1)^2 entries then hold the block contiguously. No column lands on a
-    # source not yet moved.
-    k = n - 1
-    flat = c.reshape(-1, order="F")
-    for j in range(k):
-        flat[j * k:(j + 1) * k] = flat[j * n + 1:(j + 1) * n]
-    reflectors = flat[: k * k].reshape((k, k), order="F")
-    query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
-    z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
-    return z
-
-
 def analyze(a_hat, tol=TOP_CLUSTER_TOL):
-    """Eigendecompose a symmetric propagation matrix and split off the top
+    """Eigenvalues of a symmetric propagation matrix, split at the top
     cluster: every eigenvalue within `tol` (finite, nonnegative) of the
     maximum counts as top.
 
-    The work is per connected component of the matrix, which _spectrum
-    labels; its count is component_count. All eigenvalues are computed,
-    block by block, but eigenvectors only for the blocks that hold
-    cluster eigenvalues. Their vectors fill the rows of their component in
-    one n x multiplicity basis, and a top singleton gets a unit column; the
-    columns are grouped by component. For the augmented symmetric
-    normalization of a graph, the cluster multiplicity equals the number of
-    connected components; that is checked by tests, not enforced here, so
-    the function stays usable on arbitrary symmetric matrices.
+    The matrix is block diagonal over its own connected components, whose
+    count is component_count, so its spectrum is the union of the blocks'.
+    A singleton's eigenvalue is its diagonal entry. Every larger component's
+    dense block (_component_blocks) goes to one eigenvalue-only LAPACK call
+    (dsyev, lower storage, in the block's own buffer), so the largest dense
+    array is the largest component's k x k block. For the augmented
+    symmetric normalization of a graph, the cluster multiplicity equals the
+    number of connected components; that is checked by tests, not enforced
+    here, so the function stays usable on arbitrary symmetric matrices.
     """
-    eigenvalues, multiplicity, second, blocks, n_components = _spectrum(a_hat, tol)
-    floor = eigenvalues[-1] - tol
-    basis = np.zeros((a_hat.n_rows, multiplicity))
-    col = 0
-    for nodes, w, factors in blocks:
-        top = w >= floor
-        m = int(np.count_nonzero(top))
-        if factors is None:
-            basis[nodes[top], col + np.arange(m)] = 1.0
-        elif m:
-            basis[nodes, col:col + m] = _cluster_basis(factors, m)
-        col += m
-    return SpectralReport(
-        eigenvalues=eigenvalues,
-        top_multiplicity=multiplicity,
-        second_largest=second,
-        basis=basis,
-        component_count=n_components,
-    )
+    from scipy.linalg import eigh
+
+    if a_hat.n_rows != a_hat.n_cols:
+        raise ValueError("spectral analysis needs a square matrix")
+    _check_order(a_hat.n_rows)
+    if not a_hat.is_symmetric():
+        raise ValueError("matrix is not symmetric; only symmetric schemes are analyzable")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    labels, count = connected_components(a_hat)
+    singles = np.flatnonzero(np.bincount(labels)[labels] == 1)
+    spectra = [a_hat.diagonal()[singles]]
+    for _, block in _component_blocks(a_hat, labels):
+        # The block is exactly symmetric, so its transpose is the same matrix
+        # in Fortran order, which LAPACK can overwrite without a copy.
+        spectra.append(eigh(block.T, lower=True, eigvals_only=True, overwrite_a=True,
+                            check_finite=False, driver="ev"))
+    eigenvalues = np.sort(np.concatenate(spectra))
+    multiplicity, second = _top_cluster(eigenvalues[None, :], tol)
+    return SpectralReport(eigenvalues=eigenvalues, top_multiplicity=int(multiplicity[0]),
+                          second_largest=float(second[0]), component_count=count)
+
+
+def top_eigenspace(adjacency, scheme):
+    """Orthonormal n x c basis of the top eigenspace M of
+    normalize(adjacency, scheme), for a symmetric scheme, in closed form.
+
+    Under AugNormAdj and BingGeNormAdj, M is spanned by (D+I)^(1/2) 1_c for
+    each connected component c, one column per component in label order.
+    Under FirstOrderGCN it is spanned by D^(1/2) 1_c for each component that
+    has an edge, at eigenvalue 2; an isolated node sits at 1, below the
+    cluster, unless the graph has no edge, when every eigenvalue is 1 and M
+    is the whole space (the identity is returned). No matrix is normalized.
+    `adjacency` must pass check_adjacency.
+    """
+    check_adjacency(adjacency)
+    if scheme not in SYMMETRIC_SCHEMES:
+        raise ValueError(f"top_eigenspace needs a symmetric scheme, one of "
+                         f"{SYMMETRIC_SCHEMES}; got {scheme!r}")
+    n = adjacency.n_rows
+    mass = degrees(adjacency)
+    if scheme != "FirstOrderGCN":
+        mass = mass + 1.0
+    elif not mass.any():
+        return np.eye(n)
+    labels, count = connected_components(adjacency)
+    # Each node's entry is its weight over its component's norm; components
+    # of zero mass (FirstOrderGCN's isolated nodes) get no column.
+    norms = np.sqrt(np.bincount(labels, weights=mass, minlength=count))
+    kept = norms > 0
+    column = np.cumsum(kept) - 1
+    nodes = np.flatnonzero(kept[labels])
+    basis = np.zeros((n, int(np.count_nonzero(kept))))
+    basis[nodes, column[labels[nodes]]] = np.sqrt(mass[nodes]) / norms[labels[nodes]]
+    return basis
 
 
 def subspace_distance(h, basis):
     """Frobenius distance from the rows' span to the subspace: ||H - E E^T H||.
 
-    `basis` must have orthonormal columns (as produced by analyze). Accepts a
+    `basis` must have orthonormal columns (as top_eigenspace returns). Accepts a
     Tensor or a plain array for H.
     """
     data = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=np.float64)
@@ -321,17 +278,19 @@ class SmoothingProbe:
     s: float
 
 
-def smoothing_probe(hidden_states, report, s, epsilon):
-    """Bundle distances, the relaxed bound, and the empirical crossing.
+def smoothing_probe(hidden_states, basis, lam, s, epsilon):
+    """Bundle distances to the span of `basis`, the relaxed bound at
+    second-largest magnitude `lam` and filter norm `s`, and the empirical
+    crossing.
 
     d0 is the first hidden state's distance, which makes l_hat the bound on
     additional layers after the first; l_star is read off the distances.
     """
-    distances = [subspace_distance(h, report.basis) for h in hidden_states]
+    distances = [subspace_distance(h, basis) for h in hidden_states]
     d0 = distances[0] if distances else 1.0
     if d0 <= 0:
         d0 = 1.0  # already on the subspace; any positive placeholder gives l_hat 0
-    l_hat = relaxed_smoothing_layer(epsilon, d0, s, report.second_largest)
+    l_hat = relaxed_smoothing_layer(epsilon, d0, s, lam)
     l_star = next((i for i, d in enumerate(distances, 1) if d < epsilon), None)
     return SmoothingProbe(epsilon=float(epsilon), distances=distances,
                           l_hat=l_hat, l_star=l_star, s=float(s))
@@ -456,10 +415,7 @@ def verify_resistance_bound(a, tol=1e-8):
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
-    a_hat = normalize(a, "AugNormAdj")
-    # Only lambda is kept, so the reduction blocks are freed before the
-    # resistance blocks are built.
-    lam = _spectrum(a_hat, TOP_CLUSTER_TOL)[2]
+    lam = analyze(normalize(a, "AugNormAdj")).second_largest
     d = degrees(a)
     worst_margin, worst_pair = math.inf, None
     n_pairs = 0

@@ -376,7 +376,8 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
     edge-drop settings (that effect is the thing observed) but keep feature
     dropout off and batch statistics frozen, so a measurement on a frozen
     model is a pure function of the sampler state. Needs a symmetric scheme,
-    since the subspace view wants an orthonormal eigenbasis, and probed
+    whose top eigenspace spectral.top_eigenspace gives in closed form, and
+    probed
     layers that form a chain: each layer l in the range reads layer l-1.
     """
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
@@ -396,15 +397,16 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
         if widths[l - 1] != widths[l - 2]:
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
-    spec_report = spectral.analyze(a_hat)
+    lam = spectral.analyze(a_hat).second_largest
+    basis = spectral.top_eigenspace(graph.adjacency, mcfg.scheme)
 
     def measured(model):
         mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls, rng, a_hat)
         _, hidden = forward(model, mats, graph.x, training=False)
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}
-        probe = spectral.smoothing_probe(hidden, spec_report,
-                                         sup_singular_value(model), PROBE_EPSILON)
+        probe = spectral.smoothing_probe(hidden, basis, lam, sup_singular_value(model),
+                                         PROBE_EPSILON)
         return {
             "layer_distance": diffs,
             "subspace_distance": probe.distances,

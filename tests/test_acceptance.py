@@ -27,7 +27,7 @@ from dropgcn import (BatchNormState, DropEdgeConfig, ModelConfig, SparseMatrix,
                      forward, load_graph_dir, matmul, normalize,
                      oversmoothing_probe, relaxed_smoothing_layer, relu,
                      softmax_cross_entropy, spmm, subspace_distance, sum_all,
-                     sup_singular_value, theorem1_trajectory, train,
+                     sup_singular_value, theorem1_trajectory, top_eigenspace, train,
                      verify_resistance_bound)
 from dropgcn.dropedge import sample
 from dropgcn.models import rescale_filters
@@ -257,9 +257,10 @@ def test_criterion_04_spectral_oracles():
 
         # Oracle B: least-squares residual for the subspace distance.
         h = rng.normal(size=(n, 5))
-        coef, *_ = np.linalg.lstsq(rep.basis, h, rcond=None)
-        worst_dm = max(worst_dm, abs(subspace_distance(h, rep.basis)
-                                     - float(np.linalg.norm(h - rep.basis @ coef))))
+        basis = top_eigenspace(a, "AugNormAdj")
+        coef, *_ = np.linalg.lstsq(basis, h, rcond=None)
+        worst_dm = max(worst_dm, abs(subspace_distance(h, basis)
+                                     - float(np.linalg.norm(h - basis @ coef))))
 
         # Oracle C: grounded Laplacian solve (restricted to the pair's
         # component, with t's row and column deleted) for every pair.
@@ -309,7 +310,7 @@ def test_criterion_05_contraction_and_layer_bound():
         depth = int(rng.integers(2, 13))
         a = random_connected_adjacency(rng, n, rng.uniform(0.35, 0.7))
         a_hat = normalize(a, "AugNormAdj")
-        rep = analyze(a_hat)
+        rep, basis = analyze(a_hat), top_eigenspace(a, "AugNormAdj")
         cfg = ModelConfig(backbone="gcn", n_layers=depth,
                           hidden_dim=int(rng.integers(4, 9)), bias=False,
                           dropout=0.0)
@@ -319,8 +320,8 @@ def test_criterion_05_contraction_and_layer_bound():
         svals = rescale_filters(model, target=float(rng.uniform(0.4, 1.0)))
         x = rng.normal(size=(n, 5)) * rng.uniform(0.5, 2.0)
         _, hidden = forward(model, [a_hat] * model.n_gcls, x, training=False)
-        dists = [subspace_distance(x, rep.basis)] + \
-            [subspace_distance(h, rep.basis) for h in hidden]
+        dists = [subspace_distance(x, basis)] + \
+            [subspace_distance(h, basis) for h in hidden]
         lam = rep.second_largest
         for l in range(1, len(dists)):
             if dists[l] > svals[l - 1] * lam * dists[l - 1] + 1e-9:
@@ -330,7 +331,7 @@ def test_criterion_05_contraction_and_layer_bound():
         if d0 > 0:
             eps = 1e-3 * d0
             l_hat = relaxed_smoothing_layer(eps, d0, max(svals), lam)
-            l_star = empirical_smoothing_layer(hidden, rep.basis, eps)
+            l_star = empirical_smoothing_layer(hidden, basis, eps)
             if l_star is not None:
                 reached += 1
                 if l_star > l_hat:

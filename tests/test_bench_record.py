@@ -1,0 +1,88 @@
+"""tools/bench_record.py's parser and summary, on canned run.py output; no
+benchmark runs."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bench_record  # noqa: E402
+
+ENV = ('env {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "blas_threads": 1, '
+       '"nproc": 2, "commit": "abc123", "seed": 0}')
+
+
+def untraced(work_per_s, setup_s, failed_op=None):
+    ops = ["op analyze wall=1.3500s work=1 digest=1673a160e26ef144 ok",
+           "op trajectory wall=0.6000s work=588 digest=bf2db0bc6f087fca ok"]
+    if failed_op:
+        ops.append(failed_op)
+    result = {"correct": failed_op is None, "attempted": len(ops),
+              "failed": int(failed_op is not None),
+              "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
+                          "work_per_s": {"value": work_per_s, "unit": "1/s"},
+                          "peak_rss_mb": {"value": 125.5, "unit": "MB"}}}
+    return "\n".join([ENV, *ops, f"metric setup_s {setup_s:.6g} s",
+                      f"metric work_per_s {work_per_s:.6g} 1/s",
+                      "metric peak_rss_mb 125.5 MB", "metric analyze_s 1.35 s",
+                      json.dumps(result)]) + "\n"
+
+
+TRACED = "\n".join([
+    ENV,
+    "spans 120 written to .perfbench/spans-spectral-seed0.jsonl",
+    "uncalled_wrappers none",
+    "op analyze wall=1.4000s work=1 digest=1673a160e26ef144 ok",
+    "metric spectral.analyze.calls 1 count",
+    json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"spectral.analyze.calls": {"value": 1, "unit": "count"}}}),
+]) + "\n"
+
+CRASHED = ENV + "\nTraceback (most recent call last):\nMemoryError\n"
+
+
+def test_parse_run_reads_env_metrics_failures_and_result():
+    failed = "op resistance wall=0.2000s work=0 digest=- FAILED resistance bound violated"
+    got = bench_record.parse_run(untraced(0.5, 0.1, failed))
+    assert got["env"]["commit"] == "abc123"
+    assert got["metrics"] == {"setup_s": 0.1, "work_per_s": 0.5, "peak_rss_mb": 125.5,
+                              "analyze_s": 1.35}
+    assert got["failed_ops"] == [failed[3:]]
+    assert got["result"]["correct"] is False
+    assert bench_record.parse_run(TRACED)["uncalled_wrappers"] == ["none"]
+    assert bench_record.parse_run(CRASHED)["result"] is None
+
+
+def test_record_summarizes_runs_and_keeps_failures():
+    failed = "op trajectory wall=0.5000s work=588 digest=0000 FAILED trajectory: disjunction"
+    outputs = {
+        "spectral": [(0, untraced(0.50, 0.09)), (0, untraced(0.52, 0.12, failed)),
+                     (0, untraced(0.48, 0.08)), (0, TRACED)],
+        "deep-nodrop": [(0, untraced(5.0, 0.1)), (1, CRASHED), (0, untraced(5.4, 0.1)),
+                        (1, CRASHED)],
+    }
+
+    def run(workload, trace):
+        code, stdout = outputs[workload].pop(0)
+        assert trace == (not outputs[workload])  # three untraced runs, then the traced one
+        return code, stdout
+
+    rec = bench_record.record(["spectral", "deep-nodrop"], 3, run)
+    assert rec["env"]["seed"] == 0 and rec["runs"] == 3
+    spectral = rec["workloads"]["spectral"]
+    assert spectral["end_to_end"]["work_per_s"] == {
+        "unit": "1/s", "median": 0.50, "min": 0.48, "max": 0.52, "values": [0.50, 0.52, 0.48]}
+    assert spectral["end_to_end"]["setup_s"]["median"] == pytest.approx(0.09)
+    assert spectral["detail"]["analyze_s"]["values"] == [1.35] * 3
+    assert spectral["traced"] == {"spectral.analyze.calls": {"value": 1, "unit": "count"}}
+    assert spectral["failed_ops"] == ["untraced: " + failed[3:]]
+    assert spectral["failed_runs"] == []
+    # A crashed run is listed with its exit code and output tail, and its
+    # metrics are left out.
+    nodrop = rec["workloads"]["deep-nodrop"]
+    assert nodrop["end_to_end"]["work_per_s"]["values"] == [5.0, 5.4]
+    assert nodrop["traced"] is None
+    assert [(r["traced"], r["exit"], r["tail"][-1]) for r in nodrop["failed_runs"]] == [
+        (False, 1, "MemoryError"), (True, 1, "MemoryError")]

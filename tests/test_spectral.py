@@ -14,18 +14,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg import lapack
 
 import dropgcn
-from dropgcn import (Graph, ModelConfig, SparseMatrix, Tensor, analyze, build_model,
-                     connected_components, degrees, effective_resistance,
+from dropgcn import (SYMMETRIC_SCHEMES, Graph, ModelConfig, SparseMatrix, Tensor, analyze,
+                     build_model, connected_components, degrees, effective_resistance,
                      empirical_smoothing_layer, forward, normalize,
                      relaxed_smoothing_layer, resistance_matrix, sample,
                      subspace_distance, sup_singular_value,
-                     theorem1_trajectory, verify_resistance_bound)
+                     theorem1_trajectory, top_eigenspace, verify_resistance_bound)
 from dropgcn.models import rescale_filters
-from dropgcn.spectral import (TOP_CLUSTER_TOL, _cluster_basis, _component_blocks, _spectrum,
-                              _top_cluster, smoothing_probe)
+from dropgcn.spectral import TOP_CLUSTER_TOL, _component_blocks, _top_cluster, smoothing_probe
 from conftest import random_adjacency, random_connected_adjacency
 
 
@@ -51,14 +49,15 @@ def eig_oracle(dense, tol=1e-8):
 
 class TestAnalyze:
     def test_two_node_edge(self):
-        rep = analyze(normalize(SparseMatrix.from_dense([[0, 1], [1, 0]]), "AugNormAdj"))
+        a = SparseMatrix.from_dense([[0, 1], [1, 0]])
+        rep = analyze(normalize(a, "AugNormAdj"))
         np.testing.assert_allclose(rep.eigenvalues, [0.0, 1.0], atol=1e-12)
         assert rep.top_multiplicity == 1
         assert rep.second_largest == pytest.approx(0.0, abs=1e-12)
         assert rep.component_count == 1
-        # Basis spans the constant direction.
-        np.testing.assert_allclose(np.abs(rep.basis[:, 0]), np.full(2, np.sqrt(0.5)),
-                                   atol=1e-12)
+        # M is spanned by the constant direction.
+        np.testing.assert_allclose(np.abs(top_eigenspace(a, "AugNormAdj")[:, 0]),
+                                   np.full(2, np.sqrt(0.5)), atol=1e-12)
 
     def test_two_disjoint_edges_multiplicity_two(self):
         a = SparseMatrix.from_dense(
@@ -67,7 +66,7 @@ class TestAnalyze:
         assert rep.top_multiplicity == 2
         assert rep.component_count == 2
         assert rep.second_largest == pytest.approx(0.0, abs=1e-12)
-        assert rep.basis.shape == (4, 2)
+        assert top_eigenspace(a, "AugNormAdj").shape == (4, 2)
 
     def test_triangle_gap(self):
         rep = analyze(normalize(triangle(), "AugNormAdj"))
@@ -86,7 +85,8 @@ class TestAnalyze:
         assert rep.top_multiplicity == 3
         assert rep.second_largest == 0.0
         assert rep.component_count == 3
-        np.testing.assert_allclose(rep.basis @ rep.basis.T, np.eye(3), rtol=0, atol=1e-12)
+        e = top_eigenspace(a, "AugNormAdj")
+        np.testing.assert_allclose(e @ e.T, np.eye(3), rtol=0, atol=1e-12)
 
     def test_multiplicity_equals_components_on_random_graphs(self, rng_factory):
         rng = rng_factory(40)
@@ -110,8 +110,8 @@ class TestAnalyze:
         rng = rng_factory(42)
         a = random_connected_adjacency(rng, 10, 0.3)
         a_hat = normalize(a, "AugNormAdj")
-        rep = analyze(a_hat)
-        e = rep.basis
+        e = top_eigenspace(a, "AugNormAdj")
+        assert e.shape[1] == analyze(a_hat).top_multiplicity
         np.testing.assert_allclose(e.T @ e, np.eye(e.shape[1]), atol=1e-10)
         # The cluster eigenspace is (near-)fixed by the matrix.
         np.testing.assert_allclose(a_hat.to_dense() @ e, e, atol=1e-9)
@@ -132,7 +132,7 @@ class TestAnalyze:
         assert rep.top_multiplicity == mult == count == rep.component_count
         assert rep.second_largest == pytest.approx(
             float(np.max(np.abs(w[:-mult]))), abs=1e-12)
-        e, oracle = rep.basis, v[:, -mult:]
+        e, oracle = top_eigenspace(a, "AugNormAdj"), v[:, -mult:]
         assert e.shape == (300, mult)
         np.testing.assert_allclose(e.T @ e, np.eye(mult), rtol=0, atol=1e-12)
         np.testing.assert_allclose(e @ e.T, oracle @ oracle.T, rtol=0, atol=1e-10)
@@ -142,7 +142,6 @@ class TestAnalyze:
         assert rep.eigenvalues.tolist() == [0.5]
         assert rep.top_multiplicity == 1
         assert rep.second_largest == 0.0
-        np.testing.assert_allclose(np.abs(rep.basis), [[1.0]], rtol=0, atol=1e-15)
         assert rep.component_count == 1
 
     def test_import_does_not_load_scipy_linalg(self):
@@ -165,42 +164,55 @@ class TestAnalyze:
             analyze(SparseMatrix(0, 0, [0], [], []))
 
 
-def copying_basis(factors, m):
-    """A block's cluster basis as _cluster_basis built it when dormqr read a
-    Fortran copy of the reflector block c[1:, :k-1] rather than the block in
-    place."""
-    c, d, e, tau = factors
-    k = len(d)
-    _, z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(k - m, k - 1))
-    reflectors = np.asfortranarray(c[1:, : k - 1])
-    query = lapack.dormqr("L", "N", reflectors, tau, z[1:], -1)[1]
-    z[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, z[1:], int(query[0]))
-    assert info == 0
-    return z
+def weighted_graph_with_singletons(rng, n):
+    """A random weighted graph on n nodes whose first few random nodes have
+    no edge: several components, isolated nodes among them."""
+    dense = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.4), 1) * \
+        rng.uniform(0.1, 3.0, size=(n, n))
+    isolated = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    dense[isolated, :] = 0.0
+    dense[:, isolated] = 0.0
+    return SparseMatrix.from_dense(dense + dense.T)
 
 
-class TestInPlaceReflectors:
-    def test_basis_bit_identical_to_copying_route(self, rng_factory):
-        rng = rng_factory(60)
-        many = random_adjacency(rng, 60, 0.03)
-        assert connected_components(many)[1] > 5
-        for a in (SparseMatrix.from_dense([[0, 1], [1, 0]]), path3(), triangle(), many):
-            a_hat = normalize(a, "AugNormAdj")
-            rep = analyze(a_hat)
-            eigenvalues, _, _, blocks, _ = _spectrum(a_hat, TOP_CLUSTER_TOL)
-            floor = eigenvalues[-1] - TOP_CLUSTER_TOL
-            _, single_values, _ = blocks[0]
-            col = int(np.sum(single_values >= floor))
-            for nodes, w, factors in blocks[1:]:
-                m = int(np.sum(w >= floor))
-                assert m == 1  # each component's top eigenvalue, 1
-                want = copying_basis(factors, m)
-                got = _cluster_basis(factors, m)
-                assert np.array_equal(got, want)
-                # analyze writes the same vectors into its component's rows.
-                assert np.array_equal(rep.basis[nodes, col:col + m], got)
-                col += m
-            assert col == rep.top_multiplicity
+class TestTopEigenspace:
+    @pytest.mark.parametrize("scheme", SYMMETRIC_SCHEMES)
+    def test_spans_dense_eigh_top_cluster(self, scheme, rng_factory):
+        # Oracle: the top-cluster eigenvectors of the dense normalized matrix.
+        rng = rng_factory(67)
+        for _ in range(30):
+            a = weighted_graph_with_singletons(rng, int(rng.integers(4, 25)))
+            a_hat = normalize(a, scheme)
+            w, v = np.linalg.eigh(a_hat.to_dense())
+            mult = int(np.sum(w >= w[-1] - TOP_CLUSTER_TOL))
+            e, oracle = top_eigenspace(a, scheme), v[:, -mult:]
+            # analyze's numerical multiplicity checks the closed form's size.
+            assert e.shape == (a.n_rows, analyze(a_hat).top_multiplicity)
+            np.testing.assert_allclose(e.T @ e, np.eye(mult), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(e @ e.T, oracle @ oracle.T, rtol=0, atol=1e-10)
+
+    def test_first_order_gcn_leaves_out_isolated_nodes(self):
+        # The 3-path at eigenvalue 2, the isolated node 3 at 1.
+        a = SparseMatrix.from_dense([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+        e = top_eigenspace(a, "FirstOrderGCN")
+        np.testing.assert_allclose(e[:, 0], np.sqrt([1, 2, 1, 0]) / 2, rtol=0, atol=1e-15)
+        assert top_eigenspace(a, "AugNormAdj").shape == (4, 2)
+
+    def test_edgeless_graph(self):
+        a = SparseMatrix(4, 4, [0] * 5, [], [])
+        for scheme in SYMMETRIC_SCHEMES:
+            assert np.array_equal(top_eigenspace(a, scheme), np.eye(4))
+            assert analyze(normalize(a, scheme)).top_multiplicity == 4
+
+    def test_refuses_other_schemes_and_non_adjacency(self):
+        with pytest.raises(ValueError, match="symmetric scheme"):
+            top_eigenspace(path3(), "AugRWalk")
+        with pytest.raises(ValueError, match="symmetric scheme"):
+            top_eigenspace(path3(), "NoSuchScheme")
+        with pytest.raises(ValueError, match="zero diagonal"):
+            top_eigenspace(normalize(path3(), "AugNormAdj"), "AugNormAdj")
+        with pytest.raises(ValueError, match="symmetric"):
+            top_eigenspace(SparseMatrix.from_dense([[0, 1], [0, 0]]), "AugNormAdj")
 
 
 def permuted_component_graph(rng):
@@ -236,7 +248,7 @@ class TestComponentBlocks:
             assert rep.top_multiplicity == count == rep.component_count
             assert rep.second_largest == pytest.approx(
                 float(np.max(np.abs(w[:-count]))), abs=1e-12)
-            e, oracle = rep.basis, v[:, -count:]
+            e, oracle = top_eigenspace(a, "AugNormAdj"), v[:, -count:]
             np.testing.assert_allclose(e.T @ e, np.eye(count), rtol=0, atol=1e-12)
             np.testing.assert_allclose(a_hat.to_dense() @ e, e, rtol=0, atol=1e-12)
             np.testing.assert_allclose(e @ e.T, oracle @ oracle.T, rtol=0, atol=1e-10)
@@ -250,10 +262,6 @@ class TestComponentBlocks:
         np.testing.assert_allclose(rep.eigenvalues, [-3, 1, 1, 1], rtol=0, atol=1e-12)
         assert rep.top_multiplicity == 3 and rep.component_count == 1
         assert rep.second_largest == pytest.approx(3.0, abs=1e-12)
-        e = rep.basis
-        assert e.shape == (4, 3)
-        np.testing.assert_allclose(e.T @ e, np.eye(3), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dense @ e, e, rtol=0, atol=1e-12)
 
     def test_blocks_are_the_dense_submatrices(self, rng_factory):
         # Oracle: index the dense matrix with each component's nodes.
@@ -299,7 +307,7 @@ def traced_peak(fn, *args):
 
 class TestFootprint:
     def test_analyze_holds_one_dense_matrix(self, rng_factory):
-        # Many components make the cluster basis (n x multiplicity) large too.
+        # Many components, isolated nodes among them.
         rng = rng_factory(61)
         a = random_adjacency(rng, 400, 0.004)
         assert connected_components(a)[1] >= 40
@@ -307,16 +315,15 @@ class TestFootprint:
         n = a_hat.n_rows
         assert traced_peak(analyze, a_hat) <= 1.25 * n * n * 8 + 2**20
 
-    def test_analyze_holds_no_array_beyond_the_basis_and_one_block(self, rng_factory):
-        # 50 components of 40 nodes: one n x n array would be 32 MB, the
-        # basis is 0.8 MB and a block 12.8 kB.
+    def test_analyze_holds_no_array_beyond_one_block(self, rng_factory):
+        # 50 components of 40 nodes: one n x n array would be 32 MB, an
+        # n x 50 basis of M 0.8 MB and a block 12.8 kB.
         rng = rng_factory(65)
         blocks = [random_connected_adjacency(rng, 40, 0.15).to_scipy() for _ in range(50)]
         a_hat = normalize(SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks)),
                           "AugNormAdj")
-        n, m = a_hat.n_rows, len(blocks)
-        assert analyze(a_hat).basis.shape == (n, m)
-        assert traced_peak(analyze, a_hat) <= n * m * 8 + 2 * 2**20
+        assert analyze(a_hat).top_multiplicity == len(blocks)
+        assert traced_peak(analyze, a_hat) <= 2 * 2**20
 
     @pytest.mark.parametrize("fn", [resistance_matrix, verify_resistance_bound],
                              ids=["resistance_matrix", "verify_resistance_bound"])
@@ -339,14 +346,14 @@ class TestSubspaceDistance:
     def test_zero_inside_span(self, rng_factory):
         rng = rng_factory(44)
         a = random_connected_adjacency(rng, 8, 0.4)
-        e = analyze(normalize(a, "AugNormAdj")).basis
+        e = top_eigenspace(a, "AugNormAdj")
         h = e @ rng.normal(size=(e.shape[1], 5))
         assert subspace_distance(h, e) == pytest.approx(0.0, abs=1e-12)
 
     def test_pythagoras_split(self, rng_factory):
         rng = rng_factory(45)
         a = random_connected_adjacency(rng, 9, 0.4)
-        e = analyze(normalize(a, "AugNormAdj")).basis
+        e = top_eigenspace(a, "AugNormAdj")
         inside = e @ rng.normal(size=(e.shape[1], 4))
         raw = rng.normal(size=(9, 4))
         perp = raw - e @ (e.T @ raw)
@@ -357,7 +364,7 @@ class TestSubspaceDistance:
         rng = rng_factory(46)
         for _ in range(25):
             a = random_adjacency(rng, 11, 0.3)
-            e = analyze(normalize(a, "AugNormAdj")).basis
+            e = top_eigenspace(a, "AugNormAdj")
             h = rng.normal(size=(11, 6))
             # Oracle: residual of the best coefficient fit min_C ||H - E C||.
             c, *_ = np.linalg.lstsq(e, h, rcond=None)
@@ -664,13 +671,20 @@ class TestResistanceBound:
         assert rep.n_pairs == 1
 
     def test_computes_no_eigenvectors(self, rng_factory, monkeypatch):
-        # lambda is analyze's second_largest, read from the eigenvalues alone.
+        # lambda is analyze's second_largest, read from the eigenvalues alone:
+        # every eigensolver call asks for eigenvalues only.
         a = random_adjacency(rng_factory(54), 20, 0.2)
         rep = verify_resistance_bound(a)
         assert rep.second_largest == analyze(normalize(a, "AugNormAdj")).second_largest
-        monkeypatch.setattr(dropgcn.spectral, "_cluster_basis",
-                            lambda *args: pytest.fail("computed eigenvectors"))
+        calls, real_eigh = [], scipy.linalg.eigh
+
+        def eigh_spy(*args, **kw):
+            calls.append(kw.get("eigvals_only"))
+            return real_eigh(*args, **kw)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
         assert verify_resistance_bound(a) == rep
+        assert calls and all(calls)
 
 
 def resistance_bound_reference(a, tol):
@@ -728,7 +742,7 @@ class TestContraction:
     def _check_instance(self, rng, relu_model, n=8, depth=4):
         a = random_connected_adjacency(rng, n, 0.45)
         a_hat = normalize(a, "AugNormAdj")
-        rep = analyze(a_hat)
+        rep, basis = analyze(a_hat), top_eigenspace(a, "AugNormAdj")
         cfg = ModelConfig(backbone="gcn", n_layers=depth, hidden_dim=6,
                           bias=False, dropout=0.0)
         model = build_model(cfg, 5, 4, rng)
@@ -738,8 +752,8 @@ class TestContraction:
                 layer.activation = False
         x = rng.normal(size=(n, 5)) * rng.uniform(0.5, 3.0)
         _, hidden = forward(model, [a_hat] * model.n_gcls, x, training=False)
-        dists = [subspace_distance(x, rep.basis)] + \
-            [subspace_distance(h, rep.basis) for h in hidden]
+        dists = [subspace_distance(x, basis)] + \
+            [subspace_distance(h, basis) for h in hidden]
         lam = rep.second_largest
         for l in range(1, len(dists)):
             assert dists[l] <= svals[l - 1] * lam * dists[l - 1] + 1e-9, (
@@ -764,18 +778,18 @@ class TestContraction:
         for _ in range(30):
             a = random_connected_adjacency(rng, 8, 0.6)
             a_hat = normalize(a, "AugNormAdj")
-            rep = analyze(a_hat)
+            rep, basis = analyze(a_hat), top_eigenspace(a, "AugNormAdj")
             cfg = ModelConfig(backbone="gcn", n_layers=12, hidden_dim=6,
                               bias=False, dropout=0.0)
             model = build_model(cfg, 5, 4, rng)
             rescale_filters(model, target=0.9)
             x = rng.normal(size=(8, 5))
             _, hidden = forward(model, [a_hat] * model.n_gcls, x, training=False)
-            d0 = subspace_distance(x, rep.basis)
+            d0 = subspace_distance(x, basis)
             eps = 1e-3 * d0
             s = sup_singular_value(model)
             l_hat = relaxed_smoothing_layer(eps, d0, s, rep.second_largest)
-            l_star = empirical_smoothing_layer(hidden, rep.basis, eps)
+            l_star = empirical_smoothing_layer(hidden, basis, eps)
             if l_star is not None:
                 reached += 1
                 assert l_star <= l_hat
@@ -785,40 +799,41 @@ class TestContraction:
         rng = rng_factory(56)
         a = random_connected_adjacency(rng, 8, 0.5)
         a_hat = normalize(a, "AugNormAdj")
-        rep = analyze(a_hat)
+        basis, lam = top_eigenspace(a, "AugNormAdj"), analyze(a_hat).second_largest
         cfg = ModelConfig(backbone="gcn", n_layers=6, hidden_dim=5, bias=False)
         model = build_model(cfg, 4, 3, rng)
         rescale_filters(model, target=0.8)
         x = rng.normal(size=(8, 4))
         _, hidden = forward(model, [a_hat] * 6, x, training=False)
-        probe = smoothing_probe(hidden, rep, sup_singular_value(model), 1e-4)
+        probe = smoothing_probe(hidden, basis, lam, sup_singular_value(model), 1e-4)
         assert len(probe.distances) == 6
         assert probe.s <= 0.8 + 1e-12
         if probe.l_star is not None:
             assert probe.distances[probe.l_star - 1] < 1e-4
         # l_star, read off the distances, agrees with the layer-by-layer scan.
         for eps in (1e-4, probe.distances[3], 2.0 * probe.distances[0]):
-            got = smoothing_probe(hidden, rep, probe.s, eps).l_star
-            assert got == empirical_smoothing_layer(hidden, rep.basis, eps)
+            got = smoothing_probe(hidden, basis, lam, probe.s, eps).l_star
+            assert got == empirical_smoothing_layer(hidden, basis, eps)
 
 
     def test_probe_rejects_nan_model(self, rng_factory):
         rng = rng_factory(57)
-        a_hat = normalize(random_connected_adjacency(rng, 8, 0.5), "AugNormAdj")
-        rep = analyze(a_hat)
+        a = random_connected_adjacency(rng, 8, 0.5)
+        a_hat = normalize(a, "AugNormAdj")
+        basis, lam = top_eigenspace(a, "AugNormAdj"), analyze(a_hat).second_largest
         cfg = ModelConfig(backbone="gcn", n_layers=3, hidden_dim=5, bias=False)
         model = build_model(cfg, 4, 3, rng)
         x = rng.normal(size=(8, 4))
         _, hidden = forward(model, [a_hat] * 3, x, training=False)
         # Finite states, but a nan filter norm: named as s.
         with pytest.raises(ValueError, match="^s must be finite"):
-            smoothing_probe(hidden, rep, math.nan, 1e-3)
+            smoothing_probe(hidden, basis, lam, math.nan, 1e-3)
         for w in model.filter_weights():
             w.data[...] = math.nan
         _, hidden = forward(model, [a_hat] * 3, x, training=False)
         # nan states: d0 is nan and is named before s.
         with pytest.raises(ValueError, match="^d0 must be finite"):
-            smoothing_probe(hidden, rep, math.nan, 1e-3)
+            smoothing_probe(hidden, basis, lam, math.nan, 1e-3)
 
 
 class TestTrajectory:

@@ -13,7 +13,8 @@ builds (the same graph and the two connected graphs of --seed), and print
 
     spectral <analyze> <trajectory> <resistance>
 
-the sha256[:16] of analyze's eigenvalue and basis bytes, of the
+the sha256[:16] of analyze's eigenvalue bytes, top multiplicity and
+component count (as perfbench's analyze_op hashes them), of the
 trajectory's (removed_edge, n_components, top_multiplicity,
 second_largest) steps and of the resistance report's (second_largest,
 n_pairs, worst_margin, worst_pair).
@@ -77,7 +78,7 @@ def spectral_digests(graph, seed, size):
     traj = spectral.theorem1_trajectory(cora_shaped.connected_graph(seed, *sizes.trajectory),
                                         seed)
     res = spectral.verify_resistance_bound(cora_shaped.connected_graph(seed, *sizes.resistance))
-    return (sha16(rep.eigenvalues.tobytes(), rep.basis.tobytes()),
+    return (sha16(rep.eigenvalues.tobytes(), rep.top_multiplicity, rep.component_count),
             sha16([(s.removed_edge, s.n_components, s.top_multiplicity, s.second_largest)
                    for s in traj.steps]),
             sha16((res.second_largest, res.n_pairs, res.worst_margin, res.worst_pair)))
