@@ -377,8 +377,8 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
     dropout off and batch statistics frozen, so a measurement on a frozen
     model is a pure function of the sampler state. Needs a symmetric scheme,
     whose top eigenspace spectral.top_eigenspace gives in closed form, and
-    probed
-    layers that form a chain: each layer l in the range reads layer l-1.
+    probed layers that form a chain: each layer l in the range reads layer
+    l-1.
     """
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
     graph, a_hat = _prepared_graph(config, graph)
