@@ -18,7 +18,7 @@ from .dropedge import DropEdgeConfig
 from .graph import DatasetError, load_graph_dir
 from .models import BACKBONES, ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
-from .spectral import TOP_CLUSTER_TOL, analyze, theorem1_trajectory, top_eigenspace
+from .spectral import TOP_CLUSTER_TOL, analyze, theorem1_trajectory
 from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
                        ablate_layerwise, oversmoothing_probe, train, write_json)
 
@@ -109,7 +109,7 @@ def _cmd_spectral(args, parser):
         "top_multiplicity": report.top_multiplicity,
         "second_largest": report.second_largest,
         "component_count": report.component_count,
-        "basis_shape": list(top_eigenspace(graph.adjacency, args.normalization).shape),
+        "basis_shape": [graph.n_nodes, report.top_multiplicity],
     }
     out = Path(args.out_dir)
     write_json(out / "spectral.json", payload)

@@ -397,8 +397,12 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
         if widths[l - 1] != widths[l - 2]:
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
-    lam = spectral.analyze(a_hat).second_largest
     basis = spectral.top_eigenspace(graph.adjacency, mcfg.scheme)
+    # Theorem 1's lambda: the largest magnitude outside M, i.e. beyond the
+    # top dim(M) eigenvalues. analyze's numerical cluster can hold more,
+    # when a weak edge puts an eigenvalue within its tol of the top.
+    outside = spectral.analyze(a_hat).eigenvalues[:graph.n_nodes - basis.shape[1]]
+    lam = float(np.abs(outside).max(initial=0.0))
 
     def measured(model):
         mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls, rng, a_hat)

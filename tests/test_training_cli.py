@@ -20,7 +20,7 @@ from dropgcn import (BACKBONES, DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      TrainingDiverged, accuracy, forward, load_model,
                      normalize, oversmoothing_probe, softmax_cross_entropy,
                      synthetic_sbm, train)
-from dropgcn import autodiff, cli, dropedge, models, sparsemat, training
+from dropgcn import autodiff, cli, dropedge, models, sparsemat, spectral, training
 from dropgcn.autodiff import Tape, active_tape
 from dropgcn.graph import adjacency_from_pairs, save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
@@ -885,6 +885,36 @@ class TestProbe:
         oversmoothing_probe(small_config(epochs=3, n_layers=4, scheme="BingGeNormAdj"),
                             graph=sbm, layer_range=(2, 3))
         assert calls == ["BingGeNormAdj"]
+
+    def test_probe_lambda_leaves_out_only_m_under_a_weak_bridge(self, monkeypatch):
+        # Two 20-node blocks joined by one edge of weight 1e-9 form one
+        # component, so M has one column, but the second eigenvalue lies
+        # within analyze's tolerance of the top, so its cluster holds two.
+        # Theorem 1's lambda is that second eigenvalue, not the third.
+        two = synthetic_sbm(n_nodes=40, n_blocks=2, p_intra=0.5, p_inter=0.0,
+                            n_features=8, seed=3)
+        a = two.adjacency
+        bridged = sparsemat.SparseMatrix.from_coo(
+            40, 40, np.concatenate([a.row_ids(), [0, 1]]),
+            np.concatenate([a.col_indices, [1, 0]]), np.concatenate([a.values, [1e-9] * 2]))
+        graph = Graph(40, bridged, two.features, two.labels, two.splits)
+        a_hat = normalize(bridged, "AugNormAdj")
+        assert sparsemat.connected_components(bridged)[1] == 1
+        assert spectral.analyze(a_hat).top_multiplicity == 2
+        seen = []
+        real = spectral.smoothing_probe
+
+        def spy(hidden, basis, lam, s, epsilon):
+            seen.append((basis.shape[1], lam))
+            return real(hidden, basis, lam, s, epsilon)
+
+        monkeypatch.setattr(spectral, "smoothing_probe", spy)
+        oversmoothing_probe(small_config(epochs=2, n_layers=4), graph=graph, layer_range=(2, 3))
+        w = np.linalg.eigvalsh(a_hat.to_dense())
+        assert 1 - 1e-8 < w[-2] < 1 - 1e-12
+        assert [c for c, _ in seen] == [1, 1]
+        for _, lam in seen:
+            assert lam == pytest.approx(np.abs(w[:-1]).max(), abs=1e-12)
 
     def test_probe_rejects_bad_settings(self, sbm):
         cfg = small_config(n_layers=4, scheme="AugRWalk")

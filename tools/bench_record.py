@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Record the benchmark's results in a BENCH_<name>.json file.
 
-For each workload, perfbench/run.py runs --runs times untraced and once
-with --trace 1, each run in its own process, one after the other. The
-record holds run.py's `env` line, the median, range and values of each
-untraced metric (the end-to-end ones, which run.py's JSON line carries, and
-the workload's detail metrics), the traced run's per-layer metrics, every
-failed operation, and every run that ended without its JSON line.
+For each workload, perfbench/run.py runs RUNS times untraced and once
+with --trace 1, at seed SEED for SECONDS seconds, each run in its own
+process, one after the other. The record holds run.py's `env` line, the
+median, range and values of each untraced metric (the end-to-end ones,
+which run.py's JSON line carries, and the workload's detail metrics), the
+traced run's per-layer metrics, every failed operation, and every run that
+ended without its JSON line.
 
 One record does not replace alternating runs against a parent commit:
 the host's speed drifts between sessions, so compare records only as a
 trajectory. perfbench/ is only run, never changed.
 
     python3 tools/bench_record.py --out BENCH_27.json
-    python3 tools/bench_record.py --workload spectral --runs 5 --out /tmp/spectral.json
 """
 
 import argparse
@@ -26,6 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("shallow-wide", "deep-layerwise", "deep-nodrop", "spectral")
+RUNS = 3
+SEED = 0
+SECONDS = 20.0
 
 
 def parse_run(stdout):
@@ -85,10 +88,10 @@ def summarize(untraced, traced):
     }
 
 
-def run_perfbench(workload, trace, seed, seconds):
+def run_perfbench(workload, trace):
     """(exit code, stdout) of one run.py process."""
-    cmd = [sys.executable, str(RUN_PY), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, str(RUN_PY), "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         return proc.returncode, proc.stdout + proc.stderr[-2000:]
@@ -119,17 +122,9 @@ def record(workloads, runs, run):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="record file to write")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run (repeatable; default: all four)")
-    parser.add_argument("--runs", type=int, default=3, help="untraced runs per workload")
-    parser.add_argument("--seed", type=int, default=0, help="run.py's --seed")
-    parser.add_argument("--seconds", type=float, default=20.0, help="run.py's --seconds")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-    rec = record(args.workload or WORKLOADS, args.runs,
-                 lambda w, trace: run_perfbench(w, trace, args.seed, args.seconds))
-    rec["seconds"] = args.seconds
+    rec = record(WORKLOADS, RUNS, run_perfbench)
+    rec["seconds"] = SECONDS
     Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     failed = any(w["failed_ops"] or w["failed_runs"] for w in rec["workloads"].values())
