@@ -7,8 +7,6 @@ provides the conversion and multiplication kernels; everything observable
 goes through this class so the storage invariants hold everywhere.
 """
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -163,15 +161,11 @@ class SparseMatrix:
         so position k of the sort holds the twin of CSR entry k. The matrix
         is immutable, so the twins are found at most once per instance: the
         result is kept, read-only, and returned by every later call. A
-        pairwise mask of a matrix (keep_entries) and a normalization
-        (normalize) pass its twins on without a sort, a normalization only
-        when they are first asked for.
+        pairwise mask of a matrix (keep_entries) passes its twins on without
+        a sort.
         """
-        # _twins holds the result, or a function that makes it without a
-        # sort; while unset, the sort makes it.
-        find = getattr(self, "_twins", self._sorted_twins)
-        if callable(find):
-            self._twins = find()
+        if not hasattr(self, "_twins"):
+            self._twins = self._sorted_twins()
         return self._twins
 
     def _sorted_twins(self):
@@ -209,12 +203,13 @@ class SparseMatrix:
 
 
 def degrees(a):
-    """Weighted row sums as a dense float vector.
+    """Weighted row sums as a dense float64 vector.
 
     Zero rows (isolated nodes) yield 0. Each row is summed on its own, left
     to right in column order, so results are reproducible bit for bit.
     """
-    return np.bincount(a.row_ids(), weights=a.values, minlength=a.n_rows)
+    d = np.bincount(a.row_ids(), weights=a.values, minlength=a.n_rows)
+    return d.astype(np.float64, copy=False)  # bincount gives integers when nothing is stored
 
 
 def check_adjacency(a):
@@ -257,11 +252,7 @@ def _with_diagonal(a, off_diagonal, diagonal):
     """a's pattern carrying the values `off_diagonal` (in CSR order), plus
     `diagonal` on the main diagonal, which a leaves empty. Built directly in
     CSR: each diagonal entry goes into its sorted row. Entries that are
-    exactly zero (underflow) are pruned.
-
-    `a` is symmetric (normalize checks it first), and the result inherits
-    its twins (SparseMatrix.twins). Training never reads them, so unless an
-    entry is pruned they are made on the result's first twins() call."""
+    exactly zero (underflow) are pruned."""
     n = a.n_rows
     rows = a.row_ids()
     # Every earlier row gains one diagonal entry; an entry right of its own
@@ -278,22 +269,8 @@ def _with_diagonal(a, off_diagonal, diagonal):
     offsets = a.row_offsets + np.arange(n + 1)
     keep = vals != 0.0
     if not keep.all():
-        return keep_entries(n, n, offsets, cols, vals, keep,
-                            _moved_twins(pos, a.twins(), a.nnz + n))
-    out = SparseMatrix(n, n, offsets, cols, vals)
-    out._twins = functools.partial(_moved_twins, pos, a.twins(), a.nnz + n)
-    return out
-
-
-def _moved_twins(pos, twins, size):
-    """Read-only twins of a matrix of `size` entries made by moving each
-    entry k of a source with twins `twins` to position pos[k] and adding
-    one diagonal entry in each position pos leaves free: entry pos[k] has
-    its twin at pos[twins[k]], and a diagonal entry is its own twin."""
-    out = np.arange(size)
-    out[pos] = pos[twins]
-    out.flags.writeable = False
-    return out
+        return keep_entries(n, n, offsets, cols, vals, keep)
+    return SparseMatrix(n, n, offsets, cols, vals)
 
 
 def normalize(a, scheme):

@@ -25,7 +25,8 @@ undirected edge id, as a DropEdge draw does. A trajectory draws every
 removal first and counts each step's components by union-find over the
 removals in reverse. It then solves its steps in stacks, each one numpy
 eigvalsh call on the steps' matrices restricted to the nodes that still
-have an edge at the stack's first step, on two worker threads, since that
+have an edge at the stack's first step. Two worker threads each build and
+solve whole stacks, and one's solve overlaps the other's build, since that
 LAPACK call releases the GIL.
 scipy.linalg is imported inside the functions that use it, so importing the
 package (and training) does not load it.
@@ -47,19 +48,17 @@ number of components:
   resistance_matrix adds its n x n output. effective_resistance builds only
   the block of the pair's component and reads the pair from its Cholesky
   factor by one solve, without the inverse.
-- theorem1_trajectory holds at most three stacks of step matrices, two
-  being solved, each with eigvalsh's copy of one of its matrices, and one
-  being built. A stack's matrices and their steps' n eigenvalues take at
-  most STACK_BYTES (4 MB), or one step's if that is more; then the steps
-  are built and solved one at a time, so a large graph holds one n x n
-  matrix and its copy. Each stack is mapped from the system and unmapped
-  when freed, and only eigvalsh runs on the worker threads, so their
-  malloc arenas keep next to nothing resident after the call.
+- theorem1_trajectory holds at most one stack of step matrices per
+  worker, with eigvalsh's copy of one of its matrices. A stack's matrices
+  and their steps' n eigenvalues take at most STACK_BYTES (4 MB), or one
+  step's if that is more; then one worker builds and solves the steps one
+  at a time, so a large graph holds one n x n matrix and its copy. Each
+  stack is mapped from the system and unmapped when freed, so no worker's
+  malloc arena keeps it resident after the call.
 """
 
 import math
 import mmap
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -563,12 +562,14 @@ def theorem1_trajectory(a, seed, epsilon=1e-3):
     still have an edge at its first step and solved by one eigenvalue-only
     numpy eigvalsh call (LAPACK dsyevd). A stack's matrices and its steps'
     n eigenvalues take at most STACK_BYTES, and a stack holds at least one
-    step. eigvalsh releases the GIL, so two worker threads solve the
-    stacks while the calling thread builds the next; when one step alone
-    exceeds STACK_BYTES, the steps are built and solved one at a time on
-    one worker, so a large graph holds one dense matrix and its copy at a
-    time. The workers are joined before the function returns or raises,
-    and the results do not depend on which thread solves a stack.
+    step. Two worker threads each build a stack and solve it (one
+    pool.map over the stacks), and eigvalsh releases the GIL, so one
+    worker's solve overlaps the other's build; when one step alone exceeds
+    STACK_BYTES, one worker builds and solves the steps one at a time, so a
+    large graph holds one dense matrix and its copy at a time. The workers
+    are joined before the function returns or raises, a failed solve
+    cancels the stacks not yet started, and the results do not depend on
+    which thread solves a stack.
     """
     seed = check_integer("seed", seed)
     if seed < 0:
@@ -605,28 +606,15 @@ def theorem1_trajectory(a, seed, epsilon=1e-3):
         end = min(first + max(STACK_BYTES // step_bytes(first), 1), n_edges + 1)
         bounds.append((first, end))
         first = end
-    # This thread builds every array but eigvalsh's own, so the workers'
-    # malloc arenas keep next to nothing: two stacks are solved while it
-    # builds a third, or one at a time when a step exceeds STACK_BYTES.
     workers = 2 if step_bytes(0) <= STACK_BYTES else 1
-    spectra, solving = [], deque()
 
-    def finish():
-        future, singles = solving.popleft()
-        w = np.concatenate([future.result(), singles], axis=1)
-        spectra.append(_top_cluster(w, TOP_CLUSTER_TOL))
+    def solve(bound):
+        stack, singles = _step_stack(a, removal, last_step, *bound)
+        w = np.concatenate([np.linalg.eigvalsh(stack), singles], axis=1)
+        return _top_cluster(w, TOP_CLUSTER_TOL)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for first, end in bounds:
-            if workers == 1 and solving:
-                finish()
-            stack, singles = _step_stack(a, removal, last_step, first, end)
-            if len(solving) == workers:
-                finish()
-            solving.append((pool.submit(np.linalg.eigvalsh, stack), singles))
-            del stack  # the pool holds it until it is solved
-        while solving:
-            finish()
+        spectra = list(pool.map(solve, bounds))
     multiplicity = np.concatenate([m for m, _ in spectra]).tolist()
     second = np.concatenate([s for _, s in spectra]).tolist()
 

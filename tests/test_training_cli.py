@@ -227,8 +227,8 @@ class TestTrain:
 
     def test_draws_do_not_re_sort_the_adjacency(self, sbm, monkeypatch):
         # The Graph's adjacency check found its transpose twins once; every
-        # draw's edge ids and the run's normalization reuse them, and each
-        # draw inherits its own, so its normalization sorts nothing either.
+        # draw's edge ids reuse them, and each draw inherits its own, so the
+        # symmetry check of its normalization sorts nothing either.
         sorts = []
         real = np.argsort
 
@@ -1101,21 +1101,6 @@ class TestOneNormalizationPerCall:
         assert len(made) == 1
         assert len(used) == self.RUNS[call] + (call == "probe")
         assert all(full is made[0] for full in used)
-
-    def test_layerwise_train_builds_no_twins_of_a_normalization(self, sbm, monkeypatch):
-        # Training never reads a normalized matrix's twins, so no draw's
-        # normalization (and not the full graph's) makes them.
-        built = []
-        real = sparsemat._moved_twins
-        monkeypatch.setattr(sparsemat, "_moved_twins",
-                            lambda *args: built.append(args) or real(*args))
-        cfg = small_config(epochs=3, n_layers=3)
-        cfg.model.dropedge = DropEdgeConfig(p=0.4, layer_wise=True)
-        train(cfg, graph=sbm)
-        assert built == []
-        # The spy sees a normalization's twins once they are asked for.
-        normalize(sbm.adjacency, cfg.model.scheme).twins()
-        assert len(built) == 1
 
 
 def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
