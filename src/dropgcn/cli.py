@@ -18,7 +18,7 @@ from .dropedge import DropEdgeConfig
 from .graph import DatasetError, load_graph_dir
 from .models import BACKBONES, ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
-from .spectral import TOP_CLUSTER_TOL, analyze, theorem1_trajectory
+from .spectral import SMOOTHING_EPSILON, TOP_CLUSTER_TOL, analyze, theorem1_trajectory
 from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
                        ablate_layerwise, oversmoothing_probe, train, write_json)
 
@@ -178,7 +178,7 @@ def build_parser():
                            help="random edge-removal trajectory of the spectral gap")
     _add_data_flags(p_thm)
     p_thm.add_argument("--seed", type=int, default=0)
-    p_thm.add_argument("--epsilon", type=float, default=1e-3)
+    p_thm.add_argument("--epsilon", type=float, default=SMOOTHING_EPSILON)
 
     p_abl = sub.add_parser("ablate", help="dropout/edge-drop ablation grids")
     _add_data_flags(p_abl)

@@ -15,7 +15,7 @@ list repeats one matrix object), or an independent draw per layer.
 
 DropEdgeConfig is the first config class in the import order, so the type
 checks every config class applies to its fields live here: check_integer,
-check_real and check_flag.
+check_real and check_flag, and _bind, which sets the values they return.
 """
 
 import numbers
@@ -50,14 +50,21 @@ def check_flag(name, value):
     return bool(value)
 
 
-@dataclass
+def _bind(config, **values):
+    """Set checked values on a frozen config, from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(config, name, value)
+
+
+@dataclass(frozen=True)
 class DropEdgeConfig:
     """Edge-dropping settings: drop rate p in [0, 1] and granularity.
 
     The normalization scheme is the model's, ModelConfig.scheme. `scheme`
     here is an optional echo of it, so configs that name it still construct;
     nothing normalizes with it, and ModelConfig rejects an echo that differs
-    from its own scheme.
+    from its own scheme. Like every config, it is checked once, when built,
+    and frozen; dataclasses.replace makes a changed copy and checks it.
     """
 
     p: float = 0.0
@@ -65,8 +72,8 @@ class DropEdgeConfig:
     scheme: str = None
 
     def __post_init__(self):
-        self.p = check_real("p", self.p)
-        self.layer_wise = check_flag("layer_wise", self.layer_wise)
+        _bind(self, p=check_real("p", self.p),
+              layer_wise=check_flag("layer_wise", self.layer_wise))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"drop rate p must lie in [0, 1], got {self.p}")
 

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .autodiff import (BatchNormState, Tensor, add, add_bias, batch_norm,
                        concat_cols, dropout, index_mask, matmul, relu, spmm)
-from .dropedge import DropEdgeConfig, check_flag, check_integer, check_real
+from .dropedge import DropEdgeConfig, _bind, check_flag, check_integer, check_real
 from .optim import glorot_init
 from .sparsemat import SCHEMES
 
@@ -51,7 +51,7 @@ BACKBONES = ("gcn", "resgcn", "jknet", "incepgcn")
 SPARSE_INPUT_DENSITY = 0.10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Architecture settings.
 
@@ -64,6 +64,9 @@ class ModelConfig:
     normalizes every edge-dropping draw, the full graph for p=0 training,
     and the full graph for evaluation. `dropedge` holds the drop rate and
     the granularity; an echo of the scheme in it must equal `scheme`.
+
+    Checked once, when built, and frozen, so build_model checks no field;
+    dataclasses.replace makes a changed copy and checks it again.
     """
 
     backbone: str = "gcn"
@@ -77,36 +80,29 @@ class ModelConfig:
     dropedge: DropEdgeConfig = field(default_factory=DropEdgeConfig)
 
     def __post_init__(self):
-        self.backbone = str(self.backbone).lower()
+        _bind(self, backbone=str(self.backbone).lower())
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}; expected one of {BACKBONES}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown normalization scheme {self.scheme!r}")
         if not isinstance(self.dropedge, DropEdgeConfig):
             raise ValueError(f"dropedge must be a DropEdgeConfig, got {self.dropedge!r}")
-        _check_scheme_echo(self)
-        self.n_layers = check_integer("n_layers", self.n_layers)
-        self.hidden_dim = check_integer("hidden_dim", self.hidden_dim)
+        if self.dropedge.scheme not in (None, self.scheme):
+            raise ValueError(f"DropEdgeConfig.scheme {self.dropedge.scheme!r} differs from "
+                             f"ModelConfig.scheme {self.scheme!r}; the model's scheme "
+                             "normalizes every draw, so leave the sampler's unset")
+        _bind(self, n_layers=check_integer("n_layers", self.n_layers),
+              hidden_dim=check_integer("hidden_dim", self.hidden_dim))
         floor = 2 if self.backbone == "gcn" else 3
         if self.n_layers < floor:
             raise ValueError(f"{self.backbone} needs n_layers >= {floor}, got {self.n_layers}")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
-        self.dropout = check_real("dropout", self.dropout)
-        self.withloop = check_flag("withloop", self.withloop)
-        self.withbn = check_flag("withbn", self.withbn)
-        self.bias = check_flag("bias", self.bias)
+        _bind(self, dropout=check_real("dropout", self.dropout),
+              withloop=check_flag("withloop", self.withloop),
+              withbn=check_flag("withbn", self.withbn), bias=check_flag("bias", self.bias))
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-
-
-def _check_scheme_echo(config):
-    """Reject a DropEdgeConfig.scheme echo that differs from the model's."""
-    echo = config.dropedge.scheme
-    if echo not in (None, config.scheme):
-        raise ValueError(f"DropEdgeConfig.scheme {echo!r} differs from "
-                         f"ModelConfig.scheme {config.scheme!r}; the model's scheme "
-                         "normalizes every draw, so leave the sampler's unset")
 
 
 class GCLParams:
@@ -258,10 +254,7 @@ def build_model(config, n_features, n_classes, rng):
     drawn and every weight is zero: the structure load_model fills."""
     if n_features < 1 or n_classes < 1:
         raise ValueError("need at least one feature column and one class")
-    # The dropedge field may have been reassigned since construction.
-    _check_scheme_echo(config)
-    cfg = config
-    h = cfg.hidden_dim
+    h = config.hidden_dim
     gcls, wiring, head = [], [], None
 
     def weight(n_in, n_out):
@@ -271,37 +264,37 @@ def build_model(config, n_features, n_classes, rng):
     def gcl(n_in, n_out, sources, last=False, residual=False):
         """Append a GCL reading `sources`; return its output's source id."""
         w = weight(n_in, n_out)
-        self_weight = weight(n_in, n_out) if cfg.withloop else None
-        bias = Tensor(np.zeros((1, n_out)), requires_grad=True) if cfg.bias else None
-        bn = BatchNormState(n_out) if cfg.withbn and not last else None
+        self_weight = weight(n_in, n_out) if config.withloop else None
+        bias = Tensor(np.zeros((1, n_out)), requires_grad=True) if config.bias else None
+        bn = BatchNormState(n_out) if config.withbn and not last else None
         gcls.append(GCLParams(w, bias, self_weight, bn, activation=not last))
         wiring.append((tuple(sources), residual))
         return len(gcls)
 
-    if cfg.backbone in ("gcn", "resgcn"):
-        n = cfg.n_layers
+    if config.backbone in ("gcn", "resgcn"):
+        n = config.n_layers
         dims = [n_features] + [h] * (n - 1) + [n_classes]
         for i in range(n):
             gcl(dims[i], dims[i + 1], (i,), last=i == n - 1,
-                residual=cfg.backbone == "resgcn" and 0 < i < n - 1)
-    elif cfg.backbone == "jknet":
-        n = cfg.n_layers - 1
+                residual=config.backbone == "resgcn" and 0 < i < n - 1)
+    elif config.backbone == "jknet":
+        n = config.n_layers - 1
         dims = [n_features] + [h] * n
         for i in range(n):
             gcl(dims[i], dims[i + 1], (i,))
-        head_b = Tensor(np.zeros((1, n_classes)), requires_grad=True) if cfg.bias else None
+        head_b = Tensor(np.zeros((1, n_classes)), requires_grad=True) if config.bias else None
         head = GCLParams(weight(n * h, n_classes), bias=head_b, activation=False)
         wiring.append((tuple(range(1, n + 1)), False))
     else:  # incepgcn: stem, branches of depth 1..n_layers-2, output GCL
         stem = gcl(n_features, h, (0,))
         ends = []
-        for depth in range(1, cfg.n_layers - 1):
+        for depth in range(1, config.n_layers - 1):
             out = stem
             for _ in range(depth):
                 out = gcl(h, h, (out,))
             ends.append(out)
         gcl(len(ends) * h, n_classes, ends, last=True)
-    return Model(cfg, n_features, n_classes, gcls, wiring, head=head)
+    return Model(config, n_features, n_classes, gcls, wiring, head=head)
 
 
 def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True, pool=None):

@@ -93,10 +93,6 @@ class SparseMatrix:
     def from_dense(cls, arr):
         return cls.from_scipy(sp.csr_matrix(np.asarray(arr, dtype=np.float64)))
 
-    @classmethod
-    def identity(cls, n):
-        return cls.from_scipy(sp.identity(n, format="csr"))
-
     # -- views ---------------------------------------------------------
 
     @property
@@ -119,11 +115,6 @@ class SparseMatrix:
 
     def to_dense(self):
         return self.to_scipy().toarray()
-
-    def row(self, r):
-        """(col_indices, values) slices of stored entries in row r."""
-        lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
-        return self.col_indices[lo:hi], self.values[lo:hi]
 
     def row_ids(self):
         """Row index of each stored entry, in CSR order."""

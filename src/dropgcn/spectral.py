@@ -2,8 +2,8 @@
 
 The quantities here drive the convergence story: a symmetric propagation
 matrix has a top eigenvalue cluster whose eigenspace M is the subspace that
-deep propagation collapses onto; the second-largest magnitude lambda outside
-that cluster, together with the filters' largest singular value s, bounds
+deep propagation collapses onto; the largest eigenvalue magnitude lambda
+outside M, together with the filters' largest singular value s, bounds
 how fast the subspace distance d_M(H) contracts per layer, and the relaxed
 smoothing layer inverts that bound into a depth estimate. Edge removal is
 studied directly: effective resistances, the lambda lower bound they imply,
@@ -72,6 +72,9 @@ from .sparsemat import (SYMMETRIC_SCHEMES, check_adjacency, connected_components
 MAX_DENSE_NODES = 5000
 # Eigenvalues within this distance of the largest form the top cluster.
 TOP_CLUSTER_TOL = 1e-8
+# Threshold on d_M of the over-smoothing probe, theorem1_trajectory and
+# `theorem-check` (the defaults of the latter two).
+SMOOTHING_EPSILON = 1e-3
 # Bytes of one stack of removal-trajectory step matrices, of which numpy's
 # eigvalsh takes one call, with each step's n eigenvalues; a stack holds at
 # least one matrix.
@@ -175,6 +178,13 @@ def analyze(a_hat, tol=TOP_CLUSTER_TOL):
     multiplicity, second = _top_cluster(eigenvalues[None, :], tol)
     return SpectralReport(eigenvalues=eigenvalues, top_multiplicity=int(multiplicity[0]),
                           second_largest=float(second[0]), component_count=count)
+
+
+def _lambda_outside(a_hat, dim):
+    """Theorem 1's lambda: the largest magnitude beyond a_hat's top dim = dim(M)
+    eigenvalues, which analyze's cluster can outnumber (a weak edge)."""
+    outside = analyze(a_hat).eigenvalues[:a_hat.n_rows - dim]
+    return float(np.abs(outside).max(initial=0.0))
 
 
 def top_eigenspace(adjacency, scheme):
@@ -409,17 +419,20 @@ def verify_resistance_bound(a, tol=1e-8):
     pair of a graph, under the augmented symmetric normalization.
 
     The bound says well-connected pairs (small resistance, small degrees)
-    force the second eigenvalue up. Margins below -tol count as violations;
-    tol must be finite (a negative one also flags small positive margins).
+    force the second eigenvalue up; that is lambda (second_largest), the
+    largest magnitude beyond the top c eigenvalues, c the component count.
+    Margins below -tol count as violations; tol must be finite (a negative
+    one also flags small positive margins).
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
-    lam = analyze(normalize(a, "AugNormAdj")).second_largest
+    labels, count = connected_components(a)
+    lam = _lambda_outside(normalize(a, "AugNormAdj"), count)
     d = degrees(a)
     worst_margin, worst_pair = math.inf, None
     n_pairs = 0
     violations = []
-    for nodes, block in _component_blocks(a, connected_components(a)[0]):
+    for nodes, block in _component_blocks(a, labels):
         k = len(nodes)
         # The margins overwrite the resistance block. The pairs (i, j), i < j,
         # are its strict upper triangle, which row-major order visits as a
@@ -539,7 +552,7 @@ def _step_stack(a, removal, last_step, first, end):
     return stack, singles
 
 
-def theorem1_trajectory(a, seed, epsilon=1e-3):
+def theorem1_trajectory(a, seed, epsilon=SMOOTHING_EPSILON):
     """Remove uniformly random edges one at a time until none remain, and
     after each removal re-normalize (AugNormAdj) and read the eigenvalues
     and the component count.

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import spectral
 from .autodiff import Tape, Tensor, backward, clear_grads, softmax_cross_entropy
-from .dropedge import check_integer, check_real, drop_count, propagation_matrices
+from .dropedge import _bind, check_integer, check_real, drop_count, propagation_matrices
 from .graph import SPLIT_NAMES, load_graph_dir
 from .models import (ModelConfig, accuracy, build_model, copy_model, forward,
                      model_view, save_model, sup_singular_value)
@@ -72,16 +72,16 @@ from .optim import AdamState, adam_step, check_rates
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
 METRIC_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "test_acc")
-PROBE_EPSILON = 1e-3  # oversmoothing_probe's smoothing threshold on d_M
 
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss leaves the reals; message says which epoch."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Everything one run needs: architecture, optimizer, data, output."""
+    """Everything one run needs: architecture, optimizer, data, output;
+    checked once, when built, and frozen (change it with dataclasses.replace)."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
     lr: float = 0.01
@@ -94,12 +94,11 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.model, ModelConfig):
             raise ValueError(f"model must be a ModelConfig, got {self.model!r}")
-        self.epochs = check_integer("epochs", self.epochs)
-        self.seed = check_integer("seed", self.seed)
+        _bind(self, epochs=check_integer("epochs", self.epochs),
+              seed=check_integer("seed", self.seed), lr=check_real("lr", self.lr),
+              weight_decay=check_real("weight_decay", self.weight_decay))
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        self.lr = check_real("lr", self.lr)
-        self.weight_decay = check_real("weight_decay", self.weight_decay)
         check_rates(self.lr, self.weight_decay)
 
 
@@ -398,11 +397,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
     basis = spectral.top_eigenspace(graph.adjacency, mcfg.scheme)
-    # Theorem 1's lambda: the largest magnitude outside M, i.e. beyond the
-    # top dim(M) eigenvalues. analyze's numerical cluster can hold more,
-    # when a weak edge puts an eigenvalue within its tol of the top.
-    outside = spectral.analyze(a_hat).eigenvalues[:graph.n_nodes - basis.shape[1]]
-    lam = float(np.abs(outside).max(initial=0.0))
+    lam = spectral._lambda_outside(a_hat, basis.shape[1])
 
     def measured(model):
         mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls, rng, a_hat)
@@ -410,7 +405,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}
         probe = spectral.smoothing_probe(hidden, basis, lam, sup_singular_value(model),
-                                         PROBE_EPSILON)
+                                         spectral.SMOOTHING_EPSILON)
         return {
             "layer_distance": diffs,
             "subspace_distance": probe.distances,

@@ -31,7 +31,8 @@ class TestGCL:
         h = Tensor(rng.normal(size=(5, 3)))
         w = Tensor(rng.normal(size=(3, 2)))
         layer = GCLParams(w, activation=True)
-        out = gcl_forward(SparseMatrix.identity(5), h, layer, training=False)
+        eye = SparseMatrix.from_scipy(sp.identity(5, format="csr"))
+        out = gcl_forward(eye, h, layer, training=False)
         np.testing.assert_allclose(out.data, np.maximum(h.data @ w.data, 0.0),
                                    atol=1e-12)
 

@@ -68,9 +68,8 @@ class TestStorage:
             assert a.row_offsets[0] == 0
             assert a.row_offsets[-1] == a.nnz
             assert np.all(np.diff(a.row_offsets) >= 0)
-            for r in range(a.n_rows):
-                cols, _ = a.row(r)
-                assert np.all(np.diff(cols) > 0)
+            for lo, hi in zip(a.row_offsets[:-1], a.row_offsets[1:]):
+                assert np.all(np.diff(a.col_indices[lo:hi]) > 0)
 
     def test_no_explicit_zeros_after_construction(self):
         m = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 0], [1.0, -1.0, 0.0])

@@ -160,7 +160,7 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="symmetric"):
             analyze(normalize(path3(), "AugRWalk"))
         with pytest.raises(ValueError, match="capped"):
-            analyze(SparseMatrix.identity(5001))
+            analyze(SparseMatrix.from_scipy(scipy.sparse.identity(5001, format="csr")))
         with pytest.raises(ValueError, match="nonempty"):
             analyze(SparseMatrix(0, 0, [0], [], []))
 
@@ -672,8 +672,8 @@ class TestResistanceBound:
         assert rep.n_pairs == 1
 
     def test_computes_no_eigenvectors(self, rng_factory, monkeypatch):
-        # lambda is analyze's second_largest, read from the eigenvalues alone:
-        # every eigensolver call asks for eigenvalues only.
+        # lambda is read from analyze's eigenvalues alone, and here equals its
+        # second_largest: every eigensolver call asks for eigenvalues only.
         a = random_adjacency(rng_factory(54), 20, 0.2)
         rep = verify_resistance_bound(a)
         assert rep.second_largest == analyze(normalize(a, "AugNormAdj")).second_largest
@@ -686,6 +686,25 @@ class TestResistanceBound:
         monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
         assert verify_resistance_bound(a) == rep
         assert calls and all(calls)
+
+    def test_weak_bridge_keeps_lambda_outside_m_only(self):
+        # Two blocks joined by one edge of weight 1e-9 form one component, so
+        # dim(M) is 1, but the second eigenvalue lies within TOP_CLUSTER_TOL of
+        # the top and analyze's cluster holds two. Theorem 1's lambda is that
+        # second eigenvalue; read outside the cluster, it was 0.6034, and
+        # 400 pairs across the bridge were reported as violations.
+        rng = np.random.default_rng(0)
+        blocks = [random_adjacency(rng, 20, 0.4).to_dense() for _ in range(2)]
+        dense = scipy.linalg.block_diag(*blocks)
+        dense[19, 20] = dense[20, 19] = 1e-9
+        a = SparseMatrix.from_dense(dense)
+        assert connected_components(a)[1] == 1
+        a_hat = normalize(a, "AugNormAdj")
+        assert analyze(a_hat).top_multiplicity == 2
+        rep = verify_resistance_bound(a)
+        assert rep.holds, (rep.worst_margin, len(rep.violations))
+        w = np.linalg.eigvalsh(a_hat.to_dense())
+        assert abs(rep.second_largest - w[-2]) <= 1e-12
 
 
 def resistance_bound_reference(a, tol):

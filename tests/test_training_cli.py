@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +113,7 @@ class TestTrain:
         assert report.test_acc == report.rows[report.best_epoch - 1]["test_acc"]
 
     def test_best_model_snapshot_reproduces_val_acc(self, sbm, tmp_path):
-        cfg = small_config(epochs=25, p=0.3)
-        cfg.out_dir = tmp_path / "run"
+        cfg = replace(small_config(epochs=25, p=0.3), out_dir=tmp_path / "run")
         report = train(cfg, graph=sbm, keep_best_model=True)
         model = load_model(tmp_path / "run" / "model.npz")
         mats = [normalize(sbm.adjacency, cfg.model.scheme)] * model.n_gcls
@@ -191,8 +190,8 @@ class TestTrain:
 
         calls.clear()
         cfg = small_config(epochs=7, n_layers=3)
-        cfg.model.dropedge = DropEdgeConfig(p=0.4, layer_wise=True)
-        train(cfg, graph=sbm)
+        drop = DropEdgeConfig(p=0.4, layer_wise=True)
+        train(replace(cfg, model=replace(cfg.model, dropedge=drop)), graph=sbm)
         assert len(calls) == 7 * 3
 
         calls.clear()
@@ -239,22 +238,28 @@ class TestTrain:
         monkeypatch.setattr(np, "argsort", counted)
         for layer_wise in (False, True):
             cfg = small_config(epochs=5, n_layers=3)
-            cfg.model.dropedge = DropEdgeConfig(p=0.4, layer_wise=layer_wise)
-            train(cfg, graph=sbm)
+            drop = DropEdgeConfig(p=0.4, layer_wise=layer_wise)
+            train(replace(cfg, model=replace(cfg.model, dropedge=drop)), graph=sbm)
         assert sorts == []
 
-    def test_reassigned_mismatched_scheme_echo_rejected_before_training(self, sbm, tmp_path,
-                                                                        monkeypatch):
-        cfg = small_config(epochs=2, scheme="AugNormAdj")
-        cfg.out_dir = tmp_path / "run"
-        cfg.model.dropedge = DropEdgeConfig(p=0.0, scheme="BingGeNormAdj")
-        calls = []
-        monkeypatch.setattr(training, "propagation_matrices",
-                            lambda *args, **kw: calls.append(args))
+    def test_configs_are_frozen_and_replace_checks_again(self):
+        # Assigning a field used to skip every check: backbone="GCN" built an
+        # incepgcn wiring, n_layers=1 a gcn below its floor, and epochs=0
+        # trained nothing. Each config is checked when built, replace included.
+        cfg = small_config(epochs=2, n_layers=4, scheme="AugNormAdj")
+        for config, name, value in ((cfg.model.dropedge, "p", 2.0),
+                                    (cfg.model, "backbone", "GCN"),
+                                    (cfg.model, "n_layers", 1), (cfg, "epochs", 0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, value)
+        assert cfg == small_config(epochs=2, n_layers=4, scheme="AugNormAdj")
+        assert replace(cfg.model, backbone="GCN").backbone == "gcn"
         with pytest.raises(ValueError, match="BingGeNormAdj.*AugNormAdj"):
-            train(cfg, graph=sbm, keep_best_model=True)
-        assert calls == []
-        assert not (tmp_path / "run" / "model.npz").exists()
+            replace(cfg.model, dropedge=DropEdgeConfig(p=0.0, scheme="BingGeNormAdj"))
+        with pytest.raises(ValueError, match="gcn needs n_layers >= 2, got 1"):
+            replace(cfg.model, n_layers=1)
+        with pytest.raises(ValueError, match="epochs must be positive"):
+            replace(cfg, epochs=0)
 
     def test_write_report_files(self, sbm, tmp_path):
         report = train(small_config(epochs=6), graph=sbm)
@@ -290,9 +295,8 @@ class TestSharedEvaluationForward:
         monkeypatch.setattr(training.np.random, "default_rng", recorded)
 
         def run(tag):
-            cfg = small_config(epochs=self.EPOCHS, n_layers=4, backbone=backbone,
-                               withloop=withloop)
-            cfg.out_dir = tmp_path / tag
+            cfg = replace(small_config(epochs=self.EPOCHS, n_layers=4, backbone=backbone,
+                                       withloop=withloop), out_dir=tmp_path / tag)
             return cfg, train(cfg, graph=sbm, keep_best_model=True)
 
         cfg, shared = run("shared")
@@ -408,10 +412,8 @@ class TestSharedEvaluationForward:
         assert training._deterministic_step(cfg.model, sbm.adjacency)
         assert self.forwards(cfg, sbm, monkeypatch) == [True] * 5 + [False]
         assert len(calls) == 1
-        cfg.out_dir = tmp_path / "tiny-p"
-        train(cfg, graph=sbm)
-        plain = small_config(epochs=5, n_layers=3)
-        plain.out_dir = tmp_path / "p0"
+        train(replace(cfg, out_dir=tmp_path / "tiny-p"), graph=sbm)
+        plain = replace(small_config(epochs=5, n_layers=3), out_dir=tmp_path / "p0")
         train(plain, graph=sbm)
         assert ((tmp_path / "tiny-p" / "metrics.csv").read_bytes()
                 == (tmp_path / "p0" / "metrics.csv").read_bytes())
@@ -918,7 +920,8 @@ class TestProbe:
 
     def test_probe_rejects_bad_settings(self, sbm):
         cfg = small_config(n_layers=4, scheme="AugRWalk")
-        cfg.model.dropedge = DropEdgeConfig(p=0.0, scheme="AugRWalk")
+        echo = DropEdgeConfig(p=0.0, scheme="AugRWalk")
+        cfg = replace(cfg, model=replace(cfg.model, dropedge=echo))
         with pytest.raises(ValueError, match="symmetric"):
             oversmoothing_probe(cfg, graph=sbm)
         with pytest.raises(ValueError, match="layer_range"):
