@@ -80,7 +80,7 @@ marks = set(traj.disconnect_steps)
 for step in traj.steps[:: max(1, len(traj.steps) // 12)]:
     note = "  <- disconnected" if step.step in marks else ""
     print(f"{step.step:>4} {step.second_largest:>8.4f} "
-          f"{step.top_multiplicity:>7} {str(step.l_hat):>6}{note}")
+          f"{step.n_components:>7} {str(step.l_hat):>6}{note}")
 last = traj.steps[-1]
-print(f"final: dim(M) = {last.top_multiplicity} (one per isolated node), "
+print(f"final: dim(M) = {last.n_components} (one per isolated node), "
       f"disjunction held = {traj.disjunction_holds}")

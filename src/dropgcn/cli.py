@@ -18,7 +18,7 @@ from .dropedge import DropEdgeConfig
 from .graph import DatasetError, load_graph_dir
 from .models import BACKBONES, ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
-from .spectral import SMOOTHING_EPSILON, TOP_CLUSTER_TOL, analyze, theorem1_trajectory
+from .spectral import SMOOTHING_EPSILON, analyze, theorem1_trajectory
 from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
                        ablate_layerwise, oversmoothing_probe, train, write_json)
 
@@ -101,7 +101,7 @@ def _cmd_spectral(args, parser):
         parser.error(f"--normalization {args.normalization} is not symmetric; "
                      f"spectral analysis needs one of {', '.join(SYMMETRIC_SCHEMES)}")
     graph = load_graph_dir(args.data_dir)
-    report = analyze(normalize(graph.adjacency, args.normalization), tol=args.tol)
+    report = analyze(normalize(graph.adjacency, args.normalization))
     payload = {
         "normalization": args.normalization,
         "n_nodes": graph.n_nodes,
@@ -172,7 +172,6 @@ def build_parser():
                             help="eigenstructure of the normalized adjacency")
     _add_data_flags(p_spec)
     p_spec.add_argument("--normalization", default="AugNormAdj", choices=list(SCHEMES))
-    p_spec.add_argument("--tol", type=float, default=TOP_CLUSTER_TOL)
 
     p_thm = sub.add_parser("theorem-check",
                            help="random edge-removal trajectory of the spectral gap")

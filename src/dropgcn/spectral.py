@@ -19,7 +19,10 @@ tridiagonal reduction, then the tridiagonal's eigenvalues); a singleton's
 eigenvalue is its diagonal entry. No eigenvector is computed anywhere: for
 a graph under a symmetric scheme, top_eigenspace builds M in closed form
 from the degrees and the components (Oono & Suzuki, arXiv 1905.10947), and
-analyze's numerical multiplicity is the check on it. Removal trajectories
+analyze's numerical multiplicity is the check on it. Theorem 1's lambda is
+read one way everywhere: the largest magnitude beyond the top dim(M)
+eigenvalues, dim(M) counted by components, so an eigenvalue that a weak
+edge puts near the top stays outside M. Removal trajectories
 read only eigenvalues; each step masks the start graph's entries by
 undirected edge id, as a DropEdge draw does. A trajectory draws every
 removal first and counts each step's components by union-find over the
@@ -70,7 +73,7 @@ from .sparsemat import (SYMMETRIC_SCHEMES, check_adjacency, connected_components
                         keep_entries, normalize)
 
 MAX_DENSE_NODES = 5000
-# Eigenvalues within this distance of the largest form the top cluster.
+# Eigenvalues (or components' top eigenvalues, for M) this close to the top.
 TOP_CLUSTER_TOL = 1e-8
 # Threshold on d_M of the over-smoothing probe, theorem1_trajectory and
 # `theorem-check` (the defaults of the latter two).
@@ -85,9 +88,10 @@ STACK_BYTES = 4 * 2**20
 class SpectralReport:
     """Eigenstructure of a symmetric propagation matrix.
 
-    eigenvalues are ascending (eigh order); top_multiplicity counts the
-    top cluster; second_largest is max |eigenvalue| outside the cluster,
-    0.0 when the cluster swallows the whole spectrum.
+    eigenvalues are ascending (eigh order). second_largest is Theorem 1's
+    lambda, the largest |eigenvalue| beyond the top dim(M), 0.0 if none;
+    top_multiplicity, the count within TOP_CLUSTER_TOL of the largest, is
+    the numerical check on dim(M).
     """
 
     eigenvalues: np.ndarray
@@ -133,29 +137,32 @@ def _check_order(n):
                          "analyze a subgraph instead")
 
 
-def _top_cluster(w, tol):
+def _top_cluster(w, dims):
     """(top multiplicity, second_largest) arrays, one entry per row of w,
-    each row the eigenvalues of one matrix: those within tol of the row's
-    largest form its top cluster, and second_largest is the largest
-    magnitude outside it, 0.0 when the cluster takes the whole row."""
-    cluster = w >= w.max(axis=1, keepdims=True) - tol
-    return cluster.sum(axis=1), np.where(cluster, 0.0, np.abs(w)).max(axis=1)
+    each row one matrix's eigenvalues in any order: the count within
+    TOP_CLUSTER_TOL of the row's largest, and the largest magnitude beyond
+    its top dims[i], 0.0 when that leaves none."""
+    w = np.sort(w, axis=1)
+    multiplicity = (w >= w[:, -1:] - TOP_CLUSTER_TOL).sum(axis=1)
+    outside = np.arange(w.shape[1]) < w.shape[1] - np.asarray(dims)[:, None]
+    return multiplicity, np.where(outside, np.abs(w), 0.0).max(axis=1)
 
 
-def analyze(a_hat, tol=TOP_CLUSTER_TOL):
-    """Eigenvalues of a symmetric propagation matrix, split at the top
-    cluster: every eigenvalue within `tol` (finite, nonnegative) of the
-    maximum counts as top.
+def analyze(a_hat):
+    """Eigenvalues of a symmetric propagation matrix, and Theorem 1's lambda
+    outside its top eigenspace M.
 
     The matrix is block diagonal over its own connected components, whose
     count is component_count, so its spectrum is the union of the blocks'.
     A singleton's eigenvalue is its diagonal entry. Every larger component's
     dense block (_component_blocks) goes to one eigenvalue-only LAPACK call
     (dsyev, lower storage, in the block's own buffer), so the largest dense
-    array is the largest component's k x k block. For the augmented
-    symmetric normalization of a graph, the cluster multiplicity equals the
-    number of connected components; that is checked by tests, not enforced
-    here, so the function stays usable on arbitrary symmetric matrices.
+    array is the largest component's k x k block. dim(M) counts the
+    components whose top eigenvalue is within TOP_CLUSTER_TOL of the
+    largest: a connected nonnegative block's top is simple (Perron-
+    Frobenius), so on a graph this is top_eigenspace's column count under
+    each symmetric scheme. Tests, not this function, compare it with
+    top_multiplicity, so arbitrary symmetric matrices stay analyzable.
     """
     from scipy.linalg import eigh
 
@@ -164,8 +171,6 @@ def analyze(a_hat, tol=TOP_CLUSTER_TOL):
     _check_order(a_hat.n_rows)
     if not a_hat.is_symmetric():
         raise ValueError("matrix is not symmetric; only symmetric schemes are analyzable")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     labels, count = connected_components(a_hat)
     singles = np.flatnonzero(np.bincount(labels)[labels] == 1)
     spectra = [a_hat.diagonal()[singles]]
@@ -174,17 +179,12 @@ def analyze(a_hat, tol=TOP_CLUSTER_TOL):
         # in Fortran order, which LAPACK can overwrite without a copy.
         spectra.append(eigh(block.T, lower=True, eigvals_only=True, overwrite_a=True,
                             check_finite=False, driver="ev"))
+    tops = np.concatenate([spectra[0]] + [w[-1:] for w in spectra[1:]])
+    dim = np.count_nonzero(tops >= tops.max() - TOP_CLUSTER_TOL)
     eigenvalues = np.sort(np.concatenate(spectra))
-    multiplicity, second = _top_cluster(eigenvalues[None, :], tol)
+    multiplicity, second = _top_cluster(eigenvalues[None, :], [dim])
     return SpectralReport(eigenvalues=eigenvalues, top_multiplicity=int(multiplicity[0]),
                           second_largest=float(second[0]), component_count=count)
-
-
-def _lambda_outside(a_hat, dim):
-    """Theorem 1's lambda: the largest magnitude beyond a_hat's top dim = dim(M)
-    eigenvalues, which analyze's cluster can outnumber (a weak edge)."""
-    outside = analyze(a_hat).eigenvalues[:a_hat.n_rows - dim]
-    return float(np.abs(outside).max(initial=0.0))
 
 
 def top_eigenspace(adjacency, scheme):
@@ -243,9 +243,8 @@ def relaxed_smoothing_layer(epsilon, d0, s, lam):
     layers; a factor of exactly 0 lands on the subspace in 1; a factor >= 1
     never contracts below epsilon, reported as math.inf.
     """
-    for name, value in (("epsilon", epsilon), ("d0", d0)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_positive("epsilon", epsilon)
+    _check_positive("d0", d0)
     for name, value in (("s", s), ("lam", lam)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -259,9 +258,9 @@ def relaxed_smoothing_layer(epsilon, d0, s, lam):
     return int(math.ceil(math.log(epsilon / d0) / math.log(factor)))
 
 
-def _check_epsilon(epsilon):
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+def _check_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def empirical_smoothing_layer(hidden_states, basis, epsilon):
@@ -269,7 +268,7 @@ def empirical_smoothing_layer(hidden_states, basis, epsilon):
 
     Scans the per-layer distances in order; None when no layer gets there.
     """
-    _check_epsilon(epsilon)
+    _check_positive("epsilon", epsilon)
     for i, h in enumerate(hidden_states, 1):
         if subspace_distance(h, basis) < epsilon:
             return i
@@ -419,15 +418,15 @@ def verify_resistance_bound(a, tol=1e-8):
     pair of a graph, under the augmented symmetric normalization.
 
     The bound says well-connected pairs (small resistance, small degrees)
-    force the second eigenvalue up; that is lambda (second_largest), the
+    force the second eigenvalue up; that is analyze's second_largest, the
     largest magnitude beyond the top c eigenvalues, c the component count.
     Margins below -tol count as violations; tol must be finite (a negative
     one also flags small positive margins).
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
-    labels, count = connected_components(a)
-    lam = _lambda_outside(normalize(a, "AugNormAdj"), count)
+    labels, _ = connected_components(a)
+    lam = analyze(normalize(a, "AugNormAdj")).second_largest
     d = degrees(a)
     worst_margin, worst_pair = math.inf, None
     n_pairs = 0
@@ -558,9 +557,10 @@ def theorem1_trajectory(a, seed, epsilon=SMOOTHING_EPSILON):
     and the component count.
 
     `seed` is a nonnegative integer, and `epsilon` is finite and positive;
-    both are checked before any work. A step's l_hat takes d0 = s = 1;
-    TOP_CLUSTER_TOL splits off the top cluster and is the drop that counts
-    as a lambda decrease.
+    both are checked before any work. A step's second_largest is lambda
+    beyond its top n_components eigenvalues (dim(M) under AugNormAdj), as
+    analyze reads it. A step's l_hat takes d0 = s = 1, and a drop of more
+    than TOP_CLUSTER_TOL counts as a lambda decrease.
 
     Requires a connected starting graph so the initial subspace dimension is
     1 and every later disconnection is visible as a +1.
@@ -587,7 +587,7 @@ def theorem1_trajectory(a, seed, epsilon=SMOOTHING_EPSILON):
     seed = check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    _check_epsilon(epsilon)
+    _check_positive("epsilon", epsilon)
     check_adjacency(a)
     _check_order(a.n_rows)
     n = a.n_rows
@@ -624,7 +624,7 @@ def theorem1_trajectory(a, seed, epsilon=SMOOTHING_EPSILON):
     def solve(bound):
         stack, singles = _step_stack(a, removal, last_step, *bound)
         w = np.concatenate([np.linalg.eigvalsh(stack), singles], axis=1)
-        return _top_cluster(w, TOP_CLUSTER_TOL)
+        return _top_cluster(w, n_components[slice(*bound)])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         spectra = list(pool.map(solve, bounds))

@@ -397,7 +397,7 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
     basis = spectral.top_eigenspace(graph.adjacency, mcfg.scheme)
-    lam = spectral._lambda_outside(a_hat, basis.shape[1])
+    lam = spectral.analyze(a_hat).second_largest
 
     def measured(model):
         mats = propagation_matrices(graph.adjacency, mcfg, model.n_gcls, rng, a_hat)

@@ -36,6 +36,17 @@ def triangle():
     return SparseMatrix.from_dense([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
+def weak_bridge():
+    """Two random 20-node blocks joined by one edge of weight 1e-9: one
+    component, so dim(M) is 1, with a second eigenvalue of AugNormAdj within
+    TOP_CLUSTER_TOL of the top."""
+    rng = np.random.default_rng(0)
+    dense = scipy.linalg.block_diag(*(random_adjacency(rng, 20, 0.4).to_dense()
+                                      for _ in range(2)))
+    dense[19, 20] = dense[20, 19] = 1e-9
+    return SparseMatrix.from_dense(dense)
+
+
 def eig_oracle(dense, tol=1e-8):
     """Second implementation of the top-cluster split, via the general
     (QR, complex) eigensolver instead of the symmetric one."""
@@ -137,6 +148,37 @@ class TestAnalyze:
         assert e.shape == (300, mult)
         np.testing.assert_allclose(e.T @ e, np.eye(mult), rtol=0, atol=1e-12)
         np.testing.assert_allclose(e @ e.T, oracle @ oracle.T, rtol=0, atol=1e-10)
+
+    def test_weak_bridge_lambda_is_outside_m(self):
+        # The numerical cluster holds two eigenvalues, but M has one
+        # dimension: lambda is the second eigenvalue, not the third.
+        a_hat = normalize(weak_bridge(), "AugNormAdj")
+        rep = analyze(a_hat)
+        w = np.linalg.eigvalsh(a_hat.to_dense())
+        assert 1 - 1e-8 < w[-2] < 1 - 1e-12
+        assert rep.top_multiplicity == 2
+        assert abs(rep.second_largest - w[-2]) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", SYMMETRIC_SCHEMES)
+    def test_lambda_is_beyond_closed_form_dim_m(self, scheme, rng_factory):
+        # Weighted graphs with isolated nodes and one 1e-9 edge between two
+        # nodes that have edges, often of two components: lambda skips
+        # exactly top_eigenspace's column count of top eigenvalues.
+        rng = rng_factory(45)
+        for _ in range(40):
+            n = int(rng.integers(6, 30))
+            dense = weighted_graph_with_singletons(rng, n).to_dense()
+            edged = np.flatnonzero(dense.any(axis=1))
+            if len(edged) < 2:
+                continue
+            i, j = rng.choice(edged, size=2, replace=False)
+            dense[i, j] = dense[j, i] = 1e-9
+            a = SparseMatrix.from_dense(dense)
+            a_hat = normalize(a, scheme)
+            w = np.linalg.eigvalsh(a_hat.to_dense())
+            dim = top_eigenspace(a, scheme).shape[1]
+            want = float(np.abs(w[:n - dim]).max(initial=0.0))
+            assert abs(analyze(a_hat).second_largest - want) <= 1e-12
 
     def test_one_by_one(self):
         rep = analyze(SparseMatrix.from_dense([[0.5]]))
@@ -283,15 +325,17 @@ class TestComponentBlocks:
 
 
 def test_top_cluster_split_per_row():
-    # Within tol of each row's largest is the cluster; second_largest is the
-    # largest magnitude outside it, a negative eigenvalue's included.
-    w = np.array([[0.2, 1.0 - 1e-6, 1.0 - 5e-9, 1.0],
+    # The multiplicity counts each row's eigenvalues within TOP_CLUSTER_TOL
+    # of its largest; second_largest is the largest magnitude beyond the
+    # row's top dims[i], a negative eigenvalue's included, in any order.
+    w = np.array([[1.0, 0.2, 1.0 - 5e-9, 1.0 - 1e-6],
                   [-0.995, 0.5, 0.99, 1.0],
-                  [2.0, 2.0, 2.0, 2.0]])
-    multiplicity, second = _top_cluster(w, 1e-8)
-    assert multiplicity.tolist() == [2, 1, 4]
-    assert second.tolist() == [1.0 - 1e-6, 0.995, 0.0]
-    assert _top_cluster(w[1:2], 0.02)[0].tolist() == [2]
+                  [2.0, 2.0, 2.0, 2.0],
+                  [0.3, 1.0, -0.1, 1.0]])
+    multiplicity, second = _top_cluster(w, [1, 2, 4, 1])
+    assert multiplicity.tolist() == [2, 1, 4, 2]
+    assert second.tolist() == [1.0 - 5e-9, 0.995, 0.0, 1.0]
+    assert _top_cluster(w[:1], [2])[1].tolist() == [1.0 - 1e-6]
 
 
 def traced_peak(fn, *args):
@@ -438,11 +482,6 @@ class TestRelaxedSmoothingLayer:
 
 
 class TestNonFiniteTolerances:
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
-    def test_analyze_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            analyze(normalize(triangle(), "AugNormAdj"), tol=tol)
-
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_resistance_bound_tol(self, tol, monkeypatch):
         # With tol=nan, `margin < -tol` never holds, so every graph would
@@ -869,6 +908,15 @@ class TestTrajectory:
         assert first.l_hat == 10  # ceil(log 1e-3 / log 0.5)
         assert rep.multiplicity_tracks_components
         assert rep.disjunction_holds
+
+    def test_weak_bridge_step_lambda_is_outside_m(self):
+        # Step 0 is the intact graph: one component, so its lambda is the
+        # second eigenvalue, which the numerical cluster also holds.
+        a = weak_bridge()
+        w = np.linalg.eigvalsh(normalize(a, "AugNormAdj").to_dense())
+        start = theorem1_trajectory(a, seed=0).steps[0]
+        assert (start.n_components, start.top_multiplicity) == (1, 2)
+        assert abs(start.second_largest - w[-2]) <= 1e-12
 
     def test_star_disconnects_every_step(self):
         star = SparseMatrix.from_dense(

@@ -1223,14 +1223,6 @@ class TestCli:
                     "--normalization", "AugRWalk")
         assert exc.value.code == 2
 
-    def test_spectral_rejects_non_finite_tol(self, dataset_dir, tmp_path, capsys):
-        out = tmp_path / "spec"
-        code = run_cli("analyze-spectral", "--data-dir", str(dataset_dir),
-                       "--out-dir", str(out), "--tol", "nan")
-        assert code == 1
-        assert "tol must be finite and nonnegative, got nan" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_theorem_check_rejects_non_finite_epsilon(self, tmp_path, capsys):
         g = synthetic_sbm(n_nodes=10, n_blocks=2, p_intra=0.9, p_inter=0.6,
                           n_features=4, seed=1)
