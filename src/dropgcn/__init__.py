@@ -20,11 +20,10 @@ from .models import (BACKBONES, GCLParams, Model, ModelConfig, accuracy,
 from .optim import AdamState, adam_step, glorot_init
 from .sparsemat import (SCHEMES, SYMMETRIC_SCHEMES, SparseMatrix,
                         connected_components, degrees, normalize)
-from .spectral import (SmoothingProbe, SpectralReport, analyze,
-                       effective_resistance, empirical_smoothing_layer,
-                       relaxed_smoothing_layer, resistance_matrix,
-                       smoothing_probe, subspace_distance, theorem1_trajectory,
-                       top_eigenspace, verify_resistance_bound)
+from .spectral import (SpectralReport, analyze, effective_resistance,
+                       empirical_smoothing_layer, relaxed_smoothing_layer,
+                       resistance_matrix, smoothing_probe, subspace_distance,
+                       theorem1_trajectory, top_eigenspace, verify_resistance_bound)
 from .training import (ProbeReport, RunReport, TrainConfig, TrainingDiverged,
                        ablate_dropout_dropedge, ablate_layerwise,
                        oversmoothing_probe, train, write_report)

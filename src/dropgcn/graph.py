@@ -41,7 +41,6 @@ SPLIT_NAMES = ("train", "val", "test")
 # the reader's temporaries stay small whatever the size of the file.
 FEATURE_BLOCK_BYTES = 1 << 20
 _NEWLINE, _COMMA, _DOT, _ZERO = b"\n,.0"
-_DOT_ZERO = int.from_bytes(b".0", "little")
 
 
 class DatasetError(ValueError):
@@ -56,7 +55,10 @@ class Graph:
     The features, given as an array or a scipy sparse matrix, are kept once,
     as `x`, in the form the first layer reads (models.model_input: a CSR
     constant for sparse features, else the dense array); `features` gives
-    them back dense.
+    them back dense. An array passed in that already has its stored form
+    (dense features float64 and C-contiguous, labels and splits int64) is
+    kept as given, not copied, so the caller's own array becomes
+    read-only; sparse features are copied.
     """
 
     __slots__ = ("n_nodes", "adjacency", "x", "labels", "splits")
@@ -194,11 +196,6 @@ def _plain_tokens(block, n_cols):
     buf = np.frombuffer(block, dtype=np.uint8)
     delim = buf <= _COMMA
     n_tokens = np.count_nonzero(delim)
-    # Each 0.0 holds the byte pair ".0". Counting those pairs through two
-    # 16-bit views is a cheap bound that rules out most dense blocks.
-    views = (np.frombuffer(block, "<u2", count=(len(block) - k) // 2, offset=k) for k in (0, 1))
-    if 2 * sum(np.count_nonzero(view == _DOT_ZERO) for view in views) < n_tokens:
-        return None
     zero = delim[3:] & (buf[:-3] == _ZERO)  # zero[i]: a 0.0 token starts at byte i
     zero &= buf[1:-2] == _DOT
     zero &= buf[2:-1] == _ZERO

@@ -275,33 +275,29 @@ def empirical_smoothing_layer(hidden_states, basis, epsilon):
     return None
 
 
-@dataclass
-class SmoothingProbe:
-    """Layer-distance measurements against one propagation subspace."""
-
-    epsilon: float
-    distances: list
-    l_hat: float
-    l_star: object  # int layer id, or None when never reached
-    s: float
-
-
 def smoothing_probe(hidden_states, basis, lam, s, epsilon):
-    """Bundle distances to the span of `basis`, the relaxed bound at
-    second-largest magnitude `lam` and filter norm `s`, and the empirical
-    crossing.
+    """The probe.json fields of one measurement: per-layer distances to the
+    span of `basis`, the relaxed bound at second-largest magnitude `lam` and
+    filter norm `s`, and the empirical crossing.
 
-    d0 is the first hidden state's distance, which makes l_hat the bound on
-    additional layers after the first; l_star is read off the distances.
+    Returns {"subspace_distance", "l_hat", "l_star", "s"}. d0 is the first
+    hidden state's distance, which makes l_hat the bound on additional layers
+    after the first: 0 when d0 is 0 (already within epsilon), None when the
+    bound never contracts. l_star is read off the distances, None when never
+    reached. ValueError when `hidden_states` is empty, as there is no d0.
     """
     distances = [subspace_distance(h, basis) for h in hidden_states]
-    d0 = distances[0] if distances else 1.0
-    if d0 <= 0:
-        d0 = 1.0  # already on the subspace; any positive placeholder gives l_hat 0
-    l_hat = relaxed_smoothing_layer(epsilon, d0, s, lam)
-    l_star = next((i for i, d in enumerate(distances, 1) if d < epsilon), None)
-    return SmoothingProbe(epsilon=float(epsilon), distances=distances,
-                          l_hat=l_hat, l_star=l_star, s=float(s))
+    if not distances:
+        raise ValueError("smoothing_probe needs at least one hidden state")
+    # A state on the subspace starts inside the epsilon-ball, as one at
+    # distance epsilon does: 0 layers, with epsilon, s and lam still checked.
+    l_hat = relaxed_smoothing_layer(epsilon, distances[0] or epsilon, s, lam)
+    return {
+        "subspace_distance": distances,
+        "l_hat": None if l_hat == math.inf else l_hat,
+        "l_star": next((i for i, d in enumerate(distances, 1) if d < epsilon), None),
+        "s": float(s),
+    }
 
 
 # -- effective resistance ----------------------------------------------

@@ -99,6 +99,8 @@ class TrainConfig:
               weight_decay=check_real("weight_decay", self.weight_decay))
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         check_rates(self.lr, self.weight_decay)
 
 
@@ -346,8 +348,9 @@ class ProbeReport:
     """Layer-distance measurements before and after a training run.
 
     `before` and `after` each map: "layer_distance" to {l: ||H^(l) -
-    H^(l-1)||_F} over the probed range, "subspace_distance" to the per-GCL
-    d_M values, plus the relaxed bound l_hat (None when the bound never
+    H^(l-1)||_F} over the probed range, then spectral.smoothing_probe's
+    fields: "subspace_distance" to the per-GCL d_M values, the relaxed bound
+    l_hat (0 when the first distance is 0, None when the bound never
     contracts), the empirical crossing l_star (None when never reached), and
     the filters' top singular value s.
     """
@@ -404,15 +407,9 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
         _, hidden = forward(model, mats, graph.x, training=False)
         diffs = {l: float(np.linalg.norm(hidden[l - 1].data - hidden[l - 2].data))
                  for l in range(lo, hi + 1)}
-        probe = spectral.smoothing_probe(hidden, basis, lam, sup_singular_value(model),
-                                         spectral.SMOOTHING_EPSILON)
-        return {
-            "layer_distance": diffs,
-            "subspace_distance": probe.distances,
-            "l_hat": None if probe.l_hat == math.inf else probe.l_hat,
-            "l_star": probe.l_star,
-            "s": probe.s,
-        }
+        return {"layer_distance": diffs,
+                **spectral.smoothing_probe(hidden, basis, lam, sup_singular_value(model),
+                                           spectral.SMOOTHING_EPSILON)}
 
     before = measured(fresh)
     _, trained, _ = _run(config, graph, a_hat, keep_best=False)

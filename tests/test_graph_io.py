@@ -520,6 +520,19 @@ class TestFeatureStorage:
         np.testing.assert_array_equal(g.features, feats)
         assert not g.features.flags.writeable
 
+    def test_arrays_in_stored_form_are_kept_and_frozen(self):
+        # float64 C-contiguous features and int64 labels and splits are kept
+        # as the caller's own arrays, which become read-only.
+        ids = np.arange(4, dtype=np.int64)
+        feats, labels = np.eye(4), ids % 2
+        splits = {"train": ids[:2].copy(), "val": ids[2:3].copy(), "test": ids[3:].copy()}
+        g = Graph(4, adjacency_from_pairs(4, [0], [1]), feats, labels, splits)
+        assert g.x is feats and g.labels is labels
+        for name, idx in splits.items():
+            assert g.splits[name] is idx
+        for arr in (feats, labels, *splits.values()):
+            assert not arr.flags.writeable
+
 
 class TestSyntheticSBM:
     def test_deterministic(self):

@@ -865,15 +865,34 @@ class TestContraction:
         x = rng.normal(size=(8, 4))
         _, hidden = forward(model, [a_hat] * 6, x, training=False)
         probe = smoothing_probe(hidden, basis, lam, sup_singular_value(model), 1e-4)
-        assert len(probe.distances) == 6
-        assert probe.s <= 0.8 + 1e-12
-        if probe.l_star is not None:
-            assert probe.distances[probe.l_star - 1] < 1e-4
+        assert list(probe) == ["subspace_distance", "l_hat", "l_star", "s"]
+        distances = probe["subspace_distance"]
+        assert len(distances) == 6
+        assert probe["s"] <= 0.8 + 1e-12
+        if probe["l_star"] is not None:
+            assert distances[probe["l_star"] - 1] < 1e-4
         # l_star, read off the distances, agrees with the layer-by-layer scan.
-        for eps in (1e-4, probe.distances[3], 2.0 * probe.distances[0]):
-            got = smoothing_probe(hidden, basis, lam, probe.s, eps).l_star
+        for eps in (1e-4, distances[3], 2.0 * distances[0]):
+            got = smoothing_probe(hidden, basis, lam, probe["s"], eps)["l_star"]
             assert got == empirical_smoothing_layer(hidden, basis, eps)
 
+    @pytest.mark.parametrize("lam,s", [(0.5, 1.0), (0.999, 1.01)])
+    def test_probe_on_the_subspace_needs_no_layer(self, lam, s):
+        # A state already on M is within epsilon from the start: l_hat is 0,
+        # whether or not s * lam contracts.
+        basis = np.full((4, 1), 0.5)
+        probe = smoothing_probe([np.zeros((4, 3))] * 2, basis, lam, s, 1e-3)
+        assert probe["subspace_distance"] == [0.0, 0.0]
+        assert (probe["l_hat"], probe["l_star"]) == (0, 1)
+
+    def test_probe_never_contracting_has_no_l_hat(self):
+        basis = np.full((4, 1), 0.5)
+        h = np.eye(4)[:, :2]
+        assert smoothing_probe([h], basis, 0.999, 1.01, 1e-3)["l_hat"] is None
+
+    def test_probe_rejects_no_hidden_state(self):
+        with pytest.raises(ValueError, match="at least one hidden state"):
+            smoothing_probe([], np.full((4, 1), 0.5), 0.5, 1.0, 1e-3)
 
     def test_probe_rejects_nan_model(self, rng_factory):
         rng = rng_factory(57)

@@ -770,6 +770,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed must be an integer"):
             TrainConfig(seed=value)
 
+    def test_seed_must_be_nonnegative(self):
+        # Refused when built, with theorem1_trajectory's message, not later
+        # by numpy's generator once the graph is loaded.
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
+
     def test_numpy_integers_accepted_as_ints(self, sbm, tmp_path):
         # Stored as Python ints, so summary.json can hold them.
         cfg = TrainConfig(model=ModelConfig(n_layers=np.int64(2), hidden_dim=np.int32(8)),
@@ -1196,6 +1203,12 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--data-dir", str(dataset_dir), flag, value)
         assert exc.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, dataset_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--data-dir", str(dataset_dir), "--seed", "-1")
+        assert exc.value.code == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, dataset_dir):
         with pytest.raises(SystemExit) as exc:
