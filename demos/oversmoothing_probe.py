@@ -31,7 +31,7 @@ for p in (0.0, 0.6):
     report = oversmoothing_probe(cfg, graph=graph, layer_range=(2, 6))
     results[p] = report
     print(f"=== drop rate p = {p} ===")
-    for tag, block in (("fresh", report.before), ("trained", report.after)):
+    for tag, block in (("fresh", report["before"]), ("trained", report["after"])):
         dist = "  ".join(f"l{l}:{v:8.3f}"
                          for l, v in sorted(block["layer_distance"].items()))
         print(f"  {tag:>7}: {dist}")
@@ -39,8 +39,8 @@ for p in (0.0, 0.6):
               f"l* = {block['l_star']}")
     print()
 
-plain = results[0.0].after["layer_distance"]
-dropped = results[0.6].after["layer_distance"]
+plain = results[0.0]["after"]["layer_distance"]
+dropped = results[0.6]["after"]["layer_distance"]
 ratios = "  ".join(f"l{l}:{dropped[l] / plain[l]:5.1f}x" for l in sorted(plain))
 print("trained distance ratio, p=0.6 over p=0:")
 print(f"  {ratios}")

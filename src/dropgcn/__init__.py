@@ -24,9 +24,8 @@ from .spectral import (SpectralReport, analyze, effective_resistance,
                        empirical_smoothing_layer, relaxed_smoothing_layer,
                        resistance_matrix, smoothing_probe, subspace_distance,
                        theorem1_trajectory, top_eigenspace, verify_resistance_bound)
-from .training import (ProbeReport, RunReport, TrainConfig, TrainingDiverged,
-                       ablate_dropout_dropedge, ablate_layerwise,
-                       oversmoothing_probe, train, write_report)
+from .training import (RunReport, TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
+                       ablate_layerwise, oversmoothing_probe, train, write_report)
 
 __version__ = "0.1.0"
 

@@ -89,17 +89,14 @@ def _cmd_train(args, parser):
 def _cmd_probe(args, parser):
     config = _train_config(args, parser)
     report = oversmoothing_probe(config, layer_range=tuple(args.probe_layers))
-    for tag, block in (("before", report.before), ("after", report.after)):
-        dist = " ".join(f"l={l}:{v:.4g}" for l, v in block["layer_distance"].items())
+    for tag in ("before", "after"):
+        dist = " ".join(f"l={l}:{v:.4g}" for l, v in report[tag]["layer_distance"].items())
         print(f"{tag:>6}: {dist}")
     print(f"wrote {Path(config.out_dir) / 'probe.json'}")
     return 0
 
 
 def _cmd_spectral(args, parser):
-    if args.normalization not in SYMMETRIC_SCHEMES:
-        parser.error(f"--normalization {args.normalization} is not symmetric; "
-                     f"spectral analysis needs one of {', '.join(SYMMETRIC_SCHEMES)}")
     graph = load_graph_dir(args.data_dir)
     report = analyze(normalize(graph.adjacency, args.normalization))
     payload = {
@@ -109,7 +106,6 @@ def _cmd_spectral(args, parser):
         "top_multiplicity": report.top_multiplicity,
         "second_largest": report.second_largest,
         "component_count": report.component_count,
-        "basis_shape": [graph.n_nodes, report.top_multiplicity],
     }
     out = Path(args.out_dir)
     write_json(out / "spectral.json", payload)
@@ -120,9 +116,11 @@ def _cmd_spectral(args, parser):
 
 
 def _cmd_theorem(args, parser):
+    if args.seed < 0:
+        parser.error(f"seed must be nonnegative, got {args.seed}")
     graph = load_graph_dir(args.data_dir)
-    report = theorem1_trajectory(graph.adjacency, seed=args.seed, epsilon=args.epsilon)
-    payload = {"seed": args.seed, "epsilon": args.epsilon, **asdict(report)}
+    report = theorem1_trajectory(graph.adjacency, seed=args.seed)
+    payload = {"seed": args.seed, "epsilon": SMOOTHING_EPSILON, **asdict(report)}
     for step in payload["steps"]:
         if step["l_hat"] == math.inf:
             step["l_hat"] = None
@@ -171,13 +169,12 @@ def build_parser():
     p_spec = sub.add_parser("analyze-spectral",
                             help="eigenstructure of the normalized adjacency")
     _add_data_flags(p_spec)
-    p_spec.add_argument("--normalization", default="AugNormAdj", choices=list(SCHEMES))
+    p_spec.add_argument("--normalization", default="AugNormAdj", choices=SYMMETRIC_SCHEMES)
 
     p_thm = sub.add_parser("theorem-check",
                            help="random edge-removal trajectory of the spectral gap")
     _add_data_flags(p_thm)
     p_thm.add_argument("--seed", type=int, default=0)
-    p_thm.add_argument("--epsilon", type=float, default=SMOOTHING_EPSILON)
 
     p_abl = sub.add_parser("ablate", help="dropout/edge-drop ablation grids")
     _add_data_flags(p_abl)

@@ -75,8 +75,9 @@ from .sparsemat import (SYMMETRIC_SCHEMES, check_adjacency, connected_components
 MAX_DENSE_NODES = 5000
 # Eigenvalues (or components' top eigenvalues, for M) this close to the top.
 TOP_CLUSTER_TOL = 1e-8
-# Threshold on d_M of the over-smoothing probe, theorem1_trajectory and
-# `theorem-check` (the defaults of the latter two).
+# Threshold on d_M of the over-smoothing probe and of each
+# theorem1_trajectory step's l_hat, so of `probe-oversmoothing` and
+# `theorem-check`.
 SMOOTHING_EPSILON = 1e-3
 # Bytes of one stack of removal-trajectory step matrices, of which numpy's
 # eigvalsh takes one call, with each step's n eigenvalues; a stack holds at
@@ -547,16 +548,16 @@ def _step_stack(a, removal, last_step, first, end):
     return stack, singles
 
 
-def theorem1_trajectory(a, seed, epsilon=SMOOTHING_EPSILON):
+def theorem1_trajectory(a, seed):
     """Remove uniformly random edges one at a time until none remain, and
     after each removal re-normalize (AugNormAdj) and read the eigenvalues
     and the component count.
 
-    `seed` is a nonnegative integer, and `epsilon` is finite and positive;
-    both are checked before any work. A step's second_largest is lambda
-    beyond its top n_components eigenvalues (dim(M) under AugNormAdj), as
-    analyze reads it. A step's l_hat takes d0 = s = 1, and a drop of more
-    than TOP_CLUSTER_TOL counts as a lambda decrease.
+    `seed` is a nonnegative integer, checked before any work. A step's
+    second_largest is lambda beyond its top n_components eigenvalues
+    (dim(M) under AugNormAdj), as analyze reads it. A step's l_hat takes
+    d0 = s = 1 and epsilon = SMOOTHING_EPSILON, as the probe does, and a
+    drop of more than TOP_CLUSTER_TOL counts as a lambda decrease.
 
     Requires a connected starting graph so the initial subspace dimension is
     1 and every later disconnection is visible as a +1.
@@ -583,7 +584,6 @@ def theorem1_trajectory(a, seed, epsilon=SMOOTHING_EPSILON):
     seed = check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    _check_positive("epsilon", epsilon)
     check_adjacency(a)
     _check_order(a.n_rows)
     n = a.n_rows
@@ -631,7 +631,8 @@ def theorem1_trajectory(a, seed, epsilon=SMOOTHING_EPSILON):
                             n_components=n_components[step],
                             top_multiplicity=multiplicity[step],
                             second_largest=second[step],
-                            l_hat=relaxed_smoothing_layer(epsilon, 1.0, 1.0, second[step]))
+                            l_hat=relaxed_smoothing_layer(SMOOTHING_EPSILON, 1.0, 1.0,
+                                                          second[step]))
              for step in range(n_edges + 1)]
     disconnects = [s.step for prev, s in zip(steps, steps[1:])
                    if s.n_components > prev.n_components]

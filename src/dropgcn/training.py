@@ -343,36 +343,18 @@ def train(config, graph=None, keep_best_model=False):
 # -- over-smoothing probe ----------------------------------------------
 
 
-@dataclass
-class ProbeReport:
-    """Layer-distance measurements before and after a training run.
+def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
+    """Measure layer-to-layer distances on a fresh model, train it for
+    config.epochs, and measure the final model again.
 
-    `before` and `after` each map: "layer_distance" to {l: ||H^(l) -
+    Returns the probe.json fields, {"config", "layer_range": [lo, hi],
+    "before", "after"}, and writes them under config.out_dir when it is
+    set. `before` and `after` each map: "layer_distance" to {l: ||H^(l) -
     H^(l-1)||_F} over the probed range, then spectral.smoothing_probe's
     fields: "subspace_distance" to the per-GCL d_M values, the relaxed bound
     l_hat (0 when the first distance is 0, None when the bound never
     contracts), the empirical crossing l_star (None when never reached), and
     the filters' top singular value s.
-    """
-
-    layer_range: tuple
-    before: dict
-    after: dict
-    config: dict
-
-    def summary(self):
-        return {
-            "config": self.config,
-            "layer_range": list(self.layer_range),
-            "before": self.before,
-            "after": self.after,
-        }
-
-
-def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
-    """Measure layer-to-layer distances on a fresh model, train it for
-    config.epochs, and measure the final model again. Writes probe.json
-    under config.out_dir when it is set.
 
     Both measurements draw propagation matrices through the model's
     edge-drop settings (that effect is the thing observed) but keep feature
@@ -413,10 +395,10 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
 
     before = measured(fresh)
     _, trained, _ = _run(config, graph, a_hat, keep_best=False)
-    report = ProbeReport(layer_range=(lo, hi), before=before, after=measured(trained),
-                         config=_config_dict(config))
+    report = {"config": _config_dict(config), "layer_range": [lo, hi], "before": before,
+              "after": measured(trained)}
     if config.out_dir is not None:
-        write_json(Path(config.out_dir) / "probe.json", report.summary())
+        write_json(Path(config.out_dir) / "probe.json", report)
     return report
 
 

@@ -429,11 +429,11 @@ def test_criterion_09_cora_layer_distance_probe():
         cfg = _deep_cora_config(p, seed=0, epochs=150)
         probes[p] = oversmoothing_probe(cfg, graph=graph, layer_range=(2, 6))
     before_ok = all(
-        probes[0.8].before["layer_distance"][l] > probes[0.0].before["layer_distance"][l]
+        probes[0.8]["before"]["layer_distance"][l] > probes[0.0]["before"]["layer_distance"][l]
         for l in range(2, 7))
 
     def collapsed(probe):
-        dist = probe.after["layer_distance"]
+        dist = probe["after"]["layer_distance"]
         return dist[6] < 1e-6 * dist[2]
 
     after_ok = collapsed(probes[0.0]) and not collapsed(probes[0.8])

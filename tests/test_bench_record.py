@@ -1,7 +1,9 @@
-"""tools/bench_record.py's parser and summary, on canned run.py output; no
-benchmark runs."""
+"""tools/bench_record.py's parser and summary, on canned run.py output, and
+its refusal of a checkout with tracked changes, in a temporary git
+repository; no benchmark runs."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +88,38 @@ def test_record_summarizes_runs_and_keeps_failures():
     assert nodrop["traced"] is None
     assert [(r["traced"], r["exit"], r["tail"][-1]) for r in nodrop["failed_runs"]] == [
         (False, 1, "MemoryError"), (True, 1, "MemoryError")]
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_tracked_changes_lists_only_tracked_files(tmp_path):
+    assert bench_record.tracked_changes(tmp_path) == []  # not a git checkout
+    git(tmp_path, "init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git(tmp_path, "add", "a.py")
+    git(tmp_path, "commit", "-q", "-m", "a")
+    (tmp_path / "untracked.txt").write_text("left by a run\n")
+    assert bench_record.tracked_changes(tmp_path) == []
+    (tmp_path / "a.py").write_text("x = 2\n")
+    assert bench_record.tracked_changes(tmp_path) == [" M a.py"]
+
+
+def test_main_refuses_a_checkout_with_tracked_changes(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("started a run")
+
+    monkeypatch.setattr(bench_record, "record", refuse)
+    monkeypatch.setattr(bench_record, "tracked_changes", lambda root: [" M src/a.py"])
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--out", str(out)]) == 2
+    assert " M src/a.py" in capsys.readouterr().err
+    assert not out.exists()
+    # A clean checkout, or none, records as before.
+    monkeypatch.setattr(bench_record, "tracked_changes", lambda root: [])
+    monkeypatch.setattr(bench_record, "record",
+                        lambda *args: {"env": None, "runs": 3, "workloads": {}})
+    assert bench_record.main(["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["runs"] == 3

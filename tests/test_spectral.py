@@ -493,13 +493,6 @@ class TestNonFiniteTolerances:
         with pytest.raises(ValueError, match="tol must be finite"):
             verify_resistance_bound(path3(), tol=tol)
 
-    def test_trajectory_epsilon(self, monkeypatch):
-        # Checked on entry, not after every step's eigenvalues.
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_eigensolve)
-        for epsilon in (math.nan, math.inf, 0.0, -1e-3):
-            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-                theorem1_trajectory(triangle(), seed=0, epsilon=epsilon)
-
 
 def refuse_eigensolve(*args, **kw):
     raise AssertionError("eigensolved before the arguments were checked")
@@ -918,7 +911,7 @@ class TestTrajectory:
     def test_triangle_to_path_gap_jump(self):
         # Removing one triangle edge leaves the 3-path: lambda 0 -> 1/2, and
         # the relaxed layer bound rises accordingly.
-        rep = theorem1_trajectory(triangle(), seed=3, epsilon=1e-3)
+        rep = theorem1_trajectory(triangle(), seed=3)
         first = rep.steps[1]
         assert first.n_components == 1
         assert first.second_largest == pytest.approx(0.5, abs=1e-12)

@@ -842,9 +842,10 @@ class TestProbe:
     def test_probe_structure(self, sbm):
         cfg = small_config(epochs=15, p=0.5, n_layers=6)
         report = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 5))
-        assert report.layer_range == (2, 5)
-        assert report.summary()["config"]["epochs"] == 15
-        for block in (report.before, report.after):
+        assert list(report) == ["config", "layer_range", "before", "after"]
+        assert report["layer_range"] == [2, 5]
+        assert report["config"]["epochs"] == 15
+        for block in (report["before"], report["after"]):
             assert sorted(block["layer_distance"]) == [2, 3, 4, 5]
             assert all(v >= 0.0 for v in block["layer_distance"].values())
             assert len(block["subspace_distance"]) == 6
@@ -864,20 +865,21 @@ class TestProbe:
         cfg = replace(small_config(epochs=7, p=0.5, n_layers=4), out_dir=tmp_path / "probe")
         report = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
         assert trained == [7]
-        saved = json.loads((tmp_path / "probe" / "probe.json").read_text())
-        assert saved == json.loads(json.dumps(report.summary()))
+        text = (tmp_path / "probe" / "probe.json").read_text()
+        assert text == json.dumps(report, indent=2) + "\n"
+        saved = json.loads(text)
         assert saved["config"]["epochs"] == 7 and "epochs_trained" not in saved
 
     def test_probe_deterministic(self, sbm):
         cfg = small_config(epochs=8, p=0.5, n_layers=4)
         a = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
         b = oversmoothing_probe(cfg, graph=sbm, layer_range=(2, 3))
-        assert json.dumps(a.summary()) == json.dumps(b.summary())
+        assert json.dumps(a) == json.dumps(b)
 
     def test_probe_on_sparse_features(self, bow):
         cfg = small_config(epochs=5, p=0.5, n_layers=4, dropout=0.5)
         report = oversmoothing_probe(cfg, graph=bow, layer_range=(2, 3))
-        assert all(math.isfinite(v) for v in report.after["layer_distance"].values())
+        assert all(math.isfinite(v) for v in report["after"]["layer_distance"].values())
 
     def test_probe_at_p_zero_normalizes_once(self, sbm, monkeypatch):
         # One normalization for the probe's spectrum, both measurements and
@@ -959,7 +961,7 @@ class TestProbe:
         # Layers 5-7 are branch 3 of a 5-layer incepgcn, a chain.
         cfg = small_config(epochs=3, n_layers=5, backbone="incepgcn")
         report = oversmoothing_probe(cfg, graph=sbm, layer_range=(6, 7))
-        for block in (report.before, report.after):
+        for block in (report["before"], report["after"]):
             assert sorted(block["layer_distance"]) == [6, 7]
             assert all(math.isfinite(v) for v in block["layer_distance"].values())
 
@@ -1210,6 +1212,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "theorem-check"])
+    def test_negative_seed_refused_before_the_dataset_is_read(self, tmp_path, capsys,
+                                                              command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--data-dir", str(tmp_path / "nope"), "--seed", "-1")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "seed must be nonnegative, got -1" in err and "nope" not in err
+
     def test_unknown_flag_is_usage_error(self, dataset_dir):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--data-dir", str(dataset_dir), "--frobnicate")
@@ -1228,7 +1239,7 @@ class TestCli:
         payload = json.loads((out / "spectral.json").read_text())
         assert len(payload["eigenvalues"]) == sbm.n_nodes
         assert payload["top_multiplicity"] == payload["component_count"]
-        assert payload["basis_shape"] == [sbm.n_nodes, payload["top_multiplicity"]]
+        assert "basis_shape" not in payload
 
     def test_spectral_rejects_row_normalization(self, dataset_dir):
         with pytest.raises(SystemExit) as exc:
@@ -1236,17 +1247,10 @@ class TestCli:
                     "--normalization", "AugRWalk")
         assert exc.value.code == 2
 
-    def test_theorem_check_rejects_non_finite_epsilon(self, tmp_path, capsys):
-        g = synthetic_sbm(n_nodes=10, n_blocks=2, p_intra=0.9, p_inter=0.6,
-                          n_features=4, seed=1)
-        d = tmp_path / "tiny"
-        save_graph(g, d)
-        out = tmp_path / "thm"
-        code = run_cli("theorem-check", "--data-dir", str(d), "--out-dir", str(out),
-                       "--epsilon", "nan")
-        assert code == 1
-        assert "epsilon must be finite and positive, got nan" in capsys.readouterr().err
-        assert not out.exists()
+    def test_theorem_check_has_no_epsilon_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("theorem-check", "--data-dir", str(tmp_path), "--epsilon", "0.01")
+        assert exc.value.code == 2
 
     def test_theorem_check(self, tmp_path, capsys):
         # A small graph that is certainly connected.
@@ -1264,6 +1268,8 @@ class TestCli:
         assert payload["multiplicity_tracks_components"] is True
         assert payload["disjunction_holds"] is True
         assert payload["steps"][-1]["top_multiplicity"] == 10
+        assert payload["epsilon"] == 0.001
+        assert '"epsilon": 0.001,' in (out / "theorem_check.json").read_text()
         assert "disconnections=" in capsys.readouterr().out
 
     def test_probe_command(self, dataset_dir, tmp_path, capsys):
@@ -1342,7 +1348,7 @@ class TestCli:
                  TrajectoryStep(1, (0, 3), 2, 2, 1.0, math.inf),
                  TrajectoryStep(2, (1, 2), 2, 2, 0.5, 10)]
         report = TrajectoryReport(steps, [1], [2], True, True)
-        monkeypatch.setattr(cli, "theorem1_trajectory", lambda a, seed, epsilon: report)
+        monkeypatch.setattr(cli, "theorem1_trajectory", lambda a, seed: report)
         assert run_cli("theorem-check", "--data-dir", str(dataset_dir),
                        "--out-dir", str(tmp_path / "thm"), "--seed", "4") == 0
         expected = {

@@ -13,6 +13,11 @@ One record does not replace alternating runs against a parent commit:
 the host's speed drifts between sessions, so compare records only as a
 trajectory. perfbench/ is only run, never changed.
 
+The record names the checkout's HEAD commit, so a checkout whose tracked
+files differ from HEAD is refused (exit 2, no run) and the files listed;
+commit first. Outside a git checkout there is nothing to compare, and the
+record is taken.
+
     python3 tools/bench_record.py --out BENCH_27.json
 """
 
@@ -98,6 +103,18 @@ def run_perfbench(workload, trace):
     return proc.returncode, proc.stdout
 
 
+def tracked_changes(root):
+    """`git status --porcelain` lines of the tracked files that differ from
+    HEAD in the checkout at `root`; empty when `root` is not in a git
+    checkout or git is missing."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                              cwd=root, capture_output=True, text=True)
+    except FileNotFoundError:
+        return []
+    return proc.stdout.splitlines() if proc.returncode == 0 else []
+
+
 def record(workloads, runs, run):
     """The record: `run(workload, trace)` gives one run's (exit code,
     stdout); each workload runs `runs` times untraced, then once traced."""
@@ -123,6 +140,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="record file to write")
     args = parser.parse_args(argv)
+    changed = tracked_changes(ROOT)
+    if changed:
+        print("tracked files differ from HEAD, whose commit the record would name; "
+              "commit them first:", *changed, sep="\n", file=sys.stderr)
+        return 2
     rec = record(WORKLOADS, RUNS, run_perfbench)
     rec["seconds"] = SECONDS
     Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
