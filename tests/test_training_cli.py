@@ -1268,7 +1268,6 @@ class TestCli:
         assert payload["multiplicity_tracks_components"] is True
         assert payload["disjunction_holds"] is True
         assert payload["steps"][-1]["top_multiplicity"] == 10
-        assert payload["epsilon"] == 0.001
         assert '"epsilon": 0.001,' in (out / "theorem_check.json").read_text()
         assert "disconnections=" in capsys.readouterr().out
 
