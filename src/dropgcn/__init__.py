@@ -12,11 +12,11 @@ from .autodiff import (BatchNormState, Tape, Tensor, add, add_bias, backward,
                        batch_norm, clear_grads, concat_cols, dropout, matmul,
                        relu, softmax_cross_entropy, spmm, sum_all)
 from .dropedge import DropEdgeConfig, propagation_matrices, sample, sample_layerwise
-from .graph import DatasetError, Graph, load_graph, load_graph_dir, save_graph, synthetic_sbm
+from .graph import (DatasetError, Graph, load_graph, load_graph_dir, model_input, save_graph,
+                    synthetic_sbm)
 from .models import (BACKBONES, GCLParams, Model, ModelConfig, accuracy,
                      build_model, copy_model, forward, gcl_forward, load_model,
-                     model_input, predictions, rescale_filters, save_model,
-                     sup_singular_value)
+                     predictions, rescale_filters, save_model, sup_singular_value)
 from .optim import AdamState, adam_step, glorot_init
 from .sparsemat import (SCHEMES, SYMMETRIC_SCHEMES, SparseMatrix,
                         connected_components, degrees, normalize)

@@ -33,7 +33,6 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 
-from .sparsemat import keep_entries
 
 class Tensor:
     """2-D float64 array with an optional accumulated gradient.
@@ -295,7 +294,7 @@ def matmul(a, b, pool=None):
 def spmm(a_sparse, h):
     """A @ H for a gradient-free sparse constant A: a SparseMatrix (a
     propagation matrix) or a scipy sparse matrix (the input features that
-    model_input makes). H's gradient is A^T @ g, through scipy's transposed
+    graph.model_input makes). H's gradient is A^T @ g, through scipy's transposed
     view of A, so no transpose is built. It takes no pool: scipy's sparse
     product holds the GIL, so a second thread would only take turns."""
     if a_sparse.shape[1] != h.shape[0]:
@@ -358,8 +357,8 @@ def dropout(x, rate, rng, training):
     training is off (returns x itself, consuming no randomness).
 
     A sparse constant x (scipy CSR with sorted columns and no stored zeros,
-    as model_input makes it) draws one uniform per stored entry, in CSR
-    order, and returns the scaled survivors as a new CSR constant.
+    as graph.model_input makes it) draws one uniform per stored entry, in
+    CSR order, and returns the scaled survivors as a new CSR constant.
     Dropping a zero changes nothing, so the output has the distribution of
     the dense draw from nnz(x) uniforms instead of one per element.
     """
@@ -370,7 +369,8 @@ def dropout(x, rate, rng, training):
     scale = 1.0 / (1.0 - rate)
     if sp.issparse(x):
         keep = rng.random(x.nnz) >= rate
-        return keep_entries(*x.shape, x.indptr, x.indices, x.data * scale, keep).to_scipy()
+        indptr = np.concatenate(([0], np.cumsum(keep)))[x.indptr]
+        return sp.csr_matrix(((x.data * scale)[keep], x.indices[keep], indptr), shape=x.shape)
     mask = rng.random(x.shape) >= rate
 
     def build():

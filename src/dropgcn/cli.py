@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: train, probe-oversmoothing, analyze-spectral, theorem-check,
-ablate. Every run reads a dataset directory (graph.edges, features.csv,
-labels.csv, splits.json) and writes its reports under --out-dir. Exit codes:
-0 on success, 2 on usage errors (argparse), 1 on runtime failures, with the
-message on stderr.
+ablate. Every run checks its flags, then reads a dataset directory once
+(graph.edges, features.csv, labels.csv, splits.json), and writes its
+reports under --out-dir. Exit codes: 0 on success, 2 on usage errors
+(argparse), 1 on runtime failures, with the message on stderr.
 """
 
 import argparse
@@ -71,15 +71,14 @@ def _train_config(args, parser):
                             bias=not args.no_bias, scheme=args.normalization,
                             dropedge=dropedge)
         return TrainConfig(model=model, lr=args.lr, weight_decay=args.weight_decay,
-                           epochs=args.epochs, seed=args.seed,
-                           data_dir=args.data_dir, out_dir=args.out_dir)
+                           epochs=args.epochs, seed=args.seed, out_dir=args.out_dir)
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _cmd_train(args, parser):
     config = _train_config(args, parser)
-    report = train(config, keep_best_model=True)
+    report = train(config, load_graph_dir(args.data_dir), keep_best_model=True)
     print(f"best epoch {report.best_epoch}: val_acc={report.val_acc:.4f} "
           f"test_acc={report.test_acc:.4f} ({report.wall_seconds:.1f}s)")
     print(f"wrote {Path(config.out_dir) / 'metrics.csv'}")
@@ -88,7 +87,8 @@ def _cmd_train(args, parser):
 
 def _cmd_probe(args, parser):
     config = _train_config(args, parser)
-    report = oversmoothing_probe(config, layer_range=tuple(args.probe_layers))
+    report = oversmoothing_probe(config, load_graph_dir(args.data_dir),
+                                 layer_range=tuple(args.probe_layers))
     for tag in ("before", "after"):
         dist = " ".join(f"l={l}:{v:.4g}" for l, v in report[tag]["layer_distance"].items())
         print(f"{tag:>6}: {dist}")
@@ -140,7 +140,7 @@ def _cmd_theorem(args, parser):
 def _cmd_ablate(args, parser):
     config = _train_config(args, parser)
     ablate = ablate_dropout_dropedge if args.mode == "dropout-vs-dropedge" else ablate_layerwise
-    for name, rep in ablate(config).items():
+    for name, rep in ablate(config, load_graph_dir(args.data_dir)).items():
         print(f"{name:>10}: val_acc={rep.val_acc:.4f} test_acc={rep.test_acc:.4f} "
               f"(best epoch {rep.best_epoch})")
     print(f"wrote {Path(config.out_dir) / 'summary.json'}")

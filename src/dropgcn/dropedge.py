@@ -6,8 +6,8 @@ directions go together), and the survivor is re-normalized from scratch so
 degrees reflect the dropped graph. Evaluation always sees the full, fixed
 normalization, which the caller builds once and passes in. One scheme, the
 model's (ModelConfig.scheme), normalizes every draw, p=0 training and
-evaluation; DropEdgeConfig holds only the drop rate and the granularity.
-Draws, and each step of a spectral removal trajectory, mask the stored
+evaluation; DropEdgeConfig holds the rate, the granularity and an optional
+echo of that scheme. Draws and spectral removal steps mask the stored
 entries by edge_ids, read from the twins the adjacency keeps.
 
 Two granularities: one draw shared by every layer (the default; the returned

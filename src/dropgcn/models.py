@@ -8,8 +8,9 @@ with batch normalization, when enabled, between the affine part and the
 activation. The products run in whichever order keeps them narrow:
 A_hat @ (H @ W) when W has fewer columns than H, (A_hat @ H) @ W otherwise
 (the order of Kipf & Welling's reference code). Low-density input features
-(bag-of-words) enter as a sparse constant, see model_input. Backbones differ
-only in how layers are wired, which build_model records per layer as
+(bag-of-words) enter as the scipy CSR constant that Graph.x holds (made by
+graph.model_input), always projected before they are propagated. Backbones
+differ only in how layers are wired, which build_model records per layer as
 Model.wiring: the earlier outputs a layer reads (column-concatenated when
 several) and whether its input is added back onto its output.
 
@@ -41,14 +42,6 @@ from .optim import glorot_init
 from .sparsemat import SCHEMES
 
 BACKBONES = ("gcn", "resgcn", "jknet", "incepgcn")
-
-# Input features with at most this fraction of nonzero entries go into the
-# first layer as a sparse constant (bag-of-words features are about 1 % dense).
-# Timed on 2708x1433 features with one BLAS thread, a first-layer epoch on the
-# sparse path stops being faster than on the dense one at about 15 % density
-# for hidden width 256, 17 % for 128 and 30 % for 16; at 10 % it is at least
-# 1.3x faster for all three. Dense Gaussian features are 4-6x slower sparse.
-SPARSE_INPUT_DENSITY = 0.10
 
 
 @dataclass(frozen=True)
@@ -119,42 +112,6 @@ class GCLParams:
         self.activation = bool(activation)
 
 
-def stays_sparse(nnz, shape):
-    """Whether features of this shape with nnz nonzero entries go into the
-    first layer as a CSR constant: at most SPARSE_INPUT_DENSITY dense."""
-    return nnz <= SPARSE_INPUT_DENSITY * shape[0] * shape[1]
-
-
-def csr_from_flat(shape, flat, values):
-    """The CSR matrix holding values[k] at the sorted row-major flat position
-    flat[k], built as model_input builds it, index dtypes included."""
-    rows, cols = np.divmod(flat, shape[1])
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((values, cols, indptr), shape=shape)
-
-
-def model_input(features):
-    """The features as the first layer takes them: a scipy CSR constant when
-    stays_sparse, else a dense array (a dense input unchanged). `features` is
-    an array or a scipy sparse matrix; either form gives the same result.
-    Both results give the same logits up to rounding. Graph calls this once,
-    at construction, and keeps only the result."""
-    if sp.issparse(features):
-        x = sp.csr_matrix(features, dtype=np.float64, copy=True)
-        x.sum_duplicates()
-        x.eliminate_zeros()
-        return x if stays_sparse(x.nnz, x.shape) else x.toarray()
-    features = np.asarray(features, dtype=np.float64)
-    stored = features != 0
-    if not stays_sparse(np.count_nonzero(stored), features.shape):
-        return features
-    # Scanning a boolean mask, not the floats, makes this about 4x faster
-    # than sp.csr_matrix at Cora size.
-    flat = np.flatnonzero(stored)
-    return csr_from_flat(features.shape, flat, features.ravel()[flat])
-
-
 def _project(h, w, pool):
     """H @ W, for a tensor or a sparse-constant H."""
     return spmm(h, w) if sp.issparse(h) else matmul(h, w, pool=pool)
@@ -163,7 +120,7 @@ def _project(h, w, pool):
 def gcl_forward(a_hat, h, params, training, rng=None, dropout_rate=0.0, pool=None):
     """One GCL application. Input dropout happens here, before aggregation.
 
-    `h` is a tensor, or a sparse constant from model_input; a sparse input is
+    `h` is a tensor, or the sparse constant Graph.x holds; a sparse input is
     always projected before it is propagated. With a_hat=None there is no
     propagation: the layer is the dense H @ W (+ the rest), as the jknet
     head is. `pool` goes to the dense products, sums and relu, which split
@@ -306,7 +263,7 @@ def forward(model, prop_mats, x, training=False, rng=None, keep_hidden=True, poo
     in GCL execution order; for incepgcn that is input layer, then each
     branch in order of increasing depth, then the output layer. The head
     takes none. `x` is an array, a tensor, or the sparse constant
-    model_input makes. Returns (logits, hidden_states) where hidden_states
+    Graph.x holds. Returns (logits, hidden_states) where hidden_states
     holds every GCL output, in that same order, post-residual where a skip
     applies. With keep_hidden=False it is None instead, and each output is
     released as soon as its last reader has gathered it, so it lives only

@@ -21,9 +21,9 @@ SYMMETRIC_SCHEMES = ("FirstOrderGCN", "AugNormAdj", "BingGeNormAdj")
 class SparseMatrix:
     """Immutable real matrix in CSR form.
 
-    Construction canonicalizes: duplicate coordinates are an error upstream
-    (builders here never produce them), columns are sorted within each row,
-    and exact zeros are pruned. The underlying arrays are marked read-only,
+    Construction checks, and does not repair: columns must strictly increase
+    within each row and no zero may be stored. from_scipy, from_coo and
+    from_dense canonicalize (sort, and prune zeros). The arrays are read-only,
     so instances can be shared freely (the one-shot edge-dropping path leans
     on that).
     """

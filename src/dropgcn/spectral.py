@@ -238,7 +238,7 @@ def subspace_distance(h, basis):
 
 
 def relaxed_smoothing_layer(epsilon, d0, s, lam):
-    """Smallest layer count l with d0 * (s * lam)^l < epsilon.
+    """Smallest l with d0 * (s * lam)^l <= epsilon (l_star asks for a strict <).
 
     Degenerate regimes: a start already inside the epsilon-ball needs 0
     layers; a factor of exactly 0 lands on the subspace in 1; a factor >= 1

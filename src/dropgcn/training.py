@@ -6,10 +6,11 @@ on the training split, and evaluate all three splits with dropping and
 dropout off. The reported test accuracy is the one at the best validation
 epoch (earliest on ties).
 
-The probe and both ablations take every setting from their TrainConfig
-(epochs, rates, granularity) and, like train, write their reports under
-config.out_dir when it is set. Each of these four calls normalizes its graph
-once (_prepared_graph); every run it makes and the probe's spectrum share it.
+Each of the four calls takes a loaded Graph (graph.load_graph_dir reads
+one from disk). The probe and both ablations take every setting from their
+TrainConfig (epochs, rates, granularity) and, like train, write their
+reports under config.out_dir when it is set. Each call normalizes its graph
+once (_full_matrix); every run it makes and the probe's spectrum share it.
 
 Epoch e is evaluated at one point of epoch e+1: after its training
 forward, before its loss, so a validation divergence at epoch e is still
@@ -30,8 +31,8 @@ its training forward. And whenever it is otherwise idle, it takes half of
 the row-independent dense work: the bottom rows of each large dense
 product, bias, sum and relu (autodiff's `pool`) in the training forward
 of a deterministic step and in the final inline evaluation, and half of
-the elements of every Adam step (optim.adam_step). A random step's
-training forward is not split, as the worker is evaluating then. The
+the elements of every Adam step (optim.adam_step); not the training
+forward of a random step, when the worker is evaluating (see _run). The
 worker reads a view of the model at epoch e (models.model_view), makes no
 random draw and records nothing. The worker takes its work in submission
 order, and epoch e's evaluation is read before epoch e+1's backward, so
@@ -65,7 +66,7 @@ import numpy as np
 from . import spectral
 from .autodiff import Tape, Tensor, backward, clear_grads, softmax_cross_entropy
 from .dropedge import _bind, check_integer, check_real, drop_count, propagation_matrices
-from .graph import SPLIT_NAMES, load_graph_dir
+from .graph import SPLIT_NAMES
 from .models import (ModelConfig, accuracy, build_model, copy_model, forward,
                      model_view, save_model, sup_singular_value)
 from .optim import AdamState, adam_step, check_rates
@@ -80,7 +81,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything one run needs: architecture, optimizer, data, output;
+    """Everything a run needs but its graph: model, optimizer, seed, output;
     checked once, when built, and frozen (change it with dataclasses.replace)."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -88,7 +89,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     epochs: int = 400
     seed: int = 0
-    data_dir: object = None
     out_dir: object = None
 
     def __post_init__(self):
@@ -154,26 +154,20 @@ def write_report(report, out_dir):
 
 
 def _config_dict(config):
-    d = asdict(config)
-    d["data_dir"] = None if config.data_dir is None else str(config.data_dir)
-    d["out_dir"] = None if config.out_dir is None else str(config.out_dir)
-    return d
+    return {**asdict(config),
+            "out_dir": None if config.out_dir is None else str(config.out_dir)}
 
 
-def _prepared_graph(config, graph):
-    """(graph, full) for one public call: `graph` (or the one in
-    config.data_dir) and its adjacency normalized under config.model.scheme,
-    shared by every run of the call. A run needs a loss, a selection
-    criterion and a score: an empty split is rejected before anything else."""
-    if graph is None:
-        if config.data_dir is None:
-            raise ValueError("no graph given and config.data_dir is not set")
-        graph = load_graph_dir(config.data_dir)
+def _full_matrix(config, graph):
+    """graph.adjacency normalized under config.model.scheme, once per public
+    call and shared by every run of the call. A run needs a loss, a
+    selection criterion and a score: an empty split is rejected before
+    anything else."""
     for name in SPLIT_NAMES:
         if len(graph.splits[name]) == 0:
             raise ValueError(f"the {name} split is empty; training needs nonempty "
                              "train, val and test splits")
-    return graph, normalize(graph.adjacency, config.model.scheme)
+    return normalize(graph.adjacency, config.model.scheme)
 
 
 def _check_drops_edges(adjacency, p, what):
@@ -230,7 +224,7 @@ def _keep_freed_memory():
 
 def _run(config, graph, full, keep_best):
     """The epoch loop on `full`, the call's normalization of graph.adjacency
-    (_prepared_graph). Returns (report, final_model, best_model_or_None).
+    (_full_matrix). Returns (report, final_model, best_model_or_None).
 
     Per epoch: draw the propagation matrices; inside one tape run the
     training forward, the previous epoch's evaluation, the loss, its
@@ -242,9 +236,12 @@ def _run(config, graph, full, keep_best):
     of epoch e. The last epoch is evaluated inline. The pool goes to the
     training forward only on deterministic steps, and always to the Adam
     step and the last evaluation: nothing else is in flight on the worker
-    then. With keep_best, the best epoch's view (models.model_view, its
-    batch-norm statistics included) is kept, valid since no update writes
-    into an array, and copied once after the loop.
+    then. Splitting a random step's forward too raised perfbench
+    deep-layerwise peak RSS from 189-190 to 277-284 MB (3 pairs, one BLAS
+    thread, 2 vCPUs), for epochs/s of 4.30-5.02 against 3.98-4.54 without,
+    within the runs' spread. With keep_best, the best epoch's view
+    (models.model_view, its batch-norm statistics included) is kept, valid
+    since no update writes into an array, and copied once after the loop.
     """
     mcfg = config.model
     _keep_freed_memory()
@@ -318,8 +315,8 @@ def _run(config, graph, full, keep_best):
     return report, model, None if best_view is None else copy_model(best_view)
 
 
-def train(config, graph=None, keep_best_model=False):
-    """One full-batch run; returns the RunReport (and writes out_dir files).
+def train(config, graph, keep_best_model=False):
+    """One full-batch run on `graph`; returns the RunReport (writes out_dir files).
 
     With keep_best_model=True the parameters at the best validation epoch
     are snapshotted and saved to out_dir/model.npz; config.out_dir must then
@@ -332,7 +329,8 @@ def train(config, graph=None, keep_best_model=False):
     if keep_best_model and config.out_dir is None:
         raise ValueError("keep_best_model saves the best model to out_dir/model.npz; "
                          "set config.out_dir")
-    report, _, best_snapshot = _run(config, *_prepared_graph(config, graph), keep_best_model)
+    report, _, best_snapshot = _run(config, graph, _full_matrix(config, graph),
+                                    keep_best_model)
     if config.out_dir is not None:
         write_report(report, config.out_dir)
         if best_snapshot is not None:
@@ -343,7 +341,7 @@ def train(config, graph=None, keep_best_model=False):
 # -- over-smoothing probe ----------------------------------------------
 
 
-def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
+def oversmoothing_probe(config, graph, layer_range=(2, 6)):
     """Measure layer-to-layer distances on a fresh model, train it for
     config.epochs, and measure the final model again.
 
@@ -364,8 +362,10 @@ def oversmoothing_probe(config, graph=None, layer_range=(2, 6)):
     probed layers that form a chain: each layer l in the range reads layer
     l-1.
     """
+    if len(layer_range) != 2:
+        raise ValueError(f"layer_range must be a pair (lo, hi), got {layer_range!r}")
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
-    graph, a_hat = _prepared_graph(config, graph)
+    a_hat = _full_matrix(config, graph)
     mcfg = config.model
     if mcfg.scheme not in SYMMETRIC_SCHEMES:
         raise ValueError(f"probe needs a symmetric scheme, got {mcfg.scheme!r}")
@@ -426,13 +426,13 @@ def _run_arms(config, graph, full, **arms):
     return reports
 
 
-def ablate_dropout_dropedge(config, graph=None):
+def ablate_dropout_dropedge(config, graph):
     """Train the four on/off combinations of the configured feature dropout
     and edge dropping, all from the same seed; "both" is `config` itself.
     Returns {"neither", "dropout", "dropedge", "both"} -> RunReport. Requires
     a nonzero dropout and a p that drops at least one edge, else an arm
     would repeat another."""
-    graph, full = _prepared_graph(config, graph)
+    full = _full_matrix(config, graph)
     if config.model.dropout == 0.0:
         raise ValueError("the dropout/edge-drop ablation needs a nonzero dropout rate")
     _check_drops_edges(graph.adjacency, config.model.dropedge.p,
@@ -441,13 +441,13 @@ def ablate_dropout_dropedge(config, graph=None):
                      dropout={"p": 0.0}, dropedge={"dropout": 0.0}, both={})
 
 
-def ablate_layerwise(config, graph=None):
+def ablate_layerwise(config, graph):
     """One-shot versus per-layer edge dropping at the configured rate.
 
     Returns {"oneshot", "layerwise"} -> RunReport; requires a p that drops
     at least one edge, else both arms would be the same run.
     """
-    graph, full = _prepared_graph(config, graph)
+    full = _full_matrix(config, graph)
     _check_drops_edges(graph.adjacency, config.model.dropedge.p, "the layer-wise ablation")
     return _run_arms(config, graph, full, oneshot={"layer_wise": False},
                      layerwise={"layer_wise": True})

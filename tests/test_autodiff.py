@@ -15,6 +15,7 @@ from dropgcn import (BACKBONES, BatchNormState, Graph, ModelConfig, Tape, Tensor
 from dropgcn import optim
 from dropgcn.autodiff import SPLIT_MIN_ELEMENTS, active_tape
 from dropgcn.optim import BETA1, BETA2, CHUNK_LEN, EPS, AdamState, adam_step, glorot_init
+from dropgcn.sparsemat import keep_entries
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
                       relative_error)
 
@@ -437,6 +438,21 @@ class TestOpSemantics:
         ref = rng_factory(15)
         ref.random(x.nnz)
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+    def test_sparse_dropout_matches_the_masked_sparse_matrix(self, rng_factory, rate):
+        # The CSR dropout builds is, array for array and dtype for dtype,
+        # the one a SparseMatrix of the kept entries converts back to.
+        x = model_input(bag_of_words(rng_factory(17), 80, 120))
+        out = dropout(x, rate, rng_factory(18), training=True)
+        keep = rng_factory(18).random(x.nnz) >= rate
+        want = keep_entries(*x.shape, x.indptr, x.indices, x.data * (1.0 / (1.0 - rate)),
+                            keep).to_scipy()
+        assert out.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(out, name), getattr(want, name)
+            assert got.dtype == ref.dtype, name
+            np.testing.assert_array_equal(got, ref)
 
     def test_sparse_dropout_eval_and_zero_rate_consume_nothing(self, rng_factory):
         x = sp.csr_matrix(bag_of_words(rng_factory(16), 10, 12))

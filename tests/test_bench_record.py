@@ -1,7 +1,9 @@
-"""tools/bench_record.py's parser and summary, on canned run.py output, and
-its refusal of a checkout with tracked changes, in a temporary git
-repository; no benchmark runs."""
+"""tools/bench_record.py's parser and summary, on canned run.py output; its
+pairing of HEAD's runs with its parent's; and, in temporary git
+repositories, its refusal of a checkout with tracked changes and the
+parent worktree it removes on every exit path. No benchmark runs."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -66,13 +68,15 @@ def test_record_summarizes_runs_and_keeps_failures():
                         (1, CRASHED)],
     }
 
-    def run(workload, trace):
+    def run(checkout, workload, trace):
+        assert checkout == bench_record.ROOT
         code, stdout = outputs[workload].pop(0)
         assert trace == (not outputs[workload])  # three untraced runs, then the traced one
         return code, stdout
 
     rec = bench_record.record(["spectral", "deep-nodrop"], 3, run)
     assert rec["env"]["seed"] == 0 and rec["runs"] == 3
+    assert "parent" not in rec
     spectral = rec["workloads"]["spectral"]
     assert spectral["end_to_end"]["work_per_s"] == {
         "unit": "1/s", "median": 0.50, "min": 0.48, "max": 0.52, "values": [0.50, 0.52, 0.48]}
@@ -119,7 +123,94 @@ def test_main_refuses_a_checkout_with_tracked_changes(tmp_path, monkeypatch, cap
     assert not out.exists()
     # A clean checkout, or none, records as before.
     monkeypatch.setattr(bench_record, "tracked_changes", lambda root: [])
+    monkeypatch.setattr(bench_record, "parent_checkout",
+                        lambda root: contextlib.nullcontext(None))
     monkeypatch.setattr(bench_record, "record",
                         lambda *args: {"env": None, "runs": 3, "workloads": {}})
     assert bench_record.main(["--out", str(out)]) == 0
     assert json.loads(out.read_text())["runs"] == 3
+
+
+PARENT = {"commit": "f00d", "path": Path("/elsewhere/parent")}
+
+
+def test_record_pairs_each_run_with_the_parent():
+    canned = {
+        bench_record.ROOT: [untraced(5.0, 0.10), untraced(4.0, 0.20), untraced(6.0, 0.10),
+                            TRACED],
+        PARENT["path"]: [untraced(4.0, 0.10), untraced(5.0, 0.10), untraced(5.0, 0.08),
+                         CRASHED],
+    }
+    calls = []
+
+    def run(checkout, workload, trace):
+        calls.append(("head" if checkout == bench_record.ROOT else "parent", trace))
+        return (0 if canned[checkout][0] is not CRASHED else 1), canned[checkout].pop(0)
+
+    rec = bench_record.record(["deep-nodrop"], 3, run, PARENT)
+    # Each untraced run and the traced one is a pair; the side that goes
+    # first alternates.
+    assert calls == [("head", 0), ("parent", 0), ("parent", 0), ("head", 0),
+                     ("head", 0), ("parent", 0), ("parent", 1), ("head", 1)]
+    # The HEAD block keeps its shape; the parent block holds the same
+    # summaries of the parent's runs, its commit and the per-pair ratios.
+    assert set(rec) == {"env", "runs", "workloads", "parent"}
+    assert rec["workloads"]["deep-nodrop"]["end_to_end"]["work_per_s"]["values"] == [
+        5.0, 4.0, 6.0]
+    parent = rec["parent"]
+    assert parent["commit"] == "f00d" and parent["env"]["seed"] == 0
+    assert parent["workloads"]["deep-nodrop"]["end_to_end"]["work_per_s"]["values"] == [
+        4.0, 5.0, 5.0]
+    assert parent["workloads"]["deep-nodrop"]["failed_runs"][0]["traced"] is True
+    ratios = parent["ratios"]["deep-nodrop"]
+    assert ratios["work_per_s"] == pytest.approx(1.2)       # median of 1.25, 0.8, 1.2
+    assert ratios["setup_s"] == pytest.approx(1.25)         # median of 1, 2, 1.25
+    assert ratios["peak_rss_mb"] == pytest.approx(1.0)
+
+
+def test_pair_ratios_skip_runs_without_a_result():
+    head = [bench_record.parse_run(untraced(6.0, 0.1)), bench_record.parse_run(CRASHED)]
+    parent = [bench_record.parse_run(untraced(3.0, 0.1)),
+              bench_record.parse_run(untraced(1.0, 0.1))]
+    assert bench_record.pair_ratios(head, parent)["work_per_s"] == 2.0
+    assert bench_record.pair_ratios([head[1]], [parent[1]]) == {}
+
+
+def worktrees(repo):
+    out = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=repo,
+                         check=True, capture_output=True, text=True).stdout
+    return [line for line in out.splitlines() if line.startswith("worktree ")]
+
+
+def test_parent_checkout_is_removed_when_a_run_raises(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / "a.py").write_text("x = 1\n")
+    git(repo, "add", "a.py")
+    git(repo, "commit", "-q", "-m", "first")
+    with bench_record.parent_checkout(repo) as parent:
+        assert parent is None  # a root commit has no parent
+    first = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    (repo / "a.py").write_text("x = 2\n")
+    git(repo, "commit", "-q", "-am", "second")
+
+    def run(checkout, workload, trace):
+        if checkout != bench_record.ROOT:
+            (Path(checkout) / "left-by-a-run.txt").write_text("spans\n")
+            raise RuntimeError("run failed")
+        return 0, untraced(1.0, 0.1)
+
+    seen = []
+    with pytest.raises(RuntimeError, match="run failed"):
+        with bench_record.parent_checkout(repo) as parent:
+            seen.append(parent)
+            assert parent["commit"] == first
+            assert (parent["path"] / "a.py").read_text() == "x = 1\n"
+            assert len(worktrees(repo)) == 2
+            bench_record.record(["spectral"], 1, run, parent)
+    assert not seen[0]["path"].exists() and not seen[0]["path"].parent.exists()
+    assert len(worktrees(repo)) == 1
+    with bench_record.parent_checkout(tmp_path / "not-a-checkout") as parent:
+        assert parent is None

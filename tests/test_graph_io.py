@@ -9,8 +9,7 @@ import scipy.sparse as sp
 
 from dropgcn import (DatasetError, Graph, SparseMatrix, graph, load_graph_dir,
                      save_graph, synthetic_sbm)
-from dropgcn.graph import adjacency_from_pairs
-from dropgcn.models import model_input
+from dropgcn.graph import adjacency_from_pairs, model_input
 from dropgcn.sparsemat import check_adjacency
 
 

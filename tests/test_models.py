@@ -14,8 +14,8 @@ from dropgcn import (DropEdgeConfig, GCLParams, ModelConfig, SparseMatrix,
                      softmax_cross_entropy, sup_singular_value, synthetic_sbm)
 from dropgcn import models
 from dropgcn.autodiff import active_tape
-from dropgcn.models import (SPARSE_INPUT_DENSITY, copy_model, load_model, model_input,
-                            rescale_filters, save_model)
+from dropgcn.graph import SPARSE_INPUT_DENSITY, model_input
+from dropgcn.models import copy_model, load_model, rescale_filters, save_model
 from dropgcn.optim import AdamState, adam_step
 from conftest import (bag_of_words, finite_difference_grad, random_adjacency,
                       relative_error)

@@ -428,6 +428,14 @@ class TestRelaxedSmoothingLayer:
         # 0.5^6 = 0.0156 > 0.01, 0.5^7 = 0.0078 < 0.01
         assert relaxed_smoothing_layer(0.01, 1.0, 1.0, 0.5) == 7
 
+    @pytest.mark.parametrize("epsilon,d0,want", [(0.25, 1.0, 2), (0.125, 1.0, 3),
+                                                 (0.5, 2.0, 2)])
+    def test_bound_that_lands_on_epsilon_counts(self, epsilon, d0, want):
+        # d0 * 0.5^want equals epsilon exactly: the relaxed layer stops at
+        # <=, as epsilon >= d0 gives 0, where l_star needs a strict <.
+        assert d0 * 0.5 ** want == epsilon
+        assert relaxed_smoothing_layer(epsilon, d0, 1.0, 0.5) == want
+
     def test_iterative_oracle(self, rng_factory):
         rng = rng_factory(48)
         for _ in range(200):

@@ -21,6 +21,7 @@ from dropgcn import (BACKBONES, DropEdgeConfig, Graph, ModelConfig, TrainConfig,
                      normalize, oversmoothing_probe, softmax_cross_entropy,
                      synthetic_sbm, train)
 from dropgcn import autodiff, cli, dropedge, models, sparsemat, spectral, training
+from dropgcn import graph as graph_module
 from dropgcn.autodiff import Tape, active_tape
 from dropgcn.graph import adjacency_from_pairs, save_graph
 from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,
@@ -155,7 +156,7 @@ class TestTrain:
         assert sp.issparse(bow.x)
         cfg = small_config(epochs=15, p=0.3, withloop=True)
         sparse_rows = train(cfg, graph=bow).rows
-        monkeypatch.setattr(models, "SPARSE_INPUT_DENSITY", 0.0)
+        monkeypatch.setattr(graph_module, "SPARSE_INPUT_DENSITY", 0.0)
         dense = Graph(bow.n_nodes, bow.adjacency, bow.features, bow.labels, bow.splits)
         assert not sp.issparse(dense.x)
         dense_rows = train(cfg, graph=dense).rows
@@ -171,9 +172,23 @@ class TestTrain:
         assert a.to_csv() == train(small_config(epochs=60, p=0.3, dropout=0.5),
                                    graph=bow).to_csv()
 
-    def test_no_graph_no_data_dir(self):
-        with pytest.raises(ValueError, match="data_dir"):
-            train(small_config())
+    def test_sparse_input_epoch_builds_two_sparse_matrices(self, bow, monkeypatch):
+        # One edge draw and its normalization per epoch; the sparse input's
+        # dropout goes from CSR to CSR without a SparseMatrix.
+        built = []
+        init = sparsemat.SparseMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparsemat.SparseMatrix, "__init__", counting)
+        counts = {}
+        for epochs in (3, 7):
+            built.clear()
+            train(small_config(epochs=epochs, p=0.3, dropout=0.5), graph=bow)
+            counts[epochs] = len(built)
+        assert (counts[7] - counts[3]) / 4 == 2
 
     def test_sampler_runs_once_per_epoch(self, sbm, monkeypatch):
         calls = []
@@ -957,6 +972,20 @@ class TestProbe:
                 oversmoothing_probe(small_config(epochs=3, n_layers=6), graph=sbm,
                                     layer_range=layers)
 
+    @pytest.mark.parametrize("layers", [(2, 3, 4), (2,)])
+    def test_layer_range_must_be_a_pair(self, sbm, monkeypatch, layers):
+        # Unpacking used to fail with "too many values to unpack" or "not
+        # enough values to unpack", after the graph was normalized.
+        def refuse(*args, **kw):
+            raise AssertionError("the probe did work before checking layer_range")
+
+        monkeypatch.setattr(training, "normalize", refuse)
+        monkeypatch.setattr(training, "build_model", refuse)
+        with pytest.raises(ValueError, match=re.escape(
+                f"layer_range must be a pair (lo, hi), got {layers!r}")):
+            oversmoothing_probe(small_config(epochs=3, n_layers=6), graph=sbm,
+                                layer_range=layers)
+
     def test_probe_within_an_incepgcn_branch(self, sbm):
         # Layers 5-7 are branch 3 of a 5-layer incepgcn, a chain.
         cfg = small_config(epochs=3, n_layers=5, backbone="incepgcn")
@@ -1212,7 +1241,8 @@ class TestCli:
         assert exc.value.code == 2
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "theorem-check"])
+    @pytest.mark.parametrize("command", ["train", "probe-oversmoothing", "ablate",
+                                         "theorem-check"])
     def test_negative_seed_refused_before_the_dataset_is_read(self, tmp_path, capsys,
                                                               command):
         with pytest.raises(SystemExit) as exc:
@@ -1220,6 +1250,28 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "seed must be nonnegative, got -1" in err and "nope" not in err
+
+    @pytest.mark.parametrize("command", [
+        ("train",),
+        ("probe-oversmoothing", "--nlayers", "4", "--probe-layers", "2", "3"),
+        ("analyze-spectral",),
+        ("theorem-check",),
+        ("ablate", "--dropout", "0.3", "--sampling-percent", "0.6"),
+    ], ids=lambda command: command[0])
+    def test_each_command_loads_its_dataset_once(self, dataset_dir, tmp_path,
+                                                 monkeypatch, command):
+        loads = []
+
+        def load(data_dir):
+            loads.append(data_dir)
+            return graph_module.load_graph_dir(data_dir)
+
+        monkeypatch.setattr(cli, "load_graph_dir", load)
+        run_flags = () if command[0] in ("analyze-spectral", "theorem-check") else (
+            "--hidden", "8", "--epochs", "2")
+        assert run_cli(*command, "--data-dir", str(dataset_dir),
+                       "--out-dir", str(tmp_path / "out"), *run_flags) == 0
+        assert loads == [str(dataset_dir)]
 
     def test_unknown_flag_is_usage_error(self, dataset_dir):
         with pytest.raises(SystemExit) as exc:
@@ -1327,8 +1379,7 @@ class TestCli:
         args = parser.parse_args([command, "--data-dir", "data"])
         built = asdict(cli._train_config(args, parser))
         epochs = 150 if command == "probe-oversmoothing" else TrainConfig().epochs
-        assert built == asdict(TrainConfig(epochs=epochs, data_dir="data",
-                                           out_dir="dropgcn-out"))
+        assert built == asdict(TrainConfig(epochs=epochs, out_dir="dropgcn-out"))
         assert built["model"] == asdict(ModelConfig())
 
     def test_backbone_choices_are_the_library_backbones(self):

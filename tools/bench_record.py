@@ -9,27 +9,38 @@ which run.py's JSON line carries, and the workload's detail metrics), the
 traced run's per-layer metrics, every failed operation, and every run that
 ended without its JSON line.
 
-One record does not replace alternating runs against a parent commit:
-the host's speed drifts between sessions, so compare records only as a
-trajectory. perfbench/ is only run, never changed.
+The host's speed drifts between sessions, so the absolute numbers of two
+records cannot be compared. The record therefore also runs the first
+parent of HEAD in the same session, checked out in a temporary git
+worktree that is removed on every exit path. Each of its runs is paired
+with one of HEAD's, per workload, and which side runs first alternates
+from pair to pair. The `parent` block holds the parent's commit, its
+summaries in the HEAD block's shape, and `ratios`: per workload and
+end-to-end metric, the median over the untraced pairs of HEAD's value over
+the parent's. The series of ratios is the trajectory; the absolute numbers
+are context. perfbench/ is only run, never changed. In the worktree
+perfbench names the commit "unknown" (there .git is a file), so the
+parent's commit comes from `git rev-parse HEAD^`.
 
 The record names the checkout's HEAD commit, so a checkout whose tracked
 files differ from HEAD is refused (exit 2, no run) and the files listed;
-commit first. Outside a git checkout there is nothing to compare, and the
-record is taken.
+commit first. Outside a git checkout, or at a root commit, there is no
+parent: the record is taken without a parent block.
 
     python3 tools/bench_record.py --out BENCH_27.json
 """
 
 import argparse
+import contextlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN_PY = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("shallow-wide", "deep-layerwise", "deep-nodrop", "spectral")
 RUNS = 3
 SEED = 0
@@ -93,47 +104,103 @@ def summarize(untraced, traced):
     }
 
 
-def run_perfbench(workload, trace):
-    """(exit code, stdout) of one run.py process."""
-    cmd = [sys.executable, str(RUN_PY), "--workload", workload, "--seed", str(SEED),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+def pair_ratios(head, parent):
+    """Per end-to-end metric, the median over paired untraced runs of
+    HEAD's value over the parent's. A pair where either run has no result,
+    or the parent's value is 0, is left out."""
+    values = {}
+    for h, p in zip(head, parent):
+        if h["result"] is None or p["result"] is None:
+            continue
+        for name, metric in h["result"]["metrics"].items():
+            base = p["result"]["metrics"].get(name, {}).get("value")
+            if base:
+                values.setdefault(name, []).append(metric["value"] / base)
+    return {name: statistics.median(v) for name, v in values.items()}
+
+
+def run_perfbench(checkout, workload, trace):
+    """(exit code, stdout) of one process of the run.py in `checkout`."""
+    cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"), "--workload",
+           workload, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         return proc.returncode, proc.stdout + proc.stderr[-2000:]
     return proc.returncode, proc.stdout
+
+
+def git(root, *args):
+    """git's stdout in the checkout at `root`; None when git fails or is
+    missing."""
+    try:
+        proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+    except FileNotFoundError:
+        return None
+    return proc.stdout if proc.returncode == 0 else None
 
 
 def tracked_changes(root):
     """`git status --porcelain` lines of the tracked files that differ from
     HEAD in the checkout at `root`; empty when `root` is not in a git
     checkout or git is missing."""
+    return (git(root, "status", "--porcelain", "--untracked-files=no") or "").splitlines()
+
+
+@contextlib.contextmanager
+def parent_checkout(root):
+    """{"commit", "path"} of HEAD's first parent, checked out in a temporary
+    git worktree that is removed on every exit path; None outside a git
+    checkout or at a root commit."""
+    commit = git(root, "rev-parse", "--verify", "--quiet", "HEAD^")
+    if not commit:
+        yield None
+        return
+    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    path = tmp / "parent"
     try:
-        proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                              cwd=root, capture_output=True, text=True)
-    except FileNotFoundError:
-        return []
-    return proc.stdout.splitlines() if proc.returncode == 0 else []
+        if git(root, "worktree", "add", "--detach", str(path), commit.strip()) is None:
+            raise RuntimeError(f"git worktree add {path} failed")
+        yield {"commit": commit.strip(), "path": path}
+    finally:
+        git(root, "worktree", "remove", "--force", str(path))
+        shutil.rmtree(tmp, ignore_errors=True)
+        git(root, "worktree", "prune")
 
 
-def record(workloads, runs, run):
-    """The record: `run(workload, trace)` gives one run's (exit code,
-    stdout); each workload runs `runs` times untraced, then once traced."""
-    env, out = None, {}
+def record(workloads, runs, run, parent=None):
+    """The record: `run(checkout, workload, trace)` gives one run's (exit
+    code, stdout) in `checkout`; each workload runs `runs` times untraced,
+    then once traced, in ROOT. With `parent` (parent_checkout's value), each
+    of those runs is paired with the same run in parent["path"], HEAD first
+    in even pairs and the parent first in odd ones."""
+    sides = {"head": ROOT} if parent is None else {"head": ROOT, "parent": parent["path"]}
+    env = dict.fromkeys(sides)
+    out = {side: {} for side in sides}
+    ratios = {}
     for workload in workloads:
-        parsed = []
-        for trace in [0] * runs + [1]:
-            code, stdout = run(workload, trace)
-            result = parse_run(stdout)
-            result["exit"] = code
-            result["tail"] = stdout.splitlines()[-5:]
-            if code != 0:
-                result["result"] = None
-            env = env or result["env"]
-            parsed.append(result)
-            print(f"{workload} trace={trace} exit={code} "
-                  f"{'ok' if result['result'] else 'no result'}", file=sys.stderr, flush=True)
-        out[workload] = summarize(parsed[:-1], parsed[-1])
-    return {"env": env, "runs": runs, "workloads": out}
+        parsed = {side: [] for side in sides}
+        for i, trace in enumerate([0] * runs + [1]):
+            for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+                code, stdout = run(sides[side], workload, trace)
+                result = parse_run(stdout)
+                result["exit"] = code
+                result["tail"] = stdout.splitlines()[-5:]
+                if code != 0:
+                    result["result"] = None
+                env[side] = env[side] or result["env"]
+                parsed[side].append(result)
+                print(f"{side} {workload} trace={trace} exit={code} "
+                      f"{'ok' if result['result'] else 'no result'}", file=sys.stderr,
+                      flush=True)
+        for side, runs_of_side in parsed.items():
+            out[side][workload] = summarize(runs_of_side[:-1], runs_of_side[-1])
+        if parent is not None:
+            ratios[workload] = pair_ratios(parsed["head"][:-1], parsed["parent"][:-1])
+    rec = {"env": env["head"], "runs": runs, "workloads": out["head"]}
+    if parent is not None:
+        rec["parent"] = {"commit": parent["commit"], "env": env["parent"],
+                         "workloads": out["parent"], "ratios": ratios}
+    return rec
 
 
 def main(argv=None):
@@ -145,11 +212,14 @@ def main(argv=None):
         print("tracked files differ from HEAD, whose commit the record would name; "
               "commit them first:", *changed, sep="\n", file=sys.stderr)
         return 2
-    rec = record(WORKLOADS, RUNS, run_perfbench)
+    with parent_checkout(ROOT) as parent:
+        rec = record(WORKLOADS, RUNS, run_perfbench, parent)
     rec["seconds"] = SECONDS
     Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
-    failed = any(w["failed_ops"] or w["failed_runs"] for w in rec["workloads"].values())
+    blocks = [rec, rec["parent"]] if "parent" in rec else [rec]
+    failed = any(w["failed_ops"] or w["failed_runs"]
+                 for block in blocks for w in block["workloads"].values())
     return 1 if failed else 0
 
 
