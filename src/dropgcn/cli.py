@@ -15,7 +15,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .dropedge import DropEdgeConfig
-from .graph import DatasetError, load_graph_dir
+from .graph import load_graph_dir
 from .models import BACKBONES, ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
 from .spectral import SMOOTHING_EPSILON, analyze, theorem1_trajectory
@@ -35,7 +35,7 @@ def _complement(x):
     return float(1 - Decimal(repr(x)))
 
 
-def _add_model_flags(p):
+def _add_model_flags(p, schemes):
     model, run = ModelConfig(), TrainConfig()
     p.add_argument("--backbone", default=model.backbone, choices=BACKBONES)
     p.add_argument("--nlayers", type=int, default=model.n_layers,
@@ -47,7 +47,7 @@ def _add_model_flags(p):
                    help="fraction of edges KEPT per draw; drop rate p is 1 minus this, "
                         "taken in decimal (0.8 gives p=0.2)")
     p.add_argument("--dropout", type=float, default=model.dropout)
-    p.add_argument("--normalization", default=model.scheme, choices=SCHEMES)
+    p.add_argument("--normalization", default=model.scheme, choices=schemes)
     p.add_argument("--withloop", action="store_true",
                    help="add a separate self-feature filter per layer")
     p.add_argument("--withbn", action="store_true",
@@ -99,14 +99,8 @@ def _cmd_probe(args, parser):
 def _cmd_spectral(args, parser):
     graph = load_graph_dir(args.data_dir)
     report = analyze(normalize(graph.adjacency, args.normalization))
-    payload = {
-        "normalization": args.normalization,
-        "n_nodes": graph.n_nodes,
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "top_multiplicity": report.top_multiplicity,
-        "second_largest": report.second_largest,
-        "component_count": report.component_count,
-    }
+    payload = {"normalization": args.normalization, "n_nodes": graph.n_nodes,
+               **asdict(report), "eigenvalues": report.eigenvalues.tolist()}
     out = Path(args.out_dir)
     write_json(out / "spectral.json", payload)
     print(f"components={report.component_count} top_multiplicity={report.top_multiplicity} "
@@ -156,12 +150,12 @@ def build_parser():
 
     p_train = sub.add_parser("train", help="train one model and write metrics")
     _add_data_flags(p_train)
-    _add_model_flags(p_train)
+    _add_model_flags(p_train, SCHEMES)
 
     p_probe = sub.add_parser("probe-oversmoothing",
                              help="layer-distance probe before and after training")
     _add_data_flags(p_probe)
-    _add_model_flags(p_probe)
+    _add_model_flags(p_probe, SYMMETRIC_SCHEMES)
     p_probe.set_defaults(epochs=150)
     p_probe.add_argument("--probe-layers", type=int, nargs=2, default=(2, 6),
                          metavar=("LO", "HI"))
@@ -178,7 +172,7 @@ def build_parser():
 
     p_abl = sub.add_parser("ablate", help="dropout/edge-drop ablation grids")
     _add_data_flags(p_abl)
-    _add_model_flags(p_abl)
+    _add_model_flags(p_abl, SCHEMES)
     p_abl.add_argument("--mode", default="dropout-vs-dropedge",
                        choices=["dropout-vs-dropedge", "layerwise"])
 
@@ -199,7 +193,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
-    except (DatasetError, TrainingDiverged, ValueError, OSError) as exc:
+    except (TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,9 +34,8 @@ class AdamState:
     `decay` flags, aligned with `params`, mark the tensors whose gradient
     gets `weight_decay * value` added before the moment updates: weight
     matrices yes, biases and normalization parameters no. The constants are
-    BETA1, BETA2 and EPS; the step counter starts at 0. The elements of all
-    parameters, taken in order, are split once into two halves of equal
-    count, one per thread of a pooled step (adam_step).
+    BETA1, BETA2 and EPS; the step counter starts at 0. In a pooled step
+    each thread updates one half of every parameter (adam_step).
     """
 
     def __init__(self, params, lr, weight_decay=0.0, decay=None):
@@ -53,26 +52,9 @@ class AdamState:
         # C order, so that a flat view of a moment is the moment itself.
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
-        self.halves = _halves([p.data.size for p in self.params])
 
 
-def _halves(sizes):
-    """Two lists of (i, lo, hi), flat element ranges of parameter i, that
-    cover every element once: the first half of all elements in parameter
-    order, then the rest. A parameter may straddle the cut."""
-    cut = sum(sizes) // 2
-    first, second, start = [], [], 0
-    for i, n in enumerate(sizes):
-        below = min(max(cut - start, 0), n)
-        if below:
-            first.append((i, 0, below))
-        if below < n:
-            second.append((i, below, n))
-        start += n
-    return first, second
-
-
-# adam_step updates each range this many elements at a time, so that no
+# adam_step updates each half this many elements at a time, so that no
 # temporary is as large as a parameter and a chunk's eight operands (256 kB
 # each) stay near the cache. Timed with one BLAS thread on 2 vCPUs, on the
 # 762k parameter elements of an 8-layer, hidden-256 gcn on 1433 features
@@ -83,24 +65,27 @@ def _halves(sizes):
 CHUNK_LEN = 1 << 15
 
 
-def _update(state, c1, c2, flats, ranges, scratch):
-    """The Adam update of the flat element ranges `ranges`: the moments in
-    place, the new values into the fresh arrays of `flats`, through the
-    (3, CHUNK_LEN) rows of `scratch`. Every operation writes into an array
-    that exists, so nothing is allocated. The float operations are those of
-    the textbook expressions, in the same order (a product or sum of two
-    operands is the same float either way round)."""
+def _update(state, c1, c2, flats, half, scratch):
+    """The Adam update of one half of every parameter that has a gradient:
+    flat elements [0, (n + 1) // 2) of an n-element parameter for half 0,
+    the rest for half 1. The moments are updated in place, the new values
+    written into the fresh arrays of `flats`, through the (3, CHUNK_LEN)
+    rows of `scratch`. Every operation writes into an array that exists, so
+    nothing is allocated. The float operations are those of the textbook
+    expressions, in the same order (a product or sum of two operands is the
+    same float either way round)."""
     lr, wd = state.lr, state.weight_decay
-    for i, lo, hi in ranges:
-        if flats[i] is None:
+    for flat, decay in zip(flats, state.decay):
+        if flat is None:
             continue
-        p, g, m, v, new = flats[i]
-        decay = state.decay[i] and wd
+        p, g, m, v, new = flat
+        mid = (p.size + 1) // 2
+        lo, hi = (0, mid) if half == 0 else (mid, p.size)
         for s in range(lo, hi, CHUNK_LEN):
             e = min(s + CHUNK_LEN, hi)
             t1, t2, t3 = scratch[:, :e - s]
             gs, ms, vs = g[s:e], m[s:e], v[s:e]
-            if decay:
+            if decay and wd:
                 np.multiply(p[s:e], wd, out=t1)
                 gs = np.add(gs, t1, out=t1)            # g + wd * p
             np.multiply(ms, BETA1, out=ms)
@@ -128,11 +113,12 @@ def adam_step(state, pool=None):
     updated parameter is bound a new array, never written in place, so a
     models.model_view taken before the step keeps its values.
 
-    With `pool`, an executor whose worker is idle, the worker updates the
-    second of state.halves while this thread updates the first; the worker
-    writes only into arrays this thread allocated. Each element goes
-    through the same float operations either way, so the bytes do not
-    depend on the pool.
+    With `pool`, an executor whose worker is idle, each thread updates one
+    half of every parameter: this thread the first half of its elements,
+    the worker the second (_on_two_threads, the row split of
+    autodiff._by_rows); the worker writes only into arrays this thread
+    allocated. Each element goes through the same float operations either
+    way, so the bytes do not depend on the pool.
     """
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
@@ -141,9 +127,8 @@ def adam_step(state, pool=None):
     flats = [None if a is None else tuple(np.ravel(x) for x in (p.data, p.grad, m, v, a))
              for p, m, v, a in zip(state.params, state.m, state.v, new)]
     scratch = np.empty((2, 3, CHUNK_LEN))
-    first, second = state.halves
-    _on_two_threads(pool, lambda job: _update(state, c1, c2, flats, *job),
-                    (first, scratch[0]), (second, scratch[1]))
+    _on_two_threads(pool, lambda half: _update(state, c1, c2, flats, half, scratch[half]),
+                    0, 1)
     for p, a in zip(state.params, new):
         if a is not None:
             p.data = a

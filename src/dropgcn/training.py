@@ -30,13 +30,14 @@ e's Adam step, so it runs while epoch e+1 samples its matrices and runs
 its training forward. And whenever it is otherwise idle, it takes half of
 the row-independent dense work: the bottom rows of each large dense
 product, bias, sum and relu (autodiff's `pool`) in the training forward
-of a deterministic step and in the final inline evaluation, and half of
-the elements of every Adam step (optim.adam_step); not the training
-forward of a random step, when the worker is evaluating (see _run). The
-worker reads a view of the model at epoch e (models.model_view), makes no
-random draw and records nothing. The worker takes its work in submission
-order, and epoch e's evaluation is read before epoch e+1's backward, so
-gradient products never wait behind it.
+of a deterministic step and in the final inline evaluation, and in every
+Adam step, where each thread updates one half of every parameter
+(optim.adam_step); not the training forward of a random step, when the
+worker is evaluating (see _run). The worker reads a view of the model at
+epoch e (models.model_view), makes no random draw and records nothing.
+The worker takes its work in submission order, and epoch e's evaluation
+is read before epoch e+1's backward, so gradient products never wait
+behind it.
 Each product is the call the main thread would make on the same arrays,
 and gradients are added in the inline order, so the bytes are those of a
 run without the worker. The gain needs a second core and one BLAS thread:
@@ -158,15 +159,20 @@ def _config_dict(config):
             "out_dir": None if config.out_dir is None else str(config.out_dir)}
 
 
-def _full_matrix(config, graph):
-    """graph.adjacency normalized under config.model.scheme, once per public
-    call and shared by every run of the call. A run needs a loss, a
-    selection criterion and a score: an empty split is rejected before
-    anything else."""
+def _check_splits(graph):
+    """Reject an empty split: a run needs a loss, a selection criterion and
+    a score."""
     for name in SPLIT_NAMES:
         if len(graph.splits[name]) == 0:
             raise ValueError(f"the {name} split is empty; training needs nonempty "
                              "train, val and test splits")
+
+
+def _full_matrix(config, graph):
+    """graph.adjacency normalized under config.model.scheme, once per public
+    call and shared by every run of the call; an empty split is rejected
+    first."""
+    _check_splits(graph)
     return normalize(graph.adjacency, config.model.scheme)
 
 
@@ -360,15 +366,15 @@ def oversmoothing_probe(config, graph, layer_range=(2, 6)):
     model is a pure function of the sampler state. Needs a symmetric scheme,
     whose top eigenspace spectral.top_eigenspace gives in closed form, and
     probed layers that form a chain: each layer l in the range reads layer
-    l-1.
+    l-1. Every refusal comes before the graph is normalized.
     """
     if len(layer_range) != 2:
         raise ValueError(f"layer_range must be a pair (lo, hi), got {layer_range!r}")
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
-    a_hat = _full_matrix(config, graph)
     mcfg = config.model
     if mcfg.scheme not in SYMMETRIC_SCHEMES:
         raise ValueError(f"probe needs a symmetric scheme, got {mcfg.scheme!r}")
+    _check_splits(graph)
     rng = np.random.default_rng(config.seed)
     fresh = build_model(mcfg, graph.n_features, graph.n_classes, rng)
     if not 2 <= lo <= hi <= fresh.n_gcls:
@@ -381,6 +387,7 @@ def oversmoothing_probe(config, graph, layer_range=(2, 6)):
         if widths[l - 1] != widths[l - 2]:
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
+    a_hat = _full_matrix(config, graph)
     basis = spectral.top_eigenspace(graph.adjacency, mcfg.scheme)
     lam = spectral.analyze(a_hat).second_largest
 

@@ -12,7 +12,6 @@ from dropgcn import (BACKBONES, BatchNormState, Graph, ModelConfig, Tape, Tensor
                      add_bias, backward, batch_norm, build_model, clear_grads,
                      concat_cols, dropout, forward, matmul, model_input, normalize,
                      relu, softmax_cross_entropy, spmm, sum_all, synthetic_sbm)
-from dropgcn import optim
 from dropgcn.autodiff import SPLIT_MIN_ELEMENTS, active_tape
 from dropgcn.optim import BETA1, BETA2, CHUNK_LEN, EPS, AdamState, adam_step, glorot_init
 from dropgcn.sparsemat import keep_entries
@@ -642,11 +641,14 @@ def reference_adam_step(state):
 
 
 class TestChunkedAdam:
-    """adam_step updates in CHUNK_LEN pieces, its two halves on two threads
-    when given a pool, and must give the whole-array expressions' bytes."""
+    """adam_step updates in CHUNK_LEN pieces, one half of every parameter
+    on each thread when given a pool, and must give the whole-array
+    expressions' bytes."""
 
-    # Parameter element counts around the chunk boundary; with the two
-    # halves cut in between, ranges start and end off chunk boundaries too.
+    # Parameter element counts around the chunk boundary, odd counts and a
+    # 1-element parameter; each parameter is halved at (n + 1) // 2, so
+    # halves start and end off chunk boundaries, and those of the
+    # 2 x (CHUNK_LEN + 1) parameter span two chunks each.
     SIZES = [(1, CHUNK_LEN - 1), (1, CHUNK_LEN), (1, CHUNK_LEN + 1), (3, 7),
              (2, CHUNK_LEN + 1), (1, 1)]
 
@@ -698,18 +700,6 @@ class TestChunkedAdam:
                     np.testing.assert_array_equal(a, was)
         assert [id(x) for x in state.m + state.v] == moments
         assert not state.m[0].any() and not state.v[0].any()
-
-    def test_halves_cover_every_element_once(self):
-        sizes = [5, 1, 12, 3, 2]
-        first, second = optim._halves(sizes)
-        assert sum(hi - lo for _, lo, hi in first) == sum(sizes) // 2
-        covered = [np.zeros(n, dtype=int) for n in sizes]
-        for i, lo, hi in first + second:
-            assert 0 <= lo < hi <= sizes[i]
-            covered[i][lo:hi] += 1
-        assert all((c == 1).all() for c in covered)
-        state = AdamState([Tensor(np.ones((1, n)), requires_grad=True) for n in sizes], lr=0.1)
-        assert state.halves == (first, second)
 
 
 class TestPooledBackward:

@@ -8,17 +8,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_digests_tool_prints_three_workload_lines(tmp_path):
-    # As in the in-process suite, any warning is an error.
+def digests(cwd, *args):
+    """stdout of a digests.py run; as in the in-process suite, any warning
+    is an error."""
     out = subprocess.run([sys.executable, "-W", "error", str(ROOT / "tools" / "digests.py"),
-                          "--size", "tiny", "--epochs", "1", "--seed", "1"],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+                          *args], cwd=cwd, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
+    return out.stdout
+
+
+def test_digests_tool_prints_three_workload_lines(tmp_path):
+    stdout = digests(tmp_path, "--size", "tiny", "--epochs", "1", "--seed", "1")
     # The three training workloads' lines, then the spectral workload's.
-    lines = out.stdout.splitlines()
+    lines = stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["shallow-wide", "deep-layerwise",
                                                    "deep-nodrop", "spectral"]
     for line in lines[:3]:
         assert re.fullmatch(r"\S+ [0-9a-f]{16} [0-9a-f]{16}", line), line
     assert re.fullmatch(r"spectral [0-9a-f]{16} [0-9a-f]{16} [0-9a-f]{16}", lines[3]), lines[3]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_spectral_line_matches_the_benchmark_ops(tmp_path):
+    # digests.py prints the digests of perfbench's own spectral operations,
+    # so a tiny spectral benchmark run shows the same three at the same seed.
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+                          "spectral", "--size", "tiny", "--seconds", "0", "--seed", "3"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    ops = dict(re.findall(r"^op (\w+) .* digest=([0-9a-f]{16}) ok$", out.stdout, re.M))
+    line = digests(tmp_path, "--size", "tiny", "--epochs", "1", "--seed", "3").splitlines()[-1]
+    assert line.split() == ["spectral", ops["analyze"], ops["trajectory"], ops["resistance"]]

@@ -960,6 +960,23 @@ class TestProbe:
         with pytest.raises(ValueError, match="layer 3 does not read layer 2"):
             oversmoothing_probe(small_config(n_layers=5, backbone="incepgcn"), graph=sbm)
 
+    def test_refused_probe_never_normalizes(self, sbm, monkeypatch):
+        # Each refusal depends on the config alone, so it comes before the
+        # graph is normalized.
+        def refuse(*args, **kw):
+            raise AssertionError("the probe normalized the graph before refusing")
+
+        monkeypatch.setattr(training, "normalize", refuse)
+        echo = DropEdgeConfig(p=0.0, scheme="AugRWalk")
+        row = small_config(n_layers=4, scheme="AugRWalk")
+        for cfg, layers, message in (
+                (replace(row, model=replace(row.model, dropedge=echo)), (2, 3), "symmetric"),
+                (small_config(n_layers=4), (2, 9), "must lie within 2..4"),
+                (small_config(n_layers=4), (2, 4), "width"),
+                (small_config(n_layers=5, backbone="incepgcn"), (2, 6), "does not read")):
+            with pytest.raises(ValueError, match=message):
+                oversmoothing_probe(cfg, graph=sbm, layer_range=layers)
+
     def test_layer_range_must_be_integers(self, sbm, monkeypatch):
         # (2.7, 4.9) used to probe layers 2-4 without a word.
         def refuse(*args, **kw):
@@ -1298,6 +1315,33 @@ class TestCli:
             run_cli("analyze-spectral", "--data-dir", str(dataset_dir),
                     "--normalization", "AugRWalk")
         assert exc.value.code == 2
+
+    def test_probe_refuses_row_normalization_before_the_dataset_is_read(self, tmp_path,
+                                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("probe-oversmoothing", "--data-dir", str(tmp_path / "nope"),
+                    "--normalization", "AugRWalk")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'AugRWalk'" in err and "nope" not in err
+
+    def test_spectral_payload_bytes(self, dataset_dir, sbm, tmp_path):
+        # The payload built from the report's fields is byte for byte the one
+        # spelled out field by field.
+        out = tmp_path / "spec"
+        assert run_cli("analyze-spectral", "--data-dir", str(dataset_dir),
+                       "--out-dir", str(out), "--normalization", "BingGeNormAdj") == 0
+        report = spectral.analyze(normalize(sbm.adjacency, "BingGeNormAdj"))
+        expected = {
+            "normalization": "BingGeNormAdj",
+            "n_nodes": sbm.n_nodes,
+            "eigenvalues": [float(v) for v in report.eigenvalues],
+            "top_multiplicity": report.top_multiplicity,
+            "second_largest": report.second_largest,
+            "component_count": report.component_count,
+        }
+        write_json(tmp_path / "expected.json", expected)
+        assert (out / "spectral.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
     def test_theorem_check_has_no_epsilon_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -8,16 +8,14 @@ keep_best_model=True. One line per workload:
 
     <workload> <metrics.csv sha256[:16]> <model.npz sha256[:16]>
 
-The spectral workload's three calls run once, on the inputs its Runner
-builds (the same graph and the two connected graphs of --seed), and print
+The spectral workload's round (its Runner's analyze, trajectory and
+resistance operations, on the same graph and the two connected graphs of
+--seed) runs once and prints
 
     spectral <analyze> <trajectory> <resistance>
 
-the sha256[:16] of analyze's eigenvalue bytes, top multiplicity and
-component count (as perfbench's analyze_op hashes them), of the
-trajectory's (removed_edge, n_components, top_multiplicity,
-second_largest) steps and of the resistance report's (second_largest,
-n_pairs, worst_margin, worst_pair).
+each operation's own digest[:16], as perfbench prints it on its `op`
+lines.
 
 A change that alters no float prints the same lines. The bytes depend on
 the BLAS thread count, so BLAS is pinned to one thread before numpy loads.
@@ -43,18 +41,12 @@ sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 
 import cora_shaped  # noqa: E402
 import workloads  # noqa: E402
-from dropgcn import spectral  # noqa: E402
-from dropgcn.sparsemat import normalize  # noqa: E402
 from dropgcn.training import train  # noqa: E402
 
 
-def sha16(*parts):
-    """sha256[:16] of the parts in turn: bytes as they are, anything else
-    by its repr (which keeps every bit of a float)."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part if isinstance(part, bytes) else repr(part).encode())
-    return h.hexdigest()[:16]
+def sha16(path):
+    """sha256[:16] of the bytes of the file at `path`."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def training_digests(graph, seed, epochs):
@@ -66,22 +58,16 @@ def training_digests(graph, seed, epochs):
                 continue
             run_dir = Path(tmp) / w.name
             train(w.config(seed, run_dir, epochs), graph=graph, keep_best_model=True)
-            out.append((w.name, sha16((run_dir / "metrics.csv").read_bytes()),
-                        sha16((run_dir / "model.npz").read_bytes())))
+            out.append((w.name, sha16(run_dir / "metrics.csv"), sha16(run_dir / "model.npz")))
     return out
 
 
 def spectral_digests(graph, seed, size):
-    """(analyze, trajectory, resistance) digests of the spectral workload."""
-    sizes = workloads.SIZES[size]
-    rep = spectral.analyze(normalize(graph.adjacency, "AugNormAdj"))
-    traj = spectral.theorem1_trajectory(cora_shaped.connected_graph(seed, *sizes.trajectory),
-                                        seed)
-    res = spectral.verify_resistance_bound(cora_shaped.connected_graph(seed, *sizes.resistance))
-    return (sha16(rep.eigenvalues.tobytes(), rep.top_multiplicity, rep.component_count),
-            sha16([(s.removed_edge, s.n_components, s.top_multiplicity, s.second_largest)
-                   for s in traj.steps]),
-            sha16((res.second_largest, res.n_pairs, res.worst_margin, res.worst_pair)))
+    """(analyze, trajectory, resistance) digests of one round of the
+    spectral workload, each its operation's own."""
+    runner = workloads.Runner(workloads.WORKLOADS["spectral"], graph, seed,
+                              workloads.SIZES[size], work_dir=None)
+    return tuple(make_op().digest[:16] for make_op in runner.round)
 
 
 def main(argv=None):
