@@ -19,7 +19,7 @@ from .graph import load_graph_dir
 from .models import BACKBONES, ModelConfig
 from .sparsemat import SCHEMES, SYMMETRIC_SCHEMES, normalize
 from .spectral import SMOOTHING_EPSILON, analyze, theorem1_trajectory
-from .training import (TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
+from .training import (PROBE_LAYERS, TrainConfig, TrainingDiverged, ablate_dropout_dropedge,
                        ablate_layerwise, oversmoothing_probe, train, write_json)
 
 
@@ -157,13 +157,13 @@ def build_parser():
     _add_data_flags(p_probe)
     _add_model_flags(p_probe, SYMMETRIC_SCHEMES)
     p_probe.set_defaults(epochs=150)
-    p_probe.add_argument("--probe-layers", type=int, nargs=2, default=(2, 6),
+    p_probe.add_argument("--probe-layers", type=int, nargs=2, default=PROBE_LAYERS,
                          metavar=("LO", "HI"))
 
     p_spec = sub.add_parser("analyze-spectral",
                             help="eigenstructure of the normalized adjacency")
     _add_data_flags(p_spec)
-    p_spec.add_argument("--normalization", default="AugNormAdj", choices=SYMMETRIC_SCHEMES)
+    p_spec.add_argument("--normalization", default=ModelConfig().scheme, choices=SYMMETRIC_SCHEMES)
 
     p_thm = sub.add_parser("theorem-check",
                            help="random edge-removal trajectory of the spectral gap")
@@ -174,7 +174,10 @@ def build_parser():
     _add_data_flags(p_abl)
     _add_model_flags(p_abl, SCHEMES)
     p_abl.add_argument("--mode", default="dropout-vs-dropedge",
-                       choices=["dropout-vs-dropedge", "layerwise"])
+                       choices=["dropout-vs-dropedge", "layerwise"],
+                       help="both modes need a --sampling-percent that drops an edge, and "
+                            "dropout-vs-dropedge a nonzero --dropout; the defaults (--dropout "
+                            "0, --sampling-percent 1) are refused, exit 1, after the data is read")
 
     return parser
 

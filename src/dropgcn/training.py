@@ -9,8 +9,8 @@ epoch (earliest on ties).
 Each of the four calls takes a loaded Graph (graph.load_graph_dir reads
 one from disk). The probe and both ablations take every setting from their
 TrainConfig (epochs, rates, granularity) and, like train, write their
-reports under config.out_dir when it is set. Each call normalizes its graph
-once (_full_matrix); every run it makes and the probe's spectrum share it.
+reports under config.out_dir when it is set. Each call checks its splits,
+makes its own refusals, then normalizes its graph once for all its runs.
 
 Epoch e is evaluated at one point of epoch e+1: after its training
 forward, before its loss, so a validation divergence at epoch e is still
@@ -74,6 +74,7 @@ from .optim import AdamState, adam_step, check_rates
 from .sparsemat import SYMMETRIC_SCHEMES, normalize
 
 METRIC_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "test_acc")
+PROBE_LAYERS = (2, 6)  # oversmoothing_probe's default layer_range
 
 
 class TrainingDiverged(RuntimeError):
@@ -161,19 +162,11 @@ def _config_dict(config):
 
 def _check_splits(graph):
     """Reject an empty split: a run needs a loss, a selection criterion and
-    a score."""
+    a score. Each public call checks first, before its own refusals."""
     for name in SPLIT_NAMES:
         if len(graph.splits[name]) == 0:
             raise ValueError(f"the {name} split is empty; training needs nonempty "
                              "train, val and test splits")
-
-
-def _full_matrix(config, graph):
-    """graph.adjacency normalized under config.model.scheme, once per public
-    call and shared by every run of the call; an empty split is rejected
-    first."""
-    _check_splits(graph)
-    return normalize(graph.adjacency, config.model.scheme)
 
 
 def _check_drops_edges(adjacency, p, what):
@@ -229,8 +222,8 @@ def _keep_freed_memory():
 
 
 def _run(config, graph, full, keep_best):
-    """The epoch loop on `full`, the call's normalization of graph.adjacency
-    (_full_matrix). Returns (report, final_model, best_model_or_None).
+    """The epoch loop on `full`, the call's one normalization of
+    graph.adjacency. Returns (report, final_model, best_model_or_None).
 
     Per epoch: draw the propagation matrices; inside one tape run the
     training forward, the previous epoch's evaluation, the loss, its
@@ -332,11 +325,12 @@ def train(config, graph, keep_best_model=False):
     for good: it fixes the mmap threshold at 32 MB and the trim threshold at
     64 MB (see _keep_freed_memory), as do the probe and ablation runs.
     """
+    _check_splits(graph)
     if keep_best_model and config.out_dir is None:
         raise ValueError("keep_best_model saves the best model to out_dir/model.npz; "
                          "set config.out_dir")
-    report, _, best_snapshot = _run(config, graph, _full_matrix(config, graph),
-                                    keep_best_model)
+    full = normalize(graph.adjacency, config.model.scheme)
+    report, _, best_snapshot = _run(config, graph, full, keep_best_model)
     if config.out_dir is not None:
         write_report(report, config.out_dir)
         if best_snapshot is not None:
@@ -347,7 +341,7 @@ def train(config, graph, keep_best_model=False):
 # -- over-smoothing probe ----------------------------------------------
 
 
-def oversmoothing_probe(config, graph, layer_range=(2, 6)):
+def oversmoothing_probe(config, graph, layer_range=PROBE_LAYERS):
     """Measure layer-to-layer distances on a fresh model, train it for
     config.epochs, and measure the final model again.
 
@@ -366,15 +360,15 @@ def oversmoothing_probe(config, graph, layer_range=(2, 6)):
     model is a pure function of the sampler state. Needs a symmetric scheme,
     whose top eigenspace spectral.top_eigenspace gives in closed form, and
     probed layers that form a chain: each layer l in the range reads layer
-    l-1. Every refusal comes before the graph is normalized.
+    l-1. Splits are checked first, and every refusal precedes normalizing.
     """
+    _check_splits(graph)
     if len(layer_range) != 2:
         raise ValueError(f"layer_range must be a pair (lo, hi), got {layer_range!r}")
     lo, hi = (check_integer(f"layer_range[{i}]", v) for i, v in enumerate(layer_range))
     mcfg = config.model
     if mcfg.scheme not in SYMMETRIC_SCHEMES:
         raise ValueError(f"probe needs a symmetric scheme, got {mcfg.scheme!r}")
-    _check_splits(graph)
     rng = np.random.default_rng(config.seed)
     fresh = build_model(mcfg, graph.n_features, graph.n_classes, rng)
     if not 2 <= lo <= hi <= fresh.n_gcls:
@@ -387,7 +381,7 @@ def oversmoothing_probe(config, graph, layer_range=(2, 6)):
         if widths[l - 1] != widths[l - 2]:
             raise ValueError(f"layer_range {layer_range} crosses a width change "
                              f"at layer {l}; layer distances need equal widths")
-    a_hat = _full_matrix(config, graph)
+    a_hat = normalize(graph.adjacency, mcfg.scheme)
     basis = spectral.top_eigenspace(graph.adjacency, mcfg.scheme)
     lam = spectral.analyze(a_hat).second_largest
 
@@ -412,13 +406,14 @@ def oversmoothing_probe(config, graph, layer_range=(2, 6)):
 # -- ablations ---------------------------------------------------------
 
 
-def _run_arms(config, graph, full, **arms):
+def _run_arms(config, graph, **arms):
     """Train `config` once per arm, changed as that arm says: "dropout" sets
     the model's feature dropout, any other key a field of its DropEdgeConfig;
-    no arm changes the scheme, so all share the one full normalization.
+    no arm changes the scheme, so all share the one normalization made here.
     Returns {arm: RunReport}. Once every arm has finished, and when
     config.out_dir is set, writes each arm's metrics.csv and summary.json
     under out_dir/<arm>/ and every arm's summary to out_dir/summary.json."""
+    full = normalize(graph.adjacency, config.model.scheme)
     reports = {}
     for name, change in arms.items():
         mcfg = replace(config.model, dropout=change.pop("dropout", config.model.dropout),
@@ -439,12 +434,12 @@ def ablate_dropout_dropedge(config, graph):
     Returns {"neither", "dropout", "dropedge", "both"} -> RunReport. Requires
     a nonzero dropout and a p that drops at least one edge, else an arm
     would repeat another."""
-    full = _full_matrix(config, graph)
+    _check_splits(graph)
     if config.model.dropout == 0.0:
         raise ValueError("the dropout/edge-drop ablation needs a nonzero dropout rate")
     _check_drops_edges(graph.adjacency, config.model.dropedge.p,
                        "the dropout/edge-drop ablation")
-    return _run_arms(config, graph, full, neither={"dropout": 0.0, "p": 0.0},
+    return _run_arms(config, graph, neither={"dropout": 0.0, "p": 0.0},
                      dropout={"p": 0.0}, dropedge={"dropout": 0.0}, both={})
 
 
@@ -454,7 +449,7 @@ def ablate_layerwise(config, graph):
     Returns {"oneshot", "layerwise"} -> RunReport; requires a p that drops
     at least one edge, else both arms would be the same run.
     """
-    full = _full_matrix(config, graph)
+    _check_splits(graph)
     _check_drops_edges(graph.adjacency, config.model.dropedge.p, "the layer-wise ablation")
-    return _run_arms(config, graph, full, oneshot={"layer_wise": False},
+    return _run_arms(config, graph, oneshot={"layer_wise": False},
                      layerwise={"layer_wise": True})

@@ -17,15 +17,16 @@ def digests(cwd, *args):
     return out.stdout
 
 
-def test_digests_tool_prints_three_workload_lines(tmp_path):
+def test_digests_tool_prints_workload_and_report_lines(tmp_path):
     stdout = digests(tmp_path, "--size", "tiny", "--epochs", "1", "--seed", "1")
-    # The three training workloads' lines, then the spectral workload's.
+    # The three training workloads' lines, the spectral workload's, then the
+    # probe's and each ablation's, with one digest per arm.
     lines = stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["shallow-wide", "deep-layerwise",
-                                                   "deep-nodrop", "spectral"]
-    for line in lines[:3]:
-        assert re.fullmatch(r"\S+ [0-9a-f]{16} [0-9a-f]{16}", line), line
-    assert re.fullmatch(r"spectral [0-9a-f]{16} [0-9a-f]{16} [0-9a-f]{16}", lines[3]), lines[3]
+    expected = {"shallow-wide": 2, "deep-layerwise": 2, "deep-nodrop": 2, "spectral": 3,
+                "probe": 1, "dropout-vs-dropedge": 4, "layerwise": 2}
+    assert [line.split()[0] for line in lines] == list(expected)
+    for line, (name, n) in zip(lines, expected.items()):
+        assert re.fullmatch(re.escape(name) + r"( [0-9a-f]{16}){%d}" % n, line), line
     assert list(tmp_path.iterdir()) == []
 
 
@@ -37,5 +38,5 @@ def test_spectral_line_matches_the_benchmark_ops(tmp_path):
                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     ops = dict(re.findall(r"^op (\w+) .* digest=([0-9a-f]{16}) ok$", out.stdout, re.M))
-    line = digests(tmp_path, "--size", "tiny", "--epochs", "1", "--seed", "3").splitlines()[-1]
+    line = digests(tmp_path, "--size", "tiny", "--epochs", "1", "--seed", "3").splitlines()[3]
     assert line.split() == ["spectral", ops["analyze"], ops["trajectory"], ops["resistance"]]

@@ -1,5 +1,6 @@
 """Training loop behaviour, probe/ablation drivers, and the command line."""
 
+import inspect
 import json
 import math
 import os
@@ -763,6 +764,18 @@ class TestEmptySplits:
         with pytest.raises(ValueError, match="the test split is empty"):
             ablate_layerwise(small_config(epochs=3, p=0.5), graph=graph)
 
+    def test_split_is_reported_before_a_refused_rate(self, sbm, no_model):
+        # Each call checks its splits before its own refusals.
+        graph = self.emptied(sbm, "train")
+        for call in (lambda: ablate_dropout_dropedge(small_config(p=0.5), graph=graph),
+                     lambda: ablate_dropout_dropedge(small_config(dropout=0.5), graph=graph),
+                     lambda: ablate_layerwise(small_config(p=0.0), graph=graph),
+                     lambda: oversmoothing_probe(small_config(n_layers=4), graph=graph,
+                                                 layer_range=(2, 9)),
+                     lambda: train(small_config(), graph=graph, keep_best_model=True)):
+            with pytest.raises(ValueError, match="the train split is empty"):
+                call()
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("lr,weight_decay", [
@@ -1161,6 +1174,65 @@ class TestOneNormalizationPerCall:
         assert all(full is made[0] for full in used)
 
 
+class TestSetupOrder:
+    """Each public call checks its splits once, then makes its own
+    refusals, then normalizes the graph once."""
+
+    @staticmethod
+    def call(name, cfg, graph):
+        if name == "train":
+            return train(cfg, graph=graph)
+        if name == "probe":
+            return oversmoothing_probe(cfg, graph=graph, layer_range=(2, 3))
+        return getattr(training, name)(cfg, graph=graph)
+
+    @pytest.mark.parametrize("name", ["train", "probe", "ablate_dropout_dropedge",
+                                      "ablate_layerwise"])
+    def test_splits_checked_once(self, sbm, monkeypatch, name):
+        checked = []
+        real = training._check_splits
+        monkeypatch.setattr(training, "_check_splits",
+                            lambda graph: checked.append(graph) or real(graph))
+        self.call(name, small_config(epochs=2, p=0.5, dropout=0.4, n_layers=4), sbm)
+        assert checked == [sbm]
+
+    @pytest.mark.parametrize("name,model_kw,message", [
+        ("ablate_dropout_dropedge", {"p": 0.5}, "nonzero dropout rate"),
+        ("ablate_dropout_dropedge", {"p": 1e-6, "dropout": 0.5}, "drops"),
+        ("ablate_layerwise", {"p": 1e-6}, "drops")])
+    def test_refused_ablation_never_normalizes(self, sbm, monkeypatch, name, model_kw,
+                                               message):
+        # Dropout 0, or a p with floor(V * p) = 0 (1e-6 on 60 nodes): the
+        # refusal needs the config alone, so it comes before any work.
+        def refuse(*args, **kw):
+            raise AssertionError("the ablation did work before refusing")
+
+        monkeypatch.setattr(training, "normalize", refuse)
+        monkeypatch.setattr(training, "build_model", refuse)
+        with pytest.raises(ValueError, match=message):
+            self.call(name, small_config(epochs=2, **model_kw), sbm)
+
+    def test_probe_before_model_is_the_trained_model_at_start(self, sbm, monkeypatch):
+        # The probe measures a fresh model and then trains one; both are the
+        # first draw of the config's seed, so "before" is the training run's
+        # starting point.
+        built = []
+        real = training.build_model
+
+        def spy(*args, **kw):
+            model = real(*args, **kw)
+            built.append([p.data.copy() for p in model.parameters()])
+            return model
+
+        monkeypatch.setattr(training, "build_model", spy)
+        oversmoothing_probe(small_config(epochs=2, p=0.5, dropout=0.4, n_layers=4),
+                            graph=sbm, layer_range=(2, 3))
+        assert len(built) == 2
+        fresh, started = built
+        assert len(fresh) == len(started) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, started))
+
+
 def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
     # A C library without mallopt (not glibc) leaves the run as it is.
     monkeypatch.setattr(training.ctypes, "CDLL", lambda name: object())
@@ -1425,6 +1497,16 @@ class TestCli:
         epochs = 150 if command == "probe-oversmoothing" else TrainConfig().epochs
         assert built == asdict(TrainConfig(epochs=epochs, out_dir="dropgcn-out"))
         assert built["model"] == asdict(ModelConfig())
+
+    def test_other_default_flags_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        base = ("--data-dir", "data")
+        probe = parser.parse_args(["probe-oversmoothing", *base])
+        assert tuple(probe.probe_layers) == training.PROBE_LAYERS
+        assert (inspect.signature(oversmoothing_probe).parameters["layer_range"].default
+                == training.PROBE_LAYERS)
+        spec = parser.parse_args(["analyze-spectral", *base])
+        assert spec.normalization == ModelConfig().scheme
 
     def test_backbone_choices_are_the_library_backbones(self):
         parser = cli.build_parser()

@@ -17,6 +17,16 @@ resistance operations, on the same graph and the two connected graphs of
 each operation's own digest[:16], as perfbench prints it on its `op`
 lines.
 
+Then the library's own reports, from one 4-layer config (dropout 0.5,
+p=0.3, --epochs, seed --seed) on the fixed graph synthetic_sbm(seed=3):
+
+    probe <sha of probe.json's layer_range, before and after>
+    dropout-vs-dropedge <neither> <dropout> <dropedge> <both>
+    layerwise <oneshot> <layerwise>
+
+the probe over layers 2-3, and each ablation arm's metrics.csv. No output
+path and no wall time is hashed.
+
 A change that alters no float prints the same lines. The bytes depend on
 the BLAS thread count, so BLAS is pinned to one thread before numpy loads.
 perfbench/ is only read.
@@ -27,6 +37,7 @@ perfbench/ is only read.
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -41,12 +52,14 @@ sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 
 import cora_shaped  # noqa: E402
 import workloads  # noqa: E402
-from dropgcn.training import train  # noqa: E402
+from dropgcn import DropEdgeConfig, ModelConfig, TrainConfig, synthetic_sbm  # noqa: E402
+from dropgcn.training import (ablate_dropout_dropedge, ablate_layerwise,  # noqa: E402
+                              oversmoothing_probe, train)
 
 
-def sha16(path):
-    """sha256[:16] of the bytes of the file at `path`."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+def sha16(data):
+    """sha256[:16] of the bytes `data`."""
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def training_digests(graph, seed, epochs):
@@ -58,7 +71,23 @@ def training_digests(graph, seed, epochs):
                 continue
             run_dir = Path(tmp) / w.name
             train(w.config(seed, run_dir, epochs), graph=graph, keep_best_model=True)
-            out.append((w.name, sha16(run_dir / "metrics.csv"), sha16(run_dir / "model.npz")))
+            out.append((w.name, sha16((run_dir / "metrics.csv").read_bytes()),
+                        sha16((run_dir / "model.npz").read_bytes())))
+    return out
+
+
+def report_digests(seed, epochs):
+    """(name, digest, ...) per library report on synthetic_sbm(seed=3): the
+    probe's measurements, then each ablation's arms' metrics.csv."""
+    graph = synthetic_sbm(seed=3)
+    model = ModelConfig(n_layers=4, hidden_dim=16, dropout=0.5, dropedge=DropEdgeConfig(p=0.3))
+    config = TrainConfig(model=model, epochs=epochs, seed=seed)
+    probe = oversmoothing_probe(config, graph, layer_range=(2, 3))
+    measured = {k: probe[k] for k in ("layer_range", "before", "after")}
+    out = [("probe", sha16(json.dumps(measured, indent=2).encode()))]
+    for name, ablate in (("dropout-vs-dropedge", ablate_dropout_dropedge),
+                         ("layerwise", ablate_layerwise)):
+        out.append((name, *(sha16(r.to_csv().encode()) for r in ablate(config, graph).values())))
     return out
 
 
@@ -81,6 +110,8 @@ def main(argv=None):
     for name, metrics, model in training_digests(graph, args.seed, args.epochs):
         print(f"{name} {metrics} {model}")
     print("spectral", *spectral_digests(graph, args.seed, args.size))
+    for line in report_digests(args.seed, args.epochs):
+        print(*line)
     return 0
 
 
